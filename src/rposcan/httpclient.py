@@ -80,7 +80,12 @@ class RecordingClient:
 
 
 class RateLimitedClient:
-    """Serializes requests per host with a minimum spacing between sends."""
+    """Serializes requests per host with a minimum spacing between sends.
+
+    The spacing is measured between actual send times: the next slot for a
+    host is booked from the moment its previous request left, after any
+    oversleep, so a late send never shortens the gap that follows it.
+    """
 
     def __init__(self, inner, per_host_delay: float) -> None:
         self._inner = inner
@@ -103,7 +108,7 @@ class RateLimitedClient:
             while now < slot:  # sleep can return early on some kernels
                 time.sleep(slot - now)
                 now = time.monotonic()
-            self._next_slot[host] = slot + self._delay
+            self._next_slot[host] = now + self._delay
             return self._inner.fetch(request)
 
 

@@ -268,6 +268,11 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
 # --- serving over loopback ---
 
 
+# serve_forever notices a shutdown request only between polls; the default
+# 0.5 s poll would make every MockServerHandle.shutdown wait that long.
+_SHUTDOWN_POLL_S = 0.01
+
+
 class PortInUse(OSError):
     pass
 
@@ -289,6 +294,10 @@ def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer the response so headers and body leave in one write; two
+        # small writes stall on Nagle plus the client's delayed ACK.
+        # handle_one_request flushes after do_GET.
+        wbufsize = -1
 
         def do_GET(self) -> None:  # noqa: N802 (http.server naming)
             cookies: dict[str, str] = {}
@@ -317,7 +326,9 @@ def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
         server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
     except OSError as exc:
         raise PortInUse(f"port {port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": _SHUTDOWN_POLL_S}, daemon=True
+    )
     thread.start()
     return MockServerHandle(server=server, thread=thread, port=server.server_address[1])
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
@@ -159,7 +159,6 @@ def run_scan(
 
     results: queue.Queue[ScanRecord | None] = queue.Queue()
     to_scan: dict[str, list[WebUrl]] = {}
-    pending = 0
     seen_representatives: set[str] = set()
 
     prelim: list[ScanRecord] = []
@@ -173,13 +172,7 @@ def run_scan(
         text = serialize_url(url)
         template = template_of[text]
         representative = representative_of[template]
-        if text != representative:
-            prelim.append(
-                ScanRecord(url=text, site=registrable_domain(url.host), template=template,
-                           status="grouped_into", grouped_into=representative)
-            )
-            continue
-        if text in seen_representatives:
+        if text != representative or text in seen_representatives:
             prelim.append(
                 ScanRecord(url=text, site=registrable_domain(url.host), template=template,
                            status="grouped_into", grouped_into=representative)
@@ -193,7 +186,6 @@ def run_scan(
             )
             continue
         to_scan.setdefault(host_key(text), []).append(url)
-        pending += 1
 
     def scan_host(urls: list[WebUrl]) -> None:
         for url in urls:
@@ -213,25 +205,32 @@ def run_scan(
 
     yield from prelim
 
-    if pending:
+    if to_scan:
         workers = max(1, config.max_concurrent_hosts)
         executor = ThreadPoolExecutor(max_workers=workers)
+        unfinished = len(to_scan)
+        unfinished_lock = threading.Lock()
 
-        def submit_all() -> None:
-            futures = [executor.submit(scan_host, urls) for urls in to_scan.values()]
+        def host_done(_: Future) -> None:
+            # Called once a host's future finishes, raises or is cancelled,
+            # so the sentinel arrives even when a worker fails.
+            nonlocal unfinished
+            with unfinished_lock:
+                unfinished -= 1
+                if unfinished == 0:
+                    results.put(None)
+
+        futures = [executor.submit(scan_host, urls) for urls in to_scan.values()]
+        for future in futures:
+            future.add_done_callback(host_done)
+        try:
+            while (record := results.get()) is not None:
+                yield record
             for future in futures:
-                future.result()
-            results.put(None)
-
-        threading.Thread(target=submit_all, daemon=True).start()
-        finished = 0
-        while finished < pending:
-            record = results.get()
-            if record is None:
-                continue
-            finished += 1
-            yield record
-        executor.shutdown(wait=True)
+                future.result()  # re-raise a worker's failure outside scan_host's try
+        finally:
+            # A consumer that stops early leaves no queued host scanning.
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 def write_records(records: Iterable[ScanRecord], out: TextIO) -> int:

@@ -1,5 +1,8 @@
+import http.client
 import json
 import pathlib
+import statistics
+import time
 
 import pytest
 import requests
@@ -186,6 +189,39 @@ def test_serve_liveness_and_shutdown():
         handle.shutdown()
     with pytest.raises(requests.ConnectionError):
         requests.get(f"http://127.0.0.1:{handle.port}/", timeout=2)
+
+
+def test_serve_shutdown_is_prompt():
+    handle = serve(TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE), port=0)
+    started = time.monotonic()
+    handle.shutdown()
+    assert time.monotonic() - started < 0.1
+    assert not handle.thread.is_alive()
+
+
+def test_keep_alive_round_trips_skip_delayed_ack():
+    config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
+    handle = serve(config, port=0)
+    conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=5)
+    try:
+        latencies = []
+        for i in range(20):
+            target = f"/app/page.php/x{i}//" if i % 2 else "/missing/style.css"
+            expected = handle_request(
+                config, HttpRequest(url=f"http://127.0.0.1:{handle.port}{target}")
+            )
+            started = time.monotonic()
+            conn.request("GET", target)
+            resp = conn.getresponse()
+            body = resp.read()
+            latencies.append(time.monotonic() - started)
+            assert resp.status == expected.status
+            assert int(resp.getheader("Content-Length")) == len(body)
+            assert body == expected.body
+        assert statistics.median(latencies) < 0.015, latencies
+    finally:
+        conn.close()
+        handle.shutdown()
 
 
 def test_two_servers_behave_independently():

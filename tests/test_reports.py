@@ -1,6 +1,9 @@
 import random
+import sys
+import threading
 
-from rposcan.httpclient import RecordingClient
+from rposcan import reports
+from rposcan.httpclient import RecordingClient, host_key
 from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, Sink, TargetConfig
 from rposcan.reports import (
     ScanRecord,
@@ -256,3 +259,106 @@ def test_table_renders():
 def test_record_json_round_trip():
     record = _record("http://a.test/1", "a.test", "exploitable", "cookie", ("chrome",))
     assert ScanRecord.from_json(record.to_json()) == record
+
+
+class GatedClient:
+    """Holds the first request under `gated_prefix` until `release` is set."""
+
+    def __init__(self, inner, gated_prefix: str) -> None:
+        self._inner = inner
+        self._gated_prefix = gated_prefix
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def fetch(self, request):
+        if request.url.startswith(self._gated_prefix) and not self.reached.is_set():
+            self.reached.set()
+            self.release.wait(timeout=5)
+        return self._inner.fetch(request)
+
+
+def _join_new_threads(before: set[threading.Thread]) -> list[threading.Thread]:
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=5)
+    return [t for t in started if t.is_alive()]
+
+
+def test_run_scan_closed_early_starts_no_queued_host(tmp_path):
+    second_page = "http://site-a.test/other/page.php"
+    gate = GatedClient(mock_client(), gated_prefix=second_page)
+    recorder = RecordingClient(gate)
+    seed = tmp_path / "seed.txt"
+    seed.write_text(
+        "\n".join(
+            [
+                "http://site-a.test/app/page.php",
+                second_page,
+                "http://site-b.test/app/page.php",
+                "http://site-c.test/app/page.php",
+            ]
+        )
+        + "\n"
+    )
+    before = set(threading.enumerate())
+    records = run_scan(str(seed), make_config(max_concurrent_hosts=1), base_client=recorder)
+    first = next(records)
+    assert first.url == "http://site-a.test/app/page.php"
+    assert gate.reached.wait(timeout=5)  # the worker is inside site-a's second page
+    records.close()
+    gate.release.set()
+    assert _join_new_threads(before) == []
+    assert {host_key(x.request.url) for x in recorder.exchanges} == {"site-a.test"}
+
+
+def test_run_scan_worker_failure_does_not_hang(tmp_path, monkeypatch):
+    def broken_now() -> str:
+        raise RuntimeError("clock failed")
+
+    monkeypatch.setattr(reports, "_now", broken_now)
+    outcome: list[BaseException | list] = []
+
+    def consume() -> None:
+        try:
+            outcome.append(run(["http://site-a.test/app/page.php"], tmp_path))
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            outcome.append(exc)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=5)
+    assert not consumer.is_alive(), "run_scan hung after a worker raised"
+    (result,) = outcome
+    assert isinstance(result, RuntimeError) and str(result) == "clock failed"
+
+
+def test_run_scan_many_workers_end_once_every_host_is_done(tmp_path):
+    config = TargetConfig(name="a", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    hosts = {f"h{i}.test": config for i in range(40)}
+    seed = tmp_path / "seed.txt"
+    seed.write_text("".join(f"http://{host}/app/page.php\n" for host in hosts))
+    outcome: list[list] = []
+
+    def consume() -> None:
+        outcome.append(
+            list(
+                run_scan(
+                    str(seed),
+                    make_config(max_concurrent_hosts=8),
+                    base_client=InProcessClient(hosts),
+                )
+            )
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive(), "run_scan lost a host completion"
+    (records,) = outcome
+    assert sorted(r.url for r in records) == sorted(f"http://{h}/app/page.php" for h in hosts)
+    assert {r.status for r in records} == {"exploitable"}
