@@ -406,11 +406,13 @@ def _winning_technique(config: TargetConfig) -> tuple[MutationTechnique | None, 
         page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
         if page_kind == "css":
             continue
-        refs_visible = page_kind == "page" or config.error_page_has_refs
-        if not refs_visible:
-            continue
+        # the base tag sits on the page and the 404 alike, and a base with no
+        # relative ref after it blocks just the same
         if config.emit_base_tag:
             saw_base = True
+            continue
+        refs_visible = page_kind == "page" or config.error_page_has_refs
+        if not refs_visible:
             continue
         relative_refs = [r for r in config.stylesheet_refs if is_relative_href(r)]
         if not relative_refs:
@@ -474,7 +476,7 @@ def compute_ground_truth(
         )
         framed_works = False
         if not unframed and profile.supports_frame_override:
-            if framing_allowed(config.x_frame_options, attacker_origin, victim_origin, profile):
+            if framing_allowed(config.x_frame_options, attacker_origin, victim_origin):
                 framed_mode = effective_mode(config.doctype, profile, True, page_security)
                 framed_works = (
                     stylesheet_accepted(profile, framed_mode, sheet_security) and style_fires

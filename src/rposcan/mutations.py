@@ -41,15 +41,6 @@ class TechniqueNotApplicable(ValueError):
 class MutatedRequest:
     url: WebUrl
     extra_cookies: dict[str, str] = field(default_factory=dict)
-    technique: MutationTechnique = MutationTechnique.PATH_PARAM_SIMPLE
-    payload: ReflectionPayload | str = ""
-    slash_padding: int = DEFAULT_SLASH_PADDING
-
-    @property
-    def payload_text(self) -> str:
-        if isinstance(self.payload, str):
-            return self.payload
-        return self.payload.encoded_text
 
 
 def _payload_text(payload: ReflectionPayload | str) -> str:
@@ -162,9 +153,6 @@ def mutate(
     return MutatedRequest(
         url=_with_segments(url, new_segments, new_query),
         extra_cookies=extra_cookies,
-        technique=technique,
-        payload=payload,
-        slash_padding=slash_padding,
     )
 
 

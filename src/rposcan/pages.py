@@ -38,12 +38,6 @@ class PageDocument:
         return [ref.href for ref in self.stylesheet_refs if ref.relative]
 
 
-@dataclass(frozen=True)
-class UrlTemplate:
-    abstract_url: str
-    doctype_key: str | None = None
-
-
 def is_relative_href(href: str) -> bool:
     if _SCHEME_PREFIX_RE.match(href):
         return False
@@ -136,25 +130,21 @@ def _abstract_query(query: str) -> str:
     return "&".join(pairs)
 
 
-def abstract_url(url: WebUrl) -> UrlTemplate:
+def abstract_url(url: WebUrl) -> str:
     """Collapse per-instance identifiers so template siblings group together."""
     netloc = url.host if url.port is None else f"{url.host}:{url.port}"
     path = "/" + "/".join(_abstract_segment(seg) for seg in url.path_segments)
     abstract = netloc + path
     if url.query is not None:
         abstract += "?" + _abstract_query(url.query)
-    return UrlTemplate(abstract_url=abstract)
+    return abstract
 
 
-def group_candidates(
-    pages: list[tuple[WebUrl, str | None]]
-) -> dict[UrlTemplate, WebUrl]:
-    """One deterministic representative per (template, doctype) group."""
-    groups: dict[UrlTemplate, WebUrl] = {}
-    for url, doctype in pages:
-        key = UrlTemplate(
-            abstract_url=abstract_url(url).abstract_url, doctype_key=doctype
-        )
+def group_candidates(urls: list[WebUrl]) -> dict[str, WebUrl]:
+    """One deterministic representative per URL template."""
+    groups: dict[str, WebUrl] = {}
+    for url in urls:
+        key = abstract_url(url)
         current = groups.get(key)
         if current is None or str(url) < str(current):
             groups[key] = url

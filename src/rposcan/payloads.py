@@ -13,7 +13,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import Enum
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 NONCE_LENGTH = 32
 NONCE_ALPHABET = string.ascii_lowercase + string.digits
@@ -97,10 +97,6 @@ def encode_exploit(payload: ExploitPayload, newline: NewlineVariant) -> str:
     """URL-encoded form of the exploit text, with the newline prefix that made
     the reflection probe land."""
     return newline.code + quote(payload.text, safe="")
-
-
-def decoded_payload_text(payload: ReflectionPayload) -> str:
-    return unquote(payload.encoded_text)
 
 
 def find_reflection(body: bytes, nonce: Nonce) -> list[int]:

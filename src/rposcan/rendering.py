@@ -1,11 +1,12 @@
 """Per-engine rendering behavior: doctype switching, header gating, framing.
 
-Profiles are data, not code: each engine carries four behavior booleans plus
-its quirks-mode public-identifier lists, and can be loaded from a JSON profile
-file so the matrix can be updated without touching the logic.  The defaults
+Profiles are data, not code: each engine carries three behavior booleans and
+two optional exception lists, and can be loaded from a JSON profile file so
+the matrix can be updated without touching the logic.  The quirks-mode
+public-identifier lists every engine shares live here as module constants;
+an engine departs from them only through its exception lists.  The defaults
 model the engine families' shared behavior (the WebKit-descended engines
-agree with each other, as do the two Microsoft engines), with hooks for
-per-engine exception lists.
+agree with each other, as do the two Microsoft engines).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class RenderingMode(Enum):
 
 # Public-identifier prefixes that put every engine we model into quirks mode
 # (derived from the interoperable legacy-doctype behavior all engines share).
+# These lists are lower-case: classify_doctype matches the lower-cased id.
 QUIRKS_PUBLIC_ID_PREFIXES: tuple[str, ...] = (
     "+//silmaril//dtd html pro v0r11 19970101//",
     "-//advasoft ltd//dtd html 3.0 aswedit + extensions//",
@@ -129,11 +131,7 @@ class BrowserProfile:
     engine: Engine
     respects_nosniff: bool
     supports_frame_override: bool
-    honors_frame_ancestors: bool
     base_tag_effective: bool
-    quirks_public_id_prefixes: tuple[str, ...] = QUIRKS_PUBLIC_ID_PREFIXES
-    quirks_public_ids_exact: tuple[str, ...] = QUIRKS_PUBLIC_IDS_EXACT
-    quirks_prefixes_when_no_system_id: tuple[str, ...] = QUIRKS_PREFIXES_WHEN_NO_SYSTEM_ID
     extra_quirks_public_ids: tuple[str, ...] = ()
     quirks_public_id_exceptions: tuple[str, ...] = ()
 
@@ -207,13 +205,9 @@ def classify_doctype(doctype: str | None, profile: BrowserProfile) -> RenderingM
         return RenderingMode.STANDARDS
     if pid in (x.lower() for x in profile.extra_quirks_public_ids):
         return RenderingMode.QUIRKS
-    if pid in (x.lower() for x in profile.quirks_public_ids_exact):
+    if pid in QUIRKS_PUBLIC_IDS_EXACT or pid.startswith(QUIRKS_PUBLIC_ID_PREFIXES):
         return RenderingMode.QUIRKS
-    if any(pid.startswith(p.lower()) for p in profile.quirks_public_id_prefixes):
-        return RenderingMode.QUIRKS
-    if system_id is None and any(
-        pid.startswith(p.lower()) for p in profile.quirks_prefixes_when_no_system_id
-    ):
+    if system_id is None and pid.startswith(QUIRKS_PREFIXES_WHEN_NO_SYSTEM_ID):
         return RenderingMode.QUIRKS
     return RenderingMode.STANDARDS
 
@@ -248,14 +242,8 @@ def framing_allowed(
     xfo: str | None,
     attacker_origin: str,
     victim_origin: str,
-    profile: BrowserProfile,
 ) -> bool:
-    """X-Frame-Options semantics; an absent or unparseable value admits.
-
-    ``profile`` is the hook for engines that would additionally evaluate CSP
-    frame-ancestors; no such policy input is modeled here.
-    """
-    del profile
+    """X-Frame-Options semantics; an absent or unparseable value admits."""
     if xfo is None:
         return True
     value = xfo.strip()
@@ -287,23 +275,15 @@ def stylesheet_accepted(
     return True
 
 
-_BEHAVIOR_FIELDS = (
-    "respects_nosniff",
-    "supports_frame_override",
-    "honors_frame_ancestors",
-    "base_tag_effective",
-)
+_BEHAVIOR_FIELDS = ("respects_nosniff", "supports_frame_override", "base_tag_effective")
 
-_LIST_FIELDS = (
-    "quirks_public_id_prefixes",
-    "quirks_public_ids_exact",
-    "quirks_prefixes_when_no_system_id",
-    "extra_quirks_public_ids",
-    "quirks_public_id_exceptions",
-)
+_LIST_FIELDS = ("extra_quirks_public_ids", "quirks_public_id_exceptions")
 
 
 def _profile_from_dict(entry: dict) -> BrowserProfile:
+    unknown = sorted(set(entry) - {"engine", *_BEHAVIOR_FIELDS, *_LIST_FIELDS})
+    if unknown:
+        raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
     kwargs = {"engine": Engine(entry["engine"])}
     for name in _BEHAVIOR_FIELDS:
         kwargs[name] = bool(entry[name])

@@ -142,14 +142,13 @@ def run_scan(
         except MalformedUrl as exc:
             parsed.append((line, None, str(exc)))
 
-    groups = group_candidates([(url, None) for _, url, _ in parsed if url is not None])
-    representative_of: dict[str, str] = {}
-    template_of: dict[str, str] = {}
-    for key, representative in groups.items():
-        representative_of[key.abstract_url] = serialize_url(representative)
-    for _, url, _ in parsed:
-        if url is not None:
-            template_of[serialize_url(url)] = abstract_url(url).abstract_url
+    groups = group_candidates([url for _, url, _ in parsed if url is not None])
+    representative_of = {
+        template: serialize_url(representative) for template, representative in groups.items()
+    }
+    template_of = {
+        serialize_url(url): abstract_url(url) for _, url, _ in parsed if url is not None
+    }
 
     if base_client is None:
         base_client = RequestsClient(
@@ -273,6 +272,19 @@ class SummaryTable:
     candidate_sites: int
 
 
+def _count_row(technique: str, hits: list[ScanRecord], engines: list[str]) -> SummaryRow:
+    row = SummaryRow(
+        technique=technique,
+        vulnerable_pages=len(hits),
+        vulnerable_sites=len({r.site for r in hits}),
+    )
+    for engine in engines:
+        engine_hits = [r for r in hits if r.profile_results.get(engine, {}).get("exploitable")]
+        row.exploitable_pages[engine] = len(engine_hits)
+        row.exploitable_sites[engine] = len({r.site for r in engine_hits})
+    return row
+
+
 def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
     """Counts per technique and engine; the total row counts each page and
     site once regardless of how many techniques hit."""
@@ -281,33 +293,17 @@ def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
     engines = [e.value for e in Engine]
 
     vulnerable = [r for r in scanned if r.status in ("vulnerable", "exploitable")]
-    rows = []
-    for technique in TECHNIQUE_ORDER:
-        row = SummaryRow(technique=technique.value)
-        hits = [r for r in vulnerable if r.technique == technique.value]
-        row.vulnerable_pages = len(hits)
-        row.vulnerable_sites = len({r.site for r in hits})
-        for engine in engines:
-            engine_hits = [
-                r for r in hits if r.profile_results.get(engine, {}).get("exploitable")
-            ]
-            row.exploitable_pages[engine] = len(engine_hits)
-            row.exploitable_sites[engine] = len({r.site for r in engine_hits})
-        rows.append(row)
-
-    total = SummaryRow(technique="total")
-    total.vulnerable_pages = len(vulnerable)
-    total.vulnerable_sites = len({r.site for r in vulnerable})
-    for engine in engines:
-        engine_hits = [
-            r for r in vulnerable if r.profile_results.get(engine, {}).get("exploitable")
-        ]
-        total.exploitable_pages[engine] = len(engine_hits)
-        total.exploitable_sites[engine] = len({r.site for r in engine_hits})
-
+    rows = [
+        _count_row(
+            technique.value,
+            [r for r in vulnerable if r.technique == technique.value],
+            engines,
+        )
+        for technique in TECHNIQUE_ORDER
+    ]
     return SummaryTable(
         rows=rows,
-        total=total,
+        total=_count_row("total", vulnerable, engines),
         engines=engines,
         candidate_pages=len(scanned),
         candidate_sites=len({r.site for r in scanned}),

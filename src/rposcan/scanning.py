@@ -206,15 +206,14 @@ def _evaluate_profile(
     doctype: str | None,
     page_security: ResponseSecurity,
     sheet_security: ResponseSecurity,
-    sheet_body: bytes,
-    nonce_url: str,
+    style_fires: bool,
     base_present: bool,
     attacker_origin: str,
     victim_origin: str,
 ) -> ProfileResult:
     blockers: list[Blocker] = []
     if framed and not framing_allowed(
-        page_security.x_frame_options, attacker_origin, victim_origin, profile
+        page_security.x_frame_options, attacker_origin, victim_origin
     ):
         return ProfileResult(exploitable=False, framed=True, blockers=[Blocker.X_FRAME_OPTIONS])
     if base_present and profile.base_tag_effective:
@@ -228,7 +227,7 @@ def _evaluate_profile(
                 blockers.append(Blocker.X_UA_COMPATIBLE)
         elif sheet_security.nosniff and profile.respects_nosniff:
             blockers.append(Blocker.NOSNIFF)
-    exploitable = accepted and not blockers and css_would_fire(sheet_body, nonce_url)
+    exploitable = accepted and not blockers and style_fires
     return ProfileResult(exploitable=exploitable, framed=framed, blockers=blockers)
 
 
@@ -280,6 +279,8 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
         return replace(verdict, profile_results=results)
 
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
+    # the oracle depends only on the sheet and the canary, not on the engine
+    style_fires = css_would_fire(sheet_resp.body, nonce_url)
     victim_origin = verdict.page_url.origin
     results: dict[Engine, ProfileResult] = {}
     for profile in config.profiles:
@@ -289,8 +290,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
             doc.doctype,
             page_security,
             sheet_security,
-            sheet_resp.body,
-            nonce_url,
+            style_fires,
             base_present,
             config.attacker_origin,
             victim_origin,
@@ -302,8 +302,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
                 doc.doctype,
                 page_security,
                 sheet_security,
-                sheet_resp.body,
-                nonce_url,
+                style_fires,
                 base_present,
                 config.attacker_origin,
                 victim_origin,

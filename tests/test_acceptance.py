@@ -190,15 +190,14 @@ def test_criterion_4_header_semantics():
             if accepted == (profile.engine in expected_blocked):
                 mismatches += 1
 
-        ie = profile_by_engine(PROFILES, Engine.INTERNET_EXPLORER)
         attacker, victim = "http://attacker.invalid", "http://victim.test"
-        if framing_allowed("DENY", attacker, victim, ie) is not False:
+        if framing_allowed("DENY", attacker, victim) is not False:
             mismatches += 1
-        if framing_allowed("SOMEORIGIN", attacker, victim, ie) is not True:
+        if framing_allowed("SOMEORIGIN", attacker, victim) is not True:
             mismatches += 1
-        if framing_allowed(None, attacker, victim, ie) is not True:
+        if framing_allowed(None, attacker, victim) is not True:
             mismatches += 1
-        if framing_allowed("SAMEORIGIN", victim, victim, ie) is not True:
+        if framing_allowed("SAMEORIGIN", victim, victim) is not True:
             mismatches += 1
         assert mismatches == 0
 

@@ -24,8 +24,10 @@ from rposcan.mock_target import (
     load_matrix,
     route_request,
     serve,
+    verdict_matches_truth,
 )
 from rposcan.rendering import default_profiles
+from rposcan.scanning import NotVulnerableReason, ScanConfig, scan_page, verify_exploitable
 from rposcan.urls import parse_url, server_view
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -278,3 +280,24 @@ def test_ground_truth_consistent_with_flags():
             assert truth.technique is not None
         else:
             assert truth.reason is not None
+
+
+def test_truth_reason_base_tag_on_refless_404():
+    # The 404 for the mutated URL carries the <base> but no stylesheet link;
+    # a base with no relative ref after it blocks, on both sides.
+    config = TargetConfig(
+        name="exactfile-base-norefs404",
+        routing=Routing.EXACT_FILE,
+        emit_base_tag=True,
+        error_page_has_refs=False,
+        doctype=DOCTYPE_QUIRKS,
+    )
+    profiles = default_profiles()
+    client = InProcessClient({"mock.test": config})
+    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    seed = config.seed_url("http://mock.test")
+    verdict = scan_page(seed, config.seed_cookies, client, scan_config)
+    verdict = verify_exploitable(verdict, client, scan_config)
+    truth = compute_ground_truth(config, profiles)
+    assert verdict.reason is NotVulnerableReason.BASE_TAG
+    assert verdict_matches_truth(verdict, truth) == []

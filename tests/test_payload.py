@@ -1,3 +1,5 @@
+from urllib.parse import unquote
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,6 @@ from rposcan.payloads import (
     Nonce,
     build_exploit_payload,
     build_reflection_payload,
-    decoded_payload_text,
     encode_exploit,
     find_reflection,
     generate_nonce,
@@ -49,7 +50,7 @@ def test_reflection_payload_other_newlines():
 def test_reflection_payload_decoded_form():
     n = generate_nonce(3)
     p = build_reflection_payload(n, NewlineVariant.LF)
-    decoded = decoded_payload_text(p)
+    decoded = unquote(p.encoded_text)
     assert decoded.count(n.value) == 1
     assert "<" not in decoded and ">" not in decoded
     # starts with an empty-selector rule, so it is not a complete valid rule

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from jsonschema import validate as jsonschema_validate
 
+from rposcan.cli import main
 from rposcan.rendering import (
     BrowserProfile,
     Engine,
@@ -52,13 +53,8 @@ def test_profile_behavior_matrix():
     assert {p.engine for p in PROFILES if p.supports_frame_override} == {
         Engine.INTERNET_EXPLORER
     }
-    assert not IE.honors_frame_ancestors
     assert not IE.base_tag_effective
-    assert all(
-        p.honors_frame_ancestors and p.base_tag_effective
-        for p in PROFILES
-        if p.engine is not Engine.INTERNET_EXPLORER
-    )
+    assert all(p.base_tag_effective for p in PROFILES if p.engine is not Engine.INTERNET_EXPLORER)
 
 
 @pytest.mark.parametrize("doctype", TABLE4_QUIRKS_DOCTYPES)
@@ -187,29 +183,29 @@ VICTIM = "http://victim.example"
 
 
 def test_xfo_deny_blocks():
-    assert framing_allowed("DENY", ATTACKER, VICTIM, IE) is False
+    assert framing_allowed("DENY", ATTACKER, VICTIM) is False
 
 
 def test_xfo_sameorigin():
-    assert framing_allowed("SAMEORIGIN", ATTACKER, VICTIM, IE) is False
-    assert framing_allowed("SAMEORIGIN", VICTIM, VICTIM, IE) is True
+    assert framing_allowed("SAMEORIGIN", ATTACKER, VICTIM) is False
+    assert framing_allowed("SAMEORIGIN", VICTIM, VICTIM) is True
 
 
 def test_xfo_typo_admits():
-    assert framing_allowed("SOMEORIGIN", ATTACKER, VICTIM, IE) is True
+    assert framing_allowed("SOMEORIGIN", ATTACKER, VICTIM) is True
 
 
 def test_xfo_absent_admits():
-    assert framing_allowed(None, ATTACKER, VICTIM, IE) is True
+    assert framing_allowed(None, ATTACKER, VICTIM) is True
 
 
 def test_xfo_allow_from():
-    assert framing_allowed("ALLOW-FROM http://attacker.example", ATTACKER, VICTIM, IE) is True
-    assert framing_allowed("ALLOW-FROM http://other.example", ATTACKER, VICTIM, IE) is False
+    assert framing_allowed("ALLOW-FROM http://attacker.example", ATTACKER, VICTIM) is True
+    assert framing_allowed("ALLOW-FROM http://other.example", ATTACKER, VICTIM) is False
 
 
 def test_xfo_case_insensitive():
-    assert framing_allowed("deny", ATTACKER, VICTIM, IE) is False
+    assert framing_allowed("deny", ATTACKER, VICTIM) is False
 
 
 # --- nosniff / stylesheet acceptance ---
@@ -285,7 +281,6 @@ PROFILE_SCHEMA = {
                     "engine",
                     "respects_nosniff",
                     "supports_frame_override",
-                    "honors_frame_ancestors",
                     "base_tag_effective",
                 ],
                 "properties": {
@@ -301,14 +296,7 @@ PROFILE_SCHEMA = {
                     },
                     "respects_nosniff": {"type": "boolean"},
                     "supports_frame_override": {"type": "boolean"},
-                    "honors_frame_ancestors": {"type": "boolean"},
                     "base_tag_effective": {"type": "boolean"},
-                    "quirks_public_id_prefixes": {"type": "array", "items": {"type": "string"}},
-                    "quirks_public_ids_exact": {"type": "array", "items": {"type": "string"}},
-                    "quirks_prefixes_when_no_system_id": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                    },
                     "extra_quirks_public_ids": {"type": "array", "items": {"type": "string"}},
                     "quirks_public_id_exceptions": {"type": "array", "items": {"type": "string"}},
                 },
@@ -335,7 +323,6 @@ def test_load_profiles_from_custom_file(tmp_path):
                 "engine": "firefox",
                 "respects_nosniff": True,
                 "supports_frame_override": False,
-                "honors_frame_ancestors": True,
                 "base_tag_effective": True,
                 "quirks_public_id_exceptions": ["-//w3c//dtd html 3.2//"],
             }
@@ -355,3 +342,22 @@ def test_load_profiles_from_custom_file(tmp_path):
         classify_doctype('html PUBLIC "-//W3C//DTD HTML 3.2//EN"', default_firefox)
         is RenderingMode.QUIRKS
     )
+
+
+@pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
+def test_profile_file_rejects_unknown_key(tmp_path, key):
+    entry = {
+        "engine": "chrome",
+        "respects_nosniff": False,
+        "supports_frame_override": False,
+        "base_tag_effective": True,
+        key: True,
+    }
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"profiles": [entry]}))
+    with pytest.raises(ValueError, match=key):
+        load_profiles(str(path))
+    # a blocked-suffix seed, so no request could leave even if loading passed
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://blocked.gov/page.php\n")
+    assert main(["scan", "--seed", str(seed), "--profiles", str(path)]) == 2
