@@ -9,11 +9,20 @@ declaration inside a selected rule survive, for an exact caller-given URL?
 
 Not a CSS parser; tokens outside the rule/declaration/block/string/url subset
 are treated as opaque delimiters.
+
+The tokenizer is one compiled regular expression with an alternative per
+token kind, walked with ``finditer``, so Python runs once per token rather
+than once per character.  Two quirks of the token values are kept on purpose:
+an unquoted ``url(...)`` value is passed through ``str.strip()``, which also
+strips ``\x0b``, ``\x85`` and ``\xa0``, and a backslash at the very end of
+the input stays in the string it ends.  ``tokenize`` is looked up at call
+time, so a tracer can wrap it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 WS = "ws"
 IDENT = "ident"
@@ -32,135 +41,95 @@ LPAREN, RPAREN = "(", ")"
 COLON, SEMICOLON, COMMA = ":", ";", ","
 DELIM = "delim"
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_-")
-_IDENT_CHARS = _IDENT_START | set("0123456789")
-_SPACE = set(" \t\r\n\f")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     offset: int
 
 
-def _consume_string(text: str, i: int) -> tuple[Token, int]:
-    quote = text[i]
-    start = i
-    j = i + 1
-    buf: list[str] = []
-    while j < len(text):
-        c = text[j]
-        if c == quote:
-            return Token(STRING, "".join(buf), start), j + 1
-        if c == "\\" and j + 1 < len(text):
-            buf.append(text[j + 1])
-            j += 2
-            continue
-        if c in "\n\r\f":
-            # the newline itself is not part of the bad string
-            return Token(BAD_STRING, "".join(buf), start), j
-        buf.append(c)
-        j += 1
-    return Token(STRING, "".join(buf), start), j
+# One alternative per token kind.  At each position the first alternative
+# that matches wins, so a comment opener beats "/", "-->" beats an ident and
+# an unquoted "url(" beats a function; the common kinds come first.  Every
+# character is matched by some alternative (the last takes any single
+# character), so the scan never skips text.  An unquoted "url(" that does
+# not close cleanly is a bad url running to the next ")" or the end of input.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws> [ \t\r\n\f]+ )
+    | (?P<punct> [{}\[\]():;,] )
+    | (?P<url> [uU][rR][lL]\((?!["'])
+               (?: [ \t\r\n\f]*(?P<url_value>[^ \t\r\n\f"'()]*)[ \t\r\n\f]*\)
+                 | [^)]*\)? ) )
+    | (?P<cdc> --> )
+    | (?P<ident> [A-Za-z_-][A-Za-z0-9_-]*\(? )
+    | (?P<comment> /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ | /\*[\s\S]* )
+    | (?P<string> "[^"\\\n\r\f]*(?:\\[\s\S][^"\\\n\r\f]*)*(?P<dq_end>"|\\?)
+                | '[^'\\\n\r\f]*(?:\\[\s\S][^'\\\n\r\f]*)*(?P<sq_end>'|\\?) )
+    | (?P<cdo> <!-- )
+    | (?P<hash> \#[A-Za-z0-9_-]* )
+    | (?P<at> @[A-Za-z0-9_-]* )
+    | (?P<delim> [\s\S] )
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
+# Token(...) runs NamedTuple's Python-level __new__; the tuple constructor
+# builds the same object at half the cost, which counts at ~100 tokens a sheet.
+_token = tuple.__new__
 
 
-def _consume_url(text: str, i: int, start: int) -> tuple[Token, int]:
-    """After ``url(``: unquoted form only; ``i`` points past the paren."""
-    j = i
-    while j < len(text) and text[j] in _SPACE:
-        j += 1
-    buf: list[str] = []
-    while j < len(text):
-        c = text[j]
-        if c == ")":
-            return Token(URL, "".join(buf).strip(), start), j + 1
-        if c in _SPACE:
-            # whitespace inside an unquoted url: only valid if ")" follows
-            k = j
-            while k < len(text) and text[k] in _SPACE:
-                k += 1
-            if k < len(text) and text[k] == ")":
-                return Token(URL, "".join(buf).strip(), start), k + 1
-            # bad url: discard up to the closing paren
-            while k < len(text) and text[k] != ")":
-                k += 1
-            return Token(BAD_URL, "", start), min(k + 1, len(text))
-        if c in "\"'(":
-            k = j
-            while k < len(text) and text[k] != ")":
-                k += 1
-            return Token(BAD_URL, "", start), min(k + 1, len(text))
-        buf.append(c)
-        j += 1
-    return Token(BAD_URL, "", start), j
+def _string_token(text: str, m: re.Match) -> Token:
+    """A quoted string ends at its closing quote, before a line break (a bad
+    string) or at the end of input, where a lone trailing backslash stays in
+    the value."""
+    start, end = m.span()
+    closer = m.group("dq_end" if text[start] == '"' else "sq_end")
+    kind = STRING
+    if closer == '"' or closer == "'":
+        value = text[start + 1 : end - 1]
+    else:
+        value = text[start + 1 : end]
+        if end < len(text) and not closer:
+            kind = BAD_STRING
+    if "\\" in value:
+        value = _ESCAPE_RE.sub(r"\1", value)
+    return Token(kind, value, start)
 
 
 def tokenize(text: str) -> list[Token]:
+    """CSS tokens of ``text`` with their offsets; comments yield none."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-            continue
-        if c in _SPACE:
-            j = i
-            while j < n and text[j] in _SPACE:
-                j += 1
-            tokens.append(Token(WS, text[i:j], i))
-            i = j
-            continue
-        if c in "\"'":
-            token, i = _consume_string(text, i)
-            tokens.append(token)
-            continue
-        if text.startswith("<!--", i):
-            tokens.append(Token(CDO, "<!--", i))
-            i += 4
-            continue
-        if text.startswith("-->", i):
-            tokens.append(Token(CDC, "-->", i))
-            i += 3
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            name = text[i:j]
-            if j < n and text[j] == "(":
-                if name.lower() == "url" and (j + 1 >= n or text[j + 1] not in "\"'"):
-                    token, i = _consume_url(text, j + 1, i)
-                    tokens.append(token)
-                else:
-                    tokens.append(Token(FUNCTION, name.lower(), i))
-                    i = j + 1
-                continue
-            tokens.append(Token(IDENT, name, i))
-            i = j
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token(HASH, text[i + 1 : j], i))
-            i = j
-            continue
-        if c == "@":
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token(AT_KEYWORD, text[i + 1 : j], i))
-            i = j
-            continue
-        if c in "{}[]():;,":
-            tokens.append(Token(c, c, i))
-            i += 1
-            continue
-        tokens.append(Token(DELIM, c, i))
-        i += 1
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "delim":  # group names equal the kinds
+            append(_token(Token, (kind, m.group(), m.start())))
+        elif kind == "punct":
+            char = m.group()
+            append(_token(Token, (char, char, m.start())))
+        elif kind == "ident":
+            name = m.group()
+            if name[-1] == "(":
+                append(_token(Token, (FUNCTION, name[:-1].lower(), m.start())))
+            else:
+                append(_token(Token, (IDENT, name, m.start())))
+        elif kind == "string":
+            append(_string_token(text, m))
+        elif kind == "url":
+            value = m.group("url_value")
+            if value is None:
+                append(Token(BAD_URL, "", m.start()))
+            else:
+                append(Token(URL, value.strip(), m.start()))
+        elif kind == "hash":
+            append(Token(HASH, m.group()[1:], m.start()))
+        elif kind == "at":
+            append(Token(AT_KEYWORD, m.group()[1:], m.start()))
+        elif kind == "cdo":
+            append(Token(CDO, "<!--", m.start()))
+        elif kind == "cdc":
+            append(Token(CDC, "-->", m.start()))
     return tokens
 
 

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key
 from .mutations import MutationTechnique, applicable_techniques, expand_stylesheet_targets, mutate
@@ -30,7 +30,14 @@ from .rendering import (
     RenderingMode,
 )
 from .scanning import NotVulnerableReason, ScanStatus
-from .urls import WebUrl, _remove_dot_segments, parse_url, resolve_relative, serialize_url
+from .urls import (
+    WebUrl,
+    _remove_dot_segments,
+    parse_url,
+    percent_decode,
+    resolve_relative,
+    serialize_url,
+)
 
 
 class Routing(Enum):
@@ -122,21 +129,21 @@ def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tupl
     recovered_query: str | None = None
 
     if config.routing is Routing.ENCODED_SLASH_DECODE:
-        decoded = unquote(raw_path)
+        decoded = percent_decode(raw_path)
         if "?" in decoded:
             decoded, _, recovered_query = decoded.partition("?")
         normalized = _remove_dot_segments(decoded)
     elif config.routing is Routing.SEMICOLON_PARAMS:
-        normalized = _strip_semicolon_params(unquote(raw_path))
+        normalized = _strip_semicolon_params(percent_decode(raw_path))
     else:
-        normalized = unquote(raw_path)
+        normalized = percent_decode(raw_path)
 
     pairs: list[tuple[str, str]] = []
     if raw_query is not None:
         for chunk in raw_query.split("&"):
             if "=" in chunk:
                 key, _, value = chunk.partition("=")
-                pairs.append((key, unquote(value)))
+                pairs.append((key, percent_decode(value)))
     elif recovered_query is not None:
         for chunk in recovered_query.split("&"):
             if "=" in chunk:
@@ -171,17 +178,17 @@ def _sink_echoes(
     raw_target = _raw_target_of(request.url)
     echoes: list[tuple[str, str]] = []
     if Sink.ECHO_URL in config.sinks:
-        echoes.append(("echo-url", unquote(raw_target)))
+        echoes.append(("echo-url", percent_decode(raw_target)))
     if Sink.ECHO_QUERY_VALUES in config.sinks:
         for _, value in query_pairs:
             echoes.append(("echo-query", value))
     if Sink.ECHO_COOKIE_VALUES in config.sinks:
         for _, value in sorted(request.cookies.items()):
-            echoes.append(("echo-cookie", unquote(value)))
+            echoes.append(("echo-cookie", percent_decode(value)))
     if Sink.ECHO_REFERRER in config.sinks:
         referer = request.headers.get("Referer") or request.headers.get("referer")
         if referer:
-            echoes.append(("echo-referrer", unquote(referer)))
+            echoes.append(("echo-referrer", percent_decode(referer)))
     filtered = []
     for css_class, value in echoes:
         kept = _apply_filter(config, value)
@@ -234,7 +241,7 @@ def _error_body(config: TargetConfig, request: HttpRequest) -> bytes:
     lines.append("<body>")
     lines.append("<h1>404 Not Found</h1>")
     if config.error_page_echoes_url:
-        echoed = _apply_filter(config, unquote(_raw_target_of(request.url)))
+        echoed = _apply_filter(config, percent_decode(_raw_target_of(request.url)))
         if echoed is not None:
             lines.append(f'<p class="echo-url">{echoed}</p>')
     lines.append("</body></html>")
@@ -383,10 +390,10 @@ def _marker_reflects(
     if kind == "css":
         return False
     if kind == "404":
-        return config.error_page_echoes_url and _MARKER in unquote(sheet.path)
-    if Sink.ECHO_URL in config.sinks and _MARKER in unquote(sheet.path):
+        return config.error_page_echoes_url and _MARKER in percent_decode(sheet.path)
+    if Sink.ECHO_URL in config.sinks and _MARKER in percent_decode(sheet.path):
         return True
-    if Sink.ECHO_REFERRER in config.sinks and _MARKER in unquote(serialize_url(mutated.url)):
+    if Sink.ECHO_REFERRER in config.sinks and _MARKER in percent_decode(serialize_url(mutated.url)):
         return True
     if Sink.ECHO_QUERY_VALUES in config.sinks and any(_MARKER in v for _, v in query_pairs):
         return True

@@ -5,13 +5,34 @@ doctype, the first ``<base href>`` (and where it sits), and every stylesheet
 ``<link>`` with its position and whether its href is genuinely relative.
 Root-relative and absolute references cannot be overwritten by path
 confusion, so they are flagged out.
+
+The body is decoded as latin-1 and walked once with one regular expression
+that matches a whole markup construct at a ``<``: a comment, a declaration
+or doctype, a processing instruction, an end tag or a start tag with its
+attributes.  Text between constructs is skipped by the regex engine, so
+Python runs once per construct, and each offset is the index of its ``<``.
+Tags follow the HTML5 tokenizer: only tab, LF, FF, CR and space separate
+names and attributes; a quoted attribute value runs to its closing quote,
+``<`` and ``>`` included; ``<!-->`` and ``<!--->`` are empty comments, and
+``-->`` or ``--!>`` closes a comment.  ``<script>`` and ``<style>`` content
+is raw text up to ``</script`` or ``</style`` followed by whitespace, ``/``
+or ``>``.  Attribute values are entity-decoded; a duplicate attribute keeps
+its last value.
+
+End of input: an open comment, declaration or processing instruction runs
+to the end of the input, and an unfinished tag is dropped, so nothing after
+an unclosed construct is read as markup.
+
+Frames: ``<iframe>``, ``<frame>`` and ``<frameset>`` start tags each open
+one level and their end tags close one; the self-closing form opens none.
+Base and link tags inside an open frame are ignored.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from html import unescape
 
 from .urls import WebUrl
 
@@ -44,62 +65,98 @@ def is_relative_href(href: str) -> bool:
     return not href.startswith("/")  # covers both "//host" and root-relative
 
 
-class _FactParser(HTMLParser):
-    """Tolerant single-pass extractor; ignores anything inside frames."""
+# Tag pieces as the HTML5 tokenizer reads them: only ASCII whitespace
+# separates, a name runs to whitespace, "/", ">" (or "=" for attribute
+# names), and a value is quoted or runs to whitespace or ">".  A quote left
+# open runs to the end of the input.
+_SPACE = r"[\t\n\r\f ]"
+_ATTR_NAME = r"[^\t\n\r\f />][^\t\n\r\f />=]*"
+_ATTR_VALUE = r"""(?:"[^"]*"?|'[^']*'?|[^\t\n\r\f >]*)"""
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.doc = PageDocument()
-        self._line_starts: list[int] = [0]
-        self._frame_depth = 0
+# One markup construct starting at "<".  The named group that closes last
+# tells the kinds apart: "close" for a start tag, "attrs" for a start tag cut
+# off by the end of input, "end_close" for an end tag, "decl_end" for a
+# declaration; the others (comments, processing instructions, bogus or
+# unfinished constructs) carry no fact.  A "<" that starts none of them is
+# text and is skipped by the search.
+_MARKUP_RE = re.compile(
+    rf"""<(?:
+        !--(?: -?> | [\s\S]*?--!?> | [\s\S]* )
+      | !(?P<decl>[^>]*)(?P<decl_end>>)?
+      | \?[^>]*>?
+      | /(?P<end>[a-zA-Z][^\t\n\r\f />]*)[^>]*(?P<end_close>>)?
+      | /[^>]*>?
+      | (?P<start>[a-zA-Z][^\t\n\r\f />]*)
+        (?P<attrs>(?: {_SPACE}+ | /(?!>) | {_ATTR_NAME}(?:{_SPACE}*={_SPACE}*{_ATTR_VALUE})? )*)
+        (?P<close>/?>)?
+    )""",
+    re.VERBOSE,
+)
+_ATTRIBUTE_RE = re.compile(rf"({_ATTR_NAME})(?:({_SPACE}*=){_SPACE}*({_ATTR_VALUE}))?")
+_RAW_TEXT_END = {
+    "script": re.compile(r"</script[\t\n\r\f />]", re.IGNORECASE),
+    "style": re.compile(r"</style[\t\n\r\f />]", re.IGNORECASE),
+}
+_FRAME_TAGS = ("iframe", "frame", "frameset")
 
-    def feed_text(self, text: str) -> None:
-        offset = 0
-        for line in text.splitlines(keepends=True):
-            offset += len(line)
-            self._line_starts.append(offset)
-        self.feed(text)
 
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_starts[line - 1] + col
-
-    def handle_decl(self, decl: str) -> None:
-        if self.doc.doctype is None and decl.lower().startswith("doctype"):
-            self.doc.doctype = decl[len("doctype"):].strip()
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        if tag in ("iframe", "frame", "frameset"):
-            self._frame_depth += 1
-            return
-        if self._frame_depth > 0:
-            return
-        attr_map = {name: value for name, value in attrs if value is not None}
-        if tag == "base" and self.doc.base_href is None and "href" in attr_map:
-            self.doc.base_href = attr_map["href"]
-            self.doc.base_offset = self._offset()
-        elif tag == "link":
-            rel = (attr_map.get("rel") or "").lower().split()
-            href = attr_map.get("href")
-            if "stylesheet" in rel and href:
-                self.doc.stylesheet_refs.append(
-                    StylesheetRef(href=href, relative=is_relative_href(href), offset=self._offset())
-                )
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in ("iframe", "frame", "frameset") and self._frame_depth > 0:
-            self._frame_depth -= 1
+def _attributes(text: str) -> dict[str, str]:
+    """Lower-cased names to decoded values; attributes without a value are
+    left out, and a repeated name keeps its last value."""
+    attrs: dict[str, str] = {}
+    for name, equals, value in _ATTRIBUTE_RE.findall(text):
+        if equals:
+            if value[:1] in ('"', "'"):
+                value = value[1:-1]
+            attrs[name.lower()] = unescape(value) if value else value
+    return attrs
 
 
 def analyze_html(body: bytes) -> PageDocument:
     """Extract doctype, base tag, and stylesheet links; never raises on junk."""
-    parser = _FactParser()
-    try:
-        parser.feed_text(body.decode("latin-1"))
-        parser.close()
-    except Exception:
-        pass  # salvage whatever was collected before the parser gave up
-    return parser.doc
+    text = body.decode("latin-1")
+    doc = PageDocument()
+    frame_depth = 0
+    search = _MARKUP_RE.search
+    match = search(text)
+    while match is not None:
+        pos = match.end()
+        kind = match.lastgroup
+        if kind == "close":
+            tag = match.group("start").lower()
+            opened = match.group("close") == ">"
+            if tag in _FRAME_TAGS:
+                if opened:
+                    frame_depth += 1
+            elif tag in _RAW_TEXT_END:
+                if opened:
+                    raw_end = _RAW_TEXT_END[tag].search(text, pos)
+                    pos = len(text) if raw_end is None else raw_end.start()
+            elif frame_depth:
+                pass  # base and link tags inside a frame do not count
+            elif tag == "base":
+                if doc.base_href is None:
+                    href = _attributes(match.group("attrs")).get("href")
+                    if href is not None:
+                        doc.base_href = href
+                        doc.base_offset = match.start()
+            elif tag == "link":
+                attrs = _attributes(match.group("attrs"))
+                rel = (attrs.get("rel") or "").lower().split()
+                href = attrs.get("href")
+                if "stylesheet" in rel and href:
+                    doc.stylesheet_refs.append(
+                        StylesheetRef(href=href, relative=is_relative_href(href), offset=match.start())
+                    )
+        elif kind == "end_close":
+            if frame_depth and match.group("end").lower() in _FRAME_TAGS:
+                frame_depth -= 1
+        elif kind == "decl_end":
+            decl = match.group("decl")
+            if doc.doctype is None and decl[:7].lower() == "doctype":
+                doc.doctype = decl[7:].strip()
+        match = search(text, pos)
+    return doc
 
 
 def has_blocking_base(doc: PageDocument) -> bool:

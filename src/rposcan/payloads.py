@@ -13,6 +13,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from urllib.parse import quote
 
 NONCE_LENGTH = 32
@@ -62,11 +63,15 @@ class ExploitPayload:
     closer_count: int
 
 
+# Both builders are pure and a scan asks for the same few results on every
+# page, so each result is built once per process.
+@cache
 def generate_nonce(seed: int) -> Nonce:
     rng = random.Random(seed)
     return Nonce("".join(rng.choice(NONCE_ALPHABET) for _ in range(NONCE_LENGTH)))
 
 
+@cache
 def build_reflection_payload(nonce: Nonce, newline: NewlineVariant) -> ReflectionPayload:
     directive = "{}body{background:" + nonce.value + "}"
     return ReflectionPayload(

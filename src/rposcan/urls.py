@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from urllib.parse import unquote
 
 
 class MalformedUrl(ValueError):
@@ -149,38 +148,36 @@ def serialize_url(url: WebUrl) -> str:
 
 
 def _remove_dot_segments(path: str) -> str:
-    """RFC 3986 dot-segment removal; ``..`` above the root clamps at root."""
+    """RFC 3986 dot-segment removal for an absolute ``path``; ``..`` above the
+    root clamps at root, and a final ``.`` or ``..`` leaves a trailing slash."""
     output: list[str] = []
-    rest = path
-    while rest:
-        if rest.startswith("../"):
-            rest = rest[3:]
-        elif rest.startswith("./"):
-            rest = rest[2:]
-        elif rest.startswith("/./"):
-            rest = "/" + rest[3:]
-        elif rest == "/.":
-            rest = "/"
-        elif rest.startswith("/../"):
-            rest = "/" + rest[4:]
+    segments = path.split("/")
+    for segment in segments[1:]:
+        if segment == "..":
             if output:
                 output.pop()
-        elif rest == "/..":
-            rest = "/"
-            if output:
-                output.pop()
-        elif rest in (".", ".."):
-            rest = ""
-        else:
-            start = 1 if rest.startswith("/") else 0
-            idx = rest.find("/", start)
-            if idx == -1:
-                output.append(rest)
-                rest = ""
-            else:
-                output.append(rest[:idx])
-                rest = rest[idx:]
-    return "".join(output) or "/"
+        elif segment != ".":
+            output.append(segment)
+    if segments[-1] in (".", ".."):
+        output.append("")
+    return "/" + "/".join(output)
+
+
+_PERCENT_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+
+
+def _decode_percent_run(match: re.Match) -> str:
+    return bytes.fromhex(match.group().replace("%", "")).decode("utf-8", "replace")
+
+
+def percent_decode(text: str) -> str:
+    """Decode every run of ``%XX`` escapes as UTF-8, invalid bytes becoming
+    U+FFFD; anything else, a ``%`` without two hex digits included, is kept.
+    Gives the same result as ``urllib.parse.unquote`` at a fraction of its
+    cost."""
+    if "%" not in text:
+        return text
+    return _PERCENT_RUN_RE.sub(_decode_percent_run, text)
 
 
 def browser_base_directory(url: WebUrl) -> str:
@@ -249,8 +246,7 @@ def server_view(url: WebUrl) -> ServerPath:
     Exactly one decoding pass: ``%2F`` becomes a separator, but a ``%2F``
     produced by decoding ``%252F`` stays literal text.
     """
-    decoded = "/" + "/".join(unquote(seg) for seg in url.path_segments)
-    return ServerPath(_remove_dot_segments(decoded))
+    return ServerPath(_remove_dot_segments(percent_decode(url.path)))
 
 
 def registrable_domain(host: str) -> str:

@@ -2,6 +2,8 @@ import pathlib
 
 from hypothesis import given, strategies as st
 
+import reference_impls
+
 from rposcan.css_recovery import (
     css_would_fire,
     surviving_background_urls,
@@ -128,3 +130,39 @@ def test_fire_invariant_under_balanced_prefix(prefix):
 @given(_BALANCED_CSS)
 def test_prefix_alone_never_fires(prefix):
     assert surviving_background_urls(prefix.encode()) == []
+
+
+# --- the regex tokenizer against the character-by-character reference ---
+
+_CSS_PIECES = st.sampled_from(
+    [
+        "url(", "URL(", "url( ", 'url("', "url('", "uRl(a b)", ")", "(", "/*", "*/",
+        "<!--", "-->", "--", '"', "'", "\\", "\\\n", "\n", "\r", "\f", "\t", " ",
+        "\x0b", "\x85", "\xa0", "{", "}", "[", "]", ":", ";", ",", "#", "@", ".",
+        "a", "Z", "_", "-", "0", "9", "body", "background", "http://c.test/x",
+        "%0A", "é",
+    ]
+)
+
+
+def _same_tokens(text):
+    expected = [(t.kind, t.value, t.offset) for t in reference_impls.tokenize(text)]
+    assert [tuple(t) for t in tokenize(text)] == expected
+
+
+@given(st.lists(_CSS_PIECES, max_size=40).map("".join))
+def test_tokenize_matches_reference_on_css_like_text(text):
+    _same_tokens(text)
+
+
+@given(st.binary(max_size=200))
+def test_tokenize_matches_reference_on_random_latin1(body):
+    _same_tokens(body.decode("latin-1"))
+
+
+def test_tokenize_kept_quirks():
+    # url() values go through str.strip(), which also strips \x0b, \x85, \xa0
+    assert [tuple(t) for t in tokenize("url(\x0bx\xa0)")] == [("url", "x", 0)]
+    # a backslash at the very end stays in the string
+    assert [tuple(t) for t in tokenize('"ab\\')] == [("string", "ab\\", 0)]
+    assert [tuple(t) for t in tokenize('"a\nb')][0] == ("bad-string", "a", 0)

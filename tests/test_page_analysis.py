@@ -1,5 +1,7 @@
+import pytest
 from hypothesis import given, strategies as st
 
+import reference_impls
 from rposcan.pages import (
     PageDocument,
     StylesheetRef,
@@ -166,3 +168,198 @@ def test_relative_flag_never_true_for_absolute(href):
     if href.startswith(("/", "//")) or has_scheme:
         assert flag is False
     assert flag == is_relative_href(href)
+
+
+# --- the one-pass scanner against the html.parser reference ---
+
+
+def _facts(doc: PageDocument):
+    refs = [(r.href, r.relative, r.offset) for r in doc.stylesheet_refs]
+    return doc.doctype, doc.base_href, doc.base_offset, refs
+
+
+_WS = st.sampled_from([" ", "\n", "\t", "\r", "\x0c", "\r\n", "  "])
+_ATTR_NAMES = st.sampled_from(["rel", "REL", "href", "HREF", "Href", "class", "data-x", "title", "src"])
+_ATTR_VALUES = st.sampled_from(
+    [
+        "stylesheet", "STYLESHEET", "alternate stylesheet", "icon", "stylesheet icon", "",
+        "a.css", "../style.css", "/abs.css", "//cdn.test/x.css", "http://h.test/y.css",
+        "a&amp;b.css", "x.css?a=1&amp;b=2", "&#47;s.css", "dir/", "a>b", "a<b", "\x85x", "\xe9",
+    ]
+)
+
+
+@st.composite
+def _attribute(draw):
+    name = draw(_ATTR_NAMES)
+    form = draw(st.sampled_from(["bare", "unquoted", "double", "single"]))
+    if form == "bare":
+        return name
+    value = draw(_ATTR_VALUES)
+    equals = draw(st.sampled_from(["=", " = ", "\n=\t"]))
+    if form == "unquoted":
+        value = "".join(c for c in value if c not in " <>\x85") or "x"
+        return f"{name}{equals}{value}"
+    quote = '"' if form == "double" else "'"
+    return f"{name}{equals}{quote}{value}{quote}"
+
+
+@st.composite
+def _start_tag(draw):
+    name = draw(
+        st.sampled_from(
+            ["link", "LINK", "Link", "base", "BASE", "p", "a", "div", "img", "iframe", "IFRAME",
+             "frame", "frameset", "head", "body"]
+        )
+    )
+    attrs = draw(st.lists(_attribute(), max_size=4))
+    text = "<" + name + "".join(draw(_WS) + attr for attr in attrs)
+    return text + draw(st.sampled_from([">", " />", "\n>"]))
+
+
+_END_TAG = st.builds(
+    lambda name, tail: f"</{name}{tail}>",
+    st.sampled_from(["iframe", "IFRAME", "frame", "frameset", "p", "head", "a"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+_TEXT = st.sampled_from(
+    ["text", " ", "\n", "\r", "\x0c", "\r\n", "\x85", "\xc3\x85", "&amp;", "&lt;link&gt;", "< x", "<3", "a > b"]
+)
+_COMMENT_BODY = st.sampled_from(["", " x ", "<link rel=stylesheet href=c.css>", '<base href="/">', "\n", "[if IE]>"])
+_RAW_BODY = st.sampled_from(["", "x < y", "<link rel=stylesheet href=s.css>", '<base href="/s/">', "a > b", "\n"])
+_CONSTRUCTS = st.one_of(
+    _start_tag(),
+    _END_TAG,
+    _TEXT,
+    _COMMENT_BODY.map(lambda body: f"<!--{body}-->"),
+    st.sampled_from(
+        [
+            "<!DOCTYPE html>",
+            '<!doctype html PUBLIC "-//W3C//DTD HTML 4.01 Transitional//EN">',
+            '<!DocType html SYSTEM "about:legacy-compat">',
+            "<!DOCTYPE>",
+            "<!x>",
+            "<!ELEMENT br EMPTY>",
+            "<?pi?>",
+            '<?xml version="1.0"?>',
+            "<title>\xc3\x85\xc3\x85</title>",
+        ]
+    ),
+    st.builds(
+        lambda tag, attrs, body, upper: f"<{tag}{attrs}>{body}</{tag.upper() if upper else tag}>",
+        st.sampled_from(["script", "style", "Script"]),
+        st.sampled_from(["", ' type="text/css"', " src=x.js"]),
+        _RAW_BODY,
+        st.booleans(),
+    ),
+)
+
+
+@given(st.lists(_CONSTRUCTS, max_size=12).map("".join))
+def test_facts_match_html_parser_reference(page):
+    body = page.encode("latin-1")
+    assert _facts(analyze_html(body)) == _facts(reference_impls.analyze_html(body))
+
+
+# A UTF-8 "Å" is C3 85; decoded as latin-1 its \x85 is a line break to
+# str.splitlines but not to a tag scanner.
+UTF8_BASE_PAGE = (
+    "<title>ÅÅ</title>\n".encode("utf-8")
+    + b" " * 20
+    + b'<base href="/">\n<link rel=stylesheet href="a.css">'
+)
+
+
+def test_offsets_are_indices_after_latin1_line_breaks():
+    doc = analyze_html(UTF8_BASE_PAGE)
+    text = UTF8_BASE_PAGE.decode("latin-1")
+    assert doc.base_offset == text.index("<base")
+    assert [r.offset for r in doc.stylesheet_refs] == [text.index("<link")]
+    assert has_blocking_base(doc) is True
+
+
+@pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r\n"])
+def test_offsets_ignore_non_newline_line_breaks(separator):
+    body = f"<p>a{separator}b</p>\n<link rel=stylesheet href=a.css>".encode("latin-1")
+    assert analyze_html(body).stylesheet_refs[0].offset == body.index(b"<link")
+
+
+# End of input inside a construct follows HTML5: an open comment or
+# declaration runs to the end, and an unfinished tag is dropped, so nothing
+# after it is read as markup.
+@pytest.mark.parametrize(
+    "page",
+    [
+        '<!-- <base href="/"> <link rel=stylesheet href="a.css">',
+        "<p title='x><base href=\"/\"><link rel=stylesheet href=a.css>",
+        "<link rel=stylesheet href=a.css",
+        '<base href="/"',
+        "<script><link rel=stylesheet href=a.css>",
+        "<iframe><link rel=stylesheet href=a.css></iframe",
+    ],
+)
+def test_unfinished_construct_hides_the_rest(page):
+    doc = analyze_html(page.encode())
+    assert doc.base_href is None
+    assert doc.stylesheet_refs == []
+
+
+@pytest.mark.parametrize("page", ["<!DOCTYPE html", "<!doctype", "<!DOCTYPE html PUBLIC \"x"])
+def test_unfinished_doctype_is_not_recorded(page):
+    assert analyze_html(page.encode()).doctype is None
+
+
+# Inputs where the facts follow HTML5 and differ from html.parser 3.11.7;
+# the expected value is the stylesheet hrefs found.
+@pytest.mark.parametrize(
+    "page, hrefs",
+    [
+        ("<!--><link rel=stylesheet href=a.css>-->", ["a.css"]),  # "<!-->" is an empty comment
+        ("<!---><link rel=stylesheet href=a.css>-->", ["a.css"]),
+        ("<!-- x --!><link rel=stylesheet href=a.css>-->", ["a.css"]),  # "--!>" closes a comment
+        ("<!-- x -- ><link rel=stylesheet href=a.css>", []),  # "-- >" does not
+        ("<![CDATA[ x > <link rel=stylesheet href=a.css> ]]>", ["a.css"]),  # bogus comment to ">"
+        ("<![foo]><link rel=stylesheet href=a.css>", ["a.css"]),
+        ("<a\x00<link rel=stylesheet href=a.css>", []),  # NUL does not end a tag name
+        ("<link rel=stylesheet\x0bhref=a.css>", []),  # only ASCII whitespace separates
+        ("<link rel=stylesheet href=a.css\xa0>", ["a.css\xa0"]),
+        ("<iframe></iframe\x0b><link rel=stylesheet href=a.css>", []),
+        ("<iframe></ iframe><link rel=stylesheet href=a.css>", []),  # "</ " is a bogus comment
+        ("<link rel==stylesheet href=a.css>", []),  # the value is "=stylesheet"
+        ("<script></script foo><link rel=stylesheet href=a.css>", ["a.css"]),
+        ("<script></script/><link rel=stylesheet href=a.css>", ["a.css"]),
+        ("<script></ script><link rel=stylesheet href=a.css>", []),
+    ],
+)
+def test_facts_follow_html5_tokenizer(page, hrefs):
+    doc = analyze_html(page.encode("latin-1"))
+    assert [r.href for r in doc.stylesheet_refs] == hrefs
+
+
+def test_quoted_values_may_hold_angle_brackets_and_duplicates_keep_the_last():
+    doc = analyze_html(b'<link title="a>b<c" rel=icon rel="stylesheet" href=x.css href="y.css">')
+    assert [r.href for r in doc.stylesheet_refs] == ["y.css"]
+    doc = analyze_html(b'<base href="/a/"><base href="/b/"><link rel=stylesheet href=s.css>')
+    assert (doc.base_href, doc.base_offset) == ("/a/", 0)
+
+
+def test_script_and_style_content_is_raw_text():
+    doc = analyze_html(
+        b"<script>var s = '<base href=/x/>';</script>"
+        b"<STYLE><link rel=stylesheet href=in.css></STYLE >"
+        b"<link rel=stylesheet href=out.css>"
+    )
+    assert doc.base_href is None
+    assert [r.href for r in doc.stylesheet_refs] == ["out.css"]
+
+
+def test_frame_depth_rule():
+    doc = analyze_html(
+        b"<iframe><iframe></iframe><link rel=stylesheet href=a.css></iframe>"
+        b"<frameset><frame src=x><link rel=stylesheet href=b.css></frameset>"
+        b"<iframe /><link rel=stylesheet href=c.css>"
+    )
+    # the unclosed <frame> keeps one level open after </frameset>
+    assert [r.href for r in doc.stylesheet_refs] == []
+    doc = analyze_html(b"<iframe/></iframe></iframe><link rel=stylesheet href=d.css>")
+    assert [r.href for r in doc.stylesheet_refs] == ["d.css"]

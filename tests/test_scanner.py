@@ -241,3 +241,26 @@ def test_rate_limiter_does_not_throttle_across_hosts():
     for i in range(5):
         limited.fetch(HttpRequest(url=f"http://host{i}.test/x"))
     assert time.monotonic() - start < 0.4
+
+
+class _SamePageClient:
+    """Answers every GET with one HTML body."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(200, {"Content-Type": "text/html"}, self.body, request.url)
+
+
+def test_base_tag_after_latin1_line_breaks_means_not_vulnerable():
+    # "Å" in UTF-8 is C3 85, and \x85 once shifted every tag offset, which
+    # put the base tag after the stylesheet link it precedes.
+    body = (
+        "<title>ÅÅ</title>\n".encode("utf-8")
+        + b" " * 20
+        + b'<base href="/">\n<link rel=stylesheet href="a.css">'
+    )
+    verdict = scan_page(parse_url("http://h.test/app/page.php"), {}, _SamePageClient(body), make_config())
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is NotVulnerableReason.BASE_TAG

@@ -1,16 +1,19 @@
 """URL model: parsing, browser-style resolution, server-style canonicalization."""
 
 import re
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_impls
 from rposcan.urls import (
     MalformedUrl,
     WebUrl,
+    _remove_dot_segments,
     browser_base_directory,
     parse_url,
+    percent_decode,
     resolve_relative,
     serialize_url,
     server_view,
@@ -242,3 +245,41 @@ def test_server_view_idempotent(url):
 @given(web_urls())
 def test_server_view_matches_rewriting_oracle(url):
     assert server_view(url).canonical_path == oracle_server_path(url.path)
+
+
+# --- the optimised helpers against their references ---
+
+_DOT_SEGMENTS = st.sampled_from(["", ".", "..", "a", "b.", ".b", "...", "..a", "%2e", "x/"])
+
+
+@given(st.lists(_DOT_SEGMENTS, max_size=10).map(lambda segs: "/" + "/".join(segs)))
+def test_remove_dot_segments_matches_reference(path):
+    assert _remove_dot_segments(path) == reference_impls.remove_dot_segments(path)
+
+
+def test_remove_dot_segments_examples():
+    assert _remove_dot_segments("/a/b/../c/./d") == "/a/c/d"
+    assert _remove_dot_segments("/../../a") == "/a"
+    assert _remove_dot_segments("/a/b/..") == "/a/"
+    assert _remove_dot_segments("/a//b/.") == "/a//b/"
+    assert _remove_dot_segments("/") == "/"
+
+
+_ESCAPES = st.one_of(
+    st.sampled_from(["%", "%2", "%zz", "%%41", "%C3", "%A9", "%E2%82", "%AC", "%F0%9F%98", "%80", "%ff"]),
+    st.integers(0, 255).map(lambda b: f"%{b:02X}"),
+    st.integers(0, 255).map(lambda b: f"%{b:02x}"),
+    st.characters(),
+)
+
+
+@given(st.lists(_ESCAPES, max_size=12).map("".join))
+def test_percent_decode_matches_unquote(text):
+    assert percent_decode(text) == unquote(text)
+
+
+def test_percent_decode_examples():
+    assert percent_decode("a%2Fb%252F") == "a/b%2F"
+    assert percent_decode("%C3%A9t%C3") == "\u00e9t\ufffd"
+    assert percent_decode("100%") == "100%"
+    assert percent_decode("caf\u00e9%20x") == "caf\u00e9 x"
