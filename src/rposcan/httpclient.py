@@ -3,6 +3,12 @@
 The scanner only ever needs ``fetch(request) -> response`` for GET requests;
 everything else (recording, per-host pacing, the real network) stacks around
 that one method so tests can substitute deterministic clients.
+
+The real network client, ``RequestsClient``, is a small GET client on urllib3.
+Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
+``.netrc``, and nothing is retried. Redirects are followed inside urllib3, up
+to a bound, so those hops skip per-host pacing. Proxy settings come from the
+environment, read once per client; TLS uses the system trust store.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from urllib.parse import urljoin
 
 
 class NetworkError(Exception):
@@ -113,35 +120,105 @@ class RateLimitedClient:
 
 
 class RequestsClient:
-    """Real network client (GET only) with bounded redirects."""
+    """Real network client: GET only, on urllib3, with bounded redirects.
+
+    Each request carries ``User-Agent``, ``Accept-Encoding: gzip, deflate``,
+    ``Accept: */*`` and ``Connection: keep-alive``, then the request's own
+    headers (a header of the same name, in any case, replaces a default in
+    place), then the request's cookies as one ``Cookie: n1=v1; n2=v2`` header
+    in dict order, unquoted, unless the request sets ``Cookie`` itself.
+    gzip and deflate bodies come back decoded.
+
+    There is no cookie jar: a ``Set-Cookie`` is never replayed, so every
+    fetch depends only on its ``HttpRequest``. urllib3 follows up to
+    ``max_redirects`` redirects and drops ``Cookie`` on a cross-host hop; one
+    more raises ``NetworkError``. Nothing is retried: a failed connect or read
+    raises ``NetworkError`` at once, so no request leaves outside the spacing
+    ``RateLimitedClient`` gives it. Proxy settings are read from the
+    environment once, when the client is built; a proxy given as
+    ``host:port`` is an http proxy, and a proxy that cannot be used makes
+    each fetch through it raise ``NetworkError``. TLS is verified against
+    the system trust store.
+    ``.netrc`` credentials are never sent.
+
+    The name dates from the ``requests``-based client it replaced.
+    """
 
     def __init__(self, timeout: float = 10.0, user_agent: str = "rposcan/0.1", max_redirects: int = 5) -> None:
-        import requests
+        # urllib3 is imported here, not at module level, so that importing
+        # rposcan for in-process scans does not pay for it.
+        import urllib3
+        from urllib.parse import unquote
+        from urllib.request import getproxies
 
-        self._session = requests.Session()
-        self._session.max_redirects = max_redirects
-        self._timeout = timeout
-        self._user_agent = user_agent
+        self._errors = (urllib3.exceptions.HTTPError, ValueError)
+        self._retries = urllib3.Retry(
+            total=None, connect=0, read=0, status=0, other=0, redirect=max_redirects
+        )
+        self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
+        # lower-cased name -> (name, value), so a request header replaces a
+        # default whatever its case
+        self._defaults = {
+            name.lower(): (name, value)
+            for name, value in (
+                ("User-Agent", user_agent),
+                ("Accept-Encoding", "gzip, deflate"),
+                ("Accept", "*/*"),
+                ("Connection", "keep-alive"),
+            )
+        }
+        self._direct = urllib3.PoolManager()
+        self._proxy_env = getproxies()
+        # scheme ("http", "https" or "all") -> manager, or the reason it is unusable
+        self._proxies: dict[str, object] = {}
+        for scheme in ("http", "https", "all"):
+            proxy_url = self._proxy_env.get(scheme)
+            if not proxy_url:
+                continue
+            if "://" not in proxy_url:  # "host:port" means an http proxy
+                proxy_url = "http://" + proxy_url
+            try:
+                auth = urllib3.util.parse_url(proxy_url).auth
+                headers = urllib3.make_headers(proxy_basic_auth=unquote(auth)) if auth else None
+                self._proxies[scheme] = urllib3.ProxyManager(proxy_url, proxy_headers=headers)
+            except urllib3.exceptions.HTTPError as exc:  # a malformed URL or unsupported scheme
+                self._proxies[scheme] = f"proxy {proxy_url}: {exc}"
+
+    def _manager_for(self, url: str):
+        if not self._proxies:
+            return self._direct
+        scheme = url.partition("://")[0].lower()
+        proxy = self._proxies.get(scheme) or self._proxies.get("all")
+        if proxy is None:
+            return self._direct
+        from urllib.request import proxy_bypass_environment
+
+        if proxy_bypass_environment(host_key(url).rpartition("@")[2], self._proxy_env):
+            return self._direct
+        if isinstance(proxy, str):
+            raise NetworkError(proxy)
+        return proxy
 
     def fetch(self, request: HttpRequest) -> HttpResponse:
-        import requests
-
         if request.method != "GET":
             raise NetworkError(f"only GET is supported, not {request.method}")
-        headers = {"User-Agent": self._user_agent, **request.headers}
+        merged = dict(self._defaults)
+        for name, value in request.headers.items():
+            merged[name.lower()] = (name, value)
+        headers = dict(merged.values())
+        if request.cookies and "cookie" not in merged:
+            headers["Cookie"] = "; ".join(f"{n}={v}" for n, v in request.cookies.items())
         try:
-            resp = self._session.get(
-                request.url,
-                headers=headers,
-                cookies=request.cookies,
-                timeout=self._timeout,
-                allow_redirects=True,
+            resp = self._manager_for(request.url).urlopen(
+                "GET", request.url, headers=headers, retries=self._retries, timeout=self._timeout
             )
-        except requests.RequestException as exc:
+        except self._errors as exc:
             raise NetworkError(str(exc)) from exc
+        hops = resp.retries.history if resp.retries else ()
+        final_url = urljoin(hops[-1].url, hops[-1].redirect_location) if hops else request.url
         return HttpResponse(
-            status=resp.status_code,
+            status=resp.status,
             headers=dict(resp.headers),
-            body=resp.content,
-            final_url=resp.url,
+            body=resp.data,
+            final_url=final_url,
         )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
+import socket
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -275,11 +277,6 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
 # --- serving over loopback ---
 
 
-# serve_forever notices a shutdown request only between polls; the default
-# 0.5 s poll would make every MockServerHandle.shutdown wait that long.
-_SHUTDOWN_POLL_S = 0.01
-
-
 class PortInUse(OSError):
     pass
 
@@ -289,11 +286,24 @@ class MockServerHandle:
     server: ThreadingHTTPServer
     thread: threading.Thread
     port: int
+    wake: socket.socket  # closing it stops the accept loop
 
     def shutdown(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
+        self.wake.close()
         self.thread.join(timeout=5)
+        self.server.server_close()
+
+
+def _accept_until_woken(server: ThreadingHTTPServer, wake: socket.socket) -> None:
+    """Accept connections until ``wake`` reads end-of-file, without polling."""
+    with wake, selectors.DefaultSelector() as selector:
+        selector.register(server, selectors.EVENT_READ)
+        selector.register(wake, selectors.EVENT_READ)
+        while True:
+            for key, _ in selector.select():
+                if key.fileobj is wake:
+                    return
+            server.handle_request()
 
 
 def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
@@ -333,11 +343,10 @@ def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
         server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
     except OSError as exc:
         raise PortInUse(f"port {port}: {exc}") from exc
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": _SHUTDOWN_POLL_S}, daemon=True
-    )
+    woken, wake = socket.socketpair()
+    thread = threading.Thread(target=_accept_until_woken, args=(server, woken), daemon=True)
     thread.start()
-    return MockServerHandle(server=server, thread=thread, port=server.server_address[1])
+    return MockServerHandle(server=server, thread=thread, port=server.server_address[1], wake=wake)
 
 
 class InProcessClient:

@@ -3,9 +3,8 @@ import subprocess
 import sys
 import time
 
-import requests
-
 from rposcan.cli import main
+from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import DOCTYPE_QUIRKS, Routing, TargetConfig, config_to_dict, serve
 from rposcan.reports import read_records
 from rposcan.scanning import ScanConfig, ethics_gate
@@ -116,20 +115,21 @@ def test_mock_serve_cli(tmp_path):
         line = proc.stdout.readline()
         assert "http://127.0.0.1:" in line
         port = int(line.split("http://127.0.0.1:")[1].split("/")[0])
+        client = RequestsClient(timeout=2)
         deadline = time.monotonic() + 5
         while True:
             try:
-                resp = requests.get(f"http://127.0.0.1:{port}/app/page.php/x//", timeout=2)
+                resp = client.fetch(HttpRequest(url=f"http://127.0.0.1:{port}/app/page.php/x//"))
                 break
-            except requests.ConnectionError:
+            except NetworkError:
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.05)
-        assert resp.status_code == 200
-        assert "/app/page.php/x//" in resp.text
+        assert resp.status == 200
+        assert b"/app/page.php/x//" in resp.body
     finally:
         proc.terminate()
-        proc.wait(timeout=5)
+        proc.communicate(timeout=5)  # also closes the pipes
 
 
 def test_allow_suffix_lifts_blocklist():

@@ -1,13 +1,13 @@
 import http.client
 import json
 import pathlib
+import socket
 import statistics
 import time
 
 import pytest
-import requests
 
-from rposcan.httpclient import HttpRequest
+from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     InProcessClient,
@@ -172,8 +172,6 @@ def test_handle_request_deterministic():
 
 
 def test_in_process_client_requires_known_host():
-    from rposcan.httpclient import NetworkError
-
     client = InProcessClient({"known.test": TargetConfig(name="t", routing=Routing.EXACT_FILE)})
     with pytest.raises(NetworkError):
         client.fetch(HttpRequest(url="http://unknown.test/x"))
@@ -184,13 +182,14 @@ def test_serve_liveness_and_shutdown():
     handle = serve(config, port=0)
     try:
         url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
-        resp = requests.get(url, timeout=5)
-        assert resp.status_code == 200
-        assert "/app/page.php/x//" in resp.text
+        resp = RequestsClient(timeout=5).fetch(HttpRequest(url=url))
+        assert resp.status == 200
+        assert b"/app/page.php/x//" in resp.body
     finally:
         handle.shutdown()
-    with pytest.raises(requests.ConnectionError):
-        requests.get(f"http://127.0.0.1:{handle.port}/", timeout=2)
+    # refused, not merely unanswered: a listener left open would still accept
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", handle.port), timeout=2).close()
 
 
 def test_serve_shutdown_is_prompt():
@@ -231,10 +230,11 @@ def test_two_servers_behave_independently():
     second = serve(TargetConfig(name="b", routing=Routing.EXACT_FILE), port=0)
     try:
         target = "/app/page.php/x//"
-        a = requests.get(f"http://127.0.0.1:{first.port}{target}", timeout=5)
-        b = requests.get(f"http://127.0.0.1:{second.port}{target}", timeout=5)
-        assert a.status_code == 200
-        assert b.status_code == 404
+        client = RequestsClient(timeout=5)
+        a = client.fetch(HttpRequest(url=f"http://127.0.0.1:{first.port}{target}"))
+        b = client.fetch(HttpRequest(url=f"http://127.0.0.1:{second.port}{target}"))
+        assert a.status == 200
+        assert b.status == 404
     finally:
         first.shutdown()
         second.shutdown()
