@@ -7,6 +7,7 @@ import sys
 import time
 
 from .mock_target import load_config, serve
+from .mutations import DEFAULT_SLASH_PADDING
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
 from .reports import read_records, render_csv, render_table, run_scan, summarize, write_records
 from .scanning import ScanConfig
@@ -21,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--cookies", help="per-site cookie file (host<TAB>k=v;k2=v2)")
     scan.add_argument("--out", help="records file (json lines); default stdout")
     scan.add_argument("--profiles", help="browser profile JSON file")
-    scan.add_argument("--slash-padding", type=int, default=20)
+    scan.add_argument("--slash-padding", type=int, default=DEFAULT_SLASH_PADDING)
     scan.add_argument("--delay", type=int, default=1000, help="per-host delay in ms")
     scan.add_argument("--max-hosts", type=int, default=4)
     scan.add_argument("--timeout", type=int, default=10000, help="request timeout in ms")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from urllib.parse import urljoin
 
 
 class NetworkError(Exception):
@@ -36,7 +35,6 @@ class HttpResponse:
     status: int
     headers: dict[str, str]
     body: bytes
-    final_url: str
 
     def header(self, name: str) -> str | None:
         lowered = name.lower()
@@ -119,32 +117,36 @@ class RateLimitedClient:
             return self._inner.fetch(request)
 
 
+USER_AGENT = "rposcan/0.1"
+MAX_REDIRECTS = 5
+
+
 class RequestsClient:
     """Real network client: GET only, on urllib3, with bounded redirects.
 
-    Each request carries ``User-Agent``, ``Accept-Encoding: gzip, deflate``,
-    ``Accept: */*`` and ``Connection: keep-alive``, then the request's own
-    headers (a header of the same name, in any case, replaces a default in
-    place), then the request's cookies as one ``Cookie: n1=v1; n2=v2`` header
-    in dict order, unquoted, unless the request sets ``Cookie`` itself.
-    gzip and deflate bodies come back decoded.
+    Each request carries ``User-Agent: USER_AGENT``, ``Accept-Encoding: gzip,
+    deflate``, ``Accept: */*`` and ``Connection: keep-alive``, then the
+    request's own headers (a header of the same name, in any case, replaces a
+    default in place), then the request's cookies as one ``Cookie: n1=v1;
+    n2=v2`` header in dict order, unquoted, unless the request sets ``Cookie``
+    itself. gzip and deflate bodies come back decoded.
 
     There is no cookie jar: a ``Set-Cookie`` is never replayed, so every
     fetch depends only on its ``HttpRequest``. urllib3 follows up to
-    ``max_redirects`` redirects and drops ``Cookie`` on a cross-host hop; one
-    more raises ``NetworkError``. Nothing is retried: a failed connect or read
-    raises ``NetworkError`` at once, so no request leaves outside the spacing
-    ``RateLimitedClient`` gives it. Proxy settings are read from the
-    environment once, when the client is built; a proxy given as
-    ``host:port`` is an http proxy, and a proxy that cannot be used makes
-    each fetch through it raise ``NetworkError``. TLS is verified against
-    the system trust store.
+    ``MAX_REDIRECTS`` redirects, a module constant rather than an option, and
+    drops ``Cookie`` on a cross-host hop; one more raises ``NetworkError``.
+    Nothing is retried: a failed connect or read raises ``NetworkError`` at
+    once, so no request leaves outside the spacing ``RateLimitedClient``
+    gives it. Proxy settings are read from the environment once, when the
+    client is built; a proxy given as ``host:port`` is an http proxy, and a
+    proxy that cannot be used makes each fetch through it raise
+    ``NetworkError``. TLS is verified against the system trust store.
     ``.netrc`` credentials are never sent.
 
     The name dates from the ``requests``-based client it replaced.
     """
 
-    def __init__(self, timeout: float = 10.0, user_agent: str = "rposcan/0.1", max_redirects: int = 5) -> None:
+    def __init__(self, timeout: float = 10.0) -> None:
         # urllib3 is imported here, not at module level, so that importing
         # rposcan for in-process scans does not pay for it.
         import urllib3
@@ -153,7 +155,7 @@ class RequestsClient:
 
         self._errors = (urllib3.exceptions.HTTPError, ValueError)
         self._retries = urllib3.Retry(
-            total=None, connect=0, read=0, status=0, other=0, redirect=max_redirects
+            total=None, connect=0, read=0, status=0, other=0, redirect=MAX_REDIRECTS
         )
         self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
         # lower-cased name -> (name, value), so a request header replaces a
@@ -161,7 +163,7 @@ class RequestsClient:
         self._defaults = {
             name.lower(): (name, value)
             for name, value in (
-                ("User-Agent", user_agent),
+                ("User-Agent", USER_AGENT),
                 ("Accept-Encoding", "gzip, deflate"),
                 ("Accept", "*/*"),
                 ("Connection", "keep-alive"),
@@ -214,11 +216,4 @@ class RequestsClient:
             )
         except self._errors as exc:
             raise NetworkError(str(exc)) from exc
-        hops = resp.retries.history if resp.retries else ()
-        final_url = urljoin(hops[-1].url, hops[-1].redirect_location) if hops else request.url
-        return HttpResponse(
-            status=resp.status,
-            headers=dict(resp.headers),
-            body=resp.data,
-            final_url=final_url,
-        )
+        return HttpResponse(status=resp.status, headers=dict(resp.headers), body=resp.data)

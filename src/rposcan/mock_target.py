@@ -15,15 +15,23 @@ import re
 import selectors
 import socket
 import threading
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key
-from .mutations import MutationTechnique, applicable_techniques, expand_stylesheet_targets, mutate
+from .mutations import (
+    DEFAULT_SLASH_PADDING,
+    MutationTechnique,
+    applicable_techniques,
+    expand_stylesheet_targets,
+    mutate,
+)
 from .pages import is_relative_href
 from .rendering import (
+    ATTACKER_ORIGIN,
     BrowserProfile,
     ResponseSecurity,
     effective_mode,
@@ -267,11 +275,11 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     headers = _security_headers(config)
     if kind == "css":
         headers["Content-Type"] = "text/css"
-        return HttpResponse(200, headers, b"body { margin: 0; }\n", request.url)
+        return HttpResponse(200, headers, b"body { margin: 0; }\n")
     headers["Content-Type"] = "text/html; charset=utf-8"
     if kind == "page":
-        return HttpResponse(200, headers, _page_body(config, request, query_pairs), request.url)
-    return HttpResponse(404, headers, _error_body(config, request), request.url)
+        return HttpResponse(200, headers, _page_body(config, request, query_pairs))
+    return HttpResponse(404, headers, _error_body(config, request))
 
 
 # --- serving over loopback ---
@@ -281,9 +289,44 @@ class PortInUse(OSError):
     pass
 
 
+class _MockServer(ThreadingHTTPServer):
+    """Keeps each accepted connection with its handler thread, so that
+    shutdown can close kept-alive connections instead of leaving them served."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._lock = threading.Lock()
+        self._open: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection and wait for its handler thread."""
+        with self._lock:
+            open_now = list(self._open.items())
+        for sock, _ in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        for _, thread in open_now:
+            thread.join(timeout=5)
+
+
 @dataclass
 class MockServerHandle:
-    server: ThreadingHTTPServer
+    server: _MockServer
     thread: threading.Thread
     port: int
     wake: socket.socket  # closing it stops the accept loop
@@ -291,6 +334,7 @@ class MockServerHandle:
     def shutdown(self) -> None:
         self.wake.close()
         self.thread.join(timeout=5)
+        self.server.close_connections()
         self.server.server_close()
 
 
@@ -340,7 +384,7 @@ def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
             pass
 
     try:
-        server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        server = _MockServer(("127.0.0.1", port), Handler)
     except OSError as exc:
         raise PortInUse(f"port {port}: {exc}") from exc
     woken, wake = socket.socketpair()
@@ -418,7 +462,7 @@ def _winning_technique(config: TargetConfig) -> tuple[MutationTechnique | None, 
     saw_base = False
     saw_relative_refs = False
     for technique in applicable_techniques(seed, config.seed_cookies):
-        mutated = mutate(seed, technique, _MARKER, 20, config.seed_cookies)
+        mutated = mutate(seed, technique, _MARKER, DEFAULT_SLASH_PADDING, config.seed_cookies)
         page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
         if page_kind == "css":
             continue
@@ -450,7 +494,7 @@ def _exploit_round_trip_reflects(config: TargetConfig, technique: MutationTechni
     not have."""
     seed = config.seed_url("http://gt.invalid")
     encoded = "%0A" + quote(_EXPLOIT_MARKER_TEXT, safe="")
-    mutated = mutate(seed, technique, encoded, 20, config.seed_cookies)
+    mutated = mutate(seed, technique, encoded, DEFAULT_SLASH_PADDING, config.seed_cookies)
     page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
     if page_kind == "page" or (page_kind == "404" and config.error_page_has_refs):
         relative_refs = [r for r in config.stylesheet_refs if is_relative_href(r)]
@@ -460,11 +504,7 @@ def _exploit_round_trip_reflects(config: TargetConfig, technique: MutationTechni
     return False
 
 
-def compute_ground_truth(
-    config: TargetConfig,
-    profiles: list[BrowserProfile],
-    attacker_origin: str = "http://attacker.invalid",
-) -> GroundTruth:
+def compute_ground_truth(config: TargetConfig, profiles: list[BrowserProfile]) -> GroundTruth:
     technique, reason = _winning_technique(config)
     if technique is None:
         return GroundTruth(vulnerable=False, reason=reason, technique=None, profiles={})
@@ -492,7 +532,7 @@ def compute_ground_truth(
         )
         framed_works = False
         if not unframed and profile.supports_frame_override:
-            if framing_allowed(config.x_frame_options, attacker_origin, victim_origin):
+            if framing_allowed(config.x_frame_options, ATTACKER_ORIGIN, victim_origin):
                 framed_mode = effective_mode(config.doctype, profile, True, page_security)
                 framed_works = (
                     stylesheet_accepted(profile, framed_mode, sheet_security) and style_fires
@@ -517,11 +557,13 @@ def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
         problems.append(f"vulnerable: scanner={scanner_vulnerable} truth={truth.vulnerable}")
         return problems
     if not truth.vulnerable:
-        if truth.reason and verdict.reason and verdict.reason.value != truth.reason:
-            problems.append(f"reason: scanner={verdict.reason.value} truth={truth.reason}")
+        reason = verdict.reason.value if verdict.reason else None
+        if reason != truth.reason:
+            problems.append(f"reason: scanner={reason} truth={truth.reason}")
         return problems
-    if truth.technique and verdict.technique and verdict.technique.value != truth.technique:
-        problems.append(f"technique: scanner={verdict.technique.value} truth={truth.technique}")
+    technique = verdict.technique.value if verdict.technique else None
+    if technique != truth.technique:
+        problems.append(f"technique: scanner={technique} truth={truth.technique}")
     expected_exploitable = any(p.exploitable for p in truth.profiles.values())
     scanner_exploitable = verdict.status is ScanStatus.EXPLOITABLE
     if expected_exploitable != scanner_exploitable:
@@ -547,48 +589,41 @@ def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
 # --- serialization ---
 
 
+def _to_json(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(_to_json(item) for item in value)
+    if isinstance(value, (dict, list)):
+        return type(value)(value)
+    return value
+
+
+def _from_json(kind, value):
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return kind(value)
+    origin = typing.get_origin(kind)
+    if origin is frozenset:
+        (item_kind,) = typing.get_args(kind)
+        return frozenset(_from_json(item_kind, item) for item in value)
+    if origin in (dict, list):
+        return origin(value)
+    return value
+
+
 def config_to_dict(config: TargetConfig) -> dict:
-    return {
-        "name": config.name,
-        "routing": config.routing.value,
-        "sinks": sorted(s.value for s in config.sinks),
-        "page_path": config.page_path,
-        "seed_path": config.seed_path,
-        "seed_query": config.seed_query,
-        "seed_cookies": dict(config.seed_cookies),
-        "doctype": config.doctype,
-        "emit_base_tag": config.emit_base_tag,
-        "stylesheet_refs": list(config.stylesheet_refs),
-        "nosniff": config.nosniff,
-        "x_frame_options": config.x_frame_options,
-        "x_ua_compatible": config.x_ua_compatible,
-        "error_page_echoes_url": config.error_page_echoes_url,
-        "error_page_has_refs": config.error_page_has_refs,
-        "serve_real_stylesheets": config.serve_real_stylesheets,
-        "sink_filter": config.sink_filter.value,
-    }
+    return {f.name: _to_json(getattr(config, f.name)) for f in fields(TargetConfig)}
 
 
 def config_from_dict(data: dict) -> TargetConfig:
-    return TargetConfig(
-        name=data["name"],
-        routing=Routing(data["routing"]),
-        sinks=frozenset(Sink(s) for s in data["sinks"]),
-        page_path=data.get("page_path", "/app/page.php"),
-        seed_path=data.get("seed_path"),
-        seed_query=data.get("seed_query"),
-        seed_cookies=dict(data.get("seed_cookies", {})),
-        doctype=data.get("doctype"),
-        emit_base_tag=data.get("emit_base_tag", False),
-        stylesheet_refs=list(data.get("stylesheet_refs", ["../style.css"])),
-        nosniff=data.get("nosniff", False),
-        x_frame_options=data.get("x_frame_options"),
-        x_ua_compatible=data.get("x_ua_compatible"),
-        error_page_echoes_url=data.get("error_page_echoes_url", True),
-        error_page_has_refs=data.get("error_page_has_refs", True),
-        serve_real_stylesheets=data.get("serve_real_stylesheets", False),
-        sink_filter=SinkFilter(data.get("sink_filter", "raw")),
-    )
+    """Inverse of ``config_to_dict``; absent fields take the dataclass
+    defaults and unknown keys are ignored."""
+    kinds = typing.get_type_hints(TargetConfig)
+    return TargetConfig(**{
+        f.name: _from_json(kinds[f.name], data[f.name])
+        for f in fields(TargetConfig)
+        if f.name in data
+    })
 
 
 def load_config(path: str) -> TargetConfig:
@@ -601,34 +636,16 @@ def load_matrix(path: str) -> list[tuple[TargetConfig, GroundTruth]]:
         doc = json.load(fh)
     out = []
     for entry in doc["configs"]:
-        config = config_from_dict(entry)
-        truth = GroundTruth(
-            vulnerable=entry["ground_truth"]["vulnerable"],
-            reason=entry["ground_truth"]["reason"],
-            technique=entry["ground_truth"]["technique"],
-            profiles={
-                engine: ProfileTruth(**flags)
-                for engine, flags in entry["ground_truth"]["profiles"].items()
-            },
-        )
-        out.append((config, truth))
+        truth = entry["ground_truth"]
+        profiles = {engine: ProfileTruth(**flags) for engine, flags in truth["profiles"].items()}
+        out.append((config_from_dict(entry), GroundTruth(**{**truth, "profiles": profiles})))
     return out
 
 
 def dump_matrix(entries: list[tuple[TargetConfig, GroundTruth]], path: str) -> None:
     configs = []
     for config, truth in entries:
-        data = config_to_dict(config)
-        data["ground_truth"] = {
-            "vulnerable": truth.vulnerable,
-            "reason": truth.reason,
-            "technique": truth.technique,
-            "profiles": {
-                engine: {"exploitable": p.exploitable, "framed": p.framed}
-                for engine, p in truth.profiles.items()
-            },
-        }
-        configs.append(data)
+        configs.append({**config_to_dict(config), "ground_truth": asdict(truth)})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"configs": configs}, fh, indent=2)
         fh.write("\n")
@@ -826,7 +843,7 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
         routing=Routing.PATH_INFO_REWRITE,
         sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_STANDARDS,
-        x_frame_options="ALLOW-FROM http://attacker.invalid",
+        x_frame_options="ALLOW-FROM " + ATTACKER_ORIGIN,
     )
     add(
         "pathinfo-url-standards-allowfrom-other",

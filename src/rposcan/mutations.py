@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .payloads import ReflectionPayload
 from .urls import WebUrl, resolve_relative, serialize_url
 
 DEFAULT_SLASH_PADDING = 20
@@ -41,10 +40,6 @@ class TechniqueNotApplicable(ValueError):
 class MutatedRequest:
     url: WebUrl
     extra_cookies: dict[str, str] = field(default_factory=dict)
-
-
-def _payload_text(payload: ReflectionPayload | str) -> str:
-    return payload if isinstance(payload, str) else payload.encoded_text
 
 
 def _script_segment_index(segments: tuple[str, ...]) -> int | None:
@@ -88,7 +83,7 @@ def _with_segments(url: WebUrl, segments: tuple[str, ...], query: str | None) ->
 def mutate(
     url: WebUrl,
     technique: MutationTechnique,
-    payload: ReflectionPayload | str,
+    payload: str,
     slash_padding: int = DEFAULT_SLASH_PADDING,
     cookies: dict[str, str] | None = None,
 ) -> MutatedRequest:
@@ -97,7 +92,6 @@ def mutate(
     if technique not in applicable_techniques(url, cookies):
         raise TechniqueNotApplicable(f"{technique.value} does not fit {serialize_url(url)}")
 
-    text = _payload_text(payload)
     segments = url.path_segments
     padding = ("",) * slash_padding
     new_query = url.query  # EncodedQuery is the only technique that moves it
@@ -105,14 +99,14 @@ def mutate(
 
     if technique is MutationTechnique.PATH_PARAM_SIMPLE:
         base = segments[:-1] if segments[-1] == "" else segments
-        new_segments = base + (text,) + padding
+        new_segments = base + (payload,) + padding
 
     elif technique is MutationTechnique.PATH_PARAM_SLASH:
         idx = _script_segment_index(segments)
         assert idx is not None
         new_segments = (
             segments[: idx + 1]
-            + tuple(text + s if s else s for s in segments[idx + 1 :])
+            + tuple(payload + s if s else s for s in segments[idx + 1 :])
             + padding
         )
 
@@ -121,14 +115,14 @@ def mutate(
         for seg in segments:
             if ";" in seg:
                 head, *params = seg.split(";")
-                seg = ";".join([head] + [text + p if p else p for p in params])
+                seg = ";".join([head] + [payload + p if p else p for p in params])
             rewritten.append(seg)
         new_segments = tuple(rewritten) + padding
 
     elif technique is MutationTechnique.ENCODED_PATH:
         # No padding here: trailing slashes would survive the server's
         # canonicalization and break the equal-canonical-path requirement.
-        new_segments = segments[:-1] + (text + "%2F..", segments[-1])
+        new_segments = segments[:-1] + (payload + "%2F..", segments[-1])
 
     elif technique is MutationTechnique.ENCODED_QUERY:
         assert url.query is not None
@@ -136,7 +130,7 @@ def mutate(
         for pair in url.query.split("&"):
             if "=" in pair:
                 key, _, value = pair.partition("=")
-                pairs.append(key + "=" + text + value)
+                pairs.append(key + "=" + payload + value)
             else:
                 pairs.append(pair)
         merged = segments[-1] + "%3F" + "&".join(pairs)
@@ -145,7 +139,7 @@ def mutate(
 
     elif technique is MutationTechnique.COOKIE:
         new_segments = segments + padding
-        extra_cookies = {name: text + value for name, value in cookies.items()}
+        extra_cookies = {name: payload + value for name, value in cookies.items()}
 
     else:  # pragma: no cover
         raise TechniqueNotApplicable(str(technique))

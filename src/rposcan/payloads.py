@@ -1,10 +1,12 @@
 """Injection payload construction and reflection matching.
 
-The reflection probe is a deliberately incomplete style directive carrying a
-unique nonce; it is safe to leave behind on a target because it never parses
-as a valid rule on its own.  The exploit form closes any open braces and
-brackets in front of the reflection point and loads a background image from a
-caller-chosen URL, which is the observable signal that injected style fired.
+Payloads are plain strings.  The reflection probe is a deliberately
+incomplete style directive carrying a unique nonce, already URL-encoded behind
+a newline prefix; it is safe to leave behind on a target because it never
+parses as a valid rule on its own.  The exploit text closes any open braces
+and brackets in front of the reflection point and loads a background image
+from a caller-chosen URL, which is the observable signal that injected style
+fired; ``encode_exploit`` gives it the same encoded form as the probe.
 """
 
 from __future__ import annotations
@@ -44,24 +46,6 @@ class NewlineVariant(Enum):
     FF = "%0C"
     CR = "%0D"
 
-    @property
-    def code(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class ReflectionPayload:
-    encoded_text: str
-    nonce: Nonce
-    newline: NewlineVariant
-
-
-@dataclass(frozen=True)
-class ExploitPayload:
-    text: str
-    nonce_url: str
-    closer_count: int
-
 
 # Both builders are pure and a scan asks for the same few results on every
 # page, so each result is built once per process.
@@ -72,36 +56,25 @@ def generate_nonce(seed: int) -> Nonce:
 
 
 @cache
-def build_reflection_payload(nonce: Nonce, newline: NewlineVariant) -> ReflectionPayload:
+def build_reflection_payload(nonce: Nonce, newline: NewlineVariant) -> str:
+    """URL-encoded probe text, newline prefix included."""
     directive = "{}body{background:" + nonce.value + "}"
-    return ReflectionPayload(
-        encoded_text=newline.code + quote(directive, safe=""),
-        nonce=nonce,
-        newline=newline,
-    )
+    return newline.value + quote(directive, safe="")
 
 
-def build_exploit_payload(
-    nonce_url: str, closer_count: int = DEFAULT_CLOSER_COUNT
-) -> ExploitPayload:
+def build_exploit_payload(nonce_url: str, closer_count: int = DEFAULT_CLOSER_COUNT) -> str:
+    """Exploit text, not yet encoded: closers, then a rule loading ``nonce_url``."""
     if "://" not in nonce_url:
         raise InvalidArgument(f"nonce_url must be absolute: {nonce_url!r}")
     if closer_count < 1:
         raise InvalidArgument("closer_count must be >= 1")
-    text = (
-        "}" * closer_count
-        + "]" * closer_count
-        + "body{background:url("
-        + nonce_url
-        + ")}"
-    )
-    return ExploitPayload(text=text, nonce_url=nonce_url, closer_count=closer_count)
+    return "}" * closer_count + "]" * closer_count + "body{background:url(" + nonce_url + ")}"
 
 
-def encode_exploit(payload: ExploitPayload, newline: NewlineVariant) -> str:
+def encode_exploit(text: str, newline: NewlineVariant) -> str:
     """URL-encoded form of the exploit text, with the newline prefix that made
     the reflection probe land."""
-    return newline.code + quote(payload.text, safe="")
+    return newline.value + quote(text, safe="")
 
 
 def find_reflection(body: bytes, nonce: Nonce) -> list[int]:

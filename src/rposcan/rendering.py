@@ -27,6 +27,7 @@ __all__ = [
     "parse_doctype",
     "classify_doctype",
     "effective_mode",
+    "ATTACKER_ORIGIN",
     "framing_allowed",
     "stylesheet_accepted",
     "css_would_fire",
@@ -231,6 +232,10 @@ def effective_mode(
     ):
         return RenderingMode.QUIRKS
     return classify_doctype(doctype, profile)
+
+
+# The page an attacker frames the victim from; framing is judged against it.
+ATTACKER_ORIGIN = "http://attacker.invalid"
 
 
 def _origin_of(url_or_origin: str) -> str:

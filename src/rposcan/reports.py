@@ -23,17 +23,6 @@ from .rendering import Engine
 from .scanning import ScanConfig, ScanStatus, ScanVerdict, ethics_gate, scan_page, verify_exploitable
 from .urls import MalformedUrl, WebUrl, parse_url, registrable_domain, serialize_url
 
-TECHNIQUE_ORDER = [
-    MutationTechnique.PATH_PARAM_SIMPLE,
-    MutationTechnique.PATH_PARAM_SLASH,
-    MutationTechnique.PATH_PARAM_SEMICOLON,
-    MutationTechnique.ENCODED_PATH,
-    MutationTechnique.ENCODED_QUERY,
-    MutationTechnique.COOKIE,
-]
-
-SCANNED_STATUSES = ("not_vulnerable", "vulnerable", "exploitable")
-
 
 @dataclass
 class ScanRecord:
@@ -72,7 +61,7 @@ def record_from_verdict(url: WebUrl, template: str, verdict: ScanVerdict,
         status=verdict.status.value,
         reason=verdict.reason.value if verdict.reason else None,
         technique=verdict.technique.value if verdict.technique else None,
-        newline_variant=verdict.newline.code if verdict.newline else None,
+        newline_variant=verdict.newline.value if verdict.newline else None,
         reflected_stylesheet_url=verdict.reflected_stylesheet_url,
         profile_results={
             engine.value: {
@@ -151,9 +140,7 @@ def run_scan(
     }
 
     if base_client is None:
-        base_client = RequestsClient(
-            timeout=config.request_timeout, user_agent=config.user_agent
-        )
+        base_client = RequestsClient(timeout=config.request_timeout)
     client = RateLimitedClient(base_client, config.per_host_delay)
 
     results: queue.Queue[ScanRecord | None] = queue.Queue()
@@ -289,7 +276,8 @@ def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
     """Counts per technique and engine; the total row counts each page and
     site once regardless of how many techniques hit."""
     records = list(records)
-    scanned = [r for r in records if r.status in SCANNED_STATUSES]
+    scanned_statuses = {status.value for status in ScanStatus}
+    scanned = [r for r in records if r.status in scanned_statuses]
     engines = [e.value for e in Engine]
 
     vulnerable = [r for r in scanned if r.status in ("vulnerable", "exploitable")]
@@ -299,7 +287,7 @@ def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
             [r for r in vulnerable if r.technique == technique.value],
             engines,
         )
-        for technique in TECHNIQUE_ORDER
+        for technique in MutationTechnique
     ]
     return SummaryTable(
         rows=rows,

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError
-from .mutations import applicable_techniques, expand_stylesheet_targets, mutate, MutationTechnique
+from .mutations import (
+    DEFAULT_SLASH_PADDING,
+    MutatedRequest,
+    MutationTechnique,
+    applicable_techniques,
+    expand_stylesheet_targets,
+    mutate,
+)
 from .pages import analyze_html, has_blocking_base
 from .payloads import (
     NewlineVariant,
@@ -25,6 +32,7 @@ from .payloads import (
     generate_nonce,
 )
 from .rendering import (
+    ATTACKER_ORIGIN,
     BrowserProfile,
     Engine,
     RenderingMode,
@@ -63,21 +71,13 @@ class Blocker(Enum):
 
 @dataclass
 class ScanConfig:
-    slash_padding: int = 20
-    newline_variants: tuple[NewlineVariant, ...] = (
-        NewlineVariant.LF,
-        NewlineVariant.FF,
-        NewlineVariant.CR,
-    )
+    slash_padding: int = DEFAULT_SLASH_PADDING
     per_host_delay: float = 1.0
     max_concurrent_hosts: int = 4
     request_timeout: float = 10.0
     blocked_suffixes: tuple[str, ...] = DEFAULT_BLOCKED_SUFFIXES
     profiles: tuple[BrowserProfile, ...] = ()
     seed: int = 0
-    closer_count: int = 20
-    attacker_origin: str = "http://attacker.invalid"
-    user_agent: str = "rposcan/0.1"
 
     def __post_init__(self) -> None:
         if self.slash_padding < 1:
@@ -129,6 +129,26 @@ def _fetch(client, url_text: str, errors: list[str], *, referer: str | None = No
         return None
 
 
+def _reflecting_sheet(
+    client,
+    mutated: MutatedRequest,
+    relative_refs: list[str],
+    cookies: dict[str, str],
+    nonce: Nonce,
+    errors: list[str],
+) -> tuple[str, HttpResponse] | None:
+    """Fetch each stylesheet the refs resolve to from the mutated page, with
+    that page as Referer, and return the first one whose body reflects the
+    nonce, with its URL; None when none does."""
+    referer = serialize_url(mutated.url)
+    for sheet in expand_stylesheet_targets(mutated, relative_refs):
+        sheet_url = serialize_url(sheet)
+        response = _fetch(client, sheet_url, errors, referer=referer, cookies=cookies)
+        if response is not None and find_reflection(response.body, nonce):
+            return sheet_url, response
+    return None
+
+
 def scan_page(
     url: WebUrl,
     cookies: dict[str, str],
@@ -144,7 +164,7 @@ def scan_page(
     fetched_anything = False
 
     for technique in applicable_techniques(url, cookies):
-        for newline in config.newline_variants:
+        for newline in NewlineVariant:
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, config.slash_padding, cookies)
             request_cookies = {**cookies, **mutated.extra_cookies}
@@ -160,27 +180,18 @@ def scan_page(
             if not relative_refs:
                 continue
             saw_relative_refs = True
-            for sheet in expand_stylesheet_targets(mutated, relative_refs):
-                sheet_resp = _fetch(
-                    client,
-                    serialize_url(sheet),
-                    errors,
-                    referer=serialize_url(mutated.url),
-                    cookies=request_cookies,
+            hit = _reflecting_sheet(client, mutated, relative_refs, request_cookies, nonce, errors)
+            if hit is not None:
+                return ScanVerdict(
+                    status=ScanStatus.VULNERABLE,
+                    page_url=url,
+                    technique=technique,
+                    newline=newline,
+                    reflected_stylesheet_url=hit[0],
+                    cookies=dict(cookies),
+                    nonce=nonce,
+                    errors=errors,
                 )
-                if sheet_resp is None:
-                    continue
-                if find_reflection(sheet_resp.body, nonce):
-                    return ScanVerdict(
-                        status=ScanStatus.VULNERABLE,
-                        page_url=url,
-                        technique=technique,
-                        newline=newline,
-                        reflected_stylesheet_url=serialize_url(sheet),
-                        cookies=dict(cookies),
-                        nonce=nonce,
-                        errors=errors,
-                    )
 
     if saw_base:
         reason = NotVulnerableReason.BASE_TAG
@@ -208,12 +219,11 @@ def _evaluate_profile(
     sheet_security: ResponseSecurity,
     style_fires: bool,
     base_present: bool,
-    attacker_origin: str,
     victim_origin: str,
 ) -> ProfileResult:
     blockers: list[Blocker] = []
     if framed and not framing_allowed(
-        page_security.x_frame_options, attacker_origin, victim_origin
+        page_security.x_frame_options, ATTACKER_ORIGIN, victim_origin
     ):
         return ProfileResult(exploitable=False, framed=True, blockers=[Blocker.X_FRAME_OPTIONS])
     if base_present and profile.base_tag_effective:
@@ -240,8 +250,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     assert verdict.nonce is not None
 
     nonce_url = f"http://css-canary.invalid/{verdict.nonce.value}"
-    exploit = build_exploit_payload(nonce_url, config.closer_count)
-    encoded = encode_exploit(exploit, verdict.newline)
+    encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
     mutated = mutate(
         verdict.page_url, verdict.technique, encoded, config.slash_padding, verdict.cookies
     )
@@ -255,19 +264,10 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     page_security = ResponseSecurity.from_headers(page_resp.headers)
     base_present = has_blocking_base(doc)
 
-    sheet_resp = None
-    for sheet in expand_stylesheet_targets(mutated, doc.relative_refs):
-        candidate = _fetch(
-            client,
-            serialize_url(sheet),
-            errors,
-            referer=serialize_url(mutated.url),
-            cookies=request_cookies,
-        )
-        if candidate is not None and find_reflection(candidate.body, verdict.nonce):
-            sheet_resp = candidate
-            break
-    if sheet_resp is None:
+    hit = _reflecting_sheet(
+        client, mutated, doc.relative_refs, request_cookies, verdict.nonce, errors
+    )
+    if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra
         # path depth after decoding, stricter filtering, ...): vulnerable,
         # but not exploitable for any profile
@@ -278,6 +278,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
         }
         return replace(verdict, profile_results=results)
 
+    _, sheet_resp = hit
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
     # the oracle depends only on the sheet and the canary, not on the engine
     style_fires = css_would_fire(sheet_resp.body, nonce_url)
@@ -292,7 +293,6 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
             sheet_security,
             style_fires,
             base_present,
-            config.attacker_origin,
             victim_origin,
         )
         if not result.exploitable and profile.supports_frame_override:
@@ -304,7 +304,6 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
                 sheet_security,
                 style_fires,
                 base_present,
-                config.attacker_origin,
                 victim_origin,
             )
             if framed.exploitable:

@@ -126,7 +126,7 @@ def test_criterion_2_mutation_properties():
         for depth in range(20):
             ref = "../" * depth + "style.css"
             resolved = expand_stylesheet_targets(mutated, [ref])[0]
-            assert payload.encoded_text in resolved.path, f"payload lost at depth {depth}"
+            assert payload in resolved.path, f"payload lost at depth {depth}"
 
         rng = random.Random(20180424)
         segments_pool = ["dir", "a", "b9", "page.aspx", "idx.php", "x%41y", "v-2", "data"]

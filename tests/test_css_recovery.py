@@ -46,7 +46,7 @@ def test_wrong_url_does_not_fire():
 
 def test_clean_exploit_payload_fires_on_its_own():
     payload = build_exploit_payload(CANARY, 20)
-    assert css_would_fire(payload.text.encode(), CANARY) is True
+    assert css_would_fire(payload.encode(), CANARY) is True
 
 
 def test_closers_insufficient_for_deeper_nesting():
@@ -56,12 +56,12 @@ def test_closers_insufficient_for_deeper_nesting():
 
 
 def test_open_paren_swallows_payload():
-    body = b"junk ( before " + build_exploit_payload(CANARY, 20).text.encode()
+    body = b"junk ( before " + build_exploit_payload(CANARY, 20).encode()
     assert css_would_fire(body, CANARY) is False
 
 
 def test_unterminated_comment_swallows_payload():
-    body = b"/* open comment " + build_exploit_payload(CANARY, 20).text.encode()
+    body = b"/* open comment " + build_exploit_payload(CANARY, 20).encode()
     assert css_would_fire(body, CANARY) is False
 
 
@@ -69,7 +69,7 @@ def test_newline_recovers_from_open_string():
     # with a newline in front of the closers, a pending string ends as a
     # bad-string and the directive parses after recovery
     payload = build_exploit_payload(CANARY, 20)
-    body = b'x = "open string \n' + payload.text.encode()
+    body = b'x = "open string \n' + payload.encode()
     assert css_would_fire(body, CANARY) is True
 
 

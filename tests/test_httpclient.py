@@ -41,7 +41,7 @@ class TimedClient:
     def fetch(self, request: HttpRequest) -> HttpResponse:
         self.sends.append(self._clock.now)
         self._clock.now += next(self._costs)
-        return HttpResponse(200, {}, b"", request.url)
+        return HttpResponse(200, {}, b"")
 
 
 def test_rate_limiter_spaces_actual_sends_despite_oversleep(monkeypatch):
@@ -134,22 +134,25 @@ def test_client_hang_up_is_one_connection_and_network_error(no_proxy_env):
 
 
 def test_client_redirect_loop_stops_after_max_redirects(no_proxy_env):
+    # MAX_REDIRECTS is 5: the first request plus five hops, then NetworkError
     respond = lambda h: (302, [("Location", f"/loop{len(h.server.seen)}")], b"")  # noqa: E731
     with local_server(respond=respond) as server:
         with pytest.raises(NetworkError):
-            client = RequestsClient(timeout=5, max_redirects=3)
+            client = RequestsClient(timeout=5)
             client.fetch(HttpRequest(url=url_of(server, "/start")))
         assert [line for line, _ in server.seen] == [
             "GET /start HTTP/1.1",
             "GET /loop1 HTTP/1.1",
             "GET /loop2 HTTP/1.1",
             "GET /loop3 HTTP/1.1",
+            "GET /loop4 HTTP/1.1",
+            "GET /loop5 HTTP/1.1",
         ]
 
 
 def test_client_sends_default_headers_then_request_headers_then_cookie(no_proxy_env):
     with local_server() as server:
-        client = RequestsClient(timeout=5, user_agent="ua-test")
+        client = RequestsClient(timeout=5)
         response = client.fetch(
             HttpRequest(
                 url=url_of(server, "/app/page.php/%0A%7B%7D//"),
@@ -163,7 +166,7 @@ def test_client_sends_default_headers_then_request_headers_then_cookie(no_proxy_
         assert line == "GET /app/page.php/%0A%7B%7D// HTTP/1.1"
         assert headers == [
             ("Host", f"127.0.0.1:{server.server_address[1]}"),
-            ("User-Agent", "ua-test"),
+            ("User-Agent", "rposcan/0.1"),
             ("Accept-Encoding", "gzip, deflate"),
             ("accept", "text/css"),
             ("Connection", "keep-alive"),

@@ -3,7 +3,9 @@ import json
 import pathlib
 import socket
 import statistics
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -200,6 +202,27 @@ def test_serve_shutdown_is_prompt():
     assert not handle.thread.is_alive()
 
 
+def test_shutdown_closes_kept_alive_connections():
+    before = set(threading.enumerate())
+    handle = serve(TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE), port=0)
+    conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=5)
+    try:
+        conn.request("GET", "/app/page.php/x//")
+        first = conn.getresponse()
+        first.read()
+        assert first.status == 200
+        handlers = set(threading.enumerate()) - before - {handle.thread}
+        assert handlers, "the kept-alive connection has a live handler thread"
+        handle.shutdown()
+        assert not any(thread.is_alive() for thread in handlers)
+        with pytest.raises((OSError, http.client.HTTPException)):
+            conn.request("GET", "/app/page.php/y//")
+            conn.getresponse().read()
+    finally:
+        conn.close()
+        handle.shutdown()
+
+
 def test_keep_alive_round_trips_skip_delayed_ack():
     config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
     handle = serve(config, port=0)
@@ -282,6 +305,15 @@ def test_ground_truth_consistent_with_flags():
             assert truth.reason is not None
 
 
+def _scanned(config):
+    profiles = default_profiles()
+    client = InProcessClient({"mock.test": config})
+    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    seed = config.seed_url("http://mock.test")
+    verdict = scan_page(seed, config.seed_cookies, client, scan_config)
+    return verify_exploitable(verdict, client, scan_config), compute_ground_truth(config, profiles)
+
+
 def test_truth_reason_base_tag_on_refless_404():
     # The 404 for the mutated URL carries the <base> but no stylesheet link;
     # a base with no relative ref after it blocks, on both sides.
@@ -292,12 +324,22 @@ def test_truth_reason_base_tag_on_refless_404():
         error_page_has_refs=False,
         doctype=DOCTYPE_QUIRKS,
     )
-    profiles = default_profiles()
-    client = InProcessClient({"mock.test": config})
-    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
-    seed = config.seed_url("http://mock.test")
-    verdict = scan_page(seed, config.seed_cookies, client, scan_config)
-    verdict = verify_exploitable(verdict, client, scan_config)
-    truth = compute_ground_truth(config, profiles)
+    verdict, truth = _scanned(config)
     assert verdict.reason is NotVulnerableReason.BASE_TAG
     assert verdict_matches_truth(verdict, truth) == []
+
+
+def test_grader_rejects_not_vulnerable_verdict_without_reason():
+    config = TargetConfig(name="t", routing=Routing.EXACT_FILE, emit_base_tag=True)
+    verdict, truth = _scanned(config)
+    assert not truth.vulnerable and truth.reason == NotVulnerableReason.BASE_TAG.value
+    assert verdict_matches_truth(verdict, truth) == []
+    assert verdict_matches_truth(replace(verdict, reason=None), truth) != []
+
+
+def test_grader_rejects_vulnerable_verdict_without_technique():
+    config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    verdict, truth = _scanned(config)
+    assert truth.vulnerable and truth.technique is not None
+    assert verdict_matches_truth(verdict, truth) == []
+    assert verdict_matches_truth(replace(verdict, technique=None), truth) != []

@@ -12,8 +12,7 @@ from rposcan.payloads import NewlineVariant, build_reflection_payload, generate_
 from rposcan.urls import browser_base_directory, parse_url, serialize_url, server_view
 
 T = MutationTechnique
-PAYLOAD = build_reflection_payload(generate_nonce(0), NewlineVariant.LF)
-P = PAYLOAD.encoded_text
+P = build_reflection_payload(generate_nonce(0), NewlineVariant.LF)
 
 
 def u(path, query=None):
@@ -59,41 +58,41 @@ def test_fixed_ordering():
 
 
 def test_mutate_path_param_simple():
-    out = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, PAYLOAD, slash_padding=2)
+    out = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
     assert out.url.path == f"/page.asp/{P}//"
 
 
 def test_mutate_path_techniques_preserve_query():
-    out = mutate(u("/page.asp", "id=9"), T.PATH_PARAM_SIMPLE, PAYLOAD, slash_padding=2)
+    out = mutate(u("/page.asp", "id=9"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
     assert out.url.query == "id=9"
 
 
 def test_mutate_path_param_slash():
-    out = mutate(u("/page.php/param1/param2"), T.PATH_PARAM_SLASH, PAYLOAD, slash_padding=2)
+    out = mutate(u("/page.php/param1/param2"), T.PATH_PARAM_SLASH, P, slash_padding=2)
     assert out.url.path == f"/page.php/{P}param1/{P}param2//"
 
 
 def test_mutate_path_param_semicolon():
-    out = mutate(u("/page.jsp;param1;param2"), T.PATH_PARAM_SEMICOLON, PAYLOAD, slash_padding=2)
+    out = mutate(u("/page.jsp;param1;param2"), T.PATH_PARAM_SEMICOLON, P, slash_padding=2)
     assert out.url.path == f"/page.jsp;{P}param1;{P}param2//"
 
 
 def test_mutate_encoded_query():
-    out = mutate(u("/page.html", "k1=v1&k2=v2"), T.ENCODED_QUERY, PAYLOAD, slash_padding=2)
+    out = mutate(u("/page.html", "k1=v1&k2=v2"), T.ENCODED_QUERY, P, slash_padding=2)
     assert out.url.path == f"/page.html%3Fk1={P}v1&k2={P}v2//"
     assert out.url.query is None
 
 
 def test_mutate_encoded_path_canonical_equivalence():
     original = u("/dir/page.aspx")
-    out = mutate(original, T.ENCODED_PATH, PAYLOAD, slash_padding=0)
+    out = mutate(original, T.ENCODED_PATH, P, slash_padding=0)
     assert server_view(out.url) == server_view(original)
     assert P in out.url.path
 
 
 def test_mutate_cookie():
     out = mutate(
-        u("/page.php"), T.COOKIE, PAYLOAD, slash_padding=2, cookies={"k1": "v1", "k2": "v2"}
+        u("/page.php"), T.COOKIE, P, slash_padding=2, cookies={"k1": "v1", "k2": "v2"}
     )
     assert out.url.path == "/page.php//"
     assert out.extra_cookies == {"k1": P + "v1", "k2": P + "v2"}
@@ -101,30 +100,30 @@ def test_mutate_cookie():
 
 
 def test_mutate_cookie_keeps_query():
-    out = mutate(u("/page.php", "key=value"), T.COOKIE, PAYLOAD, slash_padding=2, cookies={"k": "v"})
+    out = mutate(u("/page.php", "key=value"), T.COOKIE, P, slash_padding=2, cookies={"k": "v"})
     assert serialize_url(out.url).endswith("/page.php//?key=value")
 
 
 def test_mutate_rejects_inapplicable():
     with pytest.raises(TechniqueNotApplicable):
-        mutate(u("/page.asp"), T.ENCODED_QUERY, PAYLOAD)
+        mutate(u("/page.asp"), T.ENCODED_QUERY, P)
 
 
 def test_expand_stylesheet_targets():
-    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, PAYLOAD, slash_padding=2)
+    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
     targets = expand_stylesheet_targets(mutated, ["../style.css"])
     assert [t.path for t in targets] == [f"/page.asp/{P}/style.css"]
 
 
 def test_expand_deduplicates_preserving_order():
-    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, PAYLOAD)
+    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
     targets = expand_stylesheet_targets(mutated, ["a.css", "b.css", "a.css"])
     assert [t.path.rsplit("/", 1)[1] for t in targets] == ["a.css", "b.css"]
 
 
 @pytest.mark.parametrize("depth", range(20))
 def test_padding_sufficiency(depth):
-    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, PAYLOAD, slash_padding=20)
+    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=20)
     ref = "../" * depth + "style.css"
     resolved = expand_stylesheet_targets(mutated, [ref])[0]
     assert P in resolved.path
@@ -141,7 +140,7 @@ _PATHS = st.lists(
 @given(_PATHS)
 def test_encoded_path_equivalence_on_corpus(path):
     original = u(path)
-    out = mutate(original, T.ENCODED_PATH, PAYLOAD)
+    out = mutate(original, T.ENCODED_PATH, P)
     assert server_view(out.url) == server_view(original)
 
 
@@ -152,7 +151,7 @@ def test_host_scheme_preserved_and_views_diverge(path, technique):
     cookies = {"sid": "abc"}
     if technique not in applicable_techniques(original, cookies):
         return
-    out = mutate(original, technique, PAYLOAD, cookies=cookies)
+    out = mutate(original, technique, P, cookies=cookies)
     assert out.url.host == original.host
     assert out.url.scheme == original.scheme
     diverged = browser_base_directory(out.url) != browser_base_directory(original)

