@@ -1,6 +1,7 @@
 """Configurable mock target reproducing the server-side behaviors the scanner
 exploits: rewriting-style routing, reflection sinks, doctype and defense
-header emission, and URL-echoing error pages.
+header emission, URL-echoing error pages, and servers that refuse or strip
+newline bytes in the request.
 
 Every response is a pure function of (config, request), and each config can
 compute its own ground-truth label (is it vulnerable, and for which engines
@@ -70,6 +71,21 @@ class SinkFilter(Enum):
     DROP = "drop"  # sink emits nothing at all
 
 
+class NewlineHandling(Enum):
+    """What the server does with newline bytes in the request target."""
+
+    PASS = "pass"
+    REFUSE_CRLF = "refuse_crlf"  # 400 when the decoded target holds CR or LF
+    REFUSE_ALL = "refuse_all"  # 400 for LF, FF or CR
+    STRIP_LF = "strip_lf"  # every echo loses its LF bytes
+
+
+# decoded bytes that get a request target refused, per handling
+_REFUSED_BYTES = {
+    NewlineHandling.REFUSE_CRLF: "\r\n",
+    NewlineHandling.REFUSE_ALL: "\n\x0c\r",
+}
+
 DOCTYPE_QUIRKS = 'html PUBLIC "-//W3C//DTD HTML 4.01 Transitional//EN"'
 DOCTYPE_STANDARDS = "html"
 
@@ -95,6 +111,7 @@ class TargetConfig:
     error_page_has_refs: bool = True
     serve_real_stylesheets: bool = False
     sink_filter: SinkFilter = SinkFilter.RAW
+    newline_handling: NewlineHandling = NewlineHandling.PASS
 
     def seed_url(self, origin: str) -> WebUrl:
         path = self.seed_path or self.page_path
@@ -175,6 +192,8 @@ def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tupl
 
 
 def _apply_filter(config: TargetConfig, value: str) -> str | None:
+    if config.newline_handling is NewlineHandling.STRIP_LF:
+        value = value.replace("\n", "")
     if config.sink_filter is SinkFilter.DROP:
         return None
     if config.sink_filter is SinkFilter.SANITIZE:
@@ -269,10 +288,25 @@ def _security_headers(config: TargetConfig) -> dict[str, str]:
     return headers
 
 
+_REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
+
+
+def _refuses(config: TargetConfig, raw_target: str) -> bool:
+    refused = _REFUSED_BYTES.get(config.newline_handling)
+    if refused is None:
+        return False
+    decoded = percent_decode(raw_target)
+    return any(byte in decoded for byte in refused)
+
+
 def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     """Byte-deterministic response for a GET request against this config."""
-    kind, query_pairs = route_request(config, _raw_target_of(request.url))
+    raw_target = _raw_target_of(request.url)
     headers = _security_headers(config)
+    if _refuses(config, raw_target):
+        headers["Content-Type"] = "text/html; charset=utf-8"
+        return HttpResponse(400, headers, _REFUSED_BODY)
+    kind, query_pairs = route_request(config, raw_target)
     if kind == "css":
         headers["Content-Type"] = "text/css"
         return HttpResponse(200, headers, b"body { margin: 0; }\n")
@@ -462,6 +496,13 @@ def _winning_technique(config: TargetConfig) -> tuple[MutationTechnique | None, 
     saw_base = False
     saw_relative_refs = False
     for technique in applicable_techniques(seed, config.seed_cookies):
+        # a server that refuses every newline answers a bare 400 whenever the
+        # payload rides in the request target, that is for all but the cookie
+        if (
+            config.newline_handling is NewlineHandling.REFUSE_ALL
+            and technique is not MutationTechnique.COOKIE
+        ):
+            continue
         mutated = mutate(seed, technique, _MARKER, DEFAULT_SLASH_PADDING, config.seed_cookies)
         page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
         if page_kind == "css":
@@ -900,4 +941,45 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
         doctype=DOCTYPE_QUIRKS,
     )
 
+    return [(config, compute_ground_truth(config, profiles)) for config in configs]
+
+
+def newline_configs(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, GroundTruth]]:
+    """Labeled configs whose server refuses or strips newline bytes, crossed
+    with a few shapes of the matrix.  They are kept out of ``fixture_matrix``
+    so that the matrix, and every run built on it, keeps its inputs."""
+    shapes = {
+        "pathinfo-url-quirks": dict(routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS),
+        "pathinfo-url-standards": dict(
+            routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_STANDARDS
+        ),
+        "pathinfo-url-quirks-basetag": dict(
+            routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS, emit_base_tag=True
+        ),
+        "exactfile-url-quirks": dict(routing=Routing.EXACT_FILE, doctype=DOCTYPE_QUIRKS),
+        "encslash-query-quirks": dict(
+            routing=Routing.ENCODED_SLASH_DECODE,
+            sinks=frozenset({Sink.ECHO_QUERY_VALUES}),
+            seed_query="k1=v1",
+            stylesheet_refs=["style.css"],
+            doctype=DOCTYPE_QUIRKS,
+            error_page_echoes_url=False,
+        ),
+        "pathinfo-cookie-quirks": dict(
+            routing=Routing.PATH_INFO_REWRITE,
+            sinks=frozenset({Sink.ECHO_COOKIE_VALUES}),
+            seed_cookies={"sid": "abc123"},
+            doctype=DOCTYPE_QUIRKS,
+        ),
+    }
+    configs = [
+        TargetConfig(
+            name=f"{handling.value.replace('_', '-')}-{shape}",
+            newline_handling=handling,
+            **overrides,
+        )
+        for handling in NewlineHandling
+        if handling is not NewlineHandling.PASS
+        for shape, overrides in shapes.items()
+    ]
     return [(config, compute_ground_truth(config, profiles)) for config in configs]

@@ -49,25 +49,26 @@ def _script_segment_index(segments: tuple[str, ...]) -> int | None:
     return None
 
 
+def _fits(technique: MutationTechnique, url: WebUrl, cookies: dict[str, str]) -> bool:
+    """The technique's own precondition on the URL shape and cookies."""
+    if technique is MutationTechnique.PATH_PARAM_SLASH:
+        idx = _script_segment_index(url.path_segments)
+        return idx is not None and any(url.path_segments[idx + 1 :])
+    if technique is MutationTechnique.PATH_PARAM_SEMICOLON:
+        return any(";" in seg for seg in url.path_segments)
+    if technique is MutationTechnique.ENCODED_QUERY:
+        return bool(url.query)
+    if technique is MutationTechnique.COOKIE:
+        return bool(cookies)
+    return True
+
+
 def applicable_techniques(
     url: WebUrl, original_cookies: dict[str, str] | None = None
 ) -> list[MutationTechnique]:
-    """Techniques worth trying against this URL shape, in a fixed order."""
+    """Techniques worth trying against this URL shape, in the enum's order."""
     cookies = original_cookies or {}
-    segments = url.path_segments
-    out = [MutationTechnique.PATH_PARAM_SIMPLE]
-
-    script_idx = _script_segment_index(segments)
-    if script_idx is not None and any(s for s in segments[script_idx + 1 :]):
-        out.append(MutationTechnique.PATH_PARAM_SLASH)
-    if any(";" in seg for seg in segments):
-        out.append(MutationTechnique.PATH_PARAM_SEMICOLON)
-    out.append(MutationTechnique.ENCODED_PATH)
-    if url.query:
-        out.append(MutationTechnique.ENCODED_QUERY)
-    if cookies:
-        out.append(MutationTechnique.COOKIE)
-    return out
+    return [t for t in MutationTechnique if _fits(t, url, cookies)]
 
 
 def _with_segments(url: WebUrl, segments: tuple[str, ...], query: str | None) -> WebUrl:
@@ -89,7 +90,7 @@ def mutate(
 ) -> MutatedRequest:
     """Apply one technique, embedding the (already URL-encoded) payload text."""
     cookies = cookies or {}
-    if technique not in applicable_techniques(url, cookies):
+    if not _fits(technique, url, cookies):
         raise TechniqueNotApplicable(f"{technique.value} does not fit {serialize_url(url)}")
 
     segments = url.path_segments

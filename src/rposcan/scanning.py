@@ -1,10 +1,13 @@
 """Per-page scan pipeline: mutate, fetch, detect reflection, judge exploitability.
 
-A page is scanned technique by technique (newline variant inside technique)
-until one mutated fetch produces a stylesheet response that reflects the
-probe nonce.  Verification then swaps in the exploit payload and asks the
-rendering model, per browser profile, whether the reflected style would
-actually be parsed and fire.
+A page is scanned technique by technique until one mutated fetch produces a
+stylesheet response that reflects the probe nonce.  Each technique is probed
+with an LF newline in front of the nonce; the FF and then the CR variant are
+tried only when the server refused the newline before them (the page fetch
+failed, or came back 400 or 403), since a server that answers one newline
+normally has nothing to show for the others.  Verification then swaps in the
+exploit payload, with the newline that won, and asks the rendering model, per
+browser profile, whether the reflected style would actually be parsed and fire.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ from .rendering import (
 from .urls import WebUrl, serialize_url
 
 DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
+
+# Page statuses that read as "this newline was refused": the next newline
+# variant gets a try only after one of these or a failed fetch.
+_REFUSED_STATUSES = frozenset({400, 403})
 
 
 class ScanStatus(Enum):
@@ -156,7 +163,12 @@ def scan_page(
     config: ScanConfig,
 ) -> ScanVerdict:
     """Try every applicable technique until a stylesheet response reflects the
-    probe; base-tag responses disqualify the technique outright."""
+    probe; base-tag responses disqualify the technique outright.
+
+    Within a technique the newline variants go LF, FF, CR, and the next one
+    is sent only when the page fetch for the one before failed or answered
+    with a refused status.  A refused page is still analysed, since an error
+    page can reflect too."""
     nonce = generate_nonce(config.seed)
     errors: list[str] = []
     saw_base = False
@@ -170,28 +182,29 @@ def scan_page(
             request_cookies = {**cookies, **mutated.extra_cookies}
             page_resp = _fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)
             if page_resp is None:
-                continue
+                continue  # no answer counts as refused: try the next newline
             fetched_anything = True
             doc = analyze_html(page_resp.body)
             if has_blocking_base(doc):
                 saw_base = True
                 break  # the base tag is payload-independent; next technique
             relative_refs = doc.relative_refs
-            if not relative_refs:
-                continue
-            saw_relative_refs = True
-            hit = _reflecting_sheet(client, mutated, relative_refs, request_cookies, nonce, errors)
-            if hit is not None:
-                return ScanVerdict(
-                    status=ScanStatus.VULNERABLE,
-                    page_url=url,
-                    technique=technique,
-                    newline=newline,
-                    reflected_stylesheet_url=hit[0],
-                    cookies=dict(cookies),
-                    nonce=nonce,
-                    errors=errors,
-                )
+            if relative_refs:
+                saw_relative_refs = True
+                hit = _reflecting_sheet(client, mutated, relative_refs, request_cookies, nonce, errors)
+                if hit is not None:
+                    return ScanVerdict(
+                        status=ScanStatus.VULNERABLE,
+                        page_url=url,
+                        technique=technique,
+                        newline=newline,
+                        reflected_stylesheet_url=hit[0],
+                        cookies=dict(cookies),
+                        nonce=nonce,
+                        errors=errors,
+                    )
+            if page_resp.status not in _REFUSED_STATUSES:
+                break  # the newline went through; another would show the same
 
     if saw_base:
         reason = NotVulnerableReason.BASE_TAG

@@ -13,6 +13,7 @@ from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     InProcessClient,
+    NewlineHandling,
     PortInUse,
     Routing,
     Sink,
@@ -131,6 +132,40 @@ def test_sink_filters():
     body = _get(sanitized, target).body
     assert b"payload" in body and b"{payload}" not in body
     assert b"payload" not in _get(dropped, target).body
+
+
+def test_newline_refusal_answers_bare_400():
+    crlf = TargetConfig(
+        name="t", routing=Routing.PATH_INFO_REWRITE, newline_handling=NewlineHandling.REFUSE_CRLF
+    )
+    every = TargetConfig(
+        name="t", routing=Routing.PATH_INFO_REWRITE, newline_handling=NewlineHandling.REFUSE_ALL
+    )
+    for config, code in [(crlf, "%0A"), (crlf, "%0d"), (every, "%0A"), (every, "%0C")]:
+        resp = _get(config, f"/app/page.php/{code}PAYLOAD//")
+        assert resp.status == 400
+        assert b"PAYLOAD" not in resp.body and b"stylesheet" not in resp.body
+    # the query is part of the request target
+    assert _get(crlf, "/app/page.php?k=%0Av").status == 400
+    assert _get(crlf, "/app/page.php/%0CPAYLOAD//").status == 200
+    # a cookie is not
+    assert _get(every, "/app/page.php//", cookies={"sid": "%0AX"}).status == 200
+
+
+def test_strip_lf_removes_lf_from_echoes():
+    config = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        sinks=frozenset({Sink.ECHO_URL, Sink.ECHO_COOKIE_VALUES}),
+        newline_handling=NewlineHandling.STRIP_LF,
+    )
+    resp = _get(config, "/app/page.php/%0APAYLOAD%0C//", cookies={"sid": "%0ACOOKIE"})
+    assert resp.status == 200
+    assert b"/app/page.php/PAYLOAD\x0c//" in resp.body
+    assert b">COOKIE<" in resp.body
+    assert b"\n" + b"PAYLOAD" not in resp.body
+    error = _get(replace(config, routing=Routing.EXACT_FILE), "/app/page.php/%0APAYLOAD//")
+    assert error.status == 404 and b"/app/page.php/PAYLOAD//" in error.body
 
 
 def test_headers_and_doctype_emission():
@@ -281,6 +316,7 @@ def test_config_round_trips_through_json():
         seed_cookies={"a": "1"},
         doctype=DOCTYPE_QUIRKS,
         sink_filter=SinkFilter.SANITIZE,
+        newline_handling=NewlineHandling.STRIP_LF,
     )
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 

@@ -109,6 +109,26 @@ def test_mutate_rejects_inapplicable():
         mutate(u("/page.asp"), T.ENCODED_QUERY, P)
 
 
+@pytest.mark.parametrize(
+    "url, cookies",
+    [
+        (u("/page.asp"), {}),
+        (u("/page.php/p1/p2", "k=v"), {"sid": "1"}),
+        (u("/page.php/"), {}),
+        (u("/a;x/page.jsp;p1"), {}),
+        (u("/dir/", ""), {}),
+    ],
+)
+def test_mutate_accepts_exactly_the_applicable_techniques(url, cookies):
+    applicable = applicable_techniques(url, cookies)
+    for technique in T:
+        if technique in applicable:
+            mutate(url, technique, P, cookies=cookies)
+        else:
+            with pytest.raises(TechniqueNotApplicable):
+                mutate(url, technique, P, cookies=cookies)
+
+
 def test_expand_stylesheet_targets():
     mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
     targets = expand_stylesheet_targets(mutated, ["../style.css"])

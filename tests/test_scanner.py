@@ -1,3 +1,4 @@
+import pathlib
 import time
 
 from rposcan.httpclient import (
@@ -6,16 +7,24 @@ from rposcan.httpclient import (
     NetworkError,
     RateLimitedClient,
     RecordingClient,
+    RequestsClient,
 )
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     DOCTYPE_STANDARDS,
     InProcessClient,
+    NewlineHandling,
     Routing,
     Sink,
     TargetConfig,
+    compute_ground_truth,
+    load_matrix,
+    newline_configs,
+    serve,
+    verdict_matches_truth,
 )
 from rposcan.mutations import MutationTechnique
+from rposcan.payloads import NewlineVariant
 from rposcan.rendering import Engine, default_profiles
 from rposcan.scanning import (
     Blocker,
@@ -28,6 +37,7 @@ from rposcan.scanning import (
 )
 from rposcan.urls import parse_url
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PROFILES = tuple(default_profiles())
 
 
@@ -264,3 +274,179 @@ def test_base_tag_after_latin1_line_breaks_means_not_vulnerable():
     verdict = scan_page(parse_url("http://h.test/app/page.php"), {}, _SamePageClient(body), make_config())
     assert verdict.status is ScanStatus.NOT_VULNERABLE
     assert verdict.reason is NotVulnerableReason.BASE_TAG
+
+
+# --- newline variants: FF and CR only after the server refused the one before ---
+
+
+def _scan_recorded(target: TargetConfig):
+    config = make_config()
+    recording = RecordingClient(client_for(target))
+    verdict = scan_page(target.seed_url("http://mock.test"), target.seed_cookies, recording, config)
+    return verify_exploitable(verdict, recording, config), recording
+
+
+def _carries(request: HttpRequest, newlines: tuple[str, ...]) -> bool:
+    texts = [request.url, *request.cookies.values(), *request.headers.values()]
+    return any(code in text for code in newlines for text in texts)
+
+
+def test_refuse_crlf_falls_back_to_form_feed():
+    target = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.REFUSE_CRLF,
+    )
+    verdict, recording = _scan_recorded(target)
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    assert verdict.newline is NewlineVariant.FF
+
+    scan_log = [(x.request.url, x.response.status) for x in recording.exchanges[:3]]
+    (lf_page, lf_status), (ff_page, ff_status), (ff_sheet, sheet_status) = scan_log
+    assert "%0A" in lf_page and lf_status == 400
+    assert "%0C" in ff_page and ff_status == 200
+    assert ff_sheet == verdict.reflected_stylesheet_url and sheet_status == 200
+    # the two verification fetches reuse the winning newline; CR is never sent
+    assert len(recording.exchanges) == 5
+    assert all("%0C" in x.request.url for x in recording.exchanges[3:])
+    assert not any(_carries(x.request, ("%0D",)) for x in recording.exchanges)
+
+
+def test_refuse_all_defeats_path_techniques():
+    target = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.REFUSE_ALL,
+    )
+    verdict, recording = _scan_recorded(target)
+    truth = compute_ground_truth(target, list(PROFILES))
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is NotVulnerableReason.NO_RELATIVE_STYLESHEETS
+    assert verdict.reason.value == truth.reason
+    # every variant was refused, so each got its try
+    assert [x.response.status for x in recording.exchanges] == [400] * 6
+
+
+def test_refuse_all_leaves_the_cookie_technique():
+    target = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        sinks=frozenset({Sink.ECHO_COOKIE_VALUES}),
+        seed_cookies={"sid": "abc"},
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.REFUSE_ALL,
+    )
+    verdict, _ = _scan_recorded(target)
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    assert verdict.technique is MutationTechnique.COOKIE
+    assert verdict.newline is NewlineVariant.LF
+
+
+def test_strip_lf_still_detected_with_lf():
+    target = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.STRIP_LF,
+    )
+    verdict, recording = _scan_recorded(target)
+    truth = compute_ground_truth(target, list(PROFILES))
+    assert verdict.status in (ScanStatus.VULNERABLE, ScanStatus.EXPLOITABLE)
+    assert verdict.newline is NewlineVariant.LF
+    assert (verdict.status is ScanStatus.EXPLOITABLE) == any(
+        p.exploitable for p in truth.profiles.values()
+    )
+    assert verdict_matches_truth(verdict, truth) == []
+    assert not any(_carries(x.request, ("%0C", "%0D")) for x in recording.exchanges)
+
+
+def test_newline_configs_match_answer_key():
+    entries = newline_configs(list(PROFILES))
+    assert {c.newline_handling for c, _ in entries} == set(NewlineHandling) - {NewlineHandling.PASS}
+    mismatches = []
+    for target, truth in entries:
+        verdict, _ = _scan_recorded(target)
+        problems = verdict_matches_truth(verdict, truth)
+        if problems:
+            mismatches.append((target.name, problems))
+    assert mismatches == []
+
+
+def test_refuse_crlf_over_loopback():
+    target = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.REFUSE_CRLF,
+    )
+    config = make_config()
+    recording = RecordingClient(RequestsClient(timeout=5))
+    handle = serve(target, port=0)
+    try:
+        seed = target.seed_url(f"http://127.0.0.1:{handle.port}")
+        verdict = verify_exploitable(scan_page(seed, {}, recording, config), recording, config)
+    finally:
+        handle.shutdown()
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    assert verdict.newline is NewlineVariant.FF
+    assert [x.response.status for x in recording.exchanges] == [400, 200, 200, 200, 200]
+
+
+class _NoFormFeedOrCarriageReturn:
+    """Answers every fetch that carries an FF or CR byte with a network
+    error, and every other fetch from the wrapped client."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        if _carries(request, ("%0C", "%0D")):
+            raise NetworkError("FF and CR variants are unreachable")
+        return self.inner.fetch(request)
+
+
+def _matrix_hosts() -> dict[str, TargetConfig]:
+    entries = load_matrix(str(FIXTURES / "mock_matrix.json"))
+    return {f"m{i}.test": target for i, (target, _) in enumerate(entries)}
+
+
+def _scan_all(hosts: dict[str, TargetConfig], client) -> list:
+    config = make_config()
+    verdicts = []
+    for host, target in hosts.items():
+        seed = target.seed_url(f"http://{host}")
+        verdict = scan_page(seed, target.seed_cookies, client, config)
+        verdicts.append(verify_exploitable(verdict, client, config))
+    return verdicts
+
+
+def test_removing_ff_and_cr_changes_no_matrix_verdict():
+    hosts = _matrix_hosts()
+    plain = _scan_all(hosts, InProcessClient(hosts))
+    without = _scan_all(hosts, _NoFormFeedOrCarriageReturn(InProcessClient(hosts)))
+    assert without == plain
+
+    refusing = {"r.test": TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        doctype=DOCTYPE_QUIRKS,
+        newline_handling=NewlineHandling.REFUSE_CRLF,
+    )}
+    (with_ff,) = _scan_all(refusing, InProcessClient(refusing))
+    (without_ff,) = _scan_all(refusing, _NoFormFeedOrCarriageReturn(InProcessClient(refusing)))
+    assert with_ff.status is ScanStatus.EXPLOITABLE
+    assert without_ff.status is ScanStatus.NOT_VULNERABLE
+
+
+def test_matrix_request_budget():
+    # 58 configs, scan plus verification: LF probes only, since no matrix
+    # server refuses a newline.  More requests mean wasted probes came back.
+    hosts = _matrix_hosts()
+    recording = RecordingClient(InProcessClient(hosts))
+    _scan_all(hosts, recording)
+    assert len(hosts) == 58
+    assert len(recording.exchanges) == 253
+    urls = [x.request.url for x in recording.exchanges]
+    assert not any("%0C" in url or "%0D" in url for url in urls)
