@@ -1,7 +1,7 @@
 """Configurable mock target reproducing the server-side behaviors the scanner
 exploits: rewriting-style routing, reflection sinks, doctype and defense
-header emission, URL-echoing error pages, and servers that refuse or strip
-newline bytes in the request.
+header emission, URL-echoing error pages, and servers that refuse newline
+bytes in the request or cut their echoes at LF.
 
 Every response is a pure function of (config, request), and each config can
 compute its own ground-truth label (is it vulnerable, and for which engines
@@ -77,7 +77,7 @@ class NewlineHandling(Enum):
     PASS = "pass"
     REFUSE_CRLF = "refuse_crlf"  # 400 when the decoded target holds CR or LF
     REFUSE_ALL = "refuse_all"  # 400 for LF, FF or CR
-    STRIP_LF = "strip_lf"  # every echo loses its LF bytes
+    CUT_AT_LF = "cut_at_lf"  # every echo ends at its first LF; FF and CR pass
 
 
 # decoded bytes that get a request target refused, per handling
@@ -192,8 +192,8 @@ def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tupl
 
 
 def _apply_filter(config: TargetConfig, value: str) -> str | None:
-    if config.newline_handling is NewlineHandling.STRIP_LF:
-        value = value.replace("\n", "")
+    if config.newline_handling is NewlineHandling.CUT_AT_LF:
+        value = value.partition("\n")[0]
     if config.sink_filter is SinkFilter.DROP:
         return None
     if config.sink_filter is SinkFilter.SANITIZE:
@@ -945,9 +945,15 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
 
 
 def newline_configs(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, GroundTruth]]:
-    """Labeled configs whose server refuses or strips newline bytes, crossed
-    with a few shapes of the matrix.  They are kept out of ``fixture_matrix``
-    so that the matrix, and every run built on it, keeps its inputs."""
+    """Labeled configs whose server refuses newline bytes or cuts its echoes
+    at LF, crossed with a few shapes of the matrix.  They are kept out of
+    ``fixture_matrix`` so that the matrix, and every run built on it, keeps
+    its inputs.
+
+    ``CUT_AT_LF`` leaves the answer key as it is, because an FF or CR probe
+    still reflects whole.  The scanner sends those only after a refused LF,
+    so it misses these targets where the label says vulnerable; the tests
+    count the misses."""
     shapes = {
         "pathinfo-url-quirks": dict(routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS),
         "pathinfo-url-standards": dict(

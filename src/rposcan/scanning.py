@@ -4,10 +4,12 @@ A page is scanned technique by technique until one mutated fetch produces a
 stylesheet response that reflects the probe nonce.  Each technique is probed
 with an LF newline in front of the nonce; the FF and then the CR variant are
 tried only when the server refused the newline before them (the page fetch
-failed, or came back 400 or 403), since a server that answers one newline
-normally has nothing to show for the others.  Verification then swaps in the
-exploit payload, with the newline that won, and asks the rendering model, per
-browser profile, whether the reflected style would actually be parsed and fire.
+failed, or came back 400 or 403).  That rule assumes a server that answers one
+newline normally has nothing to show for the others, and that refusals come as
+400 or 403; neither has been checked against real servers.  Verification then
+swaps in the exploit payload, with the newline that won, and asks the
+rendering model, per browser profile, whether the reflected style would
+actually be parsed and fire.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .urls import WebUrl, serialize_url
 DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
 
 # Page statuses that read as "this newline was refused": the next newline
-# variant gets a try only after one of these or a failed fetch.
+# variant gets a try only after one of these or a failed fetch.  An assumed
+# set, not one measured on real servers; a refusal with any other status ends
+# the technique after LF.
 _REFUSED_STATUSES = frozenset({400, 403})
 
 
@@ -168,7 +172,13 @@ def scan_page(
     Within a technique the newline variants go LF, FF, CR, and the next one
     is sent only when the page fetch for the one before failed or answered
     with a refused status.  A refused page is still analysed, since an error
-    page can reflect too."""
+    page can reflect too.
+
+    The rule is an assumption, not a measurement on real servers.  It misses
+    a target that refuses LF with a status outside ``_REFUSED_STATUSES`` (a
+    404, 406 or 500, say), and one whose sink cuts the echo at LF while FF or
+    CR would reflect whole; the mock's ``NewlineHandling.CUT_AT_LF`` configs
+    count the second kind."""
     nonce = generate_nonce(config.seed)
     errors: list[str] = []
     saw_base = False
@@ -204,7 +214,7 @@ def scan_page(
                         errors=errors,
                     )
             if page_resp.status not in _REFUSED_STATUSES:
-                break  # the newline went through; another would show the same
+                break  # not refused; assumed that another newline shows the same
 
     if saw_base:
         reason = NotVulnerableReason.BASE_TAG

@@ -152,20 +152,23 @@ def test_newline_refusal_answers_bare_400():
     assert _get(every, "/app/page.php//", cookies={"sid": "%0AX"}).status == 200
 
 
-def test_strip_lf_removes_lf_from_echoes():
+def test_cut_at_lf_ends_each_echo_at_its_first_lf():
     config = TargetConfig(
         name="t",
         routing=Routing.PATH_INFO_REWRITE,
         sinks=frozenset({Sink.ECHO_URL, Sink.ECHO_COOKIE_VALUES}),
-        newline_handling=NewlineHandling.STRIP_LF,
+        newline_handling=NewlineHandling.CUT_AT_LF,
     )
-    resp = _get(config, "/app/page.php/%0APAYLOAD%0C//", cookies={"sid": "%0ACOOKIE"})
+    resp = _get(config, "/app/page.php/%0APAYLOAD//", cookies={"sid": "C%0AOOKIE"})
     assert resp.status == 200
-    assert b"/app/page.php/PAYLOAD\x0c//" in resp.body
-    assert b">COOKIE<" in resp.body
-    assert b"\n" + b"PAYLOAD" not in resp.body
+    assert b'<p class="echo-url">/app/page.php/</p>' in resp.body
+    assert b'<p class="echo-cookie">C</p>' in resp.body
+    assert b"PAYLOAD" not in resp.body and b"OOKIE" not in resp.body
+    # FF and CR pass whole
+    assert b"/app/page.php/\x0cPAYLOAD//" in _get(config, "/app/page.php/%0CPAYLOAD//").body
+    assert b"/app/page.php/\rPAYLOAD//" in _get(config, "/app/page.php/%0DPAYLOAD//").body
     error = _get(replace(config, routing=Routing.EXACT_FILE), "/app/page.php/%0APAYLOAD//")
-    assert error.status == 404 and b"/app/page.php/PAYLOAD//" in error.body
+    assert error.status == 404 and b"PAYLOAD" not in error.body
 
 
 def test_headers_and_doctype_emission():
@@ -316,7 +319,7 @@ def test_config_round_trips_through_json():
         seed_cookies={"a": "1"},
         doctype=DOCTYPE_QUIRKS,
         sink_filter=SinkFilter.SANITIZE,
-        newline_handling=NewlineHandling.STRIP_LF,
+        newline_handling=NewlineHandling.CUT_AT_LF,
     )
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
