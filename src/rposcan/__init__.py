@@ -26,7 +26,6 @@ from .rendering import (
 from .scanning import ScanConfig, ScanStatus, ScanVerdict, ethics_gate, scan_page, verify_exploitable
 from .urls import (
     MalformedUrl,
-    ServerPath,
     WebUrl,
     browser_base_directory,
     parse_url,

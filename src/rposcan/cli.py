@@ -67,15 +67,19 @@ def _cmd_scan(args) -> int:
         suffix = suffix if suffix.startswith(".") else "." + suffix
         if suffix in blocked:
             blocked.remove(suffix)
-    config = ScanConfig(
-        slash_padding=args.slash_padding,
-        per_host_delay=args.delay / 1000.0,
-        max_concurrent_hosts=args.max_hosts,
-        request_timeout=args.timeout / 1000.0,
-        blocked_suffixes=tuple(blocked),
-        profiles=tuple(profiles),
-        seed=args.seed_rng,
-    )
+    try:
+        config = ScanConfig(
+            slash_padding=args.slash_padding,
+            per_host_delay=args.delay / 1000.0,
+            max_concurrent_hosts=args.max_hosts,
+            request_timeout=args.timeout / 1000.0,
+            blocked_suffixes=tuple(blocked),
+            profiles=tuple(profiles),
+            seed=args.seed_rng,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         records = run_scan(args.seed, config, cookie_file=args.cookies)
         if args.out:

@@ -17,7 +17,7 @@ import selectors
 import socket
 import threading
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
@@ -630,16 +630,6 @@ def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
 # --- serialization ---
 
 
-def _to_json(value):
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, frozenset):
-        return sorted(_to_json(item) for item in value)
-    if isinstance(value, (dict, list)):
-        return type(value)(value)
-    return value
-
-
 def _from_json(kind, value):
     if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
@@ -652,13 +642,9 @@ def _from_json(kind, value):
     return value
 
 
-def config_to_dict(config: TargetConfig) -> dict:
-    return {f.name: _to_json(getattr(config, f.name)) for f in fields(TargetConfig)}
-
-
 def config_from_dict(data: dict) -> TargetConfig:
-    """Inverse of ``config_to_dict``; absent fields take the dataclass
-    defaults and unknown keys are ignored."""
+    """A config from its JSON form (enums by value, sets as lists); absent
+    fields take the dataclass defaults and unknown keys are ignored."""
     kinds = typing.get_type_hints(TargetConfig)
     return TargetConfig(**{
         f.name: _from_json(kinds[f.name], data[f.name])
@@ -670,26 +656,6 @@ def config_from_dict(data: dict) -> TargetConfig:
 def load_config(path: str) -> TargetConfig:
     with open(path, encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
-
-
-def load_matrix(path: str) -> list[tuple[TargetConfig, GroundTruth]]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = []
-    for entry in doc["configs"]:
-        truth = entry["ground_truth"]
-        profiles = {engine: ProfileTruth(**flags) for engine, flags in truth["profiles"].items()}
-        out.append((config_from_dict(entry), GroundTruth(**{**truth, "profiles": profiles})))
-    return out
-
-
-def dump_matrix(entries: list[tuple[TargetConfig, GroundTruth]], path: str) -> None:
-    configs = []
-    for config, truth in entries:
-        configs.append({**config_to_dict(config), "ground_truth": asdict(truth)})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"configs": configs}, fh, indent=2)
-        fh.write("\n")
 
 
 # --- the shipped fixture matrix ---

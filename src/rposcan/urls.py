@@ -67,13 +67,6 @@ class WebUrl:
         return serialize_url(self)
 
 
-@dataclass(frozen=True)
-class ServerPath:
-    """A rewriting server's view of a path: decoded once, dot segments gone."""
-
-    canonical_path: str
-
-
 def _check_chars(text: str, allowed: frozenset[str], what: str) -> None:
     for ch in text:
         if ch not in allowed:
@@ -240,13 +233,13 @@ def resolve_relative(base: WebUrl, reference: str) -> WebUrl:
     )
 
 
-def server_view(url: WebUrl) -> ServerPath:
+def server_view(url: WebUrl) -> str:
     """Compute the path a decode-then-canonicalize rewriting server resolves.
 
     Exactly one decoding pass: ``%2F`` becomes a separator, but a ``%2F``
     produced by decoding ``%252F`` stays literal text.
     """
-    return ServerPath(_remove_dot_segments(percent_decode(url.path)))
+    return _remove_dot_segments(percent_decode(url.path))
 
 
 def registrable_domain(host: str) -> str:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-The end-to-end criteria run the committed mock matrix over real loopback
+The end-to-end criteria run the 58-config mock matrix over real loopback
 HTTP through the full politeness stack, once, shared by criteria 5 and 7.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from rposcan.css_recovery import css_would_fire, token_trace
 from rposcan.httpclient import RateLimitedClient, RecordingClient, RequestsClient, host_key
-from rposcan.mock_target import load_matrix, serve, verdict_matches_truth
+from rposcan.mock_target import fixture_matrix, serve, verdict_matches_truth
 from rposcan.mutations import MutationTechnique, expand_stylesheet_targets, mutate
 from rposcan.payloads import NewlineVariant, build_reflection_payload, generate_nonce
 from rposcan.rendering import (
@@ -100,14 +100,14 @@ def test_criterion_1_resolver_conformance():
             other = _random_url(rng)
             assert resolve_relative(url, serialize_url(other)) == parse_url(serialize_url(other))
             # server view is idempotent once its decoded output is re-encoded
-            once = server_view(url).canonical_path
+            once = server_view(url)
             again = WebUrl(
                 scheme=url.scheme,
                 host=url.host,
                 port=None,
                 path_segments=tuple(quote(seg, safe="") for seg in once.split("/")[1:]),
             )
-            assert server_view(again).canonical_path == once
+            assert server_view(again) == once
             # parsing never decodes: serialization round-trips byte-for-byte
             text = serialize_url(url)
             assert serialize_url(parse_url(text)) == text
@@ -204,9 +204,9 @@ def test_criterion_4_header_semantics():
 
 @pytest.fixture(scope="module")
 def matrix_run():
-    """Scan every committed mock config over real loopback HTTP, through the
-    shared rate-limited recording client; returns verdicts plus the log."""
-    entries = load_matrix(str(FIXTURES / "mock_matrix.json"))
+    """Scan every mock config of the matrix over real loopback HTTP, through
+    the shared rate-limited recording client; returns verdicts plus the log."""
+    entries = fixture_matrix(PROFILES)
     recorder = RecordingClient(RequestsClient(timeout=5))
     client = RateLimitedClient(recorder, MATRIX_DELAY)
     config = ScanConfig(

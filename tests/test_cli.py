@@ -1,11 +1,11 @@
-import json
+import pathlib
 import subprocess
 import sys
 import time
 
 from rposcan.cli import main
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
-from rposcan.mock_target import DOCTYPE_QUIRKS, Routing, TargetConfig, config_to_dict, serve
+from rposcan.mock_target import DOCTYPE_QUIRKS, Routing, TargetConfig, serve
 from rposcan.reports import read_records
 from rposcan.scanning import ScanConfig, ethics_gate
 from rposcan.urls import parse_url
@@ -44,6 +44,13 @@ def test_scan_cli_end_to_end(tmp_path):
 
 def test_scan_cli_missing_seed_exits_2(tmp_path):
     assert main(["scan", "--seed", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_scan_cli_bad_slash_padding_exits_2(tmp_path, capsys):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("")
+    assert main(["scan", "--seed", str(seed), "--slash-padding", "0"]) == 2
+    assert "error: slash_padding must be >= 1" in capsys.readouterr().err
 
 
 def test_summarize_cli(tmp_path, capsys):
@@ -101,10 +108,8 @@ def test_doctype_classify_unknown_profile(capsys):
     assert main(["doctype", "classify", "--doctype", "html", "--profile", "netscape"]) == 2
 
 
-def test_mock_serve_cli(tmp_path):
-    config = TargetConfig(name="cli", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
-    config_path = tmp_path / "target.json"
-    config_path.write_text(json.dumps(config_to_dict(config)))
+def test_mock_serve_cli():
+    config_path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "demo_target.json"
     proc = subprocess.Popen(
         [sys.executable, "-m", "rposcan.cli", "mock", "serve", "--config", str(config_path), "--port", "0"],
         stdout=subprocess.PIPE,

@@ -45,7 +45,7 @@ def test_wrong_url_does_not_fire():
 
 
 def test_clean_exploit_payload_fires_on_its_own():
-    payload = build_exploit_payload(CANARY, 20)
+    payload = build_exploit_payload(CANARY)
     assert css_would_fire(payload.encode(), CANARY) is True
 
 
@@ -56,19 +56,19 @@ def test_closers_insufficient_for_deeper_nesting():
 
 
 def test_open_paren_swallows_payload():
-    body = b"junk ( before " + build_exploit_payload(CANARY, 20).encode()
+    body = b"junk ( before " + build_exploit_payload(CANARY).encode()
     assert css_would_fire(body, CANARY) is False
 
 
 def test_unterminated_comment_swallows_payload():
-    body = b"/* open comment " + build_exploit_payload(CANARY, 20).encode()
+    body = b"/* open comment " + build_exploit_payload(CANARY).encode()
     assert css_would_fire(body, CANARY) is False
 
 
 def test_newline_recovers_from_open_string():
     # with a newline in front of the closers, a pending string ends as a
     # bad-string and the directive parses after recovery
-    payload = build_exploit_payload(CANARY, 20)
+    payload = build_exploit_payload(CANARY)
     body = b'x = "open string \n' + payload.encode()
     assert css_would_fire(body, CANARY) is True
 

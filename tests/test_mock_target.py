@@ -1,6 +1,4 @@
 import http.client
-import json
-import pathlib
 import socket
 import statistics
 import threading
@@ -21,10 +19,8 @@ from rposcan.mock_target import (
     TargetConfig,
     compute_ground_truth,
     config_from_dict,
-    config_to_dict,
     fixture_matrix,
     handle_request,
-    load_matrix,
     route_request,
     serve,
     verdict_matches_truth,
@@ -32,8 +28,6 @@ from rposcan.mock_target import (
 from rposcan.rendering import default_profiles
 from rposcan.scanning import NotVulnerableReason, ScanConfig, scan_page, verify_exploitable
 from rposcan.urls import parse_url, server_view
-
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def _get(config, target, cookies=None, headers=None):
@@ -70,7 +64,7 @@ def test_encoded_slash_decode_routes_by_canonical_path():
         name="t", routing=Routing.ENCODED_SLASH_DECODE, page_path="/app/page.aspx"
     )
     mutated = "/app/PAYLOAD%2F..%2Fpage.aspx"
-    canonical = server_view(parse_url("http://mock.test" + mutated)).canonical_path
+    canonical = server_view(parse_url("http://mock.test" + mutated))
     assert canonical == "/app/page.aspx"
     resp = _get(config, mutated)
     assert resp.status == 200
@@ -311,37 +305,105 @@ def test_port_in_use():
         handle.shutdown()
 
 
-def test_config_round_trips_through_json():
-    config = TargetConfig(
+def test_config_from_dict_reads_json_form():
+    data = {
+        "name": "t",
+        "routing": "semicolon_params",
+        "sinks": ["echo_url", "echo_cookie_values"],
+        "seed_cookies": {"a": "1"},
+        "sink_filter": "sanitize",
+        "newline_handling": "cut_at_lf",
+        "unknown_key": "ignored",
+    }
+    assert config_from_dict(data) == TargetConfig(
         name="t",
         routing=Routing.SEMICOLON_PARAMS,
         sinks=frozenset({Sink.ECHO_URL, Sink.ECHO_COOKIE_VALUES}),
         seed_cookies={"a": "1"},
-        doctype=DOCTYPE_QUIRKS,
         sink_filter=SinkFilter.SANITIZE,
         newline_handling=NewlineHandling.CUT_AT_LF,
     )
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
-def test_committed_matrix_matches_regenerated():
-    committed = load_matrix(str(FIXTURES / "mock_matrix.json"))
-    regenerated = fixture_matrix(default_profiles())
-    assert len(committed) == len(regenerated)
-    for (c_cfg, c_truth), (r_cfg, r_truth) in zip(committed, regenerated):
-        assert c_cfg == r_cfg
-        assert c_truth == r_truth
+# The answer key of the 58-config matrix, one label per config: the reason
+# for a config that is not vulnerable; otherwise the technique, the engines
+# the exploit fires in and the engines that need framing for it.  A change
+# to any config's ground truth has to change this table too.
+MATRIX_LABELS = {
+    "pathinfo-url-nodoc-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-nodoc-basetag": "base_tag",
+    "pathinfo-url-nodoc-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "pathinfo-url-nodoc-xfo-deny": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-nodoc-xfo-typo": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-quirks-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-quirks-basetag": "base_tag",
+    "pathinfo-url-quirks-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "pathinfo-url-quirks-xfo-deny": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-quirks-xfo-typo": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-standards-plain": "path_param_simple exploitable=internet_explorer framed=internet_explorer",
+    "pathinfo-url-standards-basetag": "base_tag",
+    "pathinfo-url-standards-nosniff": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-standards-xfo-deny": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-standards-xfo-typo": "path_param_simple exploitable=internet_explorer framed=internet_explorer",
+    "exactfile-url-nodoc-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "exactfile-url-nodoc-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "exactfile-url-quirks-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "exactfile-url-quirks-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "exactfile-url-standards-plain": "path_param_simple exploitable=internet_explorer framed=internet_explorer",
+    "exactfile-url-standards-nosniff": "path_param_simple exploitable=- framed=-",
+    "semicolon-url-nodoc-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "semicolon-url-nodoc-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "semicolon-url-quirks-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "semicolon-url-quirks-nosniff": "path_param_simple exploitable=chrome,opera,safari framed=-",
+    "semicolon-url-standards-plain": "path_param_simple exploitable=internet_explorer framed=internet_explorer",
+    "semicolon-url-standards-nosniff": "path_param_simple exploitable=- framed=-",
+    "encslash-url-nodoc-plain": "encoded_path exploitable=- framed=-",
+    "encslash-url-nodoc-nosniff": "encoded_path exploitable=- framed=-",
+    "encslash-url-quirks-plain": "encoded_path exploitable=- framed=-",
+    "encslash-url-quirks-nosniff": "encoded_path exploitable=- framed=-",
+    "encslash-url-standards-plain": "encoded_path exploitable=- framed=-",
+    "encslash-url-standards-nosniff": "encoded_path exploitable=- framed=-",
+    "encslash-query-nodoc-plain": "encoded_query exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "encslash-query-quirks-plain": "encoded_query exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "encslash-query-standards-plain": "encoded_query exploitable=internet_explorer framed=internet_explorer",
+    "pathinfo-cookie-nodoc-plain": "cookie exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-cookie-quirks-plain": "cookie exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-cookie-standards-plain": "cookie exploitable=internet_explorer framed=internet_explorer",
+    "pathinfo-referrer-quirks-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-params-quirks-plain": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-nosinks-quirks-plain": "no_reflection",
+    "pathinfo-url-quirks-dropfilter": "no_reflection",
+    "pathinfo-url-quirks-sanitized": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-quirks-absrefs": "no_relative_stylesheets",
+    "exactfile-url-quirks-noerrorecho": "no_reflection",
+    "exactfile-url-quirks-norefs404": "no_relative_stylesheets",
+    "encslash-url-quirks-realcss": "no_reflection",
+    "pathinfo-url-standards-xuacompat": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-quirks-xuacompat": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-url-standards-deny-combo": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-standards-allowfrom-attacker": "path_param_simple exploitable=internet_explorer framed=internet_explorer",
+    "pathinfo-url-standards-allowfrom-other": "path_param_simple exploitable=- framed=-",
+    "pathinfo-url-quirks-mixedrefs": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+    "pathinfo-cookie-quirks-nosniff": "cookie exploitable=chrome,opera,safari framed=-",
+    "encslash-query-quirks-sanitized": "encoded_query exploitable=- framed=-",
+    "encslash-aspx-quirks-plain": "encoded_path exploitable=- framed=-",
+    "pathinfo-url-quirks-deep": "path_param_simple exploitable=chrome,opera,safari,firefox,edge,internet_explorer framed=-",
+}
 
 
-def test_ground_truth_consistent_with_flags():
-    profiles = default_profiles()
-    for config, truth in fixture_matrix(profiles):
-        recomputed = compute_ground_truth(config, profiles)
-        assert recomputed == truth, config.name
-        if truth.vulnerable:
-            assert truth.technique is not None
-        else:
-            assert truth.reason is not None
+def _label(truth):
+    if not truth.vulnerable:
+        assert truth.reason is not None
+        return truth.reason
+    assert truth.technique is not None
+    exploitable = ",".join(e for e, p in truth.profiles.items() if p.exploitable) or "-"
+    framed = ",".join(e for e, p in truth.profiles.items() if p.framed) or "-"
+    return f"{truth.technique} exploitable={exploitable} framed={framed}"
+
+
+def test_matrix_labels_match_pinned_table():
+    labels = [(config.name, _label(truth)) for config, truth in fixture_matrix(default_profiles())]
+    assert labels == list(MATRIX_LABELS.items())
 
 
 def _scanned(config):

