@@ -17,11 +17,17 @@ an unquoted ``url(...)`` value is passed through ``str.strip()``, which also
 strips ``\x0b``, ``\x85`` and ``\xa0``, and a backslash at the very end of
 the input stays in the string it ends.  ``tokenize`` is looked up at call
 time, so a tracer can wrap it.
+
+The recovery itself is one generator that walks the token list once, keeping
+only a stack of pending closers and the state of the current declaration; it
+yields each surviving URL as its declaration closes, so ``css_would_fire``
+stops at the first match.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from typing import NamedTuple
 
 WS = "ws"
@@ -145,128 +151,151 @@ def token_trace(body: bytes) -> list[str]:
 
 
 _OPENERS = {LBRACE: RBRACE, LBRACKET: RBRACKET, LPAREN: RPAREN, FUNCTION: RPAREN}
+# The kinds that open, close or end something; every other kind is content,
+# so the loops below test one set per token before they look further.
+_STRUCTURAL = frozenset(_OPENERS) | {RBRACE, RBRACKET, RPAREN, SEMICOLON}
+# Stray closers and separators at the top level: recovery skips them.
+_SKIPPED_AT_TOP = frozenset({WS, CDO, CDC, RBRACE, RBRACKET, RPAREN, SEMICOLON})
+_PRELUDE_ENDS = frozenset({LBRACE, RBRACE, SEMICOLON})
+_AT_PRELUDE_ENDS = frozenset({SEMICOLON, LBRACE})
+_BLOCK_END = frozenset({RBRACE})
+_INVALID_VALUE_KINDS = frozenset({BAD_STRING, BAD_URL})
 
 # Token kinds a plausible selector prelude may contain.
-_SELECTOR_KINDS = {IDENT, HASH, COLON, COMMA, WS, STRING, LBRACKET, RBRACKET, FUNCTION, LPAREN, RPAREN}
-_SELECTOR_DELIMS = set(".*>+~|^$=")
+_SELECTOR_KINDS = frozenset(
+    {IDENT, HASH, COLON, COMMA, WS, STRING, LBRACKET, RBRACKET, FUNCTION, LPAREN, RPAREN}
+)
+_SELECTOR_DELIMS = frozenset(".*>+~|^$=")
+
+# Where a declaration stands: before its property name, before the colon, in
+# the value of a ``background`` declaration, or dropped (another property, a
+# malformed start, or a bad string or bad url in the value).
+_NAME, _COLON, _VALUE, _DROPPED = range(4)
 
 
-def _selector_plausible(prelude: list[Token]) -> bool:
-    meaningful = [t for t in prelude if t.kind != WS]
-    if not meaningful:
-        return False
-    for token in meaningful:
-        if token.kind == DELIM:
-            if token.value not in _SELECTOR_DELIMS:
-                return False
-        elif token.kind not in _SELECTOR_KINDS:
-            return False
-    return True
-
-
-def _consume_group_aware(tokens: list[Token], i: int, until: set[str]) -> tuple[list[Token], int, str]:
-    """Collect component values until one of ``until`` appears at nesting
-    level zero; returns (collected, next_index, terminator_kind_or_empty)."""
-    out: list[Token] = []
+def _skip_balanced(tokens: Iterator[Token], ends: frozenset[str]) -> str:
+    """Consume component values from the iterator ``tokens`` up to and
+    including the first kind in ``ends`` at nesting level zero; returns that
+    kind, or "" at the end of input."""
     stack: list[str] = []
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if not stack and t.kind in until:
-            return out, i, t.kind
-        if t.kind in _OPENERS:
-            stack.append(_OPENERS[t.kind])
-            out.append(t)
-        elif stack and t.kind == stack[-1]:
-            stack.pop()
-            out.append(t)
-        else:
-            out.append(t)
-        i += 1
-    return out, i, ""
-
-
-def _split_declarations(block: list[Token]) -> list[list[Token]]:
-    decls: list[list[Token]] = []
-    current: list[Token] = []
-    stack: list[str] = []
-    for t in block:
-        if not stack and t.kind == SEMICOLON:
-            decls.append(current)
-            current = []
+    for kind, _, _ in tokens:
+        if kind not in _STRUCTURAL:
             continue
-        if t.kind in _OPENERS:
-            stack.append(_OPENERS[t.kind])
-        elif stack and t.kind == stack[-1]:
-            stack.pop()
-        current.append(t)
-    decls.append(current)
-    return decls
+        if stack:
+            if kind == stack[-1]:
+                stack.pop()
+            elif kind in _OPENERS:
+                stack.append(_OPENERS[kind])
+        elif kind in ends:
+            return kind
+        elif kind in _OPENERS:
+            stack.append(_OPENERS[kind])
+    return ""
 
 
-def _declaration_urls(decl: list[Token], wanted_property: str) -> list[str]:
-    meaningful = [t for t in decl if t.kind != WS]
-    if len(meaningful) < 3:
-        return []
-    if meaningful[0].kind != IDENT or meaningful[0].value.lower() != wanted_property:
-        return []
-    if meaningful[1].kind != COLON:
-        return []
-    value = meaningful[2:]
-    if any(t.kind in (BAD_STRING, BAD_URL) for t in value):
-        return []  # invalid declaration: dropped whole
-    urls: list[str] = []
-    for idx, token in enumerate(value):
-        if token.kind == URL:
-            urls.append(token.value)
-        elif token.kind == FUNCTION and token.value == "url":
-            rest = value[idx + 1 :]
-            if rest and rest[0].kind == STRING:
-                urls.append(rest[0].value)
-    return urls
+def _background_urls(token_list: list[Token]) -> Iterator[str]:
+    """Walk ``token_list`` once, yielding the URL of each ``background``
+    declaration that survives, as soon as its declaration closes.
+
+    A top-level ``@rule`` is skipped through its ``;`` or its block.  Any other
+    top-level token starts a rule whose prelude runs to a ``{``; a ``}``, a
+    ``;`` or the end of input first drops the rule.  A rule counts only if
+    every token of its selector is plausible.  Its block runs to the matching
+    ``}`` or the end of input and splits into declarations at top-level ``;``.
+    A declaration counts if it reads ``background`` ``:`` value, ignoring
+    whitespace, and holds no bad string or bad url; its URLs are the ``url``
+    tokens of the value and every string right after a ``url(`` function.
+    Nesting follows ``{}``, ``[]``, ``()`` and functions, and a closer that
+    does not match the innermost opener is content.
+    """
+    tokens = iter(token_list)  # every loop below draws from this one iterator
+    for kind, value, _ in tokens:
+        if kind in _SKIPPED_AT_TOP:
+            continue
+        if kind == AT_KEYWORD:
+            if _skip_balanced(tokens, _AT_PRELUDE_ENDS) == LBRACE:
+                _skip_balanced(tokens, _BLOCK_END)
+            continue
+        if kind == LBRACE:  # a block with no selector is dropped
+            _skip_balanced(tokens, _BLOCK_END)
+            continue
+
+        # The prelude, from this token (never a closer, "{" or whitespace).
+        stack = [_OPENERS[kind]] if kind in _OPENERS else []
+        if kind == DELIM:
+            plausible = value in _SELECTOR_DELIMS
+        else:
+            plausible = kind in _SELECTOR_KINDS
+        for kind, value, _ in tokens:
+            if kind in _STRUCTURAL:
+                if stack:
+                    if kind == stack[-1]:
+                        stack.pop()
+                    elif kind in _OPENERS:
+                        stack.append(_OPENERS[kind])
+                elif kind in _PRELUDE_ENDS:
+                    break
+                elif kind in _OPENERS:
+                    stack.append(_OPENERS[kind])
+            if plausible:
+                if kind == DELIM:
+                    plausible = value in _SELECTOR_DELIMS
+                else:
+                    plausible = kind in _SELECTOR_KINDS
+        else:
+            return  # the prelude ran into the end of input
+        if kind != LBRACE:
+            continue  # a stray "}" or a ";" ended the prelude: rule dropped
+        if not plausible:
+            _skip_balanced(tokens, _BLOCK_END)
+            continue
+
+        # The block, one declaration at a time.
+        state = _NAME
+        urls: list[str] = []
+        after_url_function = False
+        for kind, value, _ in tokens:
+            if kind in _STRUCTURAL:
+                if stack:
+                    if kind == stack[-1]:
+                        stack.pop()
+                    elif kind in _OPENERS:
+                        stack.append(_OPENERS[kind])
+                elif kind == RBRACE:
+                    break
+                elif kind == SEMICOLON:
+                    if urls:
+                        yield from urls
+                        urls = []
+                    state = _NAME
+                    continue
+                elif kind in _OPENERS:
+                    stack.append(_OPENERS[kind])
+            if kind == WS or state == _DROPPED:
+                continue
+            if state == _VALUE:
+                if kind == URL:
+                    urls.append(value)
+                elif kind == STRING and after_url_function:
+                    urls.append(value)
+                elif kind in _INVALID_VALUE_KINDS:
+                    state = _DROPPED
+                    urls = []
+                after_url_function = kind == FUNCTION and value == "url"
+            elif state == _NAME:
+                state = _COLON if kind == IDENT and value.lower() == "background" else _DROPPED
+            else:
+                state = _VALUE if kind == COLON else _DROPPED
+        yield from urls  # the block's last declaration
 
 
 def surviving_background_urls(body: bytes) -> list[str]:
     """URLs of ``background`` declarations that survive error recovery inside
     rules whose selector looks plausible."""
-    tokens = tokenize(body.decode("latin-1", errors="replace"))
-    urls: list[str] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind in (WS, CDO, CDC, RBRACE, RBRACKET, RPAREN, SEMICOLON):
-            # stray closers and separators at the top level: recovery skips
-            i += 1
-            continue
-        if t.kind == AT_KEYWORD:
-            _, i, terminator = _consume_group_aware(tokens, i + 1, {SEMICOLON, LBRACE})
-            if terminator == SEMICOLON:
-                i += 1
-            elif terminator == LBRACE:
-                _, i, terminator = _consume_group_aware(tokens, i + 1, {RBRACE})
-                if terminator == RBRACE:
-                    i += 1
-            continue
-        prelude, i, terminator = _consume_group_aware(tokens, i, {LBRACE, RBRACE, SEMICOLON})
-        if terminator != LBRACE:
-            # prelude ran into EOF, a stray "}", or a ";": rule discarded
-            if terminator:
-                i += 1
-            continue
-        if any(token.kind == BAD_STRING for token in prelude):
-            continue  # string swallowed part of the stream: rule discarded
-        block, i, terminator = _consume_group_aware(tokens, i + 1, {RBRACE})
-        if terminator == RBRACE:
-            i += 1
-        if not _selector_plausible(prelude):
-            continue
-        for decl in _split_declarations(block):
-            urls.extend(_declaration_urls(decl, "background"))
-    return urls
+    return list(_background_urls(tokenize(body.decode("latin-1", errors="replace"))))
 
 
 def css_would_fire(body: bytes, nonce_url: str) -> bool:
     """True iff a surviving ``background`` declaration loads exactly
-    ``nonce_url``."""
-    return nonce_url in surviving_background_urls(body)
+    ``nonce_url``; the walk stops at the first such declaration."""
+    return nonce_url in _background_urls(tokenize(body.decode("latin-1", errors="replace")))

@@ -11,6 +11,7 @@ agree with each other, as do the two Microsoft engines).
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -166,6 +167,9 @@ _PUBLIC_RE = re.compile(
 _SYSTEM_RE = re.compile(r"""\bsystem\s+(["'])(?P<sys>.*?)\1""", re.IGNORECASE | re.DOTALL)
 
 
+# A page's doctype is classified once per engine, framed and not; a run sees
+# few distinct doctypes, so each is parsed once.
+@functools.lru_cache(maxsize=256)
 def parse_doctype(text: str) -> tuple[str, str | None, str | None]:
     """Split a doctype (full tag, inner text, or bare public identifier) into
     (name, public_id, system_id)."""

@@ -192,8 +192,7 @@ def run_scan(
     yield from prelim
 
     if to_scan:
-        workers = max(1, config.max_concurrent_hosts)
-        executor = ThreadPoolExecutor(max_workers=workers)
+        executor = ThreadPoolExecutor(max_workers=config.max_concurrent_hosts)
         unfinished = len(to_scan)
         unfinished_lock = threading.Lock()
 

@@ -93,6 +93,14 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.slash_padding < 1:
             raise ValueError("slash_padding must be >= 1")
+        # "not >=" so that NaN fails too: a bad delay must stop the run, not
+        # turn the per-host spacing off
+        if not self.per_host_delay >= 0:
+            raise ValueError("per_host_delay must be >= 0")
+        if not self.request_timeout > 0:
+            raise ValueError("request_timeout must be > 0")
+        if self.max_concurrent_hosts < 1:
+            raise ValueError("max_concurrent_hosts must be >= 1")
         if not self.profiles:
             self.profiles = tuple(default_profiles())
 

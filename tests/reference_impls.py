@@ -3,6 +3,9 @@
 They serve only as oracles for the equivalence tests:
 
 - ``tokenize``: the character-by-character CSS tokenizer;
+- ``surviving_background_urls``: the CSS error-recovery walk that collects
+  each prelude, block and declaration as a list before judging it (on the
+  ``rposcan`` tokenizer, so a difference points at the walk);
 - ``remove_dot_segments``: RFC 3986 section 5.2.4, string-rewriting form;
 - ``analyze_html``: fact extraction on top of ``html.parser``, with offsets
   counted the way ``HTMLParser.getpos`` counts lines (``\\n`` only).
@@ -13,16 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
+from rposcan import css_recovery
 from rposcan.css_recovery import (
     AT_KEYWORD,
     BAD_STRING,
     BAD_URL,
     CDC,
     CDO,
+    COLON,
+    COMMA,
     DELIM,
     FUNCTION,
     HASH,
     IDENT,
+    LBRACE,
+    LBRACKET,
+    LPAREN,
+    RBRACE,
+    RBRACKET,
+    RPAREN,
+    SEMICOLON,
     STRING,
     URL,
     WS,
@@ -161,6 +174,130 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(DELIM, c, i))
         i += 1
     return tokens
+
+
+# --- CSS error-recovery walk ---
+
+_OPENERS = {LBRACE: RBRACE, LBRACKET: RBRACKET, LPAREN: RPAREN, FUNCTION: RPAREN}
+
+# Token kinds a plausible selector prelude may contain.
+_SELECTOR_KINDS = {IDENT, HASH, COLON, COMMA, WS, STRING, LBRACKET, RBRACKET, FUNCTION, LPAREN, RPAREN}
+_SELECTOR_DELIMS = set(".*>+~|^$=")
+
+
+def _selector_plausible(prelude: list) -> bool:
+    meaningful = [t for t in prelude if t.kind != WS]
+    if not meaningful:
+        return False
+    for token in meaningful:
+        if token.kind == DELIM:
+            if token.value not in _SELECTOR_DELIMS:
+                return False
+        elif token.kind not in _SELECTOR_KINDS:
+            return False
+    return True
+
+
+def _consume_group_aware(tokens: list, i: int, until: set[str]) -> tuple[list, int, str]:
+    """Collect component values until one of ``until`` appears at nesting
+    level zero; returns (collected, next_index, terminator_kind_or_empty)."""
+    out: list = []
+    stack: list[str] = []
+    n = len(tokens)
+    while i < n:
+        t = tokens[i]
+        if not stack and t.kind in until:
+            return out, i, t.kind
+        if t.kind in _OPENERS:
+            stack.append(_OPENERS[t.kind])
+            out.append(t)
+        elif stack and t.kind == stack[-1]:
+            stack.pop()
+            out.append(t)
+        else:
+            out.append(t)
+        i += 1
+    return out, i, ""
+
+
+def _split_declarations(block: list) -> list[list]:
+    decls: list[list] = []
+    current: list = []
+    stack: list[str] = []
+    for t in block:
+        if not stack and t.kind == SEMICOLON:
+            decls.append(current)
+            current = []
+            continue
+        if t.kind in _OPENERS:
+            stack.append(_OPENERS[t.kind])
+        elif stack and t.kind == stack[-1]:
+            stack.pop()
+        current.append(t)
+    decls.append(current)
+    return decls
+
+
+def _declaration_urls(decl: list, wanted_property: str) -> list[str]:
+    meaningful = [t for t in decl if t.kind != WS]
+    if len(meaningful) < 3:
+        return []
+    if meaningful[0].kind != IDENT or meaningful[0].value.lower() != wanted_property:
+        return []
+    if meaningful[1].kind != COLON:
+        return []
+    value = meaningful[2:]
+    if any(t.kind in (BAD_STRING, BAD_URL) for t in value):
+        return []  # invalid declaration: dropped whole
+    urls: list[str] = []
+    for idx, token in enumerate(value):
+        if token.kind == URL:
+            urls.append(token.value)
+        elif token.kind == FUNCTION and token.value == "url":
+            rest = value[idx + 1 :]
+            if rest and rest[0].kind == STRING:
+                urls.append(rest[0].value)
+    return urls
+
+
+def surviving_background_urls(body: bytes) -> list[str]:
+    """URLs of ``background`` declarations that survive error recovery inside
+    rules whose selector looks plausible."""
+    tokens = css_recovery.tokenize(body.decode("latin-1", errors="replace"))
+    urls: list[str] = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        t = tokens[i]
+        if t.kind in (WS, CDO, CDC, RBRACE, RBRACKET, RPAREN, SEMICOLON):
+            # stray closers and separators at the top level: recovery skips
+            i += 1
+            continue
+        if t.kind == AT_KEYWORD:
+            _, i, terminator = _consume_group_aware(tokens, i + 1, {SEMICOLON, LBRACE})
+            if terminator == SEMICOLON:
+                i += 1
+            elif terminator == LBRACE:
+                _, i, terminator = _consume_group_aware(tokens, i + 1, {RBRACE})
+                if terminator == RBRACE:
+                    i += 1
+            continue
+        prelude, i, terminator = _consume_group_aware(tokens, i, {LBRACE, RBRACE, SEMICOLON})
+        if terminator != LBRACE:
+            # prelude ran into EOF, a stray "}", or a ";": rule discarded
+            if terminator:
+                i += 1
+            continue
+        if any(token.kind == BAD_STRING for token in prelude):
+            continue  # string swallowed part of the stream: rule discarded
+        block, i, terminator = _consume_group_aware(tokens, i + 1, {RBRACE})
+        if terminator == RBRACE:
+            i += 1
+        if not _selector_plausible(prelude):
+            continue
+        for decl in _split_declarations(block):
+            urls.extend(_declaration_urls(decl, "background"))
+    return urls
 
 
 # --- dot segments ---

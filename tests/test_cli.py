@@ -1,7 +1,10 @@
 import pathlib
+import socket
 import subprocess
 import sys
 import time
+
+import pytest
 
 from rposcan.cli import main
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
@@ -51,6 +54,30 @@ def test_scan_cli_bad_slash_padding_exits_2(tmp_path, capsys):
     seed.write_text("")
     assert main(["scan", "--seed", str(seed), "--slash-padding", "0"]) == 2
     assert "error: slash_padding must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--delay", "-5", "per_host_delay must be >= 0"),
+        ("--timeout", "0", "request_timeout must be > 0"),
+        ("--max-hosts", "0", "max_concurrent_hosts must be >= 1"),
+    ],
+    ids=["negative-delay", "zero-timeout", "zero-max-hosts"],
+)
+def test_scan_cli_unsafe_setting_exits_2_before_any_request(tmp_path, capsys, flag, value, message):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        seed = tmp_path / "seed.txt"
+        seed.write_text(f"http://127.0.0.1:{listener.getsockname()[1]}/app/page.php\n")
+        out = tmp_path / "records.jsonl"
+        # a short timeout first, so a scan that does start gives up quickly
+        args = ["scan", "--seed", str(seed), "--out", str(out), "--timeout", "300", flag, value]
+        assert main(args) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # nothing connected
 
 
 def test_summarize_cli(tmp_path, capsys):
@@ -145,3 +172,12 @@ def test_allow_suffix_lifts_blocklist():
     assert ethics_gate(parse_url("http://lab.gov/x"), lifted) is True
     # the rest of the default list still applies
     assert ethics_gate(parse_url("http://lab.mil/x"), lifted) is False
+
+
+def test_scan_config_rejects_nan_delay_and_timeout():
+    # NaN compares false both ways, so a plain "< 0" check would let it through
+    with pytest.raises(ValueError, match="per_host_delay"):
+        ScanConfig(per_host_delay=float("nan"))
+    with pytest.raises(ValueError, match="request_timeout"):
+        ScanConfig(request_timeout=float("nan"))
+    assert ScanConfig(per_host_delay=0.0).per_host_delay == 0.0

@@ -1,6 +1,6 @@
 import pathlib
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_impls
 
@@ -166,3 +166,50 @@ def test_tokenize_kept_quirks():
     # a backslash at the very end stays in the string
     assert [tuple(t) for t in tokenize('"ab\\')] == [("string", "ab\\", 0)]
     assert [tuple(t) for t in tokenize('"a\nb')][0] == ("bad-string", "a", 0)
+
+
+# --- the one-pass recovery walk against the list-building reference walk ---
+
+_TARGETS = ("http://c.test/x", "http://c.test/y", "x", "")
+
+# Rules drawn from a small grammar, weighted so that many sheets have
+# surviving URLs; the tokenizer's pieces in between can break any of them.
+_VALUE_PIECES = st.one_of(
+    st.sampled_from(
+        ["url(http://c.test/x)", 'url("http://c.test/x")', "url( 'http://c.test/y' )", "URL(http://c.test/y)"]
+    ),
+    st.sampled_from(
+        ['"http://c.test/x"', "url(", 'url(a"b)', '"open\n', "f(", ")", " ", ",", "red", "{", "}"]
+    ),
+)
+_DECLARATION = st.tuples(
+    st.one_of(st.just("background"), st.sampled_from(["BackGround", " background ", "color", ""])),
+    st.one_of(st.just(":"), st.sampled_from([" : ", ""])),
+    st.lists(_VALUE_PIECES, min_size=1, max_size=3).map("".join),
+).map("".join)
+_RULE = st.tuples(
+    st.one_of(
+        st.sampled_from(["body", "a b>c", "h1,p", "a:hover", "#x", "*"]),
+        st.sampled_from(["<p>", "", "a!", "@media x", "@import y;"]),
+    ),
+    st.lists(_DECLARATION, max_size=3).map(";".join),
+    st.sampled_from(["}", "", ";}"]),
+).map(lambda parts: parts[0] + "{" + parts[1] + parts[2])
+
+
+def _same_walk(body):
+    expected = reference_impls.surviving_background_urls(body)
+    assert surviving_background_urls(body) == expected
+    for target in _TARGETS:
+        assert css_would_fire(body, target) is (target in expected)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_RULE, _RULE, _CSS_PIECES), max_size=8).map("".join))  # 2:1 rules
+def test_walk_matches_reference_on_css_like_text(text):
+    _same_walk(text.encode("latin-1"))
+
+
+@given(st.binary(max_size=200))
+def test_walk_matches_reference_on_random_latin1(body):
+    _same_walk(body)

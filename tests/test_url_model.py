@@ -283,3 +283,28 @@ def test_percent_decode_examples():
     assert percent_decode("%C3%A9t%C3") == "\u00e9t\ufffd"
     assert percent_decode("100%") == "100%"
     assert percent_decode("caf\u00e9%20x") == "caf\u00e9 x"
+    # each edge of the path that decodes ASCII text without a Python callback
+    for text, expected in [
+        # a backslash in the text: decoded run by run, the backslash kept
+        ("a\\x41%41", "a\\x41A"),
+        # escapes that decode to a backslash escape stay literal text
+        ("%5C%78%34%31", "\\x41"),
+        ("%5C%5C%6E", "\\\\n"),
+        # a lone or short "%" is kept, the escapes around it decoded
+        ("%41%", "A%"),
+        ("%4", "%4"),
+        ("%4g%41", "%4gA"),
+        ("%%41", "%A"),
+        # lowercase and mixed-case hex
+        ("%c3%a9%2f%2F", "\u00e9//"),
+        # non-ASCII text next to escapes
+        ("\u00e9%41", "\u00e9A"),
+        ("\u20ac%E2%82%AC", "\u20ac\u20ac"),
+        ("\ud800%41", "\ud800A"),  # a lone surrogate has no UTF-8 form
+        # invalid UTF-8 split across runs: each invalid piece becomes one U+FFFD
+        ("%C3/%A9", "\ufffd/\ufffd"),
+        ("%E2%82x%AC", "\ufffdx\ufffd"),
+        ("%F0%9F%98", "\ufffd"),
+        ("%00%7F%80", "\x00\x7f\ufffd"),
+    ]:
+        assert percent_decode(text) == expected == unquote(text), text
