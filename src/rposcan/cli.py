@@ -24,7 +24,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--profiles", help="browser profile JSON file")
     scan.add_argument("--slash-padding", type=int, default=DEFAULT_SLASH_PADDING)
     scan.add_argument("--delay", type=int, default=1000, help="per-host delay in ms")
-    scan.add_argument("--max-hosts", type=int, default=4)
+    scan.add_argument(
+        "--max-hosts",
+        type=int,
+        default=4,
+        help="hosts scanned at once; each host's requests stay serialized and paced",
+    )
     scan.add_argument("--timeout", type=int, default=10000, help="request timeout in ms")
     scan.add_argument("--seed-rng", type=int, default=0, help="nonce RNG seed")
     scan.add_argument(
@@ -32,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="SUFFIX",
-        help="remove a suffix from the blocklist (lab use against loopback hosts only)",
+        help="remove a suffix from the blocklist, in any case; a suffix not on it is an "
+        "input error (lab use against loopback hosts only)",
     )
 
     summ = sub.add_parser("summarize", help="summarize a records file")
@@ -62,18 +68,20 @@ def _cmd_scan(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load profiles: {exc}", file=sys.stderr)
         return 2
-    blocked = list(ScanConfig().blocked_suffixes)
-    for suffix in args.allow_suffix:
-        suffix = suffix if suffix.startswith(".") else "." + suffix
-        if suffix in blocked:
-            blocked.remove(suffix)
+    blocked = ScanConfig().blocked_suffixes
+    allowed = {"." + suffix.lower().lstrip(".") for suffix in args.allow_suffix}
+    unknown = sorted(allowed.difference(blocked))
+    if unknown:
+        print(f"error: --allow-suffix {', '.join(unknown)} is not on the blocklist "
+              f"({', '.join(blocked)})", file=sys.stderr)
+        return 2
     try:
         config = ScanConfig(
             slash_padding=args.slash_padding,
             per_host_delay=args.delay / 1000.0,
             max_concurrent_hosts=args.max_hosts,
             request_timeout=args.timeout / 1000.0,
-            blocked_suffixes=tuple(blocked),
+            blocked_suffixes=tuple(s for s in blocked if s not in allowed),
             profiles=tuple(profiles),
             seed=args.seed_rng,
         )

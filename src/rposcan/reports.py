@@ -2,8 +2,11 @@
 
 Records are one JSON object per line so a crashed run keeps everything
 already written.  The pipeline groups template-sibling URLs first, scans one
-representative per group, and fans hosts out over a bounded worker pool while
-keeping each host's requests serialized.
+representative per group, and hands whole hosts to at most
+``max_concurrent_hosts`` long-lived worker threads that share one host queue.
+A host's pages stay on the worker that took it, so its requests stay
+serialized and paced; records come back through a second queue as each page
+finishes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import json
 import queue
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
@@ -143,7 +145,7 @@ def run_scan(
         base_client = RequestsClient(timeout=config.request_timeout)
     client = RateLimitedClient(base_client, config.per_host_delay)
 
-    results: queue.Queue[ScanRecord | None] = queue.Queue()
+    results: queue.SimpleQueue[ScanRecord | None] = queue.SimpleQueue()
     to_scan: dict[str, list[WebUrl]] = {}
     seen_representatives: set[str] = set()
 
@@ -191,31 +193,48 @@ def run_scan(
 
     yield from prelim
 
-    if to_scan:
-        executor = ThreadPoolExecutor(max_workers=config.max_concurrent_hosts)
-        unfinished = len(to_scan)
-        unfinished_lock = threading.Lock()
+    # Long-lived workers, each taking whole hosts off one queue: a host's
+    # pages stay on one thread, so its requests stay serialized.  SimpleQueue
+    # blocks in C, so a host or a record costs no Python-level lock.
+    hosts: queue.SimpleQueue[list[WebUrl]] = queue.SimpleQueue()
+    for urls in to_scan.values():
+        hosts.put(urls)
+    failures: list[BaseException] = []
 
-        def host_done(_: Future) -> None:
-            # Called once a host's future finishes, raises or is cancelled,
-            # so the sentinel arrives even when a worker fails.
-            nonlocal unfinished
-            with unfinished_lock:
-                unfinished -= 1
-                if unfinished == 0:
-                    results.put(None)
-
-        futures = [executor.submit(scan_host, urls) for urls in to_scan.values()]
-        for future in futures:
-            future.add_done_callback(host_done)
+    def work() -> None:
         try:
-            while (record := results.get()) is not None:
-                yield record
-            for future in futures:
-                future.result()  # re-raise a worker's failure outside scan_host's try
+            while True:
+                try:
+                    urls = hosts.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    scan_host(urls)
+                except BaseException as exc:  # re-raised once every worker stops
+                    failures.append(exc)
         finally:
-            # A consumer that stops early leaves no queued host scanning.
-            executor.shutdown(wait=False, cancel_futures=True)
+            results.put(None)  # one per worker, after all of its records
+
+    workers = min(config.max_concurrent_hosts, len(to_scan))
+    try:
+        for _ in range(workers):
+            threading.Thread(target=work, name="rposcan-host-worker").start()
+        while workers:
+            record = results.get()
+            if record is None:
+                workers -= 1
+            else:
+                yield record
+        if failures:
+            raise failures[0]
+    finally:
+        # A consumer that stops early leaves no queued host to start: each
+        # worker finishes the host it holds and then finds the queue empty.
+        while True:
+            try:
+                hosts.get_nowait()
+            except queue.Empty:
+                break
 
 
 def write_records(records: Iterable[ScanRecord], out: TextIO) -> int:

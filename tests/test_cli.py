@@ -6,9 +6,10 @@ import time
 
 import pytest
 
+from rposcan import reports
 from rposcan.cli import main
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
-from rposcan.mock_target import DOCTYPE_QUIRKS, Routing, TargetConfig, serve
+from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig, serve
 from rposcan.reports import read_records
 from rposcan.scanning import ScanConfig, ethics_gate
 from rposcan.urls import parse_url
@@ -172,6 +173,29 @@ def test_allow_suffix_lifts_blocklist():
     assert ethics_gate(parse_url("http://lab.gov/x"), lifted) is True
     # the rest of the default list still applies
     assert ethics_gate(parse_url("http://lab.mil/x"), lifted) is False
+
+
+def test_scan_cli_allow_suffix_any_case_and_unknown_suffix(tmp_path, capsys, monkeypatch):
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    mock = InProcessClient({"lab.gov": target, "lab.mil": target})
+    # the scan's network client answers from the mock, so nothing leaves the process
+    monkeypatch.setattr(reports, "RequestsClient", lambda timeout: mock)
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://lab.GOV/app/page.php\nhttp://lab.mil/app/page.php\n")
+    out = tmp_path / "records.jsonl"
+    args = ["scan", "--seed", str(seed), "--out", str(out), "--delay", "0"]
+    assert main(args + ["--allow-suffix", "GOV"]) == 0
+    status = {r.url: r.status for r in read_records(str(out))}
+    assert status == {
+        "http://lab.gov/app/page.php": "exploitable",
+        "http://lab.mil/app/page.php": "ethics_blocked",
+    }
+    capsys.readouterr()
+
+    out.unlink()
+    assert main(args + ["--allow-suffix", ".gv"]) == 2
+    assert "error: --allow-suffix .gv is not on the blocklist" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_config_rejects_nan_delay_and_timeout():

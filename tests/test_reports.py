@@ -1,10 +1,20 @@
+import dataclasses
 import random
 import sys
 import threading
+import time
 
 from rposcan import reports
 from rposcan.httpclient import RecordingClient, host_key
-from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, Sink, TargetConfig
+from rposcan.mock_target import (
+    DOCTYPE_QUIRKS,
+    InProcessClient,
+    Routing,
+    Sink,
+    TargetConfig,
+    fixture_matrix,
+    newline_configs,
+)
 from rposcan.reports import (
     ScanRecord,
     read_cookie_file,
@@ -14,6 +24,7 @@ from rposcan.reports import (
     run_scan,
     summarize,
 )
+from rposcan.rendering import default_profiles
 from rposcan.scanning import ScanConfig
 
 
@@ -362,3 +373,104 @@ def test_run_scan_many_workers_end_once_every_host_is_done(tmp_path):
     (records,) = outcome
     assert sorted(r.url for r in records) == sorted(f"http://{h}/app/page.php" for h in hosts)
     assert {r.status for r in records} == {"exploitable"}
+
+
+class InFlightClient:
+    """Holds each fetch briefly and records which hosts have one in progress.
+
+    Until ``full_at`` hosts are in flight at once, a fetch waits for that to
+    happen, so a pool of that size reaches its bound every run.  A smaller
+    pool never gets there: after one 2 s wait, no fetch waits again.
+    """
+
+    def __init__(self, inner, full_at: int) -> None:
+        self._inner = inner
+        self._full_at = full_at
+        self._lock = threading.Lock()
+        self._active: dict[str, int] = {}
+        self.full = threading.Event()
+        self.peak = 0
+        self.overlaps = 0
+        self.threads: dict[str, set[int]] = {}
+
+    def fetch(self, request):
+        host = host_key(request.url)
+        with self._lock:
+            self._active[host] = self._active.get(host, 0) + 1
+            if self._active[host] > 1:
+                self.overlaps += 1
+            self.peak = max(self.peak, len(self._active))
+            if len(self._active) >= self._full_at:
+                self.full.set()
+            self.threads.setdefault(host, set()).add(threading.get_ident())
+        try:
+            if not self.full.wait(timeout=2):
+                self.full.set()
+            time.sleep(0.002)
+            return self._inner.fetch(request)
+        finally:
+            with self._lock:
+                self._active[host] -= 1
+                if not self._active[host]:
+                    del self._active[host]
+
+
+def test_run_scan_keeps_max_concurrent_hosts_and_one_thread_per_host(tmp_path):
+    config = TargetConfig(name="a", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    hosts = {f"h{i}.test": config for i in range(9)}
+    seed = tmp_path / "seed.txt"
+    # two pages per host, so a host's pages must also stay on one thread
+    seed.write_text(
+        "".join(f"http://{host}/app/page.php\nhttp://{host}/other/page.php\n" for host in hosts)
+    )
+    client = InFlightClient(InProcessClient(hosts), full_at=3)
+    records = list(
+        run_scan(str(seed), make_config(max_concurrent_hosts=3), base_client=client)
+    )
+    assert {r.status for r in records} == {"exploitable"}
+    assert len(records) == 18
+    assert client.peak == 3
+    assert client.overlaps == 0
+    assert sorted(client.threads) == sorted(hosts)
+    assert all(len(threads) == 1 for threads in client.threads.values())
+    assert len(set().union(*client.threads.values())) == 3
+
+
+def _records_without_times(records: list[ScanRecord]) -> list[ScanRecord]:
+    return sorted(
+        (dataclasses.replace(r, started_at=None, finished_at=None) for r in records),
+        key=lambda r: r.url,
+    )
+
+
+def test_run_scan_records_do_not_depend_on_worker_count(tmp_path):
+    profiles = default_profiles()
+    entries = fixture_matrix(profiles) + newline_configs(profiles)
+    hosts = {f"m{i}.test": target for i, (target, _) in enumerate(entries)}
+    seed = tmp_path / "seed.txt"
+    seed.write_text(
+        "".join(f"{target.seed_url(f'http://{host}')}\n" for host, target in hosts.items())
+    )
+    cookies = tmp_path / "cookies.txt"
+    cookies.write_text(
+        "".join(
+            f"{host}\t{';'.join(f'{k}={v}' for k, v in target.seed_cookies.items())}\n"
+            for host, target in hosts.items()
+            if target.seed_cookies
+        )
+    )
+    runs = [
+        list(
+            run_scan(
+                str(seed),
+                ScanConfig(per_host_delay=0.0, max_concurrent_hosts=workers,
+                           profiles=tuple(profiles)),
+                base_client=InProcessClient(hosts),
+                cookie_file=str(cookies),
+            )
+        )
+        for workers in (1, 4)
+    ]
+    one, four = (_records_without_times(records) for records in runs)
+    assert len(one) == len(hosts)
+    assert one == four
