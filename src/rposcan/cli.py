@@ -6,7 +6,7 @@ import argparse
 import sys
 import time
 
-from .mock_target import load_config, serve
+from .mock_target import PortInUse, load_config, serve
 from .mutations import DEFAULT_SLASH_PADDING
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
 from .reports import read_records, render_csv, render_table, run_scan, summarize, write_records
@@ -122,7 +122,14 @@ def _cmd_mock_serve(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handle = serve(config, args.port)
+    except (ValueError, TypeError, KeyError) as exc:  # bad JSON or a bad config
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        handle = serve(config, args.port)
+    except (PortInUse, OverflowError) as exc:  # OverflowError: a port outside 0-65535
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"serving {config.name!r} on http://127.0.0.1:{handle.port}{config.page_path}",
         flush=True,

@@ -12,16 +12,20 @@ are treated as opaque delimiters.
 
 The tokenizer is one compiled regular expression with an alternative per
 token kind, walked with ``finditer``, so Python runs once per token rather
-than once per character.  Two quirks of the token values are kept on purpose:
+than once per character.  It is a generator: a token is made only when the
+recovery walk draws it.  Two quirks of the token values are kept on purpose:
 an unquoted ``url(...)`` value is passed through ``str.strip()``, which also
 strips ``\x0b``, ``\x85`` and ``\xa0``, and a backslash at the very end of
 the input stays in the string it ends.  ``tokenize`` is looked up at call
-time, so a tracer can wrap it.
+time, so a tracer can wrap it (the wrapper then times only the generator's
+creation).
 
-The recovery itself is one generator that walks the token list once, keeping
+The recovery itself is one generator that draws the tokens once, keeping
 only a stack of pending closers and the state of the current declaration; it
-yields each surviving URL as its declaration closes, so ``css_would_fire``
-stops at the first match.
+yields each surviving URL as its declaration closes.  ``css_would_fire``
+stops both walks at the first surviving URL that matches, so the text after
+it is never tokenized, and it returns False without tokenizing when the URL
+cannot occur in the text at all.
 """
 
 from __future__ import annotations
@@ -103,40 +107,38 @@ def _string_token(text: str, m: re.Match) -> Token:
     return Token(kind, value, start)
 
 
-def tokenize(text: str) -> list[Token]:
-    """CSS tokens of ``text`` with their offsets; comments yield none."""
-    tokens: list[Token] = []
-    append = tokens.append
+def tokenize(text: str) -> Iterator[Token]:
+    """CSS tokens of ``text`` with their offsets, made as they are drawn;
+    comments yield none."""
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws" or kind == "delim":  # group names equal the kinds
-            append(_token(Token, (kind, m.group(), m.start())))
+            yield _token(Token, (kind, m.group(), m.start()))
         elif kind == "punct":
             char = m.group()
-            append(_token(Token, (char, char, m.start())))
+            yield _token(Token, (char, char, m.start()))
         elif kind == "ident":
             name = m.group()
             if name[-1] == "(":
-                append(_token(Token, (FUNCTION, name[:-1].lower(), m.start())))
+                yield _token(Token, (FUNCTION, name[:-1].lower(), m.start()))
             else:
-                append(_token(Token, (IDENT, name, m.start())))
+                yield _token(Token, (IDENT, name, m.start()))
         elif kind == "string":
-            append(_string_token(text, m))
+            yield _string_token(text, m)
         elif kind == "url":
             value = m.group("url_value")
             if value is None:
-                append(Token(BAD_URL, "", m.start()))
+                yield Token(BAD_URL, "", m.start())
             else:
-                append(Token(URL, value.strip(), m.start()))
+                yield Token(URL, value.strip(), m.start())
         elif kind == "hash":
-            append(Token(HASH, m.group()[1:], m.start()))
+            yield Token(HASH, m.group()[1:], m.start())
         elif kind == "at":
-            append(Token(AT_KEYWORD, m.group()[1:], m.start()))
+            yield Token(AT_KEYWORD, m.group()[1:], m.start())
         elif kind == "cdo":
-            append(Token(CDO, "<!--", m.start()))
+            yield Token(CDO, "<!--", m.start())
         elif kind == "cdc":
-            append(Token(CDC, "-->", m.start()))
-    return tokens
+            yield Token(CDC, "-->", m.start())
 
 
 def token_trace(body: bytes) -> list[str]:
@@ -193,8 +195,8 @@ def _skip_balanced(tokens: Iterator[Token], ends: frozenset[str]) -> str:
     return ""
 
 
-def _background_urls(token_list: list[Token]) -> Iterator[str]:
-    """Walk ``token_list`` once, yielding the URL of each ``background``
+def _background_urls(tokens: Iterator[Token]) -> Iterator[str]:
+    """Draw ``tokens`` once, yielding the URL of each ``background``
     declaration that survives, as soon as its declaration closes.
 
     A top-level ``@rule`` is skipped through its ``;`` or its block.  Any other
@@ -208,7 +210,7 @@ def _background_urls(token_list: list[Token]) -> Iterator[str]:
     Nesting follows ``{}``, ``[]``, ``()`` and functions, and a closer that
     does not match the innermost opener is content.
     """
-    tokens = iter(token_list)  # every loop below draws from this one iterator
+    # every loop below draws from the one iterator ``tokens``
     for kind, value, _ in tokens:
         if kind in _SKIPPED_AT_TOP:
             continue
@@ -297,5 +299,13 @@ def surviving_background_urls(body: bytes) -> list[str]:
 
 def css_would_fire(body: bytes, nonce_url: str) -> bool:
     """True iff a surviving ``background`` declaration loads exactly
-    ``nonce_url``; the walk stops at the first such declaration."""
-    return nonce_url in _background_urls(tokenize(body.decode("latin-1", errors="replace")))
+    ``nonce_url``; tokenizing and the walk stop at the first such declaration.
+
+    A ``url(...)`` value is a stripped slice of the text, and a string value
+    differs from its slice only by unescaping backslashes.  So with no
+    backslash in the text, no token can equal a URL the text does not contain,
+    and the answer is False without tokenizing."""
+    text = body.decode("latin-1", errors="replace")
+    if nonce_url not in text and "\\" not in text:
+        return False
+    return nonce_url in _background_urls(tokenize(text))

@@ -317,8 +317,14 @@ def load_profiles(path: str | None = None) -> list[BrowserProfile]:
     return profiles
 
 
+@functools.cache
+def _shipped_profiles() -> tuple[BrowserProfile, ...]:
+    return tuple(load_profiles())
+
+
 def default_profiles() -> list[BrowserProfile]:
-    return load_profiles()
+    """The shipped profiles, parsed once per process; a new list each call."""
+    return list(_shipped_profiles())
 
 
 def profile_by_engine(profiles: list[BrowserProfile], engine: Engine) -> BrowserProfile:

@@ -245,10 +245,10 @@ def scan_page(
 def _evaluate_profile(
     profile: BrowserProfile,
     framed: bool,
+    style_fires: bool,
     doctype: str | None,
     page_security: ResponseSecurity,
     sheet_security: ResponseSecurity,
-    style_fires: bool,
     base_present: bool,
     victim_origin: str,
 ) -> ProfileResult:
@@ -270,6 +270,32 @@ def _evaluate_profile(
             blockers.append(Blocker.NOSNIFF)
     exploitable = accepted and not blockers and style_fires
     return ProfileResult(exploitable=exploitable, framed=framed, blockers=blockers)
+
+
+def _judge(
+    profiles: tuple[BrowserProfile, ...],
+    style_fires: bool,
+    doctype: str | None,
+    page_security: ResponseSecurity,
+    sheet_security: ResponseSecurity,
+    base_present: bool,
+    victim_origin: str,
+) -> dict[Engine, ProfileResult]:
+    """Every profile's result, unframed first; a profile that can force the
+    framing page's mode is also judged framed when unframed does not win."""
+    facts = (style_fires, doctype, page_security, sheet_security, base_present, victim_origin)
+    results: dict[Engine, ProfileResult] = {}
+    for profile in profiles:
+        result = _evaluate_profile(profile, False, *facts)
+        if not result.exploitable and profile.supports_frame_override:
+            framed = _evaluate_profile(profile, True, *facts)
+            if framed.exploitable:
+                result = framed
+            else:
+                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
+                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
+        results[profile.engine] = result
+    return results
 
 
 def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> ScanVerdict:
@@ -311,38 +337,15 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
 
     _, sheet_resp = hit
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
-    # the oracle depends only on the sheet and the canary, not on the engine
-    style_fires = css_would_fire(sheet_resp.body, nonce_url)
-    victim_origin = verdict.page_url.origin
-    results: dict[Engine, ProfileResult] = {}
-    for profile in config.profiles:
-        result = _evaluate_profile(
-            profile,
-            False,
-            doc.doctype,
-            page_security,
-            sheet_security,
-            style_fires,
-            base_present,
-            victim_origin,
-        )
-        if not result.exploitable and profile.supports_frame_override:
-            framed = _evaluate_profile(
-                profile,
-                True,
-                doc.doctype,
-                page_security,
-                sheet_security,
-                style_fires,
-                base_present,
-                victim_origin,
-            )
-            if framed.exploitable:
-                result = framed
-            else:
-                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
-                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
-        results[profile.engine] = result
+    facts = (doc.doctype, page_security, sheet_security, base_present, verdict.page_url.origin)
+    # The CSS oracle only ANDs into "exploitable" and adds no blocker, so it
+    # is asked only when some profile is otherwise unblocked; it depends on
+    # the sheet and the canary, not on the engine.
+    results = _judge(config.profiles, True, *facts)
+    if any(r.exploitable for r in results.values()) and not css_would_fire(
+        sheet_resp.body, nonce_url
+    ):
+        results = _judge(config.profiles, False, *facts)
 
     status = (
         ScanStatus.EXPLOITABLE

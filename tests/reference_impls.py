@@ -8,15 +8,18 @@ They serve only as oracles for the equivalence tests:
   ``rposcan`` tokenizer, so a difference points at the walk);
 - ``remove_dot_segments``: RFC 3986 section 5.2.4, string-rewriting form;
 - ``analyze_html``: fact extraction on top of ``html.parser``, with offsets
-  counted the way ``HTMLParser.getpos`` counts lines (``\\n`` only).
+  counted the way ``HTMLParser.getpos`` counts lines (``\\n`` only);
+- ``verify_exploitable``: verification that asks the CSS oracle
+  (``scanning.css_would_fire``, looked up at call time) before judging any
+  profile, and judges every profile once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from html.parser import HTMLParser
 
-from rposcan import css_recovery
+from rposcan import css_recovery, scanning
 from rposcan.css_recovery import (
     AT_KEYWORD,
     BAD_STRING,
@@ -40,7 +43,12 @@ from rposcan.css_recovery import (
     URL,
     WS,
 )
-from rposcan.pages import PageDocument, StylesheetRef, is_relative_href
+from rposcan.mutations import mutate
+from rposcan.pages import PageDocument, StylesheetRef, has_blocking_base, is_relative_href
+from rposcan.payloads import build_exploit_payload, encode_exploit
+from rposcan.rendering import ResponseSecurity
+from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
+from rposcan.urls import serialize_url
 
 # --- CSS tokenizer ---
 
@@ -263,7 +271,7 @@ def _declaration_urls(decl: list, wanted_property: str) -> list[str]:
 def surviving_background_urls(body: bytes) -> list[str]:
     """URLs of ``background`` declarations that survive error recovery inside
     rules whose selector looks plausible."""
-    tokens = css_recovery.tokenize(body.decode("latin-1", errors="replace"))
+    tokens = list(css_recovery.tokenize(body.decode("latin-1", errors="replace")))
     urls: list[str] = []
     i = 0
     n = len(tokens)
@@ -403,3 +411,60 @@ def analyze_html(body: bytes) -> PageDocument:
     except Exception:
         pass  # salvage whatever was collected before the parser gave up
     return parser.doc
+
+
+# --- eager verification ---
+
+
+def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig) -> ScanVerdict:
+    """Re-run the winning technique with the exploit payload, ask the oracle
+    once, and judge it against every profile (the frame-override profile also
+    framed)."""
+    if verdict.status is not ScanStatus.VULNERABLE:
+        return verdict
+    nonce_url = f"http://css-canary.invalid/{verdict.nonce.value}"
+    encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
+    mutated = mutate(
+        verdict.page_url, verdict.technique, encoded, config.slash_padding, verdict.cookies
+    )
+    errors = verdict.errors
+    request_cookies = {**verdict.cookies, **mutated.extra_cookies}
+    page_resp = scanning._fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)
+    if page_resp is None:
+        errors.append("exploit page fetch failed; verdict left unverified")
+        return verdict
+    doc = scanning.analyze_html(page_resp.body)
+    page_security = ResponseSecurity.from_headers(page_resp.headers)
+    base_present = has_blocking_base(doc)
+    hit = scanning._reflecting_sheet(
+        client, mutated, doc.relative_refs, request_cookies, verdict.nonce, errors
+    )
+    if hit is None:
+        errors.append("exploit payload did not reflect")
+        results = {
+            profile.engine: ProfileResult(exploitable=False, framed=False)
+            for profile in config.profiles
+        }
+        return replace(verdict, profile_results=results)
+
+    _, sheet_resp = hit
+    sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
+    style_fires = scanning.css_would_fire(sheet_resp.body, nonce_url)
+    facts = (
+        style_fires, doc.doctype, page_security, sheet_security, base_present,
+        verdict.page_url.origin,
+    )
+    results = {}
+    for profile in config.profiles:
+        result = _evaluate_profile(profile, False, *facts)
+        if not result.exploitable and profile.supports_frame_override:
+            framed = _evaluate_profile(profile, True, *facts)
+            if framed.exploitable:
+                result = framed
+            else:
+                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
+                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
+        results[profile.engine] = result
+    exploitable = any(r.exploitable for r in results.values())
+    status = ScanStatus.EXPLOITABLE if exploitable else ScanStatus.VULNERABLE
+    return replace(verdict, status=status, profile_results=results)

@@ -14,6 +14,8 @@ from rposcan.reports import read_records
 from rposcan.scanning import ScanConfig, ethics_gate
 from rposcan.urls import parse_url
 
+DEMO_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "demo_target.json"
+
 
 def test_scan_cli_end_to_end(tmp_path):
     target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
@@ -137,9 +139,8 @@ def test_doctype_classify_unknown_profile(capsys):
 
 
 def test_mock_serve_cli():
-    config_path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "demo_target.json"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rposcan.cli", "mock", "serve", "--config", str(config_path), "--port", "0"],
+        [sys.executable, "-m", "rposcan.cli", "mock", "serve", "--config", str(DEMO_CONFIG), "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -163,6 +164,33 @@ def test_mock_serve_cli():
     finally:
         proc.terminate()
         proc.communicate(timeout=5)  # also closes the pipes
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"name": "t", "routing": ', "Expecting value"),
+        ('{"name": "t"}', "missing 1 required positional argument: 'routing'"),
+    ],
+    ids=["malformed-json", "missing-routing"],
+)
+def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, text, message):
+    config = tmp_path / "target.json"
+    config.write_text(text)
+    assert main(["mock", "serve", "--config", str(config), "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert message in err
+
+
+def test_mock_serve_cli_busy_or_invalid_port_exits_2(capsys):
+    serve_on = ["mock", "serve", "--config", str(DEMO_CONFIG), "--port"]
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        assert main(serve_on + [str(port)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: port {port}: ")
+    assert main(serve_on + ["70000"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_allow_suffix_lifts_blocklist():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls
 
+from rposcan import css_recovery
 from rposcan.css_recovery import (
     css_would_fire,
     surviving_background_urls,
@@ -213,3 +214,79 @@ def test_walk_matches_reference_on_css_like_text(text):
 @given(st.binary(max_size=200))
 def test_walk_matches_reference_on_random_latin1(body):
     _same_walk(body)
+
+
+# --- where css_would_fire stops ---
+
+
+def _count_drawn_tokens(monkeypatch) -> list[int]:
+    """Wrap css_recovery.tokenize so that the returned one-item list counts
+    the tokens the walk draws."""
+    drawn = [0]
+    original = css_recovery.tokenize
+
+    def counting(text):
+        for token in original(text):
+            drawn[0] += 1
+            yield token
+
+    monkeypatch.setattr(css_recovery, "tokenize", counting)
+    return drawn
+
+
+def test_walk_stops_at_first_match(monkeypatch):
+    tail = "p{color:red;margin:0 auto}/* x */ h1{background:url(other.png)}" * 200
+    tail_tokens = sum(1 for _ in tokenize(tail))
+    drawn = _count_drawn_tokens(monkeypatch)
+    body = ("body{background:url(" + CANARY + ")}" + tail).encode()
+    assert css_would_fire(body, CANARY) is True
+    assert 0 < drawn[0] <= 10
+    assert tail_tokens > 100 * drawn[0]
+    # the whole walk still draws every token
+    drawn[0] = 0
+    assert surviving_background_urls(body) == [CANARY] + ["other.png"] * 200
+    assert drawn[0] > tail_tokens
+
+
+def test_body_without_canary_is_not_tokenized(monkeypatch):
+    drawn = _count_drawn_tokens(monkeypatch)
+    body = b"p{background:url(http://elsewhere.test/x)}" * 100
+    assert css_would_fire(body, CANARY) is False
+    assert drawn[0] == 0
+    # a backslash can spell the canary, so it sends the body to the walk
+    escaped = b'body{background:url("' + CANARY.replace("/", "\\/").encode() + b'")}'
+    assert css_would_fire(escaped, CANARY) is True
+    assert drawn[0] > 0
+
+
+# Canaries spelled with backslash escapes: a quoted string unescapes them,
+# an unquoted url() keeps them, and "\75rl(" is not a url( at all.
+_ESCAPED_CANARIES = st.sampled_from(
+    [
+        'url("http:\\/\\/c.test\\/x")',
+        "url('\\http://c.test/x')",
+        'url( "http://c.te\\st/x" )',
+        "url(http:\\/\\/c.test\\/x)",
+        '"http:\\/\\/c.test\\/x"',
+        "\\75rl(http://c.test/x)",
+    ]
+)
+_ESCAPED_RULE = st.tuples(
+    st.sampled_from(["body", "h1,p", "<p>"]),
+    st.lists(st.one_of(_ESCAPED_CANARIES, _VALUE_PIECES), min_size=1, max_size=3).map("".join),
+    st.sampled_from(["}", "", ";}"]),
+).map(lambda parts: parts[0] + "{background:" + parts[1] + parts[2])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(_ESCAPED_RULE, _RULE, _CSS_PIECES), max_size=8).map("".join),
+    st.booleans(),
+)
+def test_precheck_is_exact(text, drop_backslashes):
+    if drop_backslashes:  # the pre-check path: only a canary spelled out can fire
+        text = text.replace("\\", "")
+    body = text.encode("latin-1")
+    expected = reference_impls.surviving_background_urls(body)
+    for target in ("http://c.test/x", "http://c.test/y", "http://css-canary.invalid/x"):
+        assert css_would_fire(body, target) is (target in expected)

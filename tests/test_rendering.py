@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from jsonschema import validate as jsonschema_validate
 
+from rposcan import rendering
 from rposcan.cli import main
 from rposcan.rendering import (
     BrowserProfile,
@@ -314,6 +315,19 @@ def test_shipped_profile_file_matches_schema():
     doc = json.loads(path.read_text())
     jsonschema_validate(doc, PROFILE_SCHEMA)
     assert [p["engine"] for p in doc["profiles"]] == [e.value for e in Engine]
+
+
+def test_default_profiles_parsed_once_returned_as_a_new_list(monkeypatch):
+    first = default_profiles()
+
+    def reread(path=None):
+        raise AssertionError("the shipped profiles were parsed again")
+
+    monkeypatch.setattr(rendering, "load_profiles", reread)
+    second = default_profiles()
+    assert second == first and second is not first
+    second.clear()  # a caller's list is its own
+    assert default_profiles() == first
 
 
 def test_load_profiles_from_custom_file(tmp_path):

@@ -1,5 +1,11 @@
+import copy
 import time
 
+import pytest
+
+import reference_impls
+
+from rposcan import scanning
 from rposcan.httpclient import (
     HttpRequest,
     HttpResponse,
@@ -427,3 +433,39 @@ def test_matrix_request_budget():
     assert len(recording.exchanges) == 253
     urls = [x.request.url for x in recording.exchanges]
     assert not any("%0C" in url or "%0D" in url for url in urls)
+
+
+@pytest.mark.parametrize("fires", [True, False], ids=["oracle-true", "oracle-false"])
+def test_lazy_oracle_judges_like_the_eager_reference(monkeypatch, fires):
+    # The oracle is forced, so the only difference left is when it is asked:
+    # verify_exploitable asks only once some profile is otherwise unblocked.
+    calls = 0
+
+    def oracle(body, nonce_url):
+        nonlocal calls
+        calls += 1
+        return fires
+
+    monkeypatch.setattr(scanning, "css_would_fire", oracle)
+    profiles = default_profiles()
+    config = make_config()
+    checked = asked = 0
+    for target, _ in fixture_matrix(profiles) + newline_configs(profiles):
+        client = client_for(target)
+        seed = target.seed_url("http://mock.test")
+        verdict = scan_page(seed, target.seed_cookies, client, config)
+        if verdict.status is not ScanStatus.VULNERABLE:
+            continue
+        calls = 0
+        expected = reference_impls.verify_exploitable(copy.deepcopy(verdict), client, config)
+        eager_calls, calls = calls, 0
+        got = verify_exploitable(copy.deepcopy(verdict), client, config)
+        assert got == expected, target.name
+        assert calls <= eager_calls, target.name
+        if fires:
+            assert calls == (got.status is ScanStatus.EXPLOITABLE), target.name
+        checked += 1
+        asked += calls
+    assert checked > 40
+    # some vulnerable configs are blocked for every engine and skip the oracle
+    assert 0 < asked < checked
