@@ -12,13 +12,13 @@ are treated as opaque delimiters.
 
 The tokenizer is one compiled regular expression with an alternative per
 token kind, walked with ``finditer``, so Python runs once per token rather
-than once per character.  It is a generator: a token is made only when the
-recovery walk draws it.  Two quirks of the token values are kept on purpose:
-an unquoted ``url(...)`` value is passed through ``str.strip()``, which also
-strips ``\x0b``, ``\x85`` and ``\xa0``, and a backslash at the very end of
-the input stays in the string it ends.  ``tokenize`` is looked up at call
-time, so a tracer can wrap it (the wrapper then times only the generator's
-creation).
+than once per character.  It is a generator of plain (kind, value, offset)
+tuples: a token is made only when the recovery walk draws it.  Two quirks of
+the token values are kept on purpose: an unquoted ``url(...)`` value is
+passed through ``str.strip()``, which also strips ``\x0b``, ``\x85`` and
+``\xa0``, and a backslash at the very end of the input stays in the string
+it ends.  ``tokenize`` is looked up at call time, so a tracer can wrap it
+(the wrapper then times only the generator's creation).
 
 The recovery itself is one generator that draws the tokens once, keeping
 only a stack of pending closers and the state of the current declaration; it
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from typing import NamedTuple
 
 WS = "ws"
 IDENT = "ident"
@@ -52,10 +51,10 @@ COLON, SEMICOLON, COMMA = ":", ";", ","
 DELIM = "delim"
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int
+# A token is a plain (kind, value, offset) tuple.  A tuple subclass such as a
+# NamedTuple costs about as much to make and to free as the regex match that
+# finds the token, and the recovery walk only unpacks it.
+Token = tuple[str, str, int]
 
 
 # One alternative per token kind.  At each position the first alternative
@@ -84,9 +83,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
-# Token(...) runs NamedTuple's Python-level __new__; the tuple constructor
-# builds the same object at half the cost, which counts at ~100 tokens a sheet.
-_token = tuple.__new__
 
 
 def _string_token(text: str, m: re.Match) -> Token:
@@ -104,51 +100,51 @@ def _string_token(text: str, m: re.Match) -> Token:
             kind = BAD_STRING
     if "\\" in value:
         value = _ESCAPE_RE.sub(r"\1", value)
-    return Token(kind, value, start)
+    return kind, value, start
 
 
 def tokenize(text: str) -> Iterator[Token]:
-    """CSS tokens of ``text`` with their offsets, made as they are drawn;
-    comments yield none."""
+    """CSS tokens of ``text`` as (kind, value, offset), made as they are
+    drawn; comments yield none."""
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws" or kind == "delim":  # group names equal the kinds
-            yield _token(Token, (kind, m.group(), m.start()))
+            yield kind, m.group(), m.start()
         elif kind == "punct":
             char = m.group()
-            yield _token(Token, (char, char, m.start()))
+            yield char, char, m.start()
         elif kind == "ident":
             name = m.group()
             if name[-1] == "(":
-                yield _token(Token, (FUNCTION, name[:-1].lower(), m.start()))
+                yield FUNCTION, name[:-1].lower(), m.start()
             else:
-                yield _token(Token, (IDENT, name, m.start()))
+                yield IDENT, name, m.start()
         elif kind == "string":
             yield _string_token(text, m)
         elif kind == "url":
             value = m.group("url_value")
             if value is None:
-                yield Token(BAD_URL, "", m.start())
+                yield BAD_URL, "", m.start()
             else:
-                yield Token(URL, value.strip(), m.start())
+                yield URL, value.strip(), m.start()
         elif kind == "hash":
-            yield Token(HASH, m.group()[1:], m.start())
+            yield HASH, m.group()[1:], m.start()
         elif kind == "at":
-            yield Token(AT_KEYWORD, m.group()[1:], m.start())
+            yield AT_KEYWORD, m.group()[1:], m.start()
         elif kind == "cdo":
-            yield Token(CDO, "<!--", m.start())
+            yield CDO, "<!--", m.start()
         elif kind == "cdc":
-            yield Token(CDC, "-->", m.start())
+            yield CDC, "-->", m.start()
 
 
 def token_trace(body: bytes) -> list[str]:
     """Human-checkable token stream, used for the committed oracle traces."""
     lines = []
-    for token in tokenize(body.decode("latin-1", errors="replace")):
-        shown = token.value if token.kind != WS else repr(token.value)
+    for kind, value, offset in tokenize(body.decode("latin-1", errors="replace")):
+        shown = value if kind != WS else repr(value)
         if len(shown) > 60:
             shown = shown[:57] + "..."
-        lines.append(f"{token.offset:6d} {token.kind:<10} {shown}")
+        lines.append(f"{offset:6d} {kind:<10} {shown}")
     return lines
 
 

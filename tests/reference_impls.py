@@ -271,7 +271,7 @@ def _declaration_urls(decl: list, wanted_property: str) -> list[str]:
 def surviving_background_urls(body: bytes) -> list[str]:
     """URLs of ``background`` declarations that survive error recovery inside
     rules whose selector looks plausible."""
-    tokens = list(css_recovery.tokenize(body.decode("latin-1", errors="replace")))
+    tokens = [Token(*t) for t in css_recovery.tokenize(body.decode("latin-1", errors="replace"))]
     urls: list[str] = []
     i = 0
     n = len(tokens)

@@ -96,7 +96,7 @@ def test_other_property_does_not_fire():
 
 def test_tokenizer_offsets_monotonic():
     body = fixture("css_unbalanced_braces.html").decode("latin-1")
-    offsets = [t.offset for t in tokenize(body)]
+    offsets = [offset for _, _, offset in tokenize(body)]
     assert offsets == sorted(offsets)
 
 
