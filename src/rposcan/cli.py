@@ -9,7 +9,15 @@ import time
 from .mock_target import PortInUse, load_config, serve
 from .mutations import DEFAULT_SLASH_PADDING
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
-from .reports import read_records, render_csv, render_table, run_scan, summarize, write_records
+from .reports import (
+    MalformedRecords,
+    read_records,
+    render_csv,
+    render_table,
+    run_scan,
+    summarize,
+    write_records,
+)
 from .scanning import ScanConfig
 
 
@@ -105,8 +113,11 @@ def _cmd_scan(args) -> int:
 def _cmd_summarize(args) -> int:
     try:
         records = read_records(args.infile)
-    except OSError as exc:
+    except (OSError, MalformedRecords) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # not UTF-8: no line to point at
+        print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return 2
     table = summarize(records)
     if args.format == "csv":

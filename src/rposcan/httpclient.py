@@ -9,29 +9,48 @@ Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
 ``.netrc``, and nothing is retried. Redirects are followed inside urllib3, up
 to a bound, so those hops skip per-host pacing. Proxy settings come from the
 environment, read once per client; TLS uses the system trust store.
+
+``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
+both, and a tuple costs a fraction of a frozen dataclass to build.  They are
+immutable in the same way (a field cannot be reassigned, while the header and
+cookie dicts they hold can still be changed by whoever holds them), compare
+equal to a plain tuple of their fields, and give each request that names no
+headers or cookies a dict of its own.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NetworkError(Exception):
     """A fetch that did not produce an HTTP response."""
 
 
-@dataclass(frozen=True)
-class HttpRequest:
+class _HttpRequestFields(NamedTuple):
     url: str
-    method: str = "GET"
-    headers: dict[str, str] = field(default_factory=dict)
-    cookies: dict[str, str] = field(default_factory=dict)
+    method: str
+    headers: dict[str, str]
+    cookies: dict[str, str]
 
 
-@dataclass(frozen=True)
-class HttpResponse:
+class HttpRequest(_HttpRequestFields):
+    """One request: ``method`` defaults to GET, and ``headers`` and ``cookies``
+    to a new empty dict each."""
+
+    __slots__ = ()
+
+    def __new__(cls, url: str, method: str = "GET", headers: dict[str, str] | None = None,
+                cookies: dict[str, str] | None = None) -> HttpRequest:
+        return tuple.__new__(cls, (
+            url, method, {} if headers is None else headers, {} if cookies is None else cookies
+        ))
+
+
+class HttpResponse(NamedTuple):
     status: int
     headers: dict[str, str]
     body: bytes

@@ -7,6 +7,18 @@ Every response is a pure function of (config, request), and each config can
 compute its own ground-truth label (is it vulnerable, and for which engines
 would the injected style fire) from its flags plus the rendering model, so
 end-to-end runs have an answer key that does not come from the scanner.
+
+What a config's responses share is its response plan: the security headers,
+the page and error markup split around the base tag's origin, the set of
+real-stylesheet paths, and the sink, filter and newline flags.  The plan is
+built on the config's first request (or first ``route_request``) and kept
+on that config object, so it lives and dies with it and never passes to
+another config; ``dataclasses.replace`` gives a new object with a plan of
+its own.  A config must therefore not change after it has answered: a field
+set later is not seen.  A config whose real stylesheets sit at refs that do
+not resolve fails on every request with ``MalformedUrl``.  Each request
+target is percent-decoded once, and its path a second time only when it
+carries a query.
 """
 
 from __future__ import annotations
@@ -124,18 +136,17 @@ class TargetConfig:
 # --- routing ---
 
 
-def _split_target(raw_target: str) -> tuple[str, str | None]:
-    if "?" in raw_target:
-        path, _, query = raw_target.partition("?")
-        return path, query
-    return raw_target, None
+def _raw_target_of(url: str) -> str:
+    rest = url.split("://", 1)[1] if "://" in url else url
+    slash = rest.find("/")
+    return rest[slash:] if slash != -1 else "/"
 
 
 def _strip_semicolon_params(path: str) -> str:
     return "/" + "/".join(seg.split(";", 1)[0] for seg in path.split("/")[1:])
 
 
-def _real_stylesheet_paths(config: TargetConfig) -> set[str]:
+def _real_stylesheet_paths(config: TargetConfig) -> frozenset[str]:
     base = parse_url("http://mock.invalid" + config.page_path)
     paths = set()
     for ref in config.stylesheet_refs:
@@ -143,7 +154,7 @@ def _real_stylesheet_paths(config: TargetConfig) -> set[str]:
             paths.add(resolve_relative(base, ref).path)
         elif ref.startswith("/") and not ref.startswith("//"):
             paths.add(ref)
-    return paths
+    return frozenset(paths)
 
 
 def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tuple[str, str]]]:
@@ -152,18 +163,25 @@ def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tupl
     Query pairs come back fully decoded, including a query string resurrected
     from an encoded ``?`` by the decode-then-route flavor.
     """
-    raw_path, raw_query = _split_target(raw_target)
+    raw_path, mark, raw_query = raw_target.partition("?")
+    return _route(_plan_of(config), percent_decode(raw_path), raw_query if mark else None)
+
+
+def _route(
+    plan: _ResponsePlan, decoded_path: str, raw_query: str | None
+) -> tuple[str, list[tuple[str, str]]]:
+    """The routing rule, on the request path decoded once and the raw query
+    (None when the target has no ``?``)."""
     recovered_query: str | None = None
 
-    if config.routing is Routing.ENCODED_SLASH_DECODE:
-        decoded = percent_decode(raw_path)
-        if "?" in decoded:
-            decoded, _, recovered_query = decoded.partition("?")
-        normalized = _remove_dot_segments(decoded)
-    elif config.routing is Routing.SEMICOLON_PARAMS:
-        normalized = _strip_semicolon_params(percent_decode(raw_path))
+    if plan.routing is Routing.ENCODED_SLASH_DECODE:
+        if "?" in decoded_path:
+            decoded_path, _, recovered_query = decoded_path.partition("?")
+        normalized = _remove_dot_segments(decoded_path)
+    elif plan.routing is Routing.SEMICOLON_PARAMS:
+        normalized = _strip_semicolon_params(decoded_path)
     else:
-        normalized = percent_decode(raw_path)
+        normalized = decoded_path
 
     pairs: list[tuple[str, str]] = []
     if raw_query is not None:
@@ -177,143 +195,130 @@ def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tupl
                 key, _, value = chunk.partition("=")
                 pairs.append((key, value))  # already decoded with the path
 
-    if config.serve_real_stylesheets and normalized in _real_stylesheet_paths(config):
+    if normalized in plan.real_stylesheet_paths:
         return "css", pairs
 
-    if config.routing in (Routing.EXACT_FILE, Routing.ENCODED_SLASH_DECODE):
+    if plan.routing in (Routing.EXACT_FILE, Routing.ENCODED_SLASH_DECODE):
         # the decode-then-route flavor canonicalizes and then matches exactly
-        is_page = normalized == config.page_path
+        is_page = normalized == plan.page_path
     else:
-        is_page = normalized == config.page_path or normalized.startswith(config.page_path + "/")
+        is_page = normalized == plan.page_path or normalized.startswith(plan.page_path + "/")
     return ("page" if is_page else "404"), pairs
 
 
-# --- response bodies ---
+# --- responses ---
 
 
-def _apply_filter(config: TargetConfig, value: str) -> str | None:
-    if config.newline_handling is NewlineHandling.CUT_AT_LF:
-        value = value.partition("\n")[0]
-    if config.sink_filter is SinkFilter.DROP:
-        return None
-    if config.sink_filter is SinkFilter.SANITIZE:
-        return _SANITIZE_RE.sub("", value)
-    return value
-
-
-def _sink_echoes(
-    config: TargetConfig, request: HttpRequest, query_pairs: list[tuple[str, str]]
-) -> list[tuple[str, str]]:
-    raw_target = _raw_target_of(request.url)
-    echoes: list[tuple[str, str]] = []
-    if Sink.ECHO_URL in config.sinks:
-        echoes.append(("echo-url", percent_decode(raw_target)))
-    if Sink.ECHO_QUERY_VALUES in config.sinks:
-        for _, value in query_pairs:
-            echoes.append(("echo-query", value))
-    if Sink.ECHO_COOKIE_VALUES in config.sinks:
-        for _, value in sorted(request.cookies.items()):
-            echoes.append(("echo-cookie", percent_decode(value)))
-    if Sink.ECHO_REFERRER in config.sinks:
-        referer = request.headers.get("Referer") or request.headers.get("referer")
-        if referer:
-            echoes.append(("echo-referrer", percent_decode(referer)))
-    filtered = []
-    for css_class, value in echoes:
-        kept = _apply_filter(config, value)
-        if kept is not None:
-            filtered.append((css_class, kept))
-    return filtered
-
-
-def _raw_target_of(url: str) -> str:
-    rest = url.split("://", 1)[1] if "://" in url else url
-    slash = rest.find("/")
-    return rest[slash:] if slash != -1 else "/"
-
-
-def _head_lines(config: TargetConfig, origin: str) -> list[str]:
-    lines = []
-    if config.doctype:
-        lines.append(f"<!DOCTYPE {config.doctype}>")
-    lines.append("<html><head>")
+def _markup(config: TargetConfig, heading: str, refs: bool) -> tuple[str, str]:
+    """A document's lines up to its heading, joined by newlines and split
+    where the base tag's origin goes (all of it in the first part when there
+    is no base tag)."""
+    before = f"<!DOCTYPE {config.doctype}>\n" if config.doctype else ""
+    before += "<html><head>\n"
+    after = ""
     if config.emit_base_tag:
-        directory = config.page_path.rsplit("/", 1)[0] + "/"
-        lines.append(f'<base href="{origin}{directory}">')
-    lines.append("<title>mock target</title>")
-    return lines
+        before += '<base href="'
+        after = config.page_path.rsplit("/", 1)[0] + '/">\n'
+    after += "<title>mock target</title>\n"
+    if refs:
+        for ref in config.stylesheet_refs:
+            after += f'<link rel="stylesheet" href="{ref}">\n'
+    return before, after + f"</head>\n<body>\n<h1>{heading}</h1>"
 
 
-def _ref_lines(config: TargetConfig) -> list[str]:
-    return [f'<link rel="stylesheet" href="{ref}">' for ref in config.stylesheet_refs]
+class _ResponsePlan:
+    """Everything a config's responses share, worked out once per config
+    object: routing facts, the sink flags, the headers and the markup."""
+
+    def __init__(self, config: TargetConfig) -> None:
+        self.routing = config.routing
+        self.page_path = config.page_path
+        self.real_stylesheet_paths = (
+            _real_stylesheet_paths(config) if config.serve_real_stylesheets else frozenset()
+        )
+        self.refused_bytes = _REFUSED_BYTES.get(config.newline_handling, "")
+        self.cut_at_lf = config.newline_handling is NewlineHandling.CUT_AT_LF
+        self.sanitize = config.sink_filter is SinkFilter.SANITIZE
+        echoes = config.sink_filter is not SinkFilter.DROP  # DROP: no sink emits
+        self.echo_url = echoes and Sink.ECHO_URL in config.sinks
+        self.echo_query = echoes and Sink.ECHO_QUERY_VALUES in config.sinks
+        self.echo_cookie = echoes and Sink.ECHO_COOKIE_VALUES in config.sinks
+        self.echo_referrer = echoes and Sink.ECHO_REFERRER in config.sinks
+        self.error_echo = echoes and config.error_page_echoes_url
+        self.base_tag = config.emit_base_tag
+
+        security: dict[str, str] = {}
+        if config.nosniff:
+            security["X-Content-Type-Options"] = "nosniff"
+        if config.x_frame_options is not None:
+            security["X-Frame-Options"] = config.x_frame_options
+        if config.x_ua_compatible is not None:
+            security["X-UA-Compatible"] = config.x_ua_compatible
+        self.html_headers = {**security, "Content-Type": "text/html; charset=utf-8"}
+        self.css_headers = {**security, "Content-Type": "text/css"}
+
+        self.page_markup = _markup(config, "mock page", True)
+        self.error_markup = _markup(config, "404 Not Found", config.error_page_has_refs)
+
+    def echo_line(self, css_class: str, value: str) -> str:
+        if self.cut_at_lf:
+            value = value.partition("\n")[0]
+        if self.sanitize:
+            value = _SANITIZE_RE.sub("", value)
+        return f'\n<p class="{css_class}">{value}</p>'
 
 
-def _page_body(config: TargetConfig, request: HttpRequest, query_pairs) -> bytes:
-    origin = "http://" + host_key(request.url)
-    lines = _head_lines(config, origin)
-    lines.extend(_ref_lines(config))
-    lines.append("</head>")
-    lines.append("<body>")
-    lines.append("<h1>mock page</h1>")
-    for css_class, value in _sink_echoes(config, request, query_pairs):
-        lines.append(f'<p class="{css_class}">{value}</p>')
-    lines.append("</body></html>")
-    return "\n".join(lines).encode("latin-1", errors="replace")
-
-
-def _error_body(config: TargetConfig, request: HttpRequest) -> bytes:
-    origin = "http://" + host_key(request.url)
-    lines = _head_lines(config, origin)
-    if config.error_page_has_refs:
-        lines.extend(_ref_lines(config))
-    lines.append("</head>")
-    lines.append("<body>")
-    lines.append("<h1>404 Not Found</h1>")
-    if config.error_page_echoes_url:
-        echoed = _apply_filter(config, percent_decode(_raw_target_of(request.url)))
-        if echoed is not None:
-            lines.append(f'<p class="echo-url">{echoed}</p>')
-    lines.append("</body></html>")
-    return "\n".join(lines).encode("latin-1", errors="replace")
-
-
-def _security_headers(config: TargetConfig) -> dict[str, str]:
-    headers: dict[str, str] = {}
-    if config.nosniff:
-        headers["X-Content-Type-Options"] = "nosniff"
-    if config.x_frame_options is not None:
-        headers["X-Frame-Options"] = config.x_frame_options
-    if config.x_ua_compatible is not None:
-        headers["X-UA-Compatible"] = config.x_ua_compatible
-    return headers
+def _plan_of(config: TargetConfig) -> _ResponsePlan:
+    """The config's plan, built on its first request and kept on the config
+    object itself, so that it lives and dies with that object."""
+    try:
+        return config._response_plan
+    except AttributeError:
+        plan = config._response_plan = _ResponsePlan(config)
+        return plan
 
 
 _REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
-
-
-def _refuses(config: TargetConfig, raw_target: str) -> bool:
-    refused = _REFUSED_BYTES.get(config.newline_handling)
-    if refused is None:
-        return False
-    decoded = percent_decode(raw_target)
-    return any(byte in decoded for byte in refused)
+_CSS_BODY = b"body { margin: 0; }\n"
 
 
 def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     """Byte-deterministic response for a GET request against this config."""
+    plan = _plan_of(config)
     raw_target = _raw_target_of(request.url)
-    headers = _security_headers(config)
-    if _refuses(config, raw_target):
-        headers["Content-Type"] = "text/html; charset=utf-8"
-        return HttpResponse(400, headers, _REFUSED_BODY)
-    kind, query_pairs = route_request(config, raw_target)
+    raw_path, mark, raw_query = raw_target.partition("?")
+    decoded = percent_decode(raw_target)
+    if plan.refused_bytes and any(byte in decoded for byte in plan.refused_bytes):
+        return HttpResponse(400, dict(plan.html_headers), _REFUSED_BODY)
+    if mark:
+        kind, query_pairs = _route(plan, percent_decode(raw_path), raw_query)
+    else:
+        kind, query_pairs = _route(plan, decoded, None)
     if kind == "css":
-        headers["Content-Type"] = "text/css"
-        return HttpResponse(200, headers, b"body { margin: 0; }\n")
-    headers["Content-Type"] = "text/html; charset=utf-8"
+        return HttpResponse(200, dict(plan.css_headers), _CSS_BODY)
+
     if kind == "page":
-        return HttpResponse(200, headers, _page_body(config, request, query_pairs))
-    return HttpResponse(404, headers, _error_body(config, request))
+        status, (before, after) = 200, plan.page_markup
+        echoes = []
+        if plan.echo_url:
+            echoes.append(plan.echo_line("echo-url", decoded))
+        if plan.echo_query:
+            for _, value in query_pairs:
+                echoes.append(plan.echo_line("echo-query", value))
+        if plan.echo_cookie:
+            for _, value in sorted(request.cookies.items()):
+                echoes.append(plan.echo_line("echo-cookie", percent_decode(value)))
+        if plan.echo_referrer:
+            referer = request.headers.get("Referer") or request.headers.get("referer")
+            if referer:
+                echoes.append(plan.echo_line("echo-referrer", percent_decode(referer)))
+        echoed = "".join(echoes)
+    else:
+        status, (before, after) = 404, plan.error_markup
+        echoed = plan.echo_line("echo-url", decoded) if plan.error_echo else ""
+    origin = "http://" + host_key(request.url) if plan.base_tag else ""
+    body = before + origin + after + echoed + "\n</body></html>"
+    return HttpResponse(status, dict(plan.html_headers), body.encode("latin-1", errors="replace"))
 
 
 # --- serving over loopback ---

@@ -11,8 +11,8 @@ payload inside the resolved stylesheet URL even when references climb with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .urls import WebUrl, resolve_relative, serialize_url
 
@@ -36,10 +36,19 @@ class TechniqueNotApplicable(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MutatedRequest:
+class _MutatedRequestFields(NamedTuple):
     url: WebUrl
-    extra_cookies: dict[str, str] = field(default_factory=dict)
+    extra_cookies: dict[str, str]
+
+
+class MutatedRequest(_MutatedRequestFields):
+    """The mutated page URL, and the cookies the technique adds (a new empty
+    dict when none is given)."""
+
+    __slots__ = ()
+
+    def __new__(cls, url: WebUrl, extra_cookies: dict[str, str] | None = None) -> MutatedRequest:
+        return tuple.__new__(cls, (url, {} if extra_cookies is None else extra_cookies))
 
 
 def _script_segment_index(segments: tuple[str, ...]) -> int | None:
@@ -69,16 +78,6 @@ def applicable_techniques(
     """Techniques worth trying against this URL shape, in the enum's order."""
     cookies = original_cookies or {}
     return [t for t in MutationTechnique if _fits(t, url, cookies)]
-
-
-def _with_segments(url: WebUrl, segments: tuple[str, ...], query: str | None) -> WebUrl:
-    return WebUrl(
-        scheme=url.scheme,
-        host=url.host,
-        port=url.port,
-        path_segments=segments,
-        query=query,
-    )
 
 
 def mutate(
@@ -145,23 +144,13 @@ def mutate(
     else:  # pragma: no cover
         raise TechniqueNotApplicable(str(technique))
 
-    return MutatedRequest(
-        url=_with_segments(url, new_segments, new_query),
-        extra_cookies=extra_cookies,
-    )
+    return MutatedRequest(WebUrl(url.scheme, url.host, url.port, new_segments, new_query),
+                          extra_cookies)
 
 
 def expand_stylesheet_targets(
     mutated: MutatedRequest, relative_refs: list[str]
 ) -> list[WebUrl]:
     """Resolve each reference against the mutated page URL, dropping duplicates
-    but keeping first-seen order."""
-    seen: set[str] = set()
-    out: list[WebUrl] = []
-    for ref in relative_refs:
-        target = resolve_relative(mutated.url, ref)
-        key = serialize_url(target)
-        if key not in seen:
-            seen.add(key)
-            out.append(target)
-    return out
+    (equal URLs) but keeping first-seen order."""
+    return list(dict.fromkeys(resolve_relative(mutated.url, ref) for ref in relative_refs))

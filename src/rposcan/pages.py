@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from html import unescape
+from typing import NamedTuple
 
 from .urls import WebUrl
 
@@ -40,8 +41,7 @@ _SCHEME_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _DIGIT_RUN_RE = re.compile(r"[0-9]{3,}")
 
 
-@dataclass(frozen=True)
-class StylesheetRef:
+class StylesheetRef(NamedTuple):
     href: str
     relative: bool
     offset: int

@@ -15,7 +15,7 @@ import random
 import string
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from urllib.parse import quote
 
 NONCE_LENGTH = 32
@@ -73,6 +73,16 @@ def encode_exploit(text: str, newline: NewlineVariant) -> str:
     """URL-encoded form of the exploit text, with the newline prefix that made
     the reflection probe land."""
     return newline.value + quote(text, safe="")
+
+
+@lru_cache(maxsize=256)
+def build_exploit(nonce: Nonce, newline: NewlineVariant) -> tuple[str, str]:
+    """(canary URL, encoded exploit) for a nonce: the exploit loads
+    ``http://css-canary.invalid/<nonce>`` and carries ``newline`` in front.
+    Built once per (nonce, newline) and process; the cache is bounded, so a
+    run with many nonces does not grow it without limit."""
+    nonce_url = f"http://css-canary.invalid/{nonce.value}"
+    return nonce_url, encode_exploit(build_exploit_payload(nonce_url), newline)
 
 
 def find_reflection(body: bytes, nonce: Nonce) -> list[int]:

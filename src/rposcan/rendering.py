@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 from .css_recovery import css_would_fire as css_would_fire  # re-export
 
@@ -138,8 +139,7 @@ class BrowserProfile:
     quirks_public_id_exceptions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ResponseSecurity:
+class ResponseSecurity(NamedTuple):
     """Security-relevant response facts; raw header values kept for audit."""
 
     content_type: str | None = None

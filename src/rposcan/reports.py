@@ -246,13 +246,21 @@ def write_records(records: Iterable[ScanRecord], out: TextIO) -> int:
     return count
 
 
+class MalformedRecords(ValueError):
+    """A records-file line that is not one record; the message starts with
+    ``FILE:LINE:``."""
+
+
 def read_records(path: str) -> list[ScanRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(ScanRecord.from_json(line))
+                try:
+                    records.append(ScanRecord.from_json(line))
+                except (ValueError, TypeError) as exc:  # not JSON, or not a record's keys
+                    raise MalformedRecords(f"{path}:{number}: {exc}") from exc
     return records
 
 

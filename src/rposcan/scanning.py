@@ -30,9 +30,8 @@ from .pages import analyze_html, has_blocking_base
 from .payloads import (
     NewlineVariant,
     Nonce,
-    build_exploit_payload,
+    build_exploit,
     build_reflection_payload,
-    encode_exploit,
     find_reflection,
     generate_nonce,
 )
@@ -151,18 +150,19 @@ def _fetch(client, url_text: str, errors: list[str], *, referer: str | None = No
 def _reflecting_sheet(
     client,
     mutated: MutatedRequest,
+    page_url: str,
     relative_refs: list[str],
     cookies: dict[str, str],
     nonce: Nonce,
     errors: list[str],
 ) -> tuple[str, HttpResponse] | None:
     """Fetch each stylesheet the refs resolve to from the mutated page, with
-    that page as Referer, and return the first one whose body reflects the
-    nonce, with its URL; None when none does."""
-    referer = serialize_url(mutated.url)
+    that page (``page_url``, already serialized) as Referer, and return the
+    first one whose body reflects the nonce, with its URL; None when none
+    does."""
     for sheet in expand_stylesheet_targets(mutated, relative_refs):
         sheet_url = serialize_url(sheet)
-        response = _fetch(client, sheet_url, errors, referer=referer, cookies=cookies)
+        response = _fetch(client, sheet_url, errors, referer=page_url, cookies=cookies)
         if response is not None and find_reflection(response.body, nonce):
             return sheet_url, response
     return None
@@ -198,7 +198,8 @@ def scan_page(
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, config.slash_padding, cookies)
             request_cookies = {**cookies, **mutated.extra_cookies}
-            page_resp = _fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)
+            page_url = serialize_url(mutated.url)
+            page_resp = _fetch(client, page_url, errors, cookies=request_cookies)
             if page_resp is None:
                 continue  # no answer counts as refused: try the next newline
             fetched_anything = True
@@ -209,7 +210,9 @@ def scan_page(
             relative_refs = doc.relative_refs
             if relative_refs:
                 saw_relative_refs = True
-                hit = _reflecting_sheet(client, mutated, relative_refs, request_cookies, nonce, errors)
+                hit = _reflecting_sheet(
+                    client, mutated, page_url, relative_refs, request_cookies, nonce, errors
+                )
                 if hit is not None:
                     return ScanVerdict(
                         status=ScanStatus.VULNERABLE,
@@ -306,23 +309,23 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     assert verdict.technique is not None and verdict.newline is not None
     assert verdict.nonce is not None
 
-    nonce_url = f"http://css-canary.invalid/{verdict.nonce.value}"
-    encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
+    nonce_url, encoded = build_exploit(verdict.nonce, verdict.newline)
     mutated = mutate(
         verdict.page_url, verdict.technique, encoded, config.slash_padding, verdict.cookies
     )
-    errors = verdict.errors
+    errors = list(verdict.errors)  # the input verdict stays as it was
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_resp = _fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)
+    page_url = serialize_url(mutated.url)
+    page_resp = _fetch(client, page_url, errors, cookies=request_cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
-        return verdict
+        return replace(verdict, errors=errors)
     doc = analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
     base_present = has_blocking_base(doc)
 
     hit = _reflecting_sheet(
-        client, mutated, doc.relative_refs, request_cookies, verdict.nonce, errors
+        client, mutated, page_url, doc.relative_refs, request_cookies, verdict.nonce, errors
     )
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra
@@ -333,7 +336,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
             profile.engine: ProfileResult(exploitable=False, framed=False)
             for profile in config.profiles
         }
-        return replace(verdict, profile_results=results)
+        return replace(verdict, profile_results=results, errors=errors)
 
     _, sheet_resp = hit
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
@@ -352,4 +355,4 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
         if any(r.exploitable for r in results.values())
         else ScanStatus.VULNERABLE
     )
-    return replace(verdict, status=status, profile_results=results)
+    return replace(verdict, status=status, profile_results=results, errors=errors)

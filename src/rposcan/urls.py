@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MalformedUrl(ValueError):
@@ -29,15 +29,7 @@ _PATH_CHARS = frozenset(
 _QUERY_CHARS = _PATH_CHARS | frozenset("?")
 
 
-@dataclass(frozen=True)
-class WebUrl:
-    """An absolute http(s) URL as the browser sees it.
-
-    ``path_segments`` holds the raw, still-percent-encoded segments; the
-    serialized path is ``"/" + "/".join(path_segments)``, so a URL ending in
-    a slash carries a trailing empty segment.
-    """
-
+class _WebUrlFields(NamedTuple):
     scheme: str
     host: str
     port: int | None
@@ -45,14 +37,36 @@ class WebUrl:
     query: str | None = None
     fragment: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.scheme not in ("http", "https"):
-            raise MalformedUrl(f"unsupported scheme: {self.scheme!r}")
-        if not self.path_segments:
+
+class WebUrl(_WebUrlFields):
+    """An absolute http(s) URL as the browser sees it.
+
+    ``path_segments`` holds the raw, still-percent-encoded segments; the
+    serialized path is ``"/" + "/".join(path_segments)``, so a URL ending in
+    a slash carries a trailing empty segment.
+
+    A named tuple, since the scanner builds several per page: immutable, and
+    equal to a URL with equal fields.  Building one, ``_replace`` included,
+    rejects a scheme other than http(s), an empty segment tuple and a raw
+    slash inside a segment.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, scheme: str, host: str, port: int | None, path_segments: tuple[str, ...],
+                query: str | None = None, fragment: str | None = None) -> WebUrl:
+        if scheme != "http" and scheme != "https":
+            raise MalformedUrl(f"unsupported scheme: {scheme!r}")
+        if not path_segments:
             raise MalformedUrl("path_segments must not be empty (root is ('',))")
-        for seg in self.path_segments:
-            if "/" in seg:
-                raise MalformedUrl(f"raw slash inside path segment: {seg!r}")
+        if "/" in "".join(path_segments):
+            seg = next(seg for seg in path_segments if "/" in seg)
+            raise MalformedUrl(f"raw slash inside path segment: {seg!r}")
+        return tuple.__new__(cls, (scheme, host, port, path_segments, query, fragment))
+
+    @classmethod
+    def _make(cls, iterable) -> WebUrl:
+        return cls(*iterable)
 
     @property
     def path(self) -> str:
@@ -69,9 +83,9 @@ class WebUrl:
 
 
 def _check_chars(text: str, allowed: frozenset[str], what: str) -> None:
-    for ch in text:
-        if ch not in allowed:
-            raise MalformedUrl(f"illegal character {ch!r} in {what}: {text!r}")
+    if not allowed.issuperset(text):
+        ch = next(ch for ch in text if ch not in allowed)
+        raise MalformedUrl(f"illegal character {ch!r} in {what}: {text!r}")
 
 
 def parse_url(text: str) -> WebUrl:
@@ -186,6 +200,9 @@ def percent_decode(text: str) -> str:
     return _PERCENT_RUN_RE.sub(_decode_percent_run, text)
 
 
+_ILLEGAL_REFERENCE_CHAR_RE = re.compile(r'[\x00-\x20<>"]')
+
+
 def browser_base_directory(url: WebUrl) -> str:
     """The path prefix (up to and including the final slash) the browser
     would use as the starting point for relative references."""
@@ -200,9 +217,9 @@ def resolve_relative(base: WebUrl, reference: str) -> WebUrl:
     percent-encoded slashes never act as separators and ``..`` clamps at the
     root instead of failing.
     """
-    for ch in reference:
-        if ord(ch) < 0x21 or ch in '<>"':
-            raise MalformedUrl(f"illegal character {ch!r} in reference {reference!r}")
+    illegal = _ILLEGAL_REFERENCE_CHAR_RE.search(reference)
+    if illegal is not None:
+        raise MalformedUrl(f"illegal character {illegal.group()!r} in reference {reference!r}")
 
     m = _SCHEME_RE.match(reference)
     if m is not None:
@@ -223,12 +240,12 @@ def resolve_relative(base: WebUrl, reference: str) -> WebUrl:
     if not ref:
         # Fragment- or query-only reference: keep the base path untouched.
         return WebUrl(
-            scheme=base.scheme,
-            host=base.host,
-            port=base.port,
-            path_segments=base.path_segments,
-            query=query if query is not None else base.query,
-            fragment=fragment,
+            base.scheme,
+            base.host,
+            base.port,
+            base.path_segments,
+            query if query is not None else base.query,
+            fragment,
         )
 
     if ref.startswith("/"):
@@ -237,12 +254,7 @@ def resolve_relative(base: WebUrl, reference: str) -> WebUrl:
         merged = browser_base_directory(base) + ref
     collapsed = _remove_dot_segments(merged)
     return WebUrl(
-        scheme=base.scheme,
-        host=base.host,
-        port=base.port,
-        path_segments=tuple(collapsed.split("/")[1:]),
-        query=query,
-        fragment=fragment,
+        base.scheme, base.host, base.port, tuple(collapsed.split("/")[1:]), query, fragment
     )
 
 

@@ -11,7 +11,10 @@ They serve only as oracles for the equivalence tests:
   counted the way ``HTMLParser.getpos`` counts lines (``\\n`` only);
 - ``verify_exploitable``: verification that asks the CSS oracle
   (``scanning.css_would_fire``, looked up at call time) before judging any
-  profile, and judges every profile once.
+  profile, and judges every profile once;
+- ``handle_request``: the mock target's handler that rebuilds the config's
+  headers, markup and real-stylesheet paths on every request and decodes the
+  request target once per use, with its own ``route_request``.
 """
 
 from __future__ import annotations
@@ -43,12 +46,28 @@ from rposcan.css_recovery import (
     URL,
     WS,
 )
+from rposcan.httpclient import HttpRequest, HttpResponse, host_key
+from rposcan.mock_target import (
+    _REFUSED_BYTES,
+    _SANITIZE_RE,
+    NewlineHandling,
+    Routing,
+    Sink,
+    SinkFilter,
+    TargetConfig,
+)
 from rposcan.mutations import mutate
 from rposcan.pages import PageDocument, StylesheetRef, has_blocking_base, is_relative_href
 from rposcan.payloads import build_exploit_payload, encode_exploit
 from rposcan.rendering import ResponseSecurity
 from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
-from rposcan.urls import serialize_url
+from rposcan.urls import (
+    _remove_dot_segments,
+    parse_url,
+    percent_decode,
+    resolve_relative,
+    serialize_url,
+)
 
 # --- CSS tokenizer ---
 
@@ -437,7 +456,8 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     page_security = ResponseSecurity.from_headers(page_resp.headers)
     base_present = has_blocking_base(doc)
     hit = scanning._reflecting_sheet(
-        client, mutated, doc.relative_refs, request_cookies, verdict.nonce, errors
+        client, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
+        verdict.nonce, errors,
     )
     if hit is None:
         errors.append("exploit payload did not reflect")
@@ -468,3 +488,198 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     exploitable = any(r.exploitable for r in results.values())
     status = ScanStatus.EXPLOITABLE if exploitable else ScanStatus.VULNERABLE
     return replace(verdict, status=status, profile_results=results)
+
+
+# --- mock responses, rebuilt from the config on every request ---
+
+
+def _split_target(raw_target: str) -> tuple[str, str | None]:
+    if "?" in raw_target:
+        path, _, query = raw_target.partition("?")
+        return path, query
+    return raw_target, None
+
+
+def _strip_semicolon_params(path: str) -> str:
+    return "/" + "/".join(seg.split(";", 1)[0] for seg in path.split("/")[1:])
+
+
+def _real_stylesheet_paths(config: TargetConfig) -> set[str]:
+    base = parse_url("http://mock.invalid" + config.page_path)
+    paths = set()
+    for ref in config.stylesheet_refs:
+        if is_relative_href(ref):
+            paths.add(resolve_relative(base, ref).path)
+        elif ref.startswith("/") and not ref.startswith("//"):
+            paths.add(ref)
+    return paths
+
+
+def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tuple[str, str]]]:
+    """Resolve a raw request target to ("page" | "css" | "404", query_pairs).
+
+    Query pairs come back fully decoded, including a query string resurrected
+    from an encoded ``?`` by the decode-then-route flavor.
+    """
+    raw_path, raw_query = _split_target(raw_target)
+    recovered_query: str | None = None
+
+    if config.routing is Routing.ENCODED_SLASH_DECODE:
+        decoded = percent_decode(raw_path)
+        if "?" in decoded:
+            decoded, _, recovered_query = decoded.partition("?")
+        normalized = _remove_dot_segments(decoded)
+    elif config.routing is Routing.SEMICOLON_PARAMS:
+        normalized = _strip_semicolon_params(percent_decode(raw_path))
+    else:
+        normalized = percent_decode(raw_path)
+
+    pairs: list[tuple[str, str]] = []
+    if raw_query is not None:
+        for chunk in raw_query.split("&"):
+            if "=" in chunk:
+                key, _, value = chunk.partition("=")
+                pairs.append((key, percent_decode(value)))
+    elif recovered_query is not None:
+        for chunk in recovered_query.split("&"):
+            if "=" in chunk:
+                key, _, value = chunk.partition("=")
+                pairs.append((key, value))  # already decoded with the path
+
+    if config.serve_real_stylesheets and normalized in _real_stylesheet_paths(config):
+        return "css", pairs
+
+    if config.routing in (Routing.EXACT_FILE, Routing.ENCODED_SLASH_DECODE):
+        # the decode-then-route flavor canonicalizes and then matches exactly
+        is_page = normalized == config.page_path
+    else:
+        is_page = normalized == config.page_path or normalized.startswith(config.page_path + "/")
+    return ("page" if is_page else "404"), pairs
+
+
+# --- response bodies ---
+
+
+def _apply_filter(config: TargetConfig, value: str) -> str | None:
+    if config.newline_handling is NewlineHandling.CUT_AT_LF:
+        value = value.partition("\n")[0]
+    if config.sink_filter is SinkFilter.DROP:
+        return None
+    if config.sink_filter is SinkFilter.SANITIZE:
+        return _SANITIZE_RE.sub("", value)
+    return value
+
+
+def _sink_echoes(
+    config: TargetConfig, request: HttpRequest, query_pairs: list[tuple[str, str]]
+) -> list[tuple[str, str]]:
+    raw_target = _raw_target_of(request.url)
+    echoes: list[tuple[str, str]] = []
+    if Sink.ECHO_URL in config.sinks:
+        echoes.append(("echo-url", percent_decode(raw_target)))
+    if Sink.ECHO_QUERY_VALUES in config.sinks:
+        for _, value in query_pairs:
+            echoes.append(("echo-query", value))
+    if Sink.ECHO_COOKIE_VALUES in config.sinks:
+        for _, value in sorted(request.cookies.items()):
+            echoes.append(("echo-cookie", percent_decode(value)))
+    if Sink.ECHO_REFERRER in config.sinks:
+        referer = request.headers.get("Referer") or request.headers.get("referer")
+        if referer:
+            echoes.append(("echo-referrer", percent_decode(referer)))
+    filtered = []
+    for css_class, value in echoes:
+        kept = _apply_filter(config, value)
+        if kept is not None:
+            filtered.append((css_class, kept))
+    return filtered
+
+
+def _raw_target_of(url: str) -> str:
+    rest = url.split("://", 1)[1] if "://" in url else url
+    slash = rest.find("/")
+    return rest[slash:] if slash != -1 else "/"
+
+
+def _head_lines(config: TargetConfig, origin: str) -> list[str]:
+    lines = []
+    if config.doctype:
+        lines.append(f"<!DOCTYPE {config.doctype}>")
+    lines.append("<html><head>")
+    if config.emit_base_tag:
+        directory = config.page_path.rsplit("/", 1)[0] + "/"
+        lines.append(f'<base href="{origin}{directory}">')
+    lines.append("<title>mock target</title>")
+    return lines
+
+
+def _ref_lines(config: TargetConfig) -> list[str]:
+    return [f'<link rel="stylesheet" href="{ref}">' for ref in config.stylesheet_refs]
+
+
+def _page_body(config: TargetConfig, request: HttpRequest, query_pairs) -> bytes:
+    origin = "http://" + host_key(request.url)
+    lines = _head_lines(config, origin)
+    lines.extend(_ref_lines(config))
+    lines.append("</head>")
+    lines.append("<body>")
+    lines.append("<h1>mock page</h1>")
+    for css_class, value in _sink_echoes(config, request, query_pairs):
+        lines.append(f'<p class="{css_class}">{value}</p>')
+    lines.append("</body></html>")
+    return "\n".join(lines).encode("latin-1", errors="replace")
+
+
+def _error_body(config: TargetConfig, request: HttpRequest) -> bytes:
+    origin = "http://" + host_key(request.url)
+    lines = _head_lines(config, origin)
+    if config.error_page_has_refs:
+        lines.extend(_ref_lines(config))
+    lines.append("</head>")
+    lines.append("<body>")
+    lines.append("<h1>404 Not Found</h1>")
+    if config.error_page_echoes_url:
+        echoed = _apply_filter(config, percent_decode(_raw_target_of(request.url)))
+        if echoed is not None:
+            lines.append(f'<p class="echo-url">{echoed}</p>')
+    lines.append("</body></html>")
+    return "\n".join(lines).encode("latin-1", errors="replace")
+
+
+def _security_headers(config: TargetConfig) -> dict[str, str]:
+    headers: dict[str, str] = {}
+    if config.nosniff:
+        headers["X-Content-Type-Options"] = "nosniff"
+    if config.x_frame_options is not None:
+        headers["X-Frame-Options"] = config.x_frame_options
+    if config.x_ua_compatible is not None:
+        headers["X-UA-Compatible"] = config.x_ua_compatible
+    return headers
+
+
+_REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
+
+
+def _refuses(config: TargetConfig, raw_target: str) -> bool:
+    refused = _REFUSED_BYTES.get(config.newline_handling)
+    if refused is None:
+        return False
+    decoded = percent_decode(raw_target)
+    return any(byte in decoded for byte in refused)
+
+
+def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
+    """Byte-deterministic response for a GET request against this config."""
+    raw_target = _raw_target_of(request.url)
+    headers = _security_headers(config)
+    if _refuses(config, raw_target):
+        headers["Content-Type"] = "text/html; charset=utf-8"
+        return HttpResponse(400, headers, _REFUSED_BODY)
+    kind, query_pairs = route_request(config, raw_target)
+    if kind == "css":
+        headers["Content-Type"] = "text/css"
+        return HttpResponse(200, headers, b"body { margin: 0; }\n")
+    headers["Content-Type"] = "text/html; charset=utf-8"
+    if kind == "page":
+        return HttpResponse(200, headers, _page_body(config, request, query_pairs))
+    return HttpResponse(404, headers, _error_body(config, request))

@@ -10,7 +10,7 @@ from rposcan import reports
 from rposcan.cli import main
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig, serve
-from rposcan.reports import read_records
+from rposcan.reports import ScanRecord, read_records
 from rposcan.scanning import ScanConfig, ethics_gate
 from rposcan.urls import parse_url
 
@@ -105,6 +105,37 @@ def test_summarize_cli(tmp_path, capsys):
 
 def test_summarize_cli_missing_file_exits_2(tmp_path):
     assert main(["summarize", "--in", str(tmp_path / "nope.jsonl")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"url": "http://a.test/x", "site": "a.test", "templ', "Unterminated string"),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "vulnerable", "colour": "red"}',
+            "unexpected keyword argument 'colour'",
+        ),
+    ],
+    ids=["truncated-json", "unknown-key"],
+)
+def test_summarize_cli_malformed_record_exits_2(tmp_path, capsys, line, message):
+    good = ScanRecord(url="http://a.test/y", site="a.test", template="a.test/y",
+                      status="not_vulnerable", reason="no_reflection")
+    records = tmp_path / "records.jsonl"
+    records.write_text(good.to_json() + "\n\n" + line + "\n")
+    assert main(["summarize", "--in", str(records)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {records}:3: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_summarize_cli_undecodable_file_exits_2(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(b'{"url": "\xff"}\n')
+    assert main(["summarize", "--in", str(records)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {records}: ")
 
 
 def test_doctype_classify_cli(capsys):

@@ -14,6 +14,24 @@ from rposcan.httpclient import (
 )
 
 DELAY = 0.020
+
+
+def test_requests_and_responses_are_immutable_and_own_their_dicts():
+    first, second = HttpRequest(url="http://a.test/"), HttpRequest("http://a.test/")
+    first.headers["Referer"] = "http://a.test/x"
+    first.cookies["sid"] = "1"
+    assert second.headers == {} and second.cookies == {}
+    assert second.method == "GET"
+    response = HttpResponse(200, {"Content-Type": "text/css"}, b"")
+    for obj, name, value in [
+        (first, "url", "http://b.test/"),
+        (first, "headers", {}),
+        (response, "status", 404),
+        (response, "body", b"x"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert response.header("content-type") == "text/css"
 OVERSLEEP = 0.005
 
 

@@ -6,10 +6,14 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_impls
 
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
+    DOCTYPE_STANDARDS,
     InProcessClient,
     NewlineHandling,
     PortInUse,
@@ -21,13 +25,14 @@ from rposcan.mock_target import (
     config_from_dict,
     fixture_matrix,
     handle_request,
+    newline_configs,
     route_request,
     serve,
     verdict_matches_truth,
 )
 from rposcan.rendering import default_profiles
 from rposcan.scanning import NotVulnerableReason, ScanConfig, scan_page, verify_exploitable
-from rposcan.urls import parse_url, server_view
+from rposcan.urls import MalformedUrl, parse_url, server_view
 
 
 def _get(config, target, cookies=None, headers=None):
@@ -203,6 +208,148 @@ def test_handle_request_deterministic():
     assert first.body == second.body
     assert first.headers == second.headers
     assert first.status == second.status
+
+
+def _same_response(got, expected) -> None:
+    assert got.status == expected.status
+    assert list(got.headers.items()) == list(expected.headers.items())  # names in order
+    assert got.body == expected.body
+
+
+class _ComparingClient:
+    """Answers from the handler and checks every answer against the reference
+    handler, which rebuilds everything from the config on each request."""
+
+    def __init__(self, config: TargetConfig) -> None:
+        self.config = config
+        self.compared = 0
+
+    def fetch(self, request):
+        got = handle_request(self.config, request)
+        _same_response(got, reference_impls.handle_request(self.config, request))
+        self.compared += 1
+        return got
+
+
+def test_handler_matches_reference_on_every_scanner_request():
+    profiles = default_profiles()
+    config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    compared = 0
+    for target, _ in fixture_matrix(profiles) + newline_configs(profiles):
+        client = _ComparingClient(target)
+        seed = target.seed_url("http://mock.test")
+        verify_exploitable(scan_page(seed, target.seed_cookies, client, config), client, config)
+        compared += client.compared
+    assert compared > 300
+
+
+# request-target pieces: encoded slashes, queries and newlines, a lone "%",
+# path parameters, dot segments, invalid UTF-8 and non-ASCII text
+_TARGET_PIECES = st.sampled_from([
+    "/", "app", "page.php", "page.jsp", "style.css", "..", ".", "x", "%2F", "%2f", "%3F",
+    "?", "&", "=", "k1=v1", "%0A", "%0C", "%0D", "%", "%4", "%ZZ", ";", ";p1", "%C3%A9",
+    "%FF", "é", "{}", "%7B", "%25", "\\",
+])
+_TEXT = st.lists(_TARGET_PIECES, max_size=6).map("".join)
+
+
+@st.composite
+def _configs(draw) -> TargetConfig:
+    return TargetConfig(
+        name="t",
+        routing=draw(st.sampled_from(Routing)),
+        sinks=draw(st.frozensets(st.sampled_from(Sink))),
+        page_path=draw(st.sampled_from(["/app/page.php", "/app/page.jsp", "/page.php"])),
+        doctype=draw(st.sampled_from([None, DOCTYPE_QUIRKS, DOCTYPE_STANDARDS])),
+        emit_base_tag=draw(st.booleans()),
+        stylesheet_refs=draw(st.sampled_from(
+            [["../style.css"], ["style.css"], ["/static/a.css", "b.css"], [], ["é.css"]]
+        )),
+        nosniff=draw(st.booleans()),
+        x_frame_options=draw(st.sampled_from([None, "DENY"])),
+        x_ua_compatible=draw(st.sampled_from([None, "IE=edge"])),
+        error_page_echoes_url=draw(st.booleans()),
+        error_page_has_refs=draw(st.booleans()),
+        serve_real_stylesheets=draw(st.booleans()),
+        sink_filter=draw(st.sampled_from(SinkFilter)),
+        newline_handling=draw(st.sampled_from(NewlineHandling)),
+    )
+
+
+@st.composite
+def _targets(draw, config: TargetConfig) -> str:
+    """Mostly the config's page or its directory with pieces after it, so that
+    pages, real stylesheets and 404s all come up."""
+    directory = config.page_path.rsplit("/", 1)[0]
+    start = draw(st.sampled_from(
+        [config.page_path, config.page_path, directory + "/style.css", "/style.css",
+         "/static/a.css", directory + "/x", ""]
+    ))
+    return (start or "/") + draw(st.one_of(st.just(""), _TEXT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _configs().flatmap(lambda config: st.tuples(st.just(config), _targets(config))),
+    st.sampled_from(["mock.test", "Mock.Test:8080", "127.0.0.1:81"]),
+    st.dictionaries(st.sampled_from(["sid", "lang", "a"]), _TEXT, max_size=3),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["Referer", "referer"]), _TEXT)),
+)
+def test_handler_matches_reference_on_any_request(exchange, host, cookies, referer):
+    config, target = exchange
+    headers = dict([referer]) if referer else {}
+    request = HttpRequest(url=f"http://{host}{target}", headers=headers, cookies=cookies)
+    unresolvable = False
+    if config.serve_real_stylesheets:
+        try:
+            reference_impls._real_stylesheet_paths(config)
+        except MalformedUrl:
+            unresolvable = True
+    # twice: the first request builds the config's plan, the second reuses it
+    for _ in range(2):
+        if unresolvable:
+            # real stylesheets at refs that do not resolve: the reference
+            # raises once it routes, the plan on every request
+            with pytest.raises(MalformedUrl):
+                handle_request(config, request)
+        else:
+            _same_response(handle_request(config, request),
+                           reference_impls.handle_request(config, request))
+
+
+def test_each_config_answers_by_its_own_flags_when_ids_are_reused():
+    # Configs freed in a loop hand their ids to the next ones; each still
+    # answers by its own flags.
+    ids: set[int] = set()
+    reused = 0
+    for i in range(200):
+        config = TargetConfig(
+            name="t",
+            routing=Routing.EXACT_FILE if i % 2 else Routing.PATH_INFO_REWRITE,
+            nosniff=i % 3 == 0,
+            doctype=DOCTYPE_QUIRKS if i % 5 == 0 else None,
+        )
+        reused += id(config) in ids
+        ids.add(id(config))
+        response = _get(config, "/app/page.php/x//")
+        assert response.status == (404 if i % 2 else 200)
+        assert (response.header("X-Content-Type-Options") == "nosniff") == (i % 3 == 0)
+        assert response.body.startswith(b"<!DOCTYPE") == (i % 5 == 0)
+    assert reused > 0
+
+
+def test_replaced_config_answers_by_its_new_flags():
+    config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
+    assert _get(config, "/app/page.php/x//").status == 200
+    changed = replace(config, routing=Routing.EXACT_FILE, nosniff=True, emit_base_tag=True)
+    response = _get(changed, "/app/page.php/x//")
+    assert response.status == 404
+    assert response.header("X-Content-Type-Options") == "nosniff"
+    assert b'<base href="http://mock.test/app/">' in response.body
+    # the original keeps answering by its own flags
+    original = _get(config, "/app/page.php/x//")
+    assert original.status == 200 and b"<base" not in original.body
+    assert original.header("X-Content-Type-Options") is None
 
 
 def test_in_process_client_requires_known_host():

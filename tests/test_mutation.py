@@ -9,7 +9,13 @@ from rposcan.mutations import (
     mutate,
 )
 from rposcan.payloads import NewlineVariant, build_reflection_payload, generate_nonce
-from rposcan.urls import browser_base_directory, parse_url, serialize_url, server_view
+from rposcan.urls import (
+    MalformedUrl,
+    browser_base_directory,
+    parse_url,
+    serialize_url,
+    server_view,
+)
 
 T = MutationTechnique
 P = build_reflection_payload(generate_nonce(0), NewlineVariant.LF)
@@ -176,3 +182,25 @@ def test_host_scheme_preserved_and_views_diverge(path, technique):
     assert out.url.scheme == original.scheme
     diverged = browser_base_directory(out.url) != browser_base_directory(original)
     assert diverged or out.extra_cookies != {}
+
+
+@pytest.mark.parametrize("technique", [t for t in T if t is not T.COOKIE])
+def test_raw_slash_in_payload_is_rejected(technique):
+    # every technique but the cookie puts the payload into a path segment
+    url = u("/app/page.php;a/x", "k=v")
+    assert technique in applicable_techniques(url)
+    with pytest.raises(MalformedUrl, match="raw slash"):
+        mutate(url, technique, "a/b")
+
+
+def test_mutated_request_and_its_url_are_immutable():
+    mutated = mutate(u("/page.asp"), T.COOKIE, P, cookies={"sid": "1"})
+    for obj, name, value in [
+        (mutated, "url", u("/other.asp")),
+        (mutated, "extra_cookies", {}),
+        (mutated.url, "path_segments", ("x",)),
+        (mutated.url, "host", "other.test"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert mutated.url == mutate(u("/page.asp"), T.COOKIE, P, cookies={"sid": "1"}).url

@@ -7,6 +7,7 @@ from rposcan.payloads import (
     InvalidArgument,
     NewlineVariant,
     Nonce,
+    build_exploit,
     build_exploit_payload,
     build_reflection_payload,
     encode_exploit,
@@ -76,6 +77,15 @@ def test_encode_exploit_is_url_safe():
     encoded = encode_exploit(p, NewlineVariant.LF)
     assert encoded.startswith("%0A" + "%7D" * 20 + "%5D" * 20 + "body")
     assert "{" not in encoded and "}" not in encoded and "]" not in encoded
+
+
+def test_build_exploit_is_the_encoded_canary_rule_built_once():
+    nonce = generate_nonce(3)
+    for newline in NewlineVariant:
+        canary, encoded = build_exploit(nonce, newline)
+        assert canary == "http://css-canary.invalid/" + nonce.value
+        assert encoded == encode_exploit(build_exploit_payload(canary), newline)
+        assert build_exploit(nonce, newline)[1] is encoded
 
 
 def test_find_reflection_single():

@@ -469,3 +469,24 @@ def test_lazy_oracle_judges_like_the_eager_reference(monkeypatch, fires):
     assert checked > 40
     # some vulnerable configs are blocked for every engine and skip the oracle
     assert 0 < asked < checked
+
+
+def test_verify_leaves_its_input_verdict_unchanged():
+    # The verified verdict gets its own errors list; the scan's verdict keeps
+    # what the scan recorded, even when verification adds an error.
+    config = make_config()
+    checked, with_errors = 0, 0
+    for target, _ in fixture_matrix(default_profiles()) + newline_configs(default_profiles()):
+        client = client_for(target)
+        seed = target.seed_url("http://mock.test")
+        verdict = scan_page(seed, target.seed_cookies, client, config)
+        if verdict.status is not ScanStatus.VULNERABLE:
+            continue
+        before = copy.deepcopy(verdict)
+        verified = verify_exploitable(verdict, client, config)
+        assert verdict == before, target.name
+        if target.name == "encslash-url-nodoc-plain":
+            assert verified.errors == ["exploit payload did not reflect"]
+        checked += 1
+        with_errors += bool(verified.errors)
+    assert checked > 40 and with_errors > 0

@@ -110,6 +110,22 @@ def test_parse_rejects_malformed(bad):
         parse_url(bad)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"scheme": "ftp"}, "unsupported scheme"),
+        ({"path_segments": ()}, "must not be empty"),
+        ({"path_segments": ("a", "b/c")}, "raw slash inside path segment: 'b/c'"),
+    ],
+)
+def test_weburl_rejects_bad_fields_however_built(changes, message):
+    fields = dict(scheme="http", host="example.com", port=None, path_segments=("a",))
+    with pytest.raises(MalformedUrl, match=re.escape(message)):
+        WebUrl(**{**fields, **changes})
+    with pytest.raises(MalformedUrl, match=re.escape(message)):
+        WebUrl(**fields)._replace(**changes)
+
+
 def test_resolve_plain_relative_reference():
     base = parse_url("http://example.com/rpo/test.php")
     out = resolve_relative(base, "dist/styles.css")
