@@ -26,12 +26,24 @@ yields each surviving URL as its declaration closes.  ``css_would_fire``
 stops both walks at the first surviving URL that matches, so the text after
 it is never tokenized, and it returns False without tokenizing when the URL
 cannot occur in the text at all.
+
+Most tokens cannot change the walk's state: everything between rules but a
+rule's first token, and everything in an implausible prelude, a skipped
+at-rule or block, or a dropped declaration but the tokens that open, close
+or end something.  For these states the walk draws with ``send(run)`` in
+place of ``next``, where ``run`` is one of two skip runs: compiled patterns
+that match a run of whole tokens the state ignores.  ``tokenize`` matches
+the run in C after the last token it yielded and scans on from its end, so
+Python sees only the tokens that can change a verdict.  The send is a hint:
+a wrapper that ignores it and hands over every token gets the same answer,
+since the walk ignores those tokens itself.  A plausible prelude and a live
+declaration are read token by token.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 
 WS = "ws"
 IDENT = "ident"
@@ -57,29 +69,75 @@ DELIM = "delim"
 Token = tuple[str, str, int]
 
 
+# The token kinds' patterns, shared by the tokenizer and the skip runs below.
+_SPACE = r"[ \t\r\n\f]"
+_IDENT_NAME = r"[A-Za-z_-][A-Za-z0-9_-]*"
+# An unquoted "url(" that does not close cleanly is a bad url running to the
+# next ")" or the end of input.
+_URL = rf"""[uU][rR][lL]\((?!["'])
+            (?: {_SPACE}*(?P<url_value>[^ \t\r\n\f"'()]*){_SPACE}*\)
+              | [^)]*\)? )"""
+_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/ | /\*[\s\S]*"
+_STRING = r"""  "[^"\\\n\r\f]*(?:\\[\s\S][^"\\\n\r\f]*)*(?P<dq_end>"|\\?)
+              | '[^'\\\n\r\f]*(?:\\[\s\S][^'\\\n\r\f]*)*(?P<sq_end>'|\\?)"""
+_HASH = r"\#[A-Za-z0-9_-]*"
+_AT = r"@[A-Za-z0-9_-]*"
+_STRUCTURAL_PUNCT = r"{}\[\]();"
+
 # One alternative per token kind.  At each position the first alternative
 # that matches wins, so a comment opener beats "/", "-->" beats an ident and
 # an unquoted "url(" beats a function; the common kinds come first.  Every
 # character is matched by some alternative (the last takes any single
-# character), so the scan never skips text.  An unquoted "url(" that does
-# not close cleanly is a bad url running to the next ")" or the end of input.
+# character), so the scan never skips text.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws> [ \t\r\n\f]+ )
-    | (?P<punct> [{}\[\]():;,] )
-    | (?P<url> [uU][rR][lL]\((?!["'])
-               (?: [ \t\r\n\f]*(?P<url_value>[^ \t\r\n\f"'()]*)[ \t\r\n\f]*\)
-                 | [^)]*\)? ) )
+    rf"""
+      (?P<ws> {_SPACE}+ )
+    | (?P<punct> [{_STRUCTURAL_PUNCT}:,] )
+    | (?P<url> {_URL} )
     | (?P<cdc> --> )
-    | (?P<ident> [A-Za-z_-][A-Za-z0-9_-]*\(? )
-    | (?P<comment> /\*[^*]*\*+(?:[^/*][^*]*\*+)*/ | /\*[\s\S]* )
-    | (?P<string> "[^"\\\n\r\f]*(?:\\[\s\S][^"\\\n\r\f]*)*(?P<dq_end>"|\\?)
-                | '[^'\\\n\r\f]*(?:\\[\s\S][^'\\\n\r\f]*)*(?P<sq_end>'|\\?) )
+    | (?P<ident> {_IDENT_NAME}\(? )
+    | (?P<comment> {_COMMENT} )
+    | (?P<string> {_STRING} )
     | (?P<cdo> <!-- )
-    | (?P<hash> \#[A-Za-z0-9_-]* )
-    | (?P<at> @[A-Za-z0-9_-]* )
+    | (?P<hash> {_HASH} )
+    | (?P<at> {_AT} )
     | (?P<delim> [\s\S] )
     """,
+    re.VERBOSE,
+)
+
+# Skip runs.  Each matches, from a token boundary, a run of whole tokens that
+# a state of the recovery walk ignores, and ends on a token boundary, so that
+# ``tokenize`` can step over the run in C and scan on from its end.
+#
+# Content: every token that opens, closes or ends nothing, that is all but
+# "{}[]();" and functions.  The first alternative reads most of a page: a
+# stretch of characters that start no string, comment, hash, at-keyword or
+# CDO and hold no "(", so no function or unquoted url either.  It ends after
+# a character that cannot be part of an ident, where a token ends.  The other
+# alternatives take whole tokens with the tokenizer's patterns: an ident only
+# when no "(" follows, and a run of digits, each of them a delim.  A stretch
+# that cannot end is all ident characters, which the digit and ident
+# alternatives then take, so the run reads no text more than a few times.
+_CONTENT_RUN = re.compile(
+    rf"""(?:
+        [^{_STRUCTURAL_PUNCT}"'\#@/<]+ (?<![A-Za-z0-9_-])
+      | <(?:!--)?
+      | {_COMMENT}
+      | /
+      | {_STRING}
+      | {_URL}
+      | {_IDENT_NAME}(?![A-Za-z0-9_(-])
+      | [0-9]+
+      | {_HASH}
+      | {_AT}
+    )*""",
+    re.VERBOSE,
+)
+# Top level, between rules: whitespace, stray closers and semicolons, CDO,
+# CDC and comments.
+_TOP_LEVEL_RUN = re.compile(
+    rf"""(?: [ \t\r\n\f}}\]);]+ | --> | {_COMMENT} | <!-- )*""",
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
@@ -103,38 +161,54 @@ def _string_token(text: str, m: re.Match) -> Token:
     return kind, value, start
 
 
-def tokenize(text: str) -> Iterator[Token]:
+def tokenize(text: str) -> Generator[Token, re.Pattern | None, None]:
     """CSS tokens of ``text`` as (kind, value, offset), made as they are
-    drawn; comments yield none."""
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "delim":  # group names equal the kinds
-            yield kind, m.group(), m.start()
-        elif kind == "punct":
-            char = m.group()
-            yield char, char, m.start()
-        elif kind == "ident":
-            name = m.group()
-            if name[-1] == "(":
-                yield FUNCTION, name[:-1].lower(), m.start()
-            else:
-                yield IDENT, name, m.start()
-        elif kind == "string":
-            yield _string_token(text, m)
-        elif kind == "url":
-            value = m.group("url_value")
-            if value is None:
-                yield BAD_URL, "", m.start()
-            else:
-                yield URL, value.strip(), m.start()
-        elif kind == "hash":
-            yield HASH, m.group()[1:], m.start()
-        elif kind == "at":
-            yield AT_KEYWORD, m.group()[1:], m.start()
-        elif kind == "cdo":
-            yield CDO, "<!--", m.start()
-        elif kind == "cdc":
-            yield CDC, "-->", m.start()
+    drawn; comments yield none.
+
+    Iterated plainly, it yields every token.  A skip run sent in place of a
+    plain draw steps over the whole tokens that the run matches right after
+    the last token drawn, and the send returns the token after them."""
+    pos = 0
+    while True:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "ws" or kind == "delim":  # group names equal the kinds
+                token = kind, m.group(), m.start()
+            elif kind == "punct":
+                char = m.group()
+                token = char, char, m.start()
+            elif kind == "ident":
+                name = m.group()
+                if name[-1] == "(":
+                    token = FUNCTION, name[:-1].lower(), m.start()
+                else:
+                    token = IDENT, name, m.start()
+            elif kind == "string":
+                token = _string_token(text, m)
+            elif kind == "url":
+                value = m.group("url_value")
+                if value is None:
+                    token = BAD_URL, "", m.start()
+                else:
+                    token = URL, value.strip(), m.start()
+            elif kind == "hash":
+                token = HASH, m.group()[1:], m.start()
+            elif kind == "at":
+                token = AT_KEYWORD, m.group()[1:], m.start()
+            elif kind == "cdo":
+                token = CDO, "<!--", m.start()
+            elif kind == "cdc":
+                token = CDC, "-->", m.start()
+            else:  # a comment
+                continue
+            run = yield token
+            if run is not None:
+                end = m.end()
+                pos = run.match(text, end).end()
+                if pos != end:
+                    break  # scan on from the end of the run
+        else:
+            return
 
 
 def token_trace(body: bytes) -> list[str]:
@@ -170,28 +244,35 @@ _SELECTOR_DELIMS = frozenset(".*>+~|^$=")
 # malformed start, or a bad string or bad url in the value).
 _NAME, _COLON, _VALUE, _DROPPED = range(4)
 
+# Each draw below is ``send(run)``: ``run`` names the tokens that the state
+# ignores, or is None where every token counts.  A source that does not skip
+# hands those tokens over, and the state ignores them itself.
 
-def _skip_balanced(tokens: Iterator[Token], ends: frozenset[str]) -> str:
-    """Consume component values from the iterator ``tokens`` up to and
-    including the first kind in ``ends`` at nesting level zero; returns that
-    kind, or "" at the end of input."""
+
+def _skip_balanced(send, ends: frozenset[str]) -> str:
+    """Draw component values with ``send`` up to and including the first
+    kind in ``ends`` at nesting level zero; returns that kind, or "" at the
+    end of input."""
     stack: list[str] = []
-    for kind, _, _ in tokens:
-        if kind not in _STRUCTURAL:
-            continue
-        if stack:
-            if kind == stack[-1]:
-                stack.pop()
+    try:
+        while True:
+            kind = send(_CONTENT_RUN)[0]
+            if kind not in _STRUCTURAL:
+                continue
+            if stack:
+                if kind == stack[-1]:
+                    stack.pop()
+                elif kind in _OPENERS:
+                    stack.append(_OPENERS[kind])
+            elif kind in ends:
+                return kind
             elif kind in _OPENERS:
                 stack.append(_OPENERS[kind])
-        elif kind in ends:
-            return kind
-        elif kind in _OPENERS:
-            stack.append(_OPENERS[kind])
-    return ""
+    except StopIteration:
+        return ""
 
 
-def _background_urls(tokens: Iterator[Token]) -> Iterator[str]:
+def _background_urls(tokens: Generator[Token, re.Pattern | None, None]) -> Iterator[str]:
     """Draw ``tokens`` once, yielding the URL of each ``background``
     declaration that survives, as soon as its declaration closes.
 
@@ -206,16 +287,22 @@ def _background_urls(tokens: Iterator[Token]) -> Iterator[str]:
     Nesting follows ``{}``, ``[]``, ``()`` and functions, and a closer that
     does not match the innermost opener is content.
     """
-    # every loop below draws from the one iterator ``tokens``
-    for kind, value, _ in tokens:
+    send = tokens.send
+    run = None  # a generator's first draw must be a plain one
+    while True:
+        try:
+            kind, value, _ = send(run)
+        except StopIteration:
+            return
+        run = _TOP_LEVEL_RUN
         if kind in _SKIPPED_AT_TOP:
             continue
         if kind == AT_KEYWORD:
-            if _skip_balanced(tokens, _AT_PRELUDE_ENDS) == LBRACE:
-                _skip_balanced(tokens, _BLOCK_END)
+            if _skip_balanced(send, _AT_PRELUDE_ENDS) == LBRACE:
+                _skip_balanced(send, _BLOCK_END)
             continue
         if kind == LBRACE:  # a block with no selector is dropped
-            _skip_balanced(tokens, _BLOCK_END)
+            _skip_balanced(send, _BLOCK_END)
             continue
 
         # The prelude, from this token (never a closer, "{" or whitespace).
@@ -224,66 +311,73 @@ def _background_urls(tokens: Iterator[Token]) -> Iterator[str]:
             plausible = value in _SELECTOR_DELIMS
         else:
             plausible = kind in _SELECTOR_KINDS
-        for kind, value, _ in tokens:
-            if kind in _STRUCTURAL:
-                if stack:
-                    if kind == stack[-1]:
-                        stack.pop()
+        try:
+            while True:
+                kind, value, _ = send(None if plausible else _CONTENT_RUN)
+                if kind in _STRUCTURAL:
+                    if stack:
+                        if kind == stack[-1]:
+                            stack.pop()
+                        elif kind in _OPENERS:
+                            stack.append(_OPENERS[kind])
+                    elif kind in _PRELUDE_ENDS:
+                        break
                     elif kind in _OPENERS:
                         stack.append(_OPENERS[kind])
-                elif kind in _PRELUDE_ENDS:
-                    break
-                elif kind in _OPENERS:
-                    stack.append(_OPENERS[kind])
-            if plausible:
-                if kind == DELIM:
-                    plausible = value in _SELECTOR_DELIMS
-                else:
-                    plausible = kind in _SELECTOR_KINDS
-        else:
+                if plausible:
+                    if kind == DELIM:
+                        plausible = value in _SELECTOR_DELIMS
+                    else:
+                        plausible = kind in _SELECTOR_KINDS
+        except StopIteration:
             return  # the prelude ran into the end of input
         if kind != LBRACE:
             continue  # a stray "}" or a ";" ended the prelude: rule dropped
         if not plausible:
-            _skip_balanced(tokens, _BLOCK_END)
+            _skip_balanced(send, _BLOCK_END)
             continue
 
         # The block, one declaration at a time.
         state = _NAME
         urls: list[str] = []
         after_url_function = False
-        for kind, value, _ in tokens:
-            if kind in _STRUCTURAL:
-                if stack:
-                    if kind == stack[-1]:
-                        stack.pop()
+        try:
+            while True:
+                kind, value, _ = send(_CONTENT_RUN if state == _DROPPED else None)
+                if kind in _STRUCTURAL:
+                    if stack:
+                        if kind == stack[-1]:
+                            stack.pop()
+                        elif kind in _OPENERS:
+                            stack.append(_OPENERS[kind])
+                    elif kind == RBRACE:
+                        break
+                    elif kind == SEMICOLON:
+                        if urls:
+                            yield from urls
+                            urls = []
+                        state = _NAME
+                        continue
                     elif kind in _OPENERS:
                         stack.append(_OPENERS[kind])
-                elif kind == RBRACE:
-                    break
-                elif kind == SEMICOLON:
-                    if urls:
-                        yield from urls
-                        urls = []
-                    state = _NAME
+                if kind == WS or state == _DROPPED:
                     continue
-                elif kind in _OPENERS:
-                    stack.append(_OPENERS[kind])
-            if kind == WS or state == _DROPPED:
-                continue
-            if state == _VALUE:
-                if kind == URL:
-                    urls.append(value)
-                elif kind == STRING and after_url_function:
-                    urls.append(value)
-                elif kind in _INVALID_VALUE_KINDS:
-                    state = _DROPPED
-                    urls = []
-                after_url_function = kind == FUNCTION and value == "url"
-            elif state == _NAME:
-                state = _COLON if kind == IDENT and value.lower() == "background" else _DROPPED
-            else:
-                state = _VALUE if kind == COLON else _DROPPED
+                if state == _VALUE:
+                    if kind == URL:
+                        urls.append(value)
+                    elif kind == STRING and after_url_function:
+                        urls.append(value)
+                    elif kind in _INVALID_VALUE_KINDS:
+                        state = _DROPPED
+                        urls = []
+                    after_url_function = kind == FUNCTION and value == "url"
+                elif state == _NAME:
+                    state = _COLON if kind == IDENT and value.lower() == "background" else _DROPPED
+                else:
+                    state = _VALUE if kind == COLON else _DROPPED
+        except StopIteration:
+            yield from urls  # the block ran into the end of input
+            return
         yield from urls  # the block's last declaration
 
 

@@ -16,9 +16,9 @@ on that config object, so it lives and dies with it and never passes to
 another config; ``dataclasses.replace`` gives a new object with a plan of
 its own.  A config must therefore not change after it has answered: a field
 set later is not seen.  A config whose real stylesheets sit at refs that do
-not resolve fails on every request with ``MalformedUrl``.  Each request
-target is percent-decoded once, and its path a second time only when it
-carries a query.
+not resolve fails on every request with ``MalformedUrl``, and
+``config_from_dict`` refuses it.  Each request target is percent-decoded
+once, and its path a second time only when it carries a query.
 """
 
 from __future__ import annotations
@@ -649,13 +649,18 @@ def _from_json(kind, value):
 
 def config_from_dict(data: dict) -> TargetConfig:
     """A config from its JSON form (enums by value, sets as lists); absent
-    fields take the dataclass defaults and unknown keys are ignored."""
+    fields take the dataclass defaults and unknown keys are ignored.  Real
+    stylesheets at refs that do not resolve raise ``MalformedUrl`` here,
+    rather than on every request."""
     kinds = typing.get_type_hints(TargetConfig)
-    return TargetConfig(**{
+    config = TargetConfig(**{
         f.name: _from_json(kinds[f.name], data[f.name])
         for f in fields(TargetConfig)
         if f.name in data
     })
+    if config.serve_real_stylesheets:
+        _real_stylesheet_paths(config)
+    return config
 
 
 def load_config(path: str) -> TargetConfig:

@@ -9,8 +9,12 @@ confusion, so they are flagged out.
 The body is decoded as latin-1 and walked once with one regular expression
 that matches a whole markup construct at a ``<``: a comment, a declaration
 or doctype, a processing instruction, an end tag or a start tag with its
-attributes.  Text between constructs is skipped by the regex engine, so
-Python runs once per construct, and each offset is the index of its ``<``.
+attributes.  Between two constructs that can carry a fact, a skip run built
+from the same patterns steps over text and every construct that cannot:
+comments, processing instructions, declarations other than a doctype, end
+tags other than a frame's, and start tags other than base, link, script,
+style and the frames.  So Python runs only on those few constructs, and each
+offset is the index of its ``<``.
 Tags follow the HTML5 tokenizer: only tab, LF, FF, CR and space separate
 names and attributes; a quoted attribute value runs to its closing quote,
 ``<`` and ``>`` included; ``<!-->`` and ``<!--->`` are empty comments, and
@@ -70,25 +74,28 @@ def is_relative_href(href: str) -> bool:
 # names), and a value is quoted or runs to whitespace or ">".  A quote left
 # open runs to the end of the input.
 _SPACE = r"[\t\n\r\f ]"
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />]*"
+_NAME_ENDS = r"(?![^\t\n\r\f />])"  # whitespace, "/", ">" or the end of input
 _ATTR_NAME = r"[^\t\n\r\f />][^\t\n\r\f />=]*"
 _ATTR_VALUE = r"""(?:"[^"]*"?|'[^']*'?|[^\t\n\r\f >]*)"""
+_ATTRS = rf"(?: {_SPACE}+ | /(?!>) | {_ATTR_NAME}(?:{_SPACE}*={_SPACE}*{_ATTR_VALUE})? )*"
+# Two constructs that never carry a fact, after their "<".
+_COMMENT = r"!--(?: -?> | [\s\S]*?--!?> | [\s\S]* )"
+_PROCESSING_INSTRUCTION = r"\?[^>]*>?"
 
 # One markup construct starting at "<".  The named group that closes last
 # tells the kinds apart: "close" for a start tag, "attrs" for a start tag cut
 # off by the end of input, "end_close" for an end tag, "decl_end" for a
 # declaration; the others (comments, processing instructions, bogus or
-# unfinished constructs) carry no fact.  A "<" that starts none of them is
-# text and is skipped by the search.
+# unfinished constructs) carry no fact.
 _MARKUP_RE = re.compile(
     rf"""<(?:
-        !--(?: -?> | [\s\S]*?--!?> | [\s\S]* )
+        {_COMMENT}
       | !(?P<decl>[^>]*)(?P<decl_end>>)?
-      | \?[^>]*>?
-      | /(?P<end>[a-zA-Z][^\t\n\r\f />]*)[^>]*(?P<end_close>>)?
+      | {_PROCESSING_INSTRUCTION}
+      | /(?P<end>{_TAG_NAME})[^>]*(?P<end_close>>)?
       | /[^>]*>?
-      | (?P<start>[a-zA-Z][^\t\n\r\f />]*)
-        (?P<attrs>(?: {_SPACE}+ | /(?!>) | {_ATTR_NAME}(?:{_SPACE}*={_SPACE}*{_ATTR_VALUE})? )*)
-        (?P<close>/?>)?
+      | (?P<start>{_TAG_NAME})(?P<attrs>{_ATTRS})(?P<close>/?>)?
     )""",
     re.VERBOSE,
 )
@@ -98,6 +105,29 @@ _RAW_TEXT_END = {
     "style": re.compile(r"</style[\t\n\r\f />]", re.IGNORECASE),
 }
 _FRAME_TAGS = ("iframe", "frame", "frameset")
+_FRAME_NAMES = "|".join(_FRAME_TAGS)
+_FACT_NAMES = "|".join(("base", "link", *_RAW_TEXT_END, *_FRAME_TAGS))
+
+# A run of whole constructs that carry no fact: text (a "<" that starts no
+# construct is text too), comments, processing instructions, declarations
+# other than a doctype, end tags other than a frame's, and start tags other
+# than base, link, script, style and the frames.  Each construct has its
+# pattern from _MARKUP_RE, so the run ends where _MARKUP_RE would end a
+# construct: at a "<" that it reads as a possible fact, or at the end of input.
+_SKIP_RE = re.compile(
+    rf"""(?:
+        [^<]+
+      | <(?:
+            {_COMMENT}
+          | !(?!(?i:doctype))[^>]*>?
+          | {_PROCESSING_INSTRUCTION}
+          | /(?!(?i:{_FRAME_NAMES}){_NAME_ENDS})[^>]*>?
+          | (?!(?i:{_FACT_NAMES}){_NAME_ENDS}){_TAG_NAME}{_ATTRS}(?:/?>)?
+          | (?![!?/a-zA-Z])
+        )
+    )*""",
+    re.VERBOSE,
+)
 
 
 def _attributes(text: str) -> dict[str, str]:
@@ -117,9 +147,12 @@ def analyze_html(body: bytes) -> PageDocument:
     text = body.decode("latin-1")
     doc = PageDocument()
     frame_depth = 0
-    search = _MARKUP_RE.search
-    match = search(text)
-    while match is not None:
+    skip = _SKIP_RE.match
+    markup = _MARKUP_RE.match
+    end = len(text)
+    pos = skip(text).end()
+    while pos < end:
+        match = markup(text, pos)
         pos = match.end()
         kind = match.lastgroup
         if kind == "close":
@@ -155,7 +188,7 @@ def analyze_html(body: bytes) -> PageDocument:
             decl = match.group("decl")
             if doc.doctype is None and decl[:7].lower() == "doctype":
                 doc.doctype = decl[7:].strip()
-        match = search(text, pos)
+        pos = skip(text, pos).end()
     return doc
 
 

@@ -47,7 +47,26 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
-        return cls(**json.loads(line))
+        """A record from its JSON line; raises ValueError or TypeError when
+        the line is not one record's keys with values of their types."""
+        record = cls(**json.loads(line))
+        for name in _TEXT_FIELDS:
+            if not isinstance(getattr(record, name), str):
+                raise TypeError(f"{name} must be a string")
+        for name in _OPTIONAL_TEXT_FIELDS:
+            if not isinstance(getattr(record, name), (str, type(None))):
+                raise TypeError(f"{name} must be a string or null")
+        results = record.profile_results
+        if not isinstance(results, dict) or not all(isinstance(r, dict) for r in results.values()):
+            raise TypeError("profile_results must be an object of objects")
+        if not isinstance(record.errors, list) or not all(isinstance(e, str) for e in record.errors):
+            raise TypeError("errors must be a list of strings")
+        return record
+
+
+_TEXT_FIELDS = ("url", "site", "template", "status")
+_OPTIONAL_TEXT_FIELDS = ("reason", "technique", "newline_variant", "reflected_stylesheet_url",
+                         "grouped_into", "started_at", "finished_at")
 
 
 def _now() -> str:

@@ -116,8 +116,40 @@ def test_summarize_cli_missing_file_exits_2(tmp_path):
             '"status": "vulnerable", "colour": "red"}',
             "unexpected keyword argument 'colour'",
         ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "vulnerable", "technique": "cookie", "profile_results": [1]}',
+            "profile_results must be an object of objects",
+        ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "vulnerable", "profile_results": {"chrome": true}}',
+            "profile_results must be an object of objects",
+        ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "error", "errors": "boom"}',
+            "errors must be a list of strings",
+        ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "error", "errors": [1]}',
+            "errors must be a list of strings",
+        ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "vulnerable", "technique": 3}',
+            "technique must be a string or null",
+        ),
+        (
+            '{"url": "http://a.test/x", "site": ["a.test"], "template": "a.test/x", '
+            '"status": "vulnerable"}',
+            "site must be a string",
+        ),
+        ("[1]", "argument after ** must be a mapping"),
     ],
-    ids=["truncated-json", "unknown-key"],
+    ids=["truncated-json", "unknown-key", "results-list", "result-not-object",
+         "errors-string", "errors-not-strings", "technique-number", "site-list", "not-object"],
 )
 def test_summarize_cli_malformed_record_exits_2(tmp_path, capsys, line, message):
     good = ScanRecord(url="http://a.test/y", site="a.test", template="a.test/y",
@@ -202,8 +234,13 @@ def test_mock_serve_cli():
     [
         ('{"name": "t", "routing": ', "Expecting value"),
         ('{"name": "t"}', "missing 1 required positional argument: 'routing'"),
+        (
+            '{"name": "t", "routing": "exact_file", "serve_real_stylesheets": true, '
+            '"stylesheet_refs": ["\u00e9.css"]}',
+            "illegal character",
+        ),
     ],
-    ids=["malformed-json", "missing-routing"],
+    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref"],
 )
 def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, text, message):
     config = tmp_path / "target.json"

@@ -1,17 +1,21 @@
 import pathlib
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impls
 
-from rposcan import css_recovery
+from rposcan import css_recovery, scanning
 from rposcan.css_recovery import (
     css_would_fire,
     surviving_background_urls,
     token_trace,
     tokenize,
 )
+from rposcan.mock_target import InProcessClient, Routing, TargetConfig
 from rposcan.payloads import build_exploit_payload
+from rposcan.rendering import default_profiles
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CANARY = "http://canary.test/px/feedbeef"
@@ -290,3 +294,140 @@ def test_precheck_is_exact(text, drop_backslashes):
     expected = reference_impls.surviving_background_urls(body)
     for target in ("http://c.test/x", "http://c.test/y", "http://css-canary.invalid/x"):
         assert css_would_fire(body, target) is (target in expected)
+
+
+# --- the skip runs ---
+
+# Pieces that make long content runs, implausible preludes, dropped
+# declarations and at-rules, and that hide "{}[]();" in strings, comments and
+# unquoted url(); "-(", 'url("' and "\\" make functions and delims, and the
+# unfinished ones run into the end of input.
+_SKIP_PIECES = st.sampled_from(
+    [
+        "<html><head>\n<title>a page</title>", '<link rel="stylesheet" href="../s.css">',
+        "<p class='x'>words, more: words.</p>\n", "</p>", "<", "<!", "<!--", "-->", "<!--(",
+        "/", "/*", "/*{;}*/", "*", '"a{b;c}"', "'}'", '"open\n', "url(a{b;c)", "url( x )",
+        'url("a{")', "url(", "9url(a{)", "xurl(", "-(", "--(", "a(", "#a(", "#", "@m", "@m{",
+        "@import x;", "\\", "\\{", "\\\n", ":", ",", ";", "{", "}", "(", ")", "[", "]",
+        "p", "body", "background", " ", "\n", "\t", "\xa0", "é", "0", "x:y;",
+        "background:url(http://c.test/x)", "color:red;background:url(http://c.test/y)",
+    ]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_SKIP_PIECES, _SKIP_PIECES, _RULE, _CSS_PIECES), max_size=24).map("".join))
+def test_walk_with_skips_matches_reference(text):
+    _same_walk(text.encode("latin-1"))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(_SKIP_PIECES, _RULE), max_size=10).map("".join), st.sampled_from(_TARGETS))
+def test_walk_without_skips_gives_the_same_answer(text, target):
+    # a source that ignores every send hands over each token the runs skip
+    def every_token(text):
+        yield from tokenize(text)
+
+    body = text.encode("latin-1")
+    skipped = list(css_recovery._background_urls(tokenize(text)))
+    assert list(css_recovery._background_urls(every_token(text))) == skipped
+    assert (target in skipped) is css_would_fire(body, target)
+
+
+def _tokens_with_ends(text):
+    """(start, end, kind) of every token, comments included, with "function"
+    for an ident that opens one and the character for punctuation."""
+    out = []
+    for m in css_recovery._TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "punct":
+            kind = m.group()
+        elif kind == "ident" and m.group().endswith("("):
+            kind = "function"
+        out.append((m.start(), m.end(), kind))
+    return out
+
+
+_OPENS_OR_ENDS = {"{", "}", "[", "]", "(", ")", ";", "function"}
+_TOP_LEVEL_SKIPPED = {"ws", "cdo", "cdc", "comment", "}", "]", ")", ";"}
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_SKIP_PIECES, _CSS_PIECES), max_size=24).map("".join),
+        st.binary(max_size=60).map(lambda b: b.decode("latin-1")),
+    )
+)
+def test_runs_cover_exactly_the_tokens_a_state_ignores(text):
+    # from every token boundary, a run ends on a token boundary, covers only
+    # tokens its state ignores and stops at the first one it must see
+    tokens = _tokens_with_ends(text)
+    kind_at = {start: kind for start, _, kind in tokens}
+    for run, ignored in (
+        (css_recovery._CONTENT_RUN, lambda kind: kind not in _OPENS_OR_ENDS),
+        (css_recovery._TOP_LEVEL_RUN, lambda kind: kind in _TOP_LEVEL_SKIPPED),
+    ):
+        for start, _, _ in tokens:
+            end = run.match(text, start).end()
+            assert end == len(text) or end in kind_at
+            assert all(ignored(kind) for s, _, kind in tokens if start <= s < end)
+            assert end == len(text) or not ignored(kind_at[end])
+
+
+def _exploit_sheet(monkeypatch) -> tuple[bytes, str]:
+    """The sheet body and canary that verification hands the oracle for a
+    path-confusable mock page: the page itself, echoing the exploit."""
+    seen = []
+
+    def recording(body, nonce_url):
+        seen.append((body, nonce_url))
+        return css_would_fire(body, nonce_url)
+
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
+    client = InProcessClient({"mock.test": target})
+    config = scanning.ScanConfig(per_host_delay=0.0, profiles=tuple(default_profiles()))
+    with monkeypatch.context() as patched:
+        patched.setattr(scanning, "css_would_fire", recording)
+        verdict = scanning.scan_page(target.seed_url("http://mock.test"), {}, client, config)
+        assert scanning.verify_exploitable(verdict, client, config).status.value == "exploitable"
+    (sheet,) = seen
+    return sheet
+
+
+def test_exploit_sheet_draws_few_tokens(monkeypatch):
+    body, nonce_url = _exploit_sheet(monkeypatch)
+    drawn = [0]
+    original = css_recovery.tokenize
+
+    def forwarding(text):
+        tokens = original(text)
+        run = None
+        while True:
+            try:
+                token = tokens.send(run)
+            except StopIteration:
+                return
+            drawn[0] += 1
+            run = yield token
+
+    monkeypatch.setattr(css_recovery, "tokenize", forwarding)
+    assert css_would_fire(body, nonce_url) is True
+    # the page's markup and the exploit's 40 closers are skipped in C
+    assert 0 < drawn[0] <= 16
+
+    # a wrapper that ignores the walk's sends sees every token up to the match
+    monkeypatch.setattr(css_recovery, "tokenize", original)
+    plain = _count_drawn_tokens(monkeypatch)
+    assert css_would_fire(body, nonce_url) is True
+    assert plain[0] > 100
+
+
+@pytest.mark.parametrize("unit", ["a/", "9", "<", "/", "<!", "9a", "\\"])
+def test_runs_stay_linear_on_stretches_that_cannot_end(unit):
+    # a skipped stretch of these can end nowhere before the "(": a run that
+    # rescans it from each of its characters takes seconds, a linear one ms
+    body = b"<" + unit.encode() * (20000 // len(unit)) + b"(body{background:url(" + CANARY.encode() + b")}"
+    started = time.process_time()
+    assert css_would_fire(body, CANARY) is False
+    assert time.process_time() - started < 1.0

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_impls
+from rposcan import pages
 from rposcan.pages import (
     PageDocument,
     StylesheetRef,
@@ -259,6 +260,70 @@ _CONSTRUCTS = st.one_of(
 def test_facts_match_html_parser_reference(page):
     body = page.encode("latin-1")
     assert _facts(analyze_html(body)) == _facts(reference_impls.analyze_html(body))
+
+
+# Near misses of the names that carry facts, frame end tags with no frame
+# open, and markup hidden in attribute values and comments; the skip run must
+# step over each of them exactly as far as the construct-by-construct read.
+_NEAR_MISSES = st.sampled_from(
+    [
+        "<linkx rel=stylesheet href=n1.css>", "<LINKS rel=stylesheet href=n2.css>",
+        "<basex href=/n/>", "<iframex>", "<frames>", "<framesetx>", "<scriptx>", "<styles>",
+        "</iframex>", "</frames>", "</iframe>", "</FRAMESET >", "</frame/>", "<!doctypex>",
+        "<!DOCTYPEhtml>", "<!doctyp html>", "<!-- <link rel=stylesheet href=c1.css> -->",
+        '<p title="<link rel=stylesheet href=v.css>">', "<p title='<base href=/v/>'>",
+        "<a href=x><link rel=stylesheet href=l.css></a>", "<p/>", "<br/>", "< link>",
+        "<?link rel=stylesheet href=p.css?>", "<!link rel=stylesheet href=d.css>",
+    ]
+)
+# Unfinished constructs, which run to the end of the input.
+_UNCLOSED = st.sampled_from(
+    ["", '<p title="x', "<p title='x", "<!-- x", "<?pi", "<!x", "</p", "<a", "<link", "<", "<!--"]
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(_CONSTRUCTS, _NEAR_MISSES, _NEAR_MISSES), max_size=12).map("".join),
+    _UNCLOSED,
+)
+def test_facts_match_reference_around_near_misses(page, tail):
+    body = (page + tail).encode("latin-1")
+    assert _facts(analyze_html(body)) == _facts(reference_impls.analyze_html(body))
+
+
+_FACT_TAGS = ("base", "link", "script", "style", "iframe", "frame", "frameset")
+
+
+def _first_possible_fact(text: str, pos: int) -> int:
+    """Where a construct-by-construct read from ``pos`` meets the first
+    construct that can carry a fact, or the end of the text."""
+    match = pages._MARKUP_RE.search(text, pos)
+    while match is not None:
+        start, end, decl = match.group("start", "end", "decl")
+        if start is not None and start.lower() in _FACT_TAGS:
+            break
+        if end is not None and end.lower() in ("iframe", "frame", "frameset"):
+            break
+        if decl is not None and decl[:7].lower() == "doctype":
+            break
+        match = pages._MARKUP_RE.search(text, match.end())
+    return len(text) if match is None else match.start()
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_CONSTRUCTS, _NEAR_MISSES, _TEXT), max_size=12).map("".join),
+        st.binary(max_size=80).map(lambda b: b.decode("latin-1")),
+    ),
+    _UNCLOSED,
+)
+def test_skip_run_stops_at_the_first_possible_fact(page, tail):
+    text = page + tail
+    starts = [0] + [m.end() for m in pages._MARKUP_RE.finditer(text)]
+    for pos in starts:
+        assert pages._SKIP_RE.match(text, pos).end() == _first_possible_fact(text, pos)
 
 
 # A UTF-8 "Å" is C3 85; decoded as latin-1 its \x85 is a line break to
