@@ -66,8 +66,7 @@ class HttpResponse(NamedTuple):
 @dataclass(frozen=True)
 class HttpExchange:
     request: HttpRequest
-    response: HttpResponse | None
-    error: str | None = None
+    response: HttpResponse | None  # None for a fetch that failed
     timestamp: float = 0.0  # monotonic clock at send time
 
 
@@ -90,11 +89,9 @@ class RecordingClient:
         stamp = time.monotonic()
         try:
             response = self._inner.fetch(request)
-        except NetworkError as exc:
+        except NetworkError:
             with self._lock:
-                self.exchanges.append(
-                    HttpExchange(request=request, response=None, error=str(exc), timestamp=stamp)
-                )
+                self.exchanges.append(HttpExchange(request=request, response=None, timestamp=stamp))
             raise
         with self._lock:
             self.exchanges.append(

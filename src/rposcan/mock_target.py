@@ -3,22 +3,23 @@ exploits: rewriting-style routing, reflection sinks, doctype and defense
 header emission, URL-echoing error pages, and servers that refuse newline
 bytes in the request or cut their echoes at LF.
 
-Every response is a pure function of (config, request), and each config can
-compute its own ground-truth label (is it vulnerable, and for which engines
-would the injected style fire) from its flags plus the rendering model, so
-end-to-end runs have an answer key that does not come from the scanner.
+A ``TargetConfig`` is a frozen value.  Every response is a pure function of
+(config, request), worked out from the config's response plan
+(``config.plan``): the security headers, the page and error markup split
+around the base tag's origin, the real-stylesheet paths, and the sink,
+filter and newline flags.  The plan is built on first use and cached on the
+config; ``dataclasses.replace`` gives a new config with a plan of its own.
+A config whose real stylesheets sit at refs that do not resolve fails on
+every request with ``MalformedUrl``, and ``config_from_dict`` refuses it.
 
-What a config's responses share is its response plan: the security headers,
-the page and error markup split around the base tag's origin, the set of
-real-stylesheet paths, and the sink, filter and newline flags.  The plan is
-built on the config's first request (or first ``route_request``) and kept
-on that config object, so it lives and dies with it and never passes to
-another config; ``dataclasses.replace`` gives a new object with a plan of
-its own.  A config must therefore not change after it has answered: a field
-set later is not seen.  A config whose real stylesheets sit at refs that do
-not resolve fails on every request with ``MalformedUrl``, and
-``config_from_dict`` refuses it.  Each request target is percent-decoded
-once, and its path a second time only when it carries a query.
+Each config also computes its own ground-truth label (is it vulnerable, and
+for which engines would the injected style fire), so end-to-end runs have an
+answer key.  The key sends a marker, and then an exploit-shaped stand-in,
+through the same plan and routing the server answers with.  It shares three
+things with the scanner: the technique shapes (``mutations``), reference
+resolution (``urls``) and the rendering rules.  It shares none of fetching,
+HTML extraction, reflection search, the CSS oracle or ``scanning``'s profile
+judging.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import threading
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
 
@@ -50,7 +52,6 @@ from .rendering import (
     effective_mode,
     framing_allowed,
     stylesheet_accepted,
-    RenderingMode,
 )
 from .scanning import NotVulnerableReason, ScanStatus
 from .urls import (
@@ -104,7 +105,7 @@ DOCTYPE_STANDARDS = "html"
 _SANITIZE_RE = re.compile(r"[{}()\[\]:;]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetConfig:
     name: str
     routing: Routing
@@ -132,6 +133,11 @@ class TargetConfig:
             text += "?" + self.seed_query
         return parse_url(text)
 
+    @cached_property
+    def plan(self) -> _ResponsePlan:
+        """What every response of this config shares, built on first use."""
+        return _ResponsePlan(self)
+
 
 # --- routing ---
 
@@ -155,16 +161,6 @@ def _real_stylesheet_paths(config: TargetConfig) -> frozenset[str]:
         elif ref.startswith("/") and not ref.startswith("//"):
             paths.add(ref)
     return frozenset(paths)
-
-
-def route_request(config: TargetConfig, raw_target: str) -> tuple[str, list[tuple[str, str]]]:
-    """Resolve a raw request target to ("page" | "css" | "404", query_pairs).
-
-    Query pairs come back fully decoded, including a query string resurrected
-    from an encoded ``?`` by the decode-then-route flavor.
-    """
-    raw_path, mark, raw_query = raw_target.partition("?")
-    return _route(_plan_of(config), percent_decode(raw_path), raw_query if mark else None)
 
 
 def _route(
@@ -227,8 +223,8 @@ def _markup(config: TargetConfig, heading: str, refs: bool) -> tuple[str, str]:
 
 
 class _ResponsePlan:
-    """Everything a config's responses share, worked out once per config
-    object: routing facts, the sink flags, the headers and the markup."""
+    """Everything a config's responses share: routing facts, the sink flags,
+    the headers and the markup."""
 
     def __init__(self, config: TargetConfig) -> None:
         self.routing = config.routing
@@ -268,23 +264,13 @@ class _ResponsePlan:
         return f'\n<p class="{css_class}">{value}</p>'
 
 
-def _plan_of(config: TargetConfig) -> _ResponsePlan:
-    """The config's plan, built on its first request and kept on the config
-    object itself, so that it lives and dies with that object."""
-    try:
-        return config._response_plan
-    except AttributeError:
-        plan = config._response_plan = _ResponsePlan(config)
-        return plan
-
-
 _REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
 _CSS_BODY = b"body { margin: 0; }\n"
 
 
 def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     """Byte-deterministic response for a GET request against this config."""
-    plan = _plan_of(config)
+    plan = config.plan
     raw_target = _raw_target_of(request.url)
     raw_path, mark, raw_query = raw_target.partition("?")
     decoded = percent_decode(raw_target)
@@ -464,43 +450,70 @@ class GroundTruth:
     profiles: dict[str, ProfileTruth]
 
 
-_MARKER = "zz9qmarkerq9zz"  # stands in for the payload; survives one decode
+_MARKER = "zz9qmarkerq9zz"  # stands in for the probe payload; survives one decode
 
-# Exploit-shaped stand-in: closers plus a url() whose decoded form carries
-# raw slashes, which is what breaks path equivalence on decode-then-route
-# servers during verification.
-_EXPLOIT_MARKER_TEXT = "}}]]body{background:url(http://css-canary.invalid/" + _MARKER + ")}"
+# Exploit-shaped stand-in: a newline, closers and a url() whose decoded form
+# carries raw slashes, which is what breaks path equivalence on
+# decode-then-route servers during verification.  The newline is never
+# refused or cut here: the answer key assumes the scanner's newline variant
+# that gets through.
+_EXPLOIT_MARKER = "%0A" + quote(
+    "}}]]body{background:url(http://css-canary.invalid/" + _MARKER + ")}", safe=""
+)
+
+_VICTIM_ORIGIN = "http://gt.invalid"
 
 
-def _marker_reflects(
-    config: TargetConfig, technique: MutationTechnique, mutated, sheet: WebUrl
-) -> bool:
-    """Would the response to this stylesheet fetch echo the injected marker?"""
-    if config.sink_filter is SinkFilter.DROP:
-        return False
-    kind, query_pairs = route_request(config, _raw_target_of(serialize_url(sheet)))
+def _reflects(plan: _ResponsePlan, technique: MutationTechnique, page: WebUrl,
+              sheet: WebUrl) -> bool:
+    """Would the response to this stylesheet fetch, with ``page`` as its
+    Referer, echo the marker?"""
+    sheet_path = percent_decode(sheet.path)
+    kind, query_pairs = _route(plan, sheet_path, sheet.query)
     if kind == "css":
         return False
     if kind == "404":
-        return config.error_page_echoes_url and _MARKER in percent_decode(sheet.path)
-    if Sink.ECHO_URL in config.sinks and _MARKER in percent_decode(sheet.path):
-        return True
-    if Sink.ECHO_REFERRER in config.sinks and _MARKER in percent_decode(serialize_url(mutated.url)):
-        return True
-    if Sink.ECHO_QUERY_VALUES in config.sinks and any(_MARKER in v for _, v in query_pairs):
-        return True
-    if Sink.ECHO_COOKIE_VALUES in config.sinks and technique is MutationTechnique.COOKIE:
-        return True
-    return False
+        return plan.error_echo and _MARKER in sheet_path
+    return (
+        (plan.echo_url and _MARKER in sheet_path)
+        or (plan.echo_referrer and _MARKER in percent_decode(serialize_url(page)))
+        or (plan.echo_query and any(_MARKER in value for _, value in query_pairs))
+        or (plan.echo_cookie and technique is MutationTechnique.COOKIE)
+    )
 
 
-def _winning_technique(config: TargetConfig) -> tuple[MutationTechnique | None, str | None]:
-    """First technique whose stylesheet fetch reflects, plus the failure reason
-    when none does.  Mirrors the config's own routing and sink flags."""
-    seed = config.seed_url("http://gt.invalid")
-    saw_base = False
-    saw_relative_refs = False
-    for technique in applicable_techniques(seed, config.seed_cookies):
+def _attempt(
+    config: TargetConfig, technique: MutationTechnique, payload: str
+) -> NotVulnerableReason | None:
+    """Send ``payload`` from the seed URL by one technique, then fetch the
+    stylesheets its answer links.  None when one of them reflects the marker;
+    otherwise what the answer showed: the base tag, relative refs that do not
+    reflect, or no relative refs at all."""
+    plan = config.plan
+    seed = config.seed_url(_VICTIM_ORIGIN)
+    mutated = mutate(seed, technique, payload, DEFAULT_SLASH_PADDING, config.seed_cookies)
+    kind, _ = _route(plan, percent_decode(mutated.url.path), mutated.url.query)
+    if kind == "css":
+        return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
+    # the base tag sits on the page and the 404 alike, and a base with no
+    # relative ref after it blocks just the same
+    if plan.base_tag:
+        return NotVulnerableReason.BASE_TAG
+    relative_refs = [ref for ref in config.stylesheet_refs if is_relative_href(ref)]
+    if not relative_refs or (kind == "404" and not config.error_page_has_refs):
+        return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
+    for sheet in expand_stylesheet_targets(mutated, relative_refs):
+        if _reflects(plan, technique, mutated.url, sheet):
+            return None
+    return NotVulnerableReason.NO_REFLECTION
+
+
+def compute_ground_truth(config: TargetConfig, profiles: list[BrowserProfile]) -> GroundTruth:
+    """The first technique whose marker reflects, in the scanner's order, and
+    per engine whether the exploit would fire; or, when none reflects, the
+    reason the scanner should give."""
+    seen: set[NotVulnerableReason] = set()
+    for technique in applicable_techniques(config.seed_url(_VICTIM_ORIGIN), config.seed_cookies):
         # a server that refuses every newline answers a bare 400 whenever the
         # payload rides in the request target, that is for all but the cookie
         if (
@@ -508,91 +521,39 @@ def _winning_technique(config: TargetConfig) -> tuple[MutationTechnique | None, 
             and technique is not MutationTechnique.COOKIE
         ):
             continue
-        mutated = mutate(seed, technique, _MARKER, DEFAULT_SLASH_PADDING, config.seed_cookies)
-        page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
-        if page_kind == "css":
-            continue
-        # the base tag sits on the page and the 404 alike, and a base with no
-        # relative ref after it blocks just the same
-        if config.emit_base_tag:
-            saw_base = True
-            continue
-        refs_visible = page_kind == "page" or config.error_page_has_refs
-        if not refs_visible:
-            continue
-        relative_refs = [r for r in config.stylesheet_refs if is_relative_href(r)]
-        if not relative_refs:
-            continue
-        saw_relative_refs = True
-        for sheet in expand_stylesheet_targets(mutated, relative_refs):
-            if _marker_reflects(config, technique, mutated, sheet):
-                return technique, None
-    if saw_base:
-        return None, NotVulnerableReason.BASE_TAG.value
-    if saw_relative_refs:
-        return None, NotVulnerableReason.NO_REFLECTION.value
-    return None, NotVulnerableReason.NO_RELATIVE_STYLESHEETS.value
+        reason = _attempt(config, technique, _MARKER)
+        if reason is None:
+            break
+        seen.add(reason)
+    else:
+        # as the scanner does: the base tag first, then refs that did not reflect
+        reason = next(
+            (r for r in (NotVulnerableReason.BASE_TAG, NotVulnerableReason.NO_REFLECTION)
+             if r in seen),
+            NotVulnerableReason.NO_RELATIVE_STYLESHEETS,
+        )
+        return GroundTruth(vulnerable=False, reason=reason.value, technique=None, profiles={})
 
-
-def _exploit_round_trip_reflects(config: TargetConfig, technique: MutationTechnique) -> bool:
-    """Does the exploit-shaped payload still reach a reflecting stylesheet
-    response?  Its decoded form introduces slashes and braces the probe did
-    not have."""
-    seed = config.seed_url("http://gt.invalid")
-    encoded = "%0A" + quote(_EXPLOIT_MARKER_TEXT, safe="")
-    mutated = mutate(seed, technique, encoded, DEFAULT_SLASH_PADDING, config.seed_cookies)
-    page_kind, _ = route_request(config, _raw_target_of(serialize_url(mutated.url)))
-    if page_kind == "page" or (page_kind == "404" and config.error_page_has_refs):
-        relative_refs = [r for r in config.stylesheet_refs if is_relative_href(r)]
-        for sheet in expand_stylesheet_targets(mutated, relative_refs):
-            if _marker_reflects(config, technique, mutated, sheet):
-                return True
-    return False
-
-
-def compute_ground_truth(config: TargetConfig, profiles: list[BrowserProfile]) -> GroundTruth:
-    technique, reason = _winning_technique(config)
-    if technique is None:
-        return GroundTruth(vulnerable=False, reason=reason, technique=None, profiles={})
-
-    page_security = ResponseSecurity(
-        content_type="text/html; charset=utf-8",
-        nosniff=config.nosniff,
-        x_frame_options=config.x_frame_options,
-        x_ua_compatible=config.x_ua_compatible,
+    # the reflected "stylesheet" is the page or the error document, served
+    # with the page's headers, never real css
+    security = ResponseSecurity.from_headers(config.plan.html_headers)
+    style_fires = config.sink_filter is SinkFilter.RAW and (
+        _attempt(config, technique, _EXPLOIT_MARKER) is None
     )
-    # the reflected "stylesheet" is the page or error document, never real css
-    sheet_security = ResponseSecurity(
-        content_type="text/html; charset=utf-8", nosniff=config.nosniff
-    )
-    victim_origin = "http://gt.invalid"
-    style_fires = (
-        config.sink_filter is SinkFilter.RAW
-        and _exploit_round_trip_reflects(config, technique)
-    )
+    frameable = framing_allowed(security.x_frame_options, ATTACKER_ORIGIN, _VICTIM_ORIGIN)
+
+    def fires(profile: BrowserProfile, framed: bool) -> bool:
+        mode = effective_mode(config.doctype, profile, framed, security)
+        return style_fires and stylesheet_accepted(profile, mode, security)
+
     outcomes: dict[str, ProfileTruth] = {}
     for profile in profiles:
-        unframed_mode = effective_mode(config.doctype, profile, False, page_security)
-        unframed = (
-            stylesheet_accepted(profile, unframed_mode, sheet_security) and style_fires
+        unframed = fires(profile, False)
+        framed = (
+            not unframed and profile.supports_frame_override and frameable and fires(profile, True)
         )
-        framed_works = False
-        if not unframed and profile.supports_frame_override:
-            if framing_allowed(config.x_frame_options, ATTACKER_ORIGIN, victim_origin):
-                framed_mode = effective_mode(config.doctype, profile, True, page_security)
-                framed_works = (
-                    stylesheet_accepted(profile, framed_mode, sheet_security) and style_fires
-                )
-        outcomes[profile.engine.value] = ProfileTruth(
-            exploitable=unframed or framed_works,
-            framed=framed_works and not unframed,
-        )
-    return GroundTruth(
-        vulnerable=True,
-        reason=None,
-        technique=technique.value,
-        profiles=outcomes,
-    )
+        outcomes[profile.engine.value] = ProfileTruth(exploitable=unframed or framed, framed=framed)
+    return GroundTruth(vulnerable=True, reason=None, technique=technique.value, profiles=outcomes)
 
 
 def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
@@ -658,8 +619,7 @@ def config_from_dict(data: dict) -> TargetConfig:
         for f in fields(TargetConfig)
         if f.name in data
     })
-    if config.serve_real_stylesheets:
-        _real_stylesheet_paths(config)
+    config.plan  # building the plan resolves the real stylesheets' refs
     return config
 
 

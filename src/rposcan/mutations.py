@@ -59,14 +59,15 @@ def _script_segment_index(segments: tuple[str, ...]) -> int | None:
 
 
 def _fits(technique: MutationTechnique, url: WebUrl, cookies: dict[str, str]) -> bool:
-    """The technique's own precondition on the URL shape and cookies."""
+    """The technique's own precondition on the URL shape and cookies: a place
+    for the payload to go."""
     if technique is MutationTechnique.PATH_PARAM_SLASH:
         idx = _script_segment_index(url.path_segments)
         return idx is not None and any(url.path_segments[idx + 1 :])
-    if technique is MutationTechnique.PATH_PARAM_SEMICOLON:
-        return any(";" in seg for seg in url.path_segments)
-    if technique is MutationTechnique.ENCODED_QUERY:
-        return bool(url.query)
+    if technique is MutationTechnique.PATH_PARAM_SEMICOLON:  # a non-empty ";" parameter
+        return any(any(seg.split(";")[1:]) for seg in url.path_segments)
+    if technique is MutationTechnique.ENCODED_QUERY:  # a query pair with "="
+        return url.query is not None and "=" in url.query
     if technique is MutationTechnique.COOKIE:
         return bool(cookies)
     return True

@@ -1,0 +1,91 @@
+"""A generated corpus of mock configs, each scanned in process and graded
+against its own answer key.
+
+``generated_configs`` draws every ``TargetConfig`` field from a seeded
+``random.Random``, so a seed and a count name the same configs on every run.
+The draws include shapes the hand-written matrix leaves out: valueless
+queries, empty ``;`` parameters, real stylesheets, every newline handling.
+"""
+
+import random
+
+from rposcan.mock_target import (
+    DOCTYPE_QUIRKS,
+    DOCTYPE_STANDARDS,
+    InProcessClient,
+    NewlineHandling,
+    Routing,
+    Sink,
+    SinkFilter,
+    TargetConfig,
+    compute_ground_truth,
+    verdict_matches_truth,
+)
+from rposcan.rendering import ATTACKER_ORIGIN, default_profiles
+from rposcan.scanning import ScanConfig, scan_page, verify_exploitable
+
+_PAGE_PATHS = ["/app/page.php", "/app/page.jsp", "/page.php", "/a/b/page.aspx", "/dir/index.html"]
+# what the seed path adds to the page path; "" starts the scan at the page
+_SEED_SUFFIXES = ["", "", "/p1/p2", "/", ";p1;p2", ";", ";;p", "/x;"]
+_SEED_QUERIES = [None, None, "k1=v1", "k1=v1&k2=v2", "flag", "a&b", "k=v&flag", ""]
+_SEED_COOKIES = [{}, {}, {"sid": "abc123"}, {"sid": "abc123", "lang": "en"}, {"e": ""}]
+_STYLESHEET_REFS = [
+    ["../style.css"],
+    ["style.css"],
+    ["../../deep.css"],
+    ["style.css", "../style.css"],
+    ["/static/reset.css", "../style.css"],
+    ["/static/a.css", "http://cdn.invalid/s.css"],
+    [],
+]
+_DOCTYPES = [None, DOCTYPE_QUIRKS, DOCTYPE_STANDARDS]
+_X_FRAME_OPTIONS = [None, None, "DENY", "SAMEORIGIN", "ALLOW-FROM " + ATTACKER_ORIGIN, "SOMEORIGIN"]
+
+
+def generated_configs(seed: int, count: int) -> list[TargetConfig]:
+    rng = random.Random(seed)
+    configs = []
+    for i in range(count):
+        page_path = rng.choice(_PAGE_PATHS)
+        suffix = rng.choice(_SEED_SUFFIXES)
+        configs.append(TargetConfig(
+            name=f"gen-{seed}-{i}",
+            routing=rng.choice(list(Routing)),
+            sinks=frozenset(sink for sink in Sink if rng.random() < 0.4),
+            page_path=page_path,
+            seed_path=page_path + suffix if suffix else None,
+            seed_query=rng.choice(_SEED_QUERIES),
+            seed_cookies=dict(rng.choice(_SEED_COOKIES)),
+            doctype=rng.choice(_DOCTYPES),
+            emit_base_tag=rng.random() < 0.2,
+            stylesheet_refs=list(rng.choice(_STYLESHEET_REFS)),
+            nosniff=rng.random() < 0.3,
+            x_frame_options=rng.choice(_X_FRAME_OPTIONS),
+            x_ua_compatible=rng.choice([None, None, "IE=edge"]),
+            error_page_echoes_url=rng.random() < 0.5,
+            error_page_has_refs=rng.random() < 0.5,
+            serve_real_stylesheets=rng.random() < 0.3,
+            sink_filter=rng.choice(list(SinkFilter)),
+            newline_handling=rng.choice(list(NewlineHandling)),
+        ))
+    return configs
+
+
+def test_generated_corpus_matches_answer_key():
+    profiles = default_profiles()
+    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    missed = 0
+    for config in generated_configs(seed=3, count=3000):
+        client = InProcessClient({"mock.test": config})
+        seed = config.seed_url("http://mock.test")
+        verdict = scan_page(seed, config.seed_cookies, client, scan_config)
+        verdict = verify_exploitable(verdict, client, scan_config)
+        problems = verdict_matches_truth(verdict, compute_ground_truth(config, profiles))
+        if problems:
+            # the one known miss: an echo cut at LF is not a refusal, so the
+            # FF and CR probes that would reflect whole are never sent
+            assert config.newline_handling is NewlineHandling.CUT_AT_LF, (config, problems)
+            assert problems == ["vulnerable: scanner=False truth=True"], (config, problems)
+            missed += 1
+    # what sending FF and CR only after a refused LF loses on this corpus
+    assert missed == 129

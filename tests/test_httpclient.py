@@ -10,6 +10,7 @@ from rposcan.httpclient import (
     HttpResponse,
     NetworkError,
     RateLimitedClient,
+    RecordingClient,
     RequestsClient,
 )
 
@@ -32,6 +33,22 @@ def test_requests_and_responses_are_immutable_and_own_their_dicts():
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
     assert response.header("content-type") == "text/css"
+
+
+class _FailingClient:
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        raise NetworkError("connection refused")
+
+
+def test_recording_client_records_a_failed_fetch_without_response():
+    recording = RecordingClient(_FailingClient())
+    request = HttpRequest(url="http://a.test/")
+    with pytest.raises(NetworkError):
+        recording.fetch(request)
+    [exchange] = recording.exchanges
+    assert exchange.request == request and exchange.response is None
+
+
 OVERSLEEP = 0.005
 
 

@@ -3,7 +3,7 @@ import socket
 import statistics
 import threading
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +26,6 @@ from rposcan.mock_target import (
     fixture_matrix,
     handle_request,
     newline_configs,
-    route_request,
     serve,
     verdict_matches_truth,
 )
@@ -90,9 +89,10 @@ def test_encoded_query_resurrection():
         routing=Routing.ENCODED_SLASH_DECODE,
         sinks=frozenset({Sink.ECHO_QUERY_VALUES}),
     )
-    kind, pairs = route_request(config, "/app/page.php%3Fk1=PAYLOADv1&k2=v2//")
-    assert kind == "page"
-    assert ("k1", "PAYLOADv1") in pairs
+    resp = _get(config, "/app/page.php%3Fk1=PAYLOADv1&k2=v2//")
+    assert resp.status == 200
+    assert b'<p class="echo-query">PAYLOADv1</p>' in resp.body
+    assert b'<p class="echo-query">v2//</p>' in resp.body
 
 
 def test_cookie_echo_sink():
@@ -350,6 +350,15 @@ def test_replaced_config_answers_by_its_new_flags():
     original = _get(config, "/app/page.php/x//")
     assert original.status == 200 and b"<base" not in original.body
     assert original.header("X-Content-Type-Options") is None
+
+
+def test_answered_config_refuses_field_assignment():
+    config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
+    assert _get(config, "/app/page.php/x//").status == 200
+    for name, value in [("routing", Routing.EXACT_FILE), ("nosniff", True), ("plan", None)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+    assert _get(config, "/app/page.php/x//").status == 200
 
 
 def test_in_process_client_requires_known_host():

@@ -184,6 +184,28 @@ def test_host_scheme_preserved_and_views_diverge(path, technique):
     assert diverged or out.extra_cookies != {}
 
 
+# segments with and without script extensions, empty and non-empty ";"
+# parameters, and queries with and without "=" pairs
+_PARAM_PATHS = st.lists(
+    st.sampled_from(["a", "page.php", "page.jsp;", "page.jsp;p1", "x;;", ";", "p;", ";q", ""]),
+    min_size=1,
+    max_size=4,
+).map(lambda segs: "/" + "/".join(segs))
+_QUERIES = st.sampled_from([None, "", "flag", "a&b", "&", "k=v", "k=", "=v", "flag&k=v"])
+_COOKIES = st.sampled_from([{}, {"sid": ""}, {"sid": "1", "lang": "en"}])
+
+
+@settings(max_examples=300)
+@given(_PARAM_PATHS, _QUERIES, _COOKIES)
+def test_every_applicable_technique_carries_the_payload(path, query, cookies):
+    url = u(path, query)
+    for technique in applicable_techniques(url, cookies):
+        out = mutate(url, technique, P, cookies=cookies)
+        assert P in serialize_url(out.url) or any(
+            P in value for value in out.extra_cookies.values()
+        ), (technique, serialize_url(url))
+
+
 @pytest.mark.parametrize("technique", [t for t in T if t is not T.COOKIE])
 def test_raw_slash_in_payload_is_rejected(technique):
     # every technique but the cookie puts the payload into a path segment
