@@ -4,11 +4,14 @@ The scanner only ever needs ``fetch(request) -> response`` for GET requests;
 everything else (recording, per-host pacing, the real network) stacks around
 that one method so tests can substitute deterministic clients.
 
-The real network client, ``RequestsClient``, is a small GET client on urllib3.
-Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
-``.netrc``, and nothing is retried. Redirects are followed inside urllib3, up
-to a bound, so those hops skip per-host pacing. Proxy settings come from the
-environment, read once per client; TLS uses the system trust store.
+The real network client, ``RequestsClient``, is a small GET client on the
+standard library's ``http.client`` with a thread-safe keep-alive pool; rposcan
+has no runtime dependency. It sends each request target exactly as the
+scanner wrote it, fragment dropped. Every fetch depends only on its
+``HttpRequest``: there is no cookie jar and no ``.netrc``, and nothing is
+retried. Redirects are followed inside the client, up to a bound, so those
+hops skip per-host pacing. Proxy settings come from the environment, read
+once per client; TLS uses the system trust store.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  They are
@@ -20,10 +23,17 @@ headers or cookies a dict of its own.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import select
+import ssl
 import threading
 import time
+import weakref
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
+from urllib.parse import quote, unquote, urljoin, urlsplit
 
 
 class NetworkError(Exception):
@@ -135,45 +145,154 @@ class RateLimitedClient:
 
 USER_AGENT = "rposcan/0.1"
 MAX_REDIRECTS = 5
+# idle kept-alive connections are kept for at most this many origins, one
+# each, as urllib3's PoolManager(num_pools=10) with maxsize=1 did
+MAX_IDLE_ORIGINS = 10
+
+_REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
+# dropped on a redirect to another (scheme, host, port), as urllib3 did
+_CREDENTIAL_HEADERS = frozenset(("cookie", "authorization", "proxy-authorization"))
+# what a Location may hold raw; anything else (a space, non-ASCII) is
+# percent-encoded as UTF-8, as urllib3 and browsers do, so that the hop can go out
+_LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def _split(url: str) -> tuple[str, str, str]:
+    """(scheme, authority, target) of an absolute http(s) URL: the scheme and
+    ``host[:port]`` lower-cased with any userinfo dropped, and the path and
+    query as written, without the fragment (``/`` when the path is empty)."""
+    scheme, sep, rest = url.partition("://")
+    scheme = scheme.lower()
+    if not sep or scheme not in ("http", "https"):
+        raise NetworkError(f"not an absolute http(s) URL: {url!r}")
+    cut = len(rest)
+    for mark in "/?#":
+        found = rest.find(mark, 0, cut)
+        if found != -1:
+            cut = found
+    target = rest[cut:].partition("#")[0]
+    if not target.startswith("/"):
+        target = "/" + target
+    return scheme, rest[:cut].rpartition("@")[2].lower(), target
+
+
+def _endpoint(scheme: str, authority: str) -> tuple[str, str, int]:
+    """(scheme, host, port) of ``host[:port]``: an IPv6 host loses its
+    brackets, and a missing port is the scheme's default."""
+    host, colon, port = authority.rpartition(":")
+    if not colon or "]" in port:
+        host, port = authority, ""
+    host = host.strip("[]")
+    if not host or (port and not port.isdigit()):
+        raise NetworkError(f"bad host or port: {authority!r}")
+    return scheme, host, int(port) if port else (443 if scheme == "https" else 80)
+
+
+def _dropped(sock) -> bool:
+    """An idle kept-alive socket that polls readable was closed by its peer,
+    or holds bytes no request asked for, so it must not carry a request.
+    ``poll`` takes any descriptor number, where ``select`` stops at 1024."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_all(idle: dict) -> None:
+    for conn in idle.values():
+        conn.close()
+
+
+def _gunzip(data: bytes) -> bytes:
+    """Every gzip member in ``data``. A truncated member gives what it holds,
+    and bytes after a whole member that do not decode are ignored."""
+    out, first = [], True
+    while data:
+        member = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        try:
+            out.append(member.decompress(data))
+        except zlib.error:
+            if first:
+                raise
+            break
+        if not member.eof:
+            break
+        data, first = member.unused_data, False
+    return b"".join(out)
+
+
+def _decode(body: bytes, encodings: str) -> bytes:
+    """Undo a ``Content-Encoding`` list from its last coding back: gzip (or
+    x-gzip) and deflate, zlib-wrapped or raw. An unknown coding stops the
+    decoding; a body that does not decompress raises ``zlib.error``."""
+    for coding in reversed(encodings.lower().split(",")):
+        coding = coding.strip()
+        if coding in ("gzip", "x-gzip"):
+            body = _gunzip(body)
+        elif coding == "deflate":
+            try:
+                body = zlib.decompressobj().decompress(body)
+            except zlib.error:
+                body = zlib.decompressobj(-zlib.MAX_WBITS).decompress(body)
+        elif coding:
+            break
+    return body
 
 
 class RequestsClient:
-    """Real network client: GET only, on urllib3, with bounded redirects.
+    """Real network client: GET only, on ``http.client``, with bounded
+    redirects and a keep-alive pool shared by every thread that uses it.
 
-    Each request carries ``User-Agent: USER_AGENT``, ``Accept-Encoding: gzip,
-    deflate``, ``Accept: */*`` and ``Connection: keep-alive``, then the
-    request's own headers (a header of the same name, in any case, replaces a
-    default in place), then the request's cookies as one ``Cookie: n1=v1;
-    n2=v2`` header in dict order, unquoted, unless the request sets ``Cookie``
-    itself. gzip and deflate bodies come back decoded.
+    Each request carries ``Host``, ``User-Agent: USER_AGENT``,
+    ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and ``Connection:
+    keep-alive``, then the request's own headers (one of the same name, in
+    any case, replaces a default or ``Host`` in place), then the request's
+    cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order, unquoted,
+    unless the request sets ``Cookie`` itself. The request target is the
+    URL's path and query as written; the fragment never leaves. gzip and
+    deflate bodies come back decoded, and a repeated response header is one
+    entry, its values joined with ``", "``.
 
-    There is no cookie jar: a ``Set-Cookie`` is never replayed, so every
-    fetch depends only on its ``HttpRequest``. urllib3 follows up to
-    ``MAX_REDIRECTS`` redirects, a module constant rather than an option, and
-    drops ``Cookie`` on a cross-host hop; one more raises ``NetworkError``.
-    Nothing is retried: a failed connect or read raises ``NetworkError`` at
-    once, so no request leaves outside the spacing ``RateLimitedClient``
-    gives it. Proxy settings are read from the environment once, when the
-    client is built; a proxy given as ``host:port`` is an http proxy, and a
-    proxy that cannot be used makes each fetch through it raise
-    ``NetworkError``. TLS is verified against the system trust store.
-    ``.netrc`` credentials are never sent.
+    There is no cookie jar, so every fetch depends only on its
+    ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
+    client; a hop to another (scheme, host, port) drops ``Cookie``,
+    ``Authorization`` and ``Proxy-Authorization``, and one redirect more
+    raises ``NetworkError``. Nothing is retried: a failed connect, send or
+    read raises ``NetworkError`` at once, so no request leaves outside the
+    spacing ``RateLimitedClient`` gives it. ``timeout`` bounds the connect
+    and each socket read.
+
+    A connection leaves the pool while a request uses it, and goes back once
+    its response is read whole, unless the server closes it. The pool keeps
+    one idle connection per (scheme, host, port) for at most
+    ``MAX_IDLE_ORIGINS`` of them, closing the least recently used. An idle
+    connection its peer closed is replaced before the send (``select.poll``,
+    so a POSIX system). Proxies come from the environment, read once,
+    ``no_proxy`` included; a ``host:port`` proxy is an http proxy, and one
+    that cannot be used fails each fetch through it. TLS is verified against
+    the system trust store; ``.netrc`` is never read.
+
+    Deliberate differences from the urllib3 client this replaced:
+    - the target goes out as written. urllib3 re-encoded a URL holding a lone
+      ``%``, so ``/100%/page.php/%0A%7B%7D`` left as
+      ``/100%25/page.php/%250A%257B%257D`` and the probe never decoded to a
+      newline; it also upper-cased escapes such as ``%0a``;
+    - ``NetworkError`` texts come from ``http.client`` and ``OSError``, so
+      the ``errors`` of failed-fetch records read differently;
+    - an https target through an ``https://`` proxy raises ``NetworkError``
+      at fetch: ``http.client``'s tunnel cannot run TLS inside TLS;
+    - through an http proxy the headers keep the direct order, ``Host``
+      first (urllib3 sent ``Accept``, then ``Host``, first), and the
+      absolute URL loses its fragment, which urllib3 sent to the proxy;
+      ``proxy-authorization`` still comes last;
+    - a redirect's own body is dropped undecoded.
 
     The name dates from the ``requests``-based client it replaced.
     """
 
     def __init__(self, timeout: float = 10.0) -> None:
-        # urllib3 is imported here, not at module level, so that importing
-        # rposcan for in-process scans does not pay for it.
-        import urllib3
-        from urllib.parse import unquote
         from urllib.request import getproxies
 
-        self._errors = (urllib3.exceptions.HTTPError, ValueError)
-        self._retries = urllib3.Retry(
-            total=None, connect=0, read=0, status=0, other=0, redirect=MAX_REDIRECTS
-        )
-        self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
+        self._timeout = timeout
         # lower-cased name -> (name, value), so a request header replaces a
         # default whatever its case
         self._defaults = {
@@ -185,9 +304,15 @@ class RequestsClient:
                 ("Connection", "keep-alive"),
             )
         }
-        self._direct = urllib3.PoolManager()
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, http.client.HTTPConnection] = {}  # least recently used first
+        # a client that is dropped closes its idle sockets rather than leave
+        # them to the collector
+        weakref.finalize(self, _close_all, self._idle)
+        self._tls: ssl.SSLContext | None = None  # built for the first https connection
         self._proxy_env = getproxies()
-        # scheme ("http", "https" or "all") -> manager, or the reason it is unusable
+        # target scheme ("http", "https" or "all") -> (proxy endpoint, proxy
+        # headers), or the reason the proxy cannot be used
         self._proxies: dict[str, object] = {}
         for scheme in ("http", "https", "all"):
             proxy_url = self._proxy_env.get(scheme)
@@ -196,40 +321,118 @@ class RequestsClient:
             if "://" not in proxy_url:  # "host:port" means an http proxy
                 proxy_url = "http://" + proxy_url
             try:
-                auth = urllib3.util.parse_url(proxy_url).auth
-                headers = urllib3.make_headers(proxy_basic_auth=unquote(auth)) if auth else None
-                self._proxies[scheme] = urllib3.ProxyManager(proxy_url, proxy_headers=headers)
-            except urllib3.exceptions.HTTPError as exc:  # a malformed URL or unsupported scheme
+                parts = urlsplit(proxy_url)
+                if parts.scheme not in ("http", "https") or not parts.hostname:
+                    raise ValueError("not an http or https proxy")
+                port = parts.port or (443 if parts.scheme == "https" else 80)
+                auth = parts.netloc.rpartition("@")[0]
+                headers = {"proxy-authorization": "Basic " + base64.b64encode(
+                    unquote(auth).encode("latin-1")).decode()} if auth else {}
+                self._proxies[scheme] = ((parts.scheme, parts.hostname, port), headers)
+            except ValueError as exc:  # a malformed URL, or not an http(s) proxy
                 self._proxies[scheme] = f"proxy {proxy_url}: {exc}"
 
-    def _manager_for(self, url: str):
-        if not self._proxies:
-            return self._direct
-        scheme = url.partition("://")[0].lower()
+    def _proxy_for(self, scheme: str, authority: str):
         proxy = self._proxies.get(scheme) or self._proxies.get("all")
         if proxy is None:
-            return self._direct
+            return None
         from urllib.request import proxy_bypass_environment
 
-        if proxy_bypass_environment(host_key(url).rpartition("@")[2], self._proxy_env):
-            return self._direct
+        if proxy_bypass_environment(authority, self._proxy_env):
+            return None
         if isinstance(proxy, str):
             raise NetworkError(proxy)
         return proxy
 
+    def _connect(self, endpoint: tuple[str, str, int], tunnel: tuple | None):
+        scheme, host, port = endpoint
+        if scheme == "http":
+            return http.client.HTTPConnection(host, port, timeout=self._timeout)
+        if self._tls is None:  # threads that race here build equal contexts
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])
+            self._tls = context
+        conn = http.client.HTTPSConnection(host, port, timeout=self._timeout, context=self._tls)
+        if tunnel is not None:
+            conn.set_tunnel(*tunnel)
+        return conn
+
+    def _release(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            stale = [self._idle.pop(key, None)]  # another thread's, put back meanwhile
+            self._idle[key] = conn
+            if len(self._idle) > MAX_IDLE_ORIGINS:
+                stale.append(self._idle.pop(next(iter(self._idle))))
+        for old in stale:
+            if old is not None:
+                old.close()
+
+    def _exchange(self, url: str, headers: dict[str, tuple[str, str]]) -> HttpResponse:
+        """One GET on a pooled or new connection; the body is not decoded."""
+        scheme, authority, target = _split(url)
+        endpoint = _endpoint(scheme, authority)
+        connect_to, tunnel, extra = endpoint, None, {}
+        proxy = self._proxy_for(scheme, authority) if self._proxies else None
+        if proxy is not None:
+            proxy_endpoint, proxy_headers = proxy
+            if scheme == "http":  # the proxy takes the absolute URL and the credentials
+                connect_to, target, extra = proxy_endpoint, url.partition("#")[0], proxy_headers
+            elif proxy_endpoint[0] == "https":
+                raise NetworkError(f"cannot tunnel https through the https proxy {url!r}")
+            else:  # TLS with the target inside a CONNECT tunnel that carries the credentials
+                connect_to = ("https",) + proxy_endpoint[1:]
+                tunnel = (endpoint[1], endpoint[2], proxy_headers)
+        key = connect_to if tunnel is None else connect_to + tunnel[:2]
+        with self._lock:
+            conn = self._idle.pop(key, None)
+        if conn is not None and _dropped(conn.sock):
+            conn.close()
+            conn = None
+        if conn is None:
+            conn = self._connect(connect_to, tunnel)
+        try:
+            conn.putrequest("GET", target, skip_host="host" in headers, skip_accept_encoding=True)
+            for name, value in headers.values():
+                conn.putheader(name, value)
+            for name, value in extra.items():
+                conn.putheader(name, value)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = response.read()
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            conn.close()
+            raise NetworkError(str(exc) or type(exc).__name__) from exc
+        if conn.sock is not None:  # the server keeps it open
+            self._release(key, conn)
+        merged: dict[str, str] = {}
+        first_names: dict[str, str] = {}
+        for name, value in response.getheaders():
+            name = first_names.setdefault(name.lower(), name)
+            merged[name] = merged[name] + ", " + value if name in merged else value
+        return HttpResponse(response.status, merged, body)
+
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             raise NetworkError(f"only GET is supported, not {request.method}")
-        merged = dict(self._defaults)
+        headers = dict(self._defaults)
         for name, value in request.headers.items():
-            merged[name.lower()] = (name, value)
-        headers = dict(merged.values())
-        if request.cookies and "cookie" not in merged:
-            headers["Cookie"] = "; ".join(f"{n}={v}" for n, v in request.cookies.items())
-        try:
-            resp = self._manager_for(request.url).urlopen(
-                "GET", request.url, headers=headers, retries=self._retries, timeout=self._timeout
-            )
-        except self._errors as exc:
-            raise NetworkError(str(exc)) from exc
-        return HttpResponse(status=resp.status, headers=dict(resp.headers), body=resp.data)
+            headers[name.lower()] = (name, value)
+        if request.cookies and "cookie" not in headers:
+            headers["cookie"] = ("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items()))
+        url = request.url
+        for _ in range(MAX_REDIRECTS + 1):
+            response = self._exchange(url, headers)
+            location = response.status in _REDIRECT_STATUSES and response.header("Location")
+            if not location:
+                encodings = response.header("Content-Encoding")
+                if not encodings:
+                    return response
+                try:
+                    return response._replace(body=_decode(response.body, encodings))
+                except zlib.error as exc:
+                    raise NetworkError(f"cannot decode {encodings} body: {exc}") from exc
+            next_url = urljoin(url, quote(location, safe=_LOCATION_SAFE))
+            if _endpoint(*_split(next_url)[:2]) != _endpoint(*_split(url)[:2]):
+                headers = {k: v for k, v in headers.items() if k not in _CREDENTIAL_HEADERS}
+            url = next_url
+        raise NetworkError(f"more than {MAX_REDIRECTS} redirects from {request.url}")

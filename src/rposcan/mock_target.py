@@ -143,9 +143,11 @@ class TargetConfig:
 
 
 def _raw_target_of(url: str) -> str:
+    """The request target an HTTP client sends for ``url``: from its path on,
+    without the fragment."""
     rest = url.split("://", 1)[1] if "://" in url else url
     slash = rest.find("/")
-    return rest[slash:] if slash != -1 else "/"
+    return rest[slash:].partition("#")[0] if slash != -1 else "/"
 
 
 def _strip_semicolon_params(path: str) -> str:

@@ -127,8 +127,12 @@ def mutate(
 
     elif technique is MutationTechnique.ENCODED_QUERY:
         assert url.query is not None
+        # Inside a path segment the query's own "/" would split the segment
+        # and its "?" would start a real query, so both move encoded; a
+        # decode-then-route server still reads the query as it was.
+        query = url.query.replace("/", "%2F").replace("?", "%3F")
         pairs = []
-        for pair in url.query.split("&"):
+        for pair in query.split("&"):
             if "=" in pair:
                 key, _, value = pair.partition("=")
                 pairs.append(key + "=" + payload + value)

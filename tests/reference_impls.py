@@ -598,7 +598,7 @@ def _sink_echoes(
 def _raw_target_of(url: str) -> str:
     rest = url.split("://", 1)[1] if "://" in url else url
     slash = rest.find("/")
-    return rest[slash:] if slash != -1 else "/"
+    return rest[slash:].partition("#")[0] if slash != -1 else "/"
 
 
 def _head_lines(config: TargetConfig, origin: str) -> list[str]:

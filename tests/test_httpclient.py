@@ -1,6 +1,11 @@
+import gc
 import gzip
+import sys
 import threading
-from contextlib import contextmanager
+import time
+import warnings
+import zlib
+from contextlib import ExitStack, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -13,6 +18,7 @@ from rposcan.httpclient import (
     RecordingClient,
     RequestsClient,
 )
+from rposcan.httpclient import MAX_IDLE_ORIGINS
 
 DELAY = 0.020
 
@@ -125,18 +131,25 @@ class HangUpHandler(BaseHTTPRequestHandler):
 
 
 class CountingServer(ThreadingHTTPServer):
-    """Counts the connections it accepts."""
+    """Counts the connections it accepts and those it has closed."""
 
     connections = 0
+    closed = 0
 
     def process_request(self, request, client_address) -> None:
         self.connections += 1
         super().process_request(request, client_address)
 
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+
 
 @contextmanager
 def local_server(handler=RecordingHandler, respond=lambda h: (200, [], b"ok")):
     server = CountingServer(("127.0.0.1", 0), handler)
+    server.lock = threading.Lock()
     server.seen = []
     server.respond = respond
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
@@ -271,3 +284,207 @@ def test_client_with_unusable_proxy_fails_at_fetch(no_proxy_env):
             with pytest.raises(NetworkError):
                 client.fetch(HttpRequest(url=url_of(server, "/page")))
         assert server.connections == 0
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def open_connections(server) -> int:
+    return server.connections - server.closed
+
+
+@pytest.mark.parametrize("path, on_the_wire", [
+    # a lone "%": urllib3 sent /100%25/page.php/%250A%257B%257D//
+    ("/100%/page.php/%0A%7B%7D//", "/100%/page.php/%0A%7B%7D//"),
+    ("/app/page.php/%0a%7b%7d//?q=%0a", "/app/page.php/%0a%7b%7d//?q=%0a"),
+    ("/app/page.php?x=1#frag", "/app/page.php?x=1"),
+    ("/app/page.php#frag?x=1", "/app/page.php"),
+])
+def test_client_sends_the_target_as_written_without_fragment(no_proxy_env, path, on_the_wire):
+    with local_server() as server:
+        RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, path)))
+        assert [line for line, _ in server.seen] == [f"GET {on_the_wire} HTTP/1.1"]
+
+
+def test_client_decodes_deflate_body_zlib_wrapped_or_raw(no_proxy_env):
+    body = b"body { margin: 0; }\n" * 10
+    raw = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    for encoded in (zlib.compress(body), raw.compress(body) + raw.flush()):
+        respond = lambda h, e=encoded: (200, [("Content-Encoding", "deflate")], e)  # noqa: E731
+        with local_server(respond=respond) as server:
+            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/s.css")))
+            assert response.body == body
+
+
+def test_client_redirect_drops_cookie_only_on_a_cross_origin_hop(no_proxy_env):
+    with local_server() as other:
+        hops = {"/start": "/same", "/same": url_of(other, "/elsewhere")}
+        respond = lambda h: (302, [("Location", hops[h.path])], b"")  # noqa: E731
+        with local_server(respond=respond) as first:
+            response = RequestsClient(timeout=5).fetch(
+                HttpRequest(url=url_of(first, "/start"), cookies={"sid": "1"})
+            )
+        assert response.status == 200
+        assert [dict(headers).get("Cookie") for _, headers in first.seen] == ["sid=1", "sid=1"]
+        assert [(line, dict(headers).get("Cookie")) for line, headers in other.seen] == [
+            ("GET /elsewhere HTTP/1.1", None)
+        ]
+
+
+def test_client_pool_closes_least_recently_used_origin_past_the_limit(no_proxy_env):
+    assert MAX_IDLE_ORIGINS == 10
+    with ExitStack() as stack:
+        servers = [stack.enter_context(local_server()) for _ in range(MAX_IDLE_ORIGINS + 2)]
+        client = RequestsClient(timeout=5)
+        for server in servers:
+            client.fetch(HttpRequest(url=url_of(server, "/")))
+        # the two least recently used origins lose their idle connection
+        assert wait_until(lambda: [open_connections(s) for s in servers] == [0, 0] + [1] * 10)
+        client.fetch(HttpRequest(url=url_of(servers[2], "/again")))  # reused: now the newest
+        client.fetch(HttpRequest(url=url_of(servers[0], "/again")))  # new: closes servers[3]'s
+        assert [s.connections for s in servers] == [2, 1] + [1] * 10
+        expected = [1, 0, 1, 0] + [1] * 8
+        assert wait_until(lambda: [open_connections(s) for s in servers] == expected)
+
+
+def test_client_replaces_an_idle_connection_the_peer_closed(no_proxy_env):
+    def respond(handler):
+        handler.close_connection = True  # closes after answering, without saying so
+        return 200, [], b"ok"
+
+    with local_server(respond=respond) as server:
+        client = RequestsClient(timeout=5)
+        client.fetch(HttpRequest(url=url_of(server, "/first")))
+        assert wait_until(lambda: server.closed == 1)
+        assert client.fetch(HttpRequest(url=url_of(server, "/second"))).body == b"ok"
+        assert server.connections == 2
+        assert [line for line, _ in server.seen] == ["GET /first HTTP/1.1", "GET /second HTTP/1.1"]
+
+
+def test_dropped_client_closes_its_idle_connections(no_proxy_env):
+    with local_server() as server:
+        client = RequestsClient(timeout=5)
+        client.fetch(HttpRequest(url=url_of(server, "/")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del client
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert wait_until(lambda: server.closed == 1)
+
+
+class AnswerOnceHandler(RecordingHandler):
+    """Answers the first request of each connection, then hangs up on the next."""
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        self.server.seen.append((self.requestline, list(self.headers.items())))
+        if getattr(self, "answered", False):
+            self.close_connection = True
+            return
+        self.answered = True
+        self.send_response(200)
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"ok")
+
+
+def test_client_does_not_retry_a_kept_alive_connection_that_fails(no_proxy_env):
+    with local_server(AnswerOnceHandler) as server:
+        client = RequestsClient(timeout=5)
+        client.fetch(HttpRequest(url=url_of(server, "/first")))
+        with pytest.raises(NetworkError):
+            client.fetch(HttpRequest(url=url_of(server, "/second")))
+        assert server.connections == 1
+        assert len(server.seen) == 2
+
+
+def test_client_shares_its_pool_between_threads(no_proxy_env):
+    # each request holds its connection alone: the server answers only once
+    # all four have arrived, so four connections must be open at once
+    barrier = threading.Barrier(4, timeout=5)
+
+    def respond(handler):
+        if len(handler.server.seen) <= 4:
+            barrier.wait()
+        return 200, [], handler.path.encode()
+
+    with local_server(respond=respond) as server:
+        client = RequestsClient(timeout=5)
+        bodies = {}
+
+        def fetch(i: int) -> None:
+            bodies[i] = client.fetch(HttpRequest(url=url_of(server, f"/t{i}"))).body
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bodies == {i: f"/t{i}".encode() for i in range(4)}
+        assert server.connections == 4
+        # one idle connection is kept for the origin, the other three closed
+        assert wait_until(lambda: open_connections(server) == 1)
+        client.fetch(HttpRequest(url=url_of(server, "/after")))
+        assert server.connections == 4
+
+
+def test_client_pool_under_thread_contention(no_proxy_env):
+    respond = lambda h: (200, [], h.path.encode())  # noqa: E731
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ExitStack() as stack:
+            servers = [stack.enter_context(local_server(respond=respond)) for _ in range(3)]
+            client = RequestsClient(timeout=5)
+            wrong = []
+
+            def work(worker: int) -> None:
+                for i in range(20):
+                    path = f"/w{worker}/r{i}"
+                    body = client.fetch(HttpRequest(url=url_of(servers[i % 3], path))).body
+                    if body != path.encode():
+                        wrong.append((path, body))
+
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert wrong == []
+            assert sum(len(s.seen) for s in servers) == 120
+            # no more than one idle connection per origin outlives the run
+            assert wait_until(lambda: [open_connections(s) for s in servers] == [1, 1, 1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_client_refuses_https_through_an_https_proxy(no_proxy_env):
+    with local_server() as proxy:
+        no_proxy_env.setenv("https_proxy", f"https://127.0.0.1:{proxy.server_address[1]}")
+        with pytest.raises(NetworkError, match="https proxy"):
+            RequestsClient(timeout=5).fetch(HttpRequest(url="https://a.test/page.php"))
+        assert proxy.connections == 0
+
+
+class RefusingProxyHandler(RecordingHandler):
+    def do_CONNECT(self) -> None:  # noqa: N802 (http.server naming)
+        self.server.seen.append((self.requestline, list(self.headers.items())))
+        self.send_error(403)
+
+
+def test_client_tunnels_https_through_an_http_proxy_with_its_credentials(no_proxy_env):
+    with local_server(RefusingProxyHandler) as proxy:
+        no_proxy_env.setenv("https_proxy", f"http://us%40r:pw@127.0.0.1:{proxy.server_address[1]}")
+        with pytest.raises(NetworkError):
+            RequestsClient(timeout=5).fetch(HttpRequest(url="https://a.test/page.php"))
+        [(line, headers)] = proxy.seen
+        assert line.startswith("CONNECT a.test:443 HTTP/1.")  # 1.1 from Python 3.12
+        assert ("proxy-authorization", "Basic dXNAcjpwdw==") in headers

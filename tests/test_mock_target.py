@@ -30,7 +30,13 @@ from rposcan.mock_target import (
     verdict_matches_truth,
 )
 from rposcan.rendering import default_profiles
-from rposcan.scanning import NotVulnerableReason, ScanConfig, scan_page, verify_exploitable
+from rposcan.scanning import (
+    NotVulnerableReason,
+    ScanConfig,
+    ScanStatus,
+    scan_page,
+    verify_exploitable,
+)
 from rposcan.urls import MalformedUrl, parse_url, server_view
 
 
@@ -248,7 +254,7 @@ def test_handler_matches_reference_on_every_scanner_request():
 _TARGET_PIECES = st.sampled_from([
     "/", "app", "page.php", "page.jsp", "style.css", "..", ".", "x", "%2F", "%2f", "%3F",
     "?", "&", "=", "k1=v1", "%0A", "%0C", "%0D", "%", "%4", "%ZZ", ";", ";p1", "%C3%A9",
-    "%FF", "é", "{}", "%7B", "%25", "\\",
+    "%FF", "é", "{}", "%7B", "%25", "\\", "#f",
 ])
 _TEXT = st.lists(_TARGET_PIECES, max_size=6).map("".join)
 
@@ -600,3 +606,67 @@ def test_grader_rejects_vulnerable_verdict_without_technique():
     assert truth.vulnerable and truth.technique is not None
     assert verdict_matches_truth(verdict, truth) == []
     assert verdict_matches_truth(replace(verdict, technique=None), truth) != []
+
+
+def _scanned_over_loopback(config):
+    profiles = default_profiles()
+    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles), request_timeout=5.0)
+    handle = serve(config, port=0)
+    try:
+        client = RequestsClient(timeout=5)
+        seed = config.seed_url(f"http://127.0.0.1:{handle.port}")
+        verdict = scan_page(seed, config.seed_cookies, client, scan_config)
+        return verify_exploitable(verdict, client, scan_config)
+    finally:
+        handle.shutdown()
+
+
+def test_fragment_ref_gets_the_same_verdict_in_process_and_over_loopback():
+    # The in-process handler drops a URL's fragment, as an HTTP client does on
+    # the wire, so "style.css#x" is the real stylesheet on both paths.
+    for seed_query in (None, "k1=v1"):
+        config = TargetConfig(
+            name="encslash-fragment-ref",
+            routing=Routing.ENCODED_SLASH_DECODE,
+            seed_query=seed_query,
+            doctype=DOCTYPE_QUIRKS,
+            stylesheet_refs=["style.css#x"],
+            error_page_has_refs=False,
+            serve_real_stylesheets=True,
+        )
+        in_process, truth = _scanned(config)
+        over_loopback = _scanned_over_loopback(config)
+        for verdict in (in_process, over_loopback):
+            assert verdict_matches_truth(verdict, truth) == [], (seed_query, verdict)
+        assert over_loopback.status is in_process.status
+        assert over_loopback.reason is in_process.reason
+        assert over_loopback.technique is in_process.technique
+
+
+def test_page_path_with_a_lone_percent_matches_answer_key_over_loopback():
+    # the probe must reach the server as sent: re-encoded as %250A it never
+    # decodes to a newline, and the exploit does not fire
+    config = TargetConfig(
+        name="pathinfo-lone-percent",
+        routing=Routing.PATH_INFO_REWRITE,
+        page_path="/100%/page.php",
+        doctype=DOCTYPE_QUIRKS,
+    )
+    verdict = _scanned_over_loopback(config)
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    assert verdict_matches_truth(verdict, compute_ground_truth(config, default_profiles())) == []
+
+
+def test_encoded_query_scan_of_a_query_holding_a_slash_matches_answer_key():
+    config = TargetConfig(
+        name="encslash-next-slash",
+        routing=Routing.ENCODED_SLASH_DECODE,
+        sinks=frozenset({Sink.ECHO_QUERY_VALUES}),
+        seed_query="next=/home",
+        doctype=DOCTYPE_QUIRKS,
+        error_page_echoes_url=False,
+    )
+    verdict, truth = _scanned(config)
+    assert truth.technique == "encoded_query"
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    assert verdict_matches_truth(verdict, truth) == []

@@ -89,6 +89,18 @@ def test_mutate_encoded_query():
     assert out.url.query is None
 
 
+@pytest.mark.parametrize("query, moved", [
+    # a raw "/" would split the merged segment
+    ("next=/home", f"next={P}%2Fhome"),
+    # a raw "?" would start a real query and take the padding into it
+    ("a=b?c", f"a={P}b%3Fc"),
+])
+def test_mutate_encoded_query_encodes_the_querys_own_separators(query, moved):
+    out = mutate(u("/app/page.php", query), T.ENCODED_QUERY, P, slash_padding=2)
+    assert out.url.path == f"/app/page.php%3F{moved}//"
+    assert out.url.query is None
+
+
 def test_mutate_encoded_path_canonical_equivalence():
     original = u("/dir/page.aspx")
     out = mutate(original, T.ENCODED_PATH, P, slash_padding=0)
