@@ -1,5 +1,6 @@
 """rposcan: relative-path-overwrite style-injection scanner and mock target."""
 
+from .css_recovery import css_would_fire
 from .mutations import MutationTechnique, MutatedRequest, applicable_techniques, mutate
 from .pages import PageDocument, analyze_html, has_blocking_base
 from .payloads import (
@@ -16,7 +17,6 @@ from .rendering import (
     RenderingMode,
     ResponseSecurity,
     classify_doctype,
-    css_would_fire,
     default_profiles,
     effective_mode,
     framing_allowed,

@@ -11,6 +11,7 @@ from .mutations import DEFAULT_SLASH_PADDING
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
 from .reports import (
     MalformedRecords,
+    NotUtf8,
     read_records,
     render_csv,
     render_table,
@@ -103,7 +104,7 @@ def _cmd_scan(args) -> int:
                 count = write_records(records, fh)
         else:
             count = write_records(records, sys.stdout)
-    except OSError as exc:
+    except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {count} records", file=sys.stderr)

@@ -14,11 +14,8 @@ hops skip per-host pacing. Proxy settings come from the environment, read
 once per client; TLS uses the system trust store.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
-both, and a tuple costs a fraction of a frozen dataclass to build.  They are
-immutable in the same way (a field cannot be reassigned, while the header and
-cookie dicts they hold can still be changed by whoever holds them), compare
-equal to a plain tuple of their fields, and give each request that names no
-headers or cookies a dict of its own.
+both, and a tuple costs a fraction of a frozen dataclass to build.  A request
+that names no headers or cookies shares one read-only empty mapping.
 """
 
 from __future__ import annotations
@@ -31,7 +28,8 @@ import threading
 import time
 import weakref
 import zlib
-from dataclasses import dataclass
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
@@ -40,24 +38,14 @@ class NetworkError(Exception):
     """A fetch that did not produce an HTTP response."""
 
 
-class _HttpRequestFields(NamedTuple):
+_EMPTY: Mapping[str, str] = MappingProxyType({})
+
+
+class HttpRequest(NamedTuple):
     url: str
-    method: str
-    headers: dict[str, str]
-    cookies: dict[str, str]
-
-
-class HttpRequest(_HttpRequestFields):
-    """One request: ``method`` defaults to GET, and ``headers`` and ``cookies``
-    to a new empty dict each."""
-
-    __slots__ = ()
-
-    def __new__(cls, url: str, method: str = "GET", headers: dict[str, str] | None = None,
-                cookies: dict[str, str] | None = None) -> HttpRequest:
-        return tuple.__new__(cls, (
-            url, method, {} if headers is None else headers, {} if cookies is None else cookies
-        ))
+    method: str = "GET"
+    headers: Mapping[str, str] = _EMPTY
+    cookies: Mapping[str, str] = _EMPTY
 
 
 class HttpResponse(NamedTuple):
@@ -73,11 +61,10 @@ class HttpResponse(NamedTuple):
         return None
 
 
-@dataclass(frozen=True)
-class HttpExchange:
+class HttpExchange(NamedTuple):
     request: HttpRequest
-    response: HttpResponse | None  # None for a fetch that failed
-    timestamp: float = 0.0  # monotonic clock at send time
+    status: int | None  # None for a fetch that failed
+    timestamp: float  # monotonic clock at send time
 
 
 def host_key(url: str) -> str:
@@ -88,7 +75,8 @@ def host_key(url: str) -> str:
 
 
 class RecordingClient:
-    """Wraps a client and keeps an append-only exchange log."""
+    """Wraps a client and keeps an append-only log of each exchange's
+    request, status and send time; no body is kept."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -101,12 +89,10 @@ class RecordingClient:
             response = self._inner.fetch(request)
         except NetworkError:
             with self._lock:
-                self.exchanges.append(HttpExchange(request=request, response=None, timestamp=stamp))
+                self.exchanges.append(HttpExchange(request, None, stamp))
             raise
         with self._lock:
-            self.exchanges.append(
-                HttpExchange(request=request, response=response, timestamp=stamp)
-            )
+            self.exchanges.append(HttpExchange(request, response.status, stamp))
         return response
 
 
@@ -248,18 +234,19 @@ class RequestsClient:
     any case, replaces a default or ``Host`` in place), then the request's
     cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order, unquoted,
     unless the request sets ``Cookie`` itself. The request target is the
-    URL's path and query as written; the fragment never leaves. gzip and
-    deflate bodies come back decoded, and a repeated response header is one
-    entry, its values joined with ``", "``.
+    URL's path and query as written, escapes and a lone ``%`` included; the
+    fragment never leaves. gzip and deflate bodies come back decoded, and a
+    repeated response header is one entry, its values joined with ``", "``.
 
     There is no cookie jar, so every fetch depends only on its
     ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
-    client; a hop to another (scheme, host, port) drops ``Cookie``,
-    ``Authorization`` and ``Proxy-Authorization``, and one redirect more
-    raises ``NetworkError``. Nothing is retried: a failed connect, send or
-    read raises ``NetworkError`` at once, so no request leaves outside the
-    spacing ``RateLimitedClient`` gives it. ``timeout`` bounds the connect
-    and each socket read.
+    client, and a redirect's own body is dropped undecoded; a hop to another
+    (scheme, host, port) drops ``Cookie``, ``Authorization`` and
+    ``Proxy-Authorization``, and one redirect more raises ``NetworkError``.
+    Nothing is retried: a failed connect, send or read raises
+    ``NetworkError`` at once, with the ``http.client`` or ``OSError`` text,
+    so no request leaves outside the spacing ``RateLimitedClient`` gives it.
+    ``timeout`` bounds the connect and each socket read.
 
     A connection leaves the pool while a request uses it, and goes back once
     its response is read whole, unless the server closes it. The pool keeps
@@ -268,23 +255,12 @@ class RequestsClient:
     connection its peer closed is replaced before the send (``select.poll``,
     so a POSIX system). Proxies come from the environment, read once,
     ``no_proxy`` included; a ``host:port`` proxy is an http proxy, and one
-    that cannot be used fails each fetch through it. TLS is verified against
-    the system trust store; ``.netrc`` is never read.
-
-    Deliberate differences from the urllib3 client this replaced:
-    - the target goes out as written. urllib3 re-encoded a URL holding a lone
-      ``%``, so ``/100%/page.php/%0A%7B%7D`` left as
-      ``/100%25/page.php/%250A%257B%257D`` and the probe never decoded to a
-      newline; it also upper-cased escapes such as ``%0a``;
-    - ``NetworkError`` texts come from ``http.client`` and ``OSError``, so
-      the ``errors`` of failed-fetch records read differently;
-    - an https target through an ``https://`` proxy raises ``NetworkError``
-      at fetch: ``http.client``'s tunnel cannot run TLS inside TLS;
-    - through an http proxy the headers keep the direct order, ``Host``
-      first (urllib3 sent ``Accept``, then ``Host``, first), and the
-      absolute URL loses its fragment, which urllib3 sent to the proxy;
-      ``proxy-authorization`` still comes last;
-    - a redirect's own body is dropped undecoded.
+    that cannot be used fails each fetch through it. An http target goes to
+    an http proxy as its absolute URL, fragment dropped, with the direct
+    headers and then ``Proxy-Authorization``; an https target goes through
+    a CONNECT tunnel to an http proxy, and through an ``https://`` proxy it
+    raises ``NetworkError``. TLS is verified against the system trust store;
+    ``.netrc`` is never read.
 
     The name dates from the ``requests``-based client it replaced.
     """

@@ -181,17 +181,13 @@ def _route(
     else:
         normalized = decoded_path
 
+    query = raw_query if raw_query is not None else recovered_query
     pairs: list[tuple[str, str]] = []
-    if raw_query is not None:
-        for chunk in raw_query.split("&"):
-            if "=" in chunk:
-                key, _, value = chunk.partition("=")
-                pairs.append((key, percent_decode(value)))
-    elif recovered_query is not None:
-        for chunk in recovered_query.split("&"):
-            if "=" in chunk:
-                key, _, value = chunk.partition("=")
-                pairs.append((key, value))  # already decoded with the path
+    for chunk in (query or "").split("&"):
+        if "=" in chunk:
+            key, _, value = chunk.partition("=")
+            # a recovered query was already decoded with the path
+            pairs.append((key, value if raw_query is None else percent_decode(value)))
 
     if normalized in plan.real_stylesheet_paths:
         return "css", pairs

@@ -36,19 +36,11 @@ class TechniqueNotApplicable(ValueError):
     pass
 
 
-class _MutatedRequestFields(NamedTuple):
+class MutatedRequest(NamedTuple):
+    """The mutated page URL, and the cookies the technique adds."""
+
     url: WebUrl
     extra_cookies: dict[str, str]
-
-
-class MutatedRequest(_MutatedRequestFields):
-    """The mutated page URL, and the cookies the technique adds (a new empty
-    dict when none is given)."""
-
-    __slots__ = ()
-
-    def __new__(cls, url: WebUrl, extra_cookies: dict[str, str] | None = None) -> MutatedRequest:
-        return tuple.__new__(cls, (url, {} if extra_cookies is None else extra_cookies))
 
 
 def _script_segment_index(segments: tuple[str, ...]) -> int | None:

@@ -19,25 +19,6 @@ from enum import Enum
 from importlib import resources
 from typing import NamedTuple
 
-from .css_recovery import css_would_fire as css_would_fire  # re-export
-
-__all__ = [
-    "Engine",
-    "RenderingMode",
-    "BrowserProfile",
-    "ResponseSecurity",
-    "parse_doctype",
-    "classify_doctype",
-    "effective_mode",
-    "ATTACKER_ORIGIN",
-    "framing_allowed",
-    "stylesheet_accepted",
-    "css_would_fire",
-    "default_profiles",
-    "load_profiles",
-    "profile_by_engine",
-]
-
 
 class Engine(Enum):
     CHROME = "chrome"
@@ -325,10 +306,3 @@ def _shipped_profiles() -> tuple[BrowserProfile, ...]:
 def default_profiles() -> list[BrowserProfile]:
     """The shipped profiles, parsed once per process; a new list each call."""
     return list(_shipped_profiles())
-
-
-def profile_by_engine(profiles: list[BrowserProfile], engine: Engine) -> BrowserProfile:
-    for profile in profiles:
-        if profile.engine is engine:
-            return profile
-    raise KeyError(engine)

@@ -98,35 +98,40 @@ def record_from_verdict(url: WebUrl, template: str, verdict: ScanVerdict,
     )
 
 
+class NotUtf8(ValueError):
+    """An input file that is not UTF-8 text; the message starts with ``FILE:``."""
+
+
+def _content_lines(path: str) -> Iterator[str]:
+    """The file's stripped lines, blank lines and ``#`` comments skipped."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for raw in fh:
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield line
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(f"{path}: {exc}") from exc
+
+
 def read_seed_file(path: str) -> list[str]:
     """One URL per line, optionally followed by a tab and an integer rank."""
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            lines.append(line.split("\t")[0].strip())
-    return lines
+    return [line.split("\t")[0].strip() for line in _content_lines(path)]
 
 
 def read_cookie_file(path: str) -> dict[str, dict[str, str]]:
     """Per-site cookies: lines of ``host<whitespace>name=value``."""
     cookies: dict[str, dict[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            separator = "\t" if "\t" in line else " "
-            host, _, pairs = line.partition(separator)
-            host = host.strip().lower()
-            if not host or "=" not in pairs:
-                continue
-            for chunk in pairs.split(";"):
-                if "=" in chunk:
-                    name, _, value = chunk.strip().partition("=")
-                    cookies.setdefault(host, {})[name] = value
+    for line in _content_lines(path):
+        separator = "\t" if "\t" in line else " "
+        host, _, pairs = line.partition(separator)
+        host = host.strip().lower()
+        if not host or "=" not in pairs:
+            continue
+        for chunk in pairs.split(";"):
+            if "=" in chunk:
+                name, _, value = chunk.strip().partition("=")
+                cookies.setdefault(host, {})[name] = value
     return cookies
 
 

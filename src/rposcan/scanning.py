@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from .css_recovery import css_would_fire
 from .httpclient import HttpRequest, HttpResponse, NetworkError
 from .mutations import (
     DEFAULT_SLASH_PADDING,
@@ -41,7 +42,6 @@ from .rendering import (
     Engine,
     RenderingMode,
     ResponseSecurity,
-    css_would_fire,
     default_profiles,
     effective_mode,
     framing_allowed,

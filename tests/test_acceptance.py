@@ -26,7 +26,6 @@ from rposcan.rendering import (
     classify_doctype,
     default_profiles,
     framing_allowed,
-    profile_by_engine,
     stylesheet_accepted,
 )
 from rposcan.scanning import (
@@ -170,8 +169,9 @@ def test_criterion_3_doctype_vectors():
             vectors.append(None if line == "(none)" else line)
         assert len(vectors) >= 50
 
-        webkit = [profile_by_engine(PROFILES, e) for e in (Engine.CHROME, Engine.OPERA, Engine.SAFARI)]
-        microsoft = [profile_by_engine(PROFILES, e) for e in (Engine.EDGE, Engine.INTERNET_EXPLORER)]
+        by_engine = {p.engine: p for p in PROFILES}
+        webkit = [by_engine[e] for e in (Engine.CHROME, Engine.OPERA, Engine.SAFARI)]
+        microsoft = [by_engine[e] for e in (Engine.EDGE, Engine.INTERNET_EXPLORER)]
         for doctype in vectors:
             if len({classify_doctype(doctype, p) for p in webkit}) != 1:
                 mismatches += 1
@@ -283,15 +283,17 @@ def test_criterion_7_safety_contract(matrix_run):
 
         assert all(x.request.method == "GET" for x in exchanges)
 
-        per_host: dict[str, list[float]] = {}
+        per_host: dict[str, list] = {}
         for x in exchanges:
-            per_host.setdefault(host_key(x.request.url), []).append(x.timestamp)
-        violations = 0
-        for stamps in per_host.values():
-            for before, after in zip(stamps, stamps[1:]):
-                if after - before < MATRIX_DELAY * 0.9:
-                    violations += 1
-        assert violations == 0
+            per_host.setdefault(host_key(x.request.url), []).append(x)
+        short_gaps = [
+            (host, before.request.url, after.request.url,
+             round((after.timestamp - before.timestamp) * 1000, 3))
+            for host, sent in per_host.items()
+            for before, after in zip(sent, sent[1:])
+            if after.timestamp - before.timestamp < MATRIX_DELAY * 0.9
+        ]
+        assert short_gaps == [], f"gaps under 0.9 x {MATRIX_DELAY * 1000:g} ms: {short_gaps}"
 
         blocked = ScanConfig().blocked_suffixes
         for x in exchanges:

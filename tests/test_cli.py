@@ -52,6 +52,23 @@ def test_scan_cli_missing_seed_exits_2(tmp_path):
     assert main(["scan", "--seed", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_scan_cli_undecodable_seed_file_exits_2(tmp_path, capsys):
+    seed = tmp_path / "seed.txt"
+    seed.write_bytes(b"http://a.test/\xff.php\n")
+    assert main(["scan", "--seed", str(seed)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {seed}: ") and "Traceback" not in err
+
+
+def test_scan_cli_undecodable_cookie_file_exits_2(tmp_path, capsys):
+    seed, cookies = tmp_path / "seed.txt", tmp_path / "cookies.txt"
+    seed.write_text("http://a.gov/page.php\n")  # blocked, so nothing is fetched
+    cookies.write_bytes(b"a.gov\tsid=\xff\n")
+    assert main(["scan", "--seed", str(seed), "--cookies", str(cookies)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cookies}: ") and "Traceback" not in err
+
+
 def test_scan_cli_bad_slash_padding_exits_2(tmp_path, capsys):
     seed = tmp_path / "seed.txt"
     seed.write_text("")

@@ -23,10 +23,11 @@ from rposcan.httpclient import MAX_IDLE_ORIGINS
 DELAY = 0.020
 
 
-def test_requests_and_responses_are_immutable_and_own_their_dicts():
+def test_requests_and_responses_are_immutable_and_share_one_empty_mapping():
     first, second = HttpRequest(url="http://a.test/"), HttpRequest("http://a.test/")
-    first.headers["Referer"] = "http://a.test/x"
-    first.cookies["sid"] = "1"
+    assert first.headers is second.headers is first.cookies is second.cookies
+    with pytest.raises(TypeError):
+        first.headers["Referer"] = "http://a.test/x"
     assert second.headers == {} and second.cookies == {}
     assert second.method == "GET"
     response = HttpResponse(200, {"Content-Type": "text/css"}, b"")
@@ -52,7 +53,21 @@ def test_recording_client_records_a_failed_fetch_without_response():
     with pytest.raises(NetworkError):
         recording.fetch(request)
     [exchange] = recording.exchanges
-    assert exchange.request == request and exchange.response is None
+    assert exchange.request == request and exchange.status is None
+
+
+class _NotFoundClient:
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        return HttpResponse(404, {}, b"not found")
+
+
+def test_recording_client_logs_the_status_and_no_body():
+    recording = RecordingClient(_NotFoundClient())
+    request = HttpRequest(url="http://a.test/")
+    assert recording.fetch(request).body == b"not found"
+    [exchange] = recording.exchanges
+    assert exchange.request == request and exchange.status == 404
+    assert exchange._fields == ("request", "status", "timestamp")
 
 
 OVERSLEEP = 0.005

@@ -17,17 +17,17 @@ from rposcan.rendering import (
     framing_allowed,
     load_profiles,
     parse_doctype,
-    profile_by_engine,
     stylesheet_accepted,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 PROFILES = default_profiles()
-CHROME = profile_by_engine(PROFILES, Engine.CHROME)
-FIREFOX = profile_by_engine(PROFILES, Engine.FIREFOX)
-EDGE = profile_by_engine(PROFILES, Engine.EDGE)
-IE = profile_by_engine(PROFILES, Engine.INTERNET_EXPLORER)
+BY_ENGINE = {p.engine: p for p in PROFILES}
+CHROME = BY_ENGINE[Engine.CHROME]
+FIREFOX = BY_ENGINE[Engine.FIREFOX]
+EDGE = BY_ENGINE[Engine.EDGE]
+IE = BY_ENGINE[Engine.INTERNET_EXPLORER]
 
 TABLE4_QUIRKS_DOCTYPES = [
     None,
@@ -118,7 +118,7 @@ def test_parse_doctype_forms():
 def test_engine_equivalence_classes_on_vector_file():
     vectors = load_doctype_vectors()
     assert len(vectors) >= 50
-    webkit_family = [profile_by_engine(PROFILES, e) for e in (Engine.CHROME, Engine.OPERA, Engine.SAFARI)]
+    webkit_family = [BY_ENGINE[e] for e in (Engine.CHROME, Engine.OPERA, Engine.SAFARI)]
     microsoft_family = [EDGE, IE]
     for doctype in vectors:
         webkit_modes = {classify_doctype(doctype, p) for p in webkit_family}

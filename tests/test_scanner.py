@@ -319,7 +319,7 @@ def test_refuse_crlf_falls_back_to_form_feed():
     assert verdict.status is ScanStatus.EXPLOITABLE
     assert verdict.newline is NewlineVariant.FF
 
-    scan_log = [(x.request.url, x.response.status) for x in recording.exchanges[:3]]
+    scan_log = [(x.request.url, x.status) for x in recording.exchanges[:3]]
     (lf_page, lf_status), (ff_page, ff_status), (ff_sheet, sheet_status) = scan_log
     assert "%0A" in lf_page and lf_status == 400
     assert "%0C" in ff_page and ff_status == 200
@@ -348,7 +348,7 @@ def test_refuse_all_defeats_path_techniques():
     assert verdict.reason is NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     assert verdict.reason.value == truth.reason
     # every variant was refused, so each got its try
-    assert [x.response.status for x in recording.exchanges] == [400] * 6
+    assert [x.status for x in recording.exchanges] == [400] * 6
 
 
 def test_refuse_all_leaves_the_cookie_technique():
@@ -405,7 +405,7 @@ def test_refuse_crlf_over_loopback():
         handle.shutdown()
     assert verdict.status is ScanStatus.EXPLOITABLE
     assert verdict.newline is NewlineVariant.FF
-    assert [x.response.status for x in recording.exchanges] == [400, 200, 200, 200, 200]
+    assert [x.status for x in recording.exchanges] == [400, 200, 200, 200, 200]
 
 
 def _matrix_hosts() -> dict[str, TargetConfig]:
