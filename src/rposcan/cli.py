@@ -138,19 +138,19 @@ def _cmd_mock_serve(args) -> int:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        handle = serve(config, args.port)
+        server = serve(config, args.port)
     except (PortInUse, OverflowError) as exc:  # OverflowError: a port outside 0-65535
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
-        f"serving {config.name!r} on http://127.0.0.1:{handle.port}{config.page_path}",
+        f"serving {config.name!r} on http://127.0.0.1:{server.port}{config.page_path}",
         flush=True,
     )
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
-        handle.shutdown()
+        server.shutdown()
     return 0
 
 

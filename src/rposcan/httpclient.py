@@ -97,11 +97,13 @@ class RecordingClient:
 
 
 class RateLimitedClient:
-    """Serializes requests per host with a minimum spacing between sends.
+    """Serializes requests per host with a minimum spacing between releases.
 
-    The spacing is measured between actual send times: the next slot for a
-    host is booked from the moment its previous request left, after any
-    oversleep, so a late send never shortens the gap that follows it.
+    A host's next slot is booked when the limiter releases a request to the
+    inner client, after any oversleep, so a late release never shortens the
+    gap that follows it. A pause between that release and the inner client's
+    write (a garbage collection, a descheduled thread) does shorten the next
+    gap on the wire; ROADMAP.md keeps this as an open question.
     """
 
     def __init__(self, inner, per_host_delay: float) -> None:
@@ -143,7 +145,7 @@ _CREDENTIAL_HEADERS = frozenset(("cookie", "authorization", "proxy-authorization
 _LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
-def _split(url: str) -> tuple[str, str, str]:
+def split_url(url: str) -> tuple[str, str, str]:
     """(scheme, authority, target) of an absolute http(s) URL: the scheme and
     ``host[:port]`` lower-cased with any userinfo dropped, and the path and
     query as written, without the fragment (``/`` when the path is empty)."""
@@ -345,7 +347,7 @@ class RequestsClient:
 
     def _exchange(self, url: str, headers: dict[str, tuple[str, str]]) -> HttpResponse:
         """One GET on a pooled or new connection; the body is not decoded."""
-        scheme, authority, target = _split(url)
+        scheme, authority, target = split_url(url)
         endpoint = _endpoint(scheme, authority)
         connect_to, tunnel, extra = endpoint, None, {}
         proxy = self._proxy_for(scheme, authority) if self._proxies else None
@@ -408,7 +410,7 @@ class RequestsClient:
                 except zlib.error as exc:
                     raise NetworkError(f"cannot decode {encodings} body: {exc}") from exc
             next_url = urljoin(url, quote(location, safe=_LOCATION_SAFE))
-            if _endpoint(*_split(next_url)[:2]) != _endpoint(*_split(url)[:2]):
+            if _endpoint(*split_url(next_url)[:2]) != _endpoint(*split_url(url)[:2]):
                 headers = {k: v for k, v in headers.items() if k not in _CREDENTIAL_HEADERS}
             url = next_url
         raise NetworkError(f"more than {MAX_REDIRECTS} redirects from {request.url}")

@@ -30,13 +30,13 @@ import selectors
 import socket
 import threading
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import quote
 
-from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key
+from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
 from .mutations import (
     DEFAULT_SLASH_PADDING,
     MutationTechnique,
@@ -140,14 +140,6 @@ class TargetConfig:
 
 
 # --- routing ---
-
-
-def _raw_target_of(url: str) -> str:
-    """The request target an HTTP client sends for ``url``: from its path on,
-    without the fragment."""
-    rest = url.split("://", 1)[1] if "://" in url else url
-    slash = rest.find("/")
-    return rest[slash:].partition("#")[0] if slash != -1 else "/"
 
 
 def _strip_semicolon_params(path: str) -> str:
@@ -269,7 +261,7 @@ _CSS_BODY = b"body { margin: 0; }\n"
 def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     """Byte-deterministic response for a GET request against this config."""
     plan = config.plan
-    raw_target = _raw_target_of(request.url)
+    raw_target = split_url(request.url)[2]
     raw_path, mark, raw_query = raw_target.partition("?")
     decoded = percent_decode(raw_target)
     if plan.refused_bytes and any(byte in decoded for byte in plan.refused_bytes):
@@ -312,14 +304,66 @@ class PortInUse(OSError):
     pass
 
 
-class _MockServer(ThreadingHTTPServer):
-    """Keeps each accepted connection with its handler thread, so that
-    shutdown can close kept-alive connections instead of leaving them served."""
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Buffer the response so headers and body leave in one write; two small
+    # writes stall on Nagle plus the client's delayed ACK.
+    # handle_one_request flushes after do_GET.
+    wbufsize = -1
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        cookies: dict[str, str] = {}
+        for part in self.headers.get("Cookie", "").split(";"):
+            if "=" in part:
+                name, _, value = part.strip().partition("=")
+                cookies[name] = value
+        request = HttpRequest(
+            url=f"http://{self.headers.get('Host', 'localhost')}{self.path}",
+            headers={k: v for k, v in self.headers.items()},
+            cookies=cookies,
+        )
+        response = handle_request(self.server.config, request)
+        self.send_response(response.status)
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(response.body)))
+        self.end_headers()
+        self.wfile.write(response.body)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class MockServer(ThreadingHTTPServer):
+    """One config served over loopback HTTP/1.1 from its own accept thread.
+
+    The accept loop waits on the listening socket and on a wake socket, so it
+    never polls. Each accepted connection is kept with its handler thread, so
+    that shutdown closes kept-alive connections instead of leaving them served.
+    """
+
+    def __init__(self, config: TargetConfig, port: int) -> None:
+        try:
+            super().__init__(("127.0.0.1", port), _Handler)
+        except OSError as exc:
+            raise PortInUse(f"port {port}: {exc}") from exc
+        self.config = config
+        self.port: int = self.server_address[1]
         self._lock = threading.Lock()
         self._open: dict[socket.socket, threading.Thread] = {}
+        self._woken, self._wake = socket.socketpair()  # closing _wake stops the loop
+        self.thread = threading.Thread(target=self._accept_until_woken, daemon=True)
+        self.thread.start()
+
+    def _accept_until_woken(self) -> None:
+        with self._woken, selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._woken, selectors.EVENT_READ)
+            while True:
+                for key, _ in selector.select():
+                    if key.fileobj is self._woken:
+                        return
+                self.handle_request()
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(
@@ -334,8 +378,13 @@ class _MockServer(ThreadingHTTPServer):
             self._open.pop(request, None)
         super().shutdown_request(request)
 
-    def close_connections(self) -> None:
-        """Shut down every open connection and wait for its handler thread."""
+    def shutdown(self) -> None:
+        """Stop the accept thread, shut down every open connection, wait for
+        its handler thread, and close the listening socket. This replaces
+        ``BaseServer.shutdown``, which waits for a ``serve_forever`` that
+        never runs here."""
+        self._wake.close()
+        self.thread.join(timeout=5)
         with self._lock:
             open_now = list(self._open.items())
         for sock, _ in open_now:
@@ -345,75 +394,12 @@ class _MockServer(ThreadingHTTPServer):
                 pass
         for _, thread in open_now:
             thread.join(timeout=5)
+        self.server_close()
 
 
-@dataclass
-class MockServerHandle:
-    server: _MockServer
-    thread: threading.Thread
-    port: int
-    wake: socket.socket  # closing it stops the accept loop
-
-    def shutdown(self) -> None:
-        self.wake.close()
-        self.thread.join(timeout=5)
-        self.server.close_connections()
-        self.server.server_close()
-
-
-def _accept_until_woken(server: ThreadingHTTPServer, wake: socket.socket) -> None:
-    """Accept connections until ``wake`` reads end-of-file, without polling."""
-    with wake, selectors.DefaultSelector() as selector:
-        selector.register(server, selectors.EVENT_READ)
-        selector.register(wake, selectors.EVENT_READ)
-        while True:
-            for key, _ in selector.select():
-                if key.fileobj is wake:
-                    return
-            server.handle_request()
-
-
-def serve(config: TargetConfig, port: int = 0) -> MockServerHandle:
+def serve(config: TargetConfig, port: int = 0) -> MockServer:
     """Expose the config over loopback HTTP/1.1; port 0 picks a free port."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Buffer the response so headers and body leave in one write; two
-        # small writes stall on Nagle plus the client's delayed ACK.
-        # handle_one_request flushes after do_GET.
-        wbufsize = -1
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-            cookies: dict[str, str] = {}
-            cookie_header = self.headers.get("Cookie", "")
-            for part in cookie_header.split(";"):
-                if "=" in part:
-                    name, _, value = part.strip().partition("=")
-                    cookies[name] = value
-            request = HttpRequest(
-                url=f"http://{self.headers.get('Host', 'localhost')}{self.path}",
-                headers={k: v for k, v in self.headers.items()},
-                cookies=cookies,
-            )
-            response = handle_request(config, request)
-            self.send_response(response.status)
-            for name, value in response.headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(response.body)))
-            self.end_headers()
-            self.wfile.write(response.body)
-
-        def log_message(self, *args) -> None:
-            pass
-
-    try:
-        server = _MockServer(("127.0.0.1", port), Handler)
-    except OSError as exc:
-        raise PortInUse(f"port {port}: {exc}") from exc
-    woken, wake = socket.socketpair()
-    thread = threading.Thread(target=_accept_until_woken, args=(server, woken), daemon=True)
-    thread.start()
-    return MockServerHandle(server=server, thread=thread, port=server.server_address[1], wake=wake)
+    return MockServer(config, port)
 
 
 class InProcessClient:
@@ -608,14 +594,16 @@ def _from_json(kind, value):
 
 def config_from_dict(data: dict) -> TargetConfig:
     """A config from its JSON form (enums by value, sets as lists); absent
-    fields take the dataclass defaults and unknown keys are ignored.  Real
+    fields take the dataclass defaults and an unknown key raises
+    ``ValueError``, so a misspelt field cannot serve another config.  Real
     stylesheets at refs that do not resolve raise ``MalformedUrl`` here,
     rather than on every request."""
     kinds = typing.get_type_hints(TargetConfig)
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     config = TargetConfig(**{
-        f.name: _from_json(kinds[f.name], data[f.name])
-        for f in fields(TargetConfig)
-        if f.name in data
+        name: _from_json(kind, data[name]) for name, kind in kinds.items() if name in data
     })
     config.plan  # building the plan resolves the real stylesheets' refs
     return config

@@ -141,69 +141,61 @@ def run_scan(
     base_client=None,
     cookie_file: str | None = None,
 ) -> Iterator[ScanRecord]:
-    """Group, gate, scan, verify; yields one record per seed URL as completed.
+    """Group, gate, scan, verify: a generator of one record per seed URL, each
+    yielded as it completes.
 
+    Both files are read, and every URL parsed, grouped and gated, before this
+    returns, so an input error raises before any record is drawn.
     ``base_client`` (default: the real network client) is wrapped in the
     per-host rate limiter; pass a RecordingClient to capture the exchange log.
     """
     seed_lines = read_seed_file(seed_file)
     site_cookies = read_cookie_file(cookie_file) if cookie_file else {}
 
-    parsed: list[tuple[str, WebUrl | None, str | None]] = []
+    parsed: list[WebUrl | MalformedUrl] = []
     for line in seed_lines:
         try:
-            url = parse_url(line)
-            parsed.append((line, url, None))
+            parsed.append(parse_url(line))
         except MalformedUrl as exc:
-            parsed.append((line, None, str(exc)))
+            parsed.append(exc)
+    groups = group_candidates([url for url in parsed if isinstance(url, WebUrl)])
 
-    groups = group_candidates([url for _, url, _ in parsed if url is not None])
-    representative_of = {
-        template: serialize_url(representative) for template, representative in groups.items()
-    }
-    template_of = {
-        serialize_url(url): abstract_url(url) for _, url, _ in parsed if url is not None
-    }
+    prelim: list[ScanRecord] = []
+    to_scan: dict[str, list[tuple[WebUrl, str]]] = {}
+    for line, url in zip(seed_lines, parsed):
+        if isinstance(url, MalformedUrl):
+            prelim.append(ScanRecord(url=line, site="", template="", status="error",
+                                     errors=[str(url)]))
+            continue
+        text, site, template = serialize_url(url), registrable_domain(url.host), abstract_url(url)
+        # the representative is one of the parsed URLs: a line equal to it
+        # but not the same object is a duplicate, grouped into it
+        representative = groups[template]
+        if url is not representative:
+            prelim.append(ScanRecord(url=text, site=site, template=template, status="grouped_into",
+                                     grouped_into=serialize_url(representative)))
+        elif not ethics_gate(url, config):
+            prelim.append(ScanRecord(url=text, site=site, template=template,
+                                     status="ethics_blocked", reason="blocked_suffix"))
+        else:
+            to_scan.setdefault(host_key(text), []).append((url, template))
 
     if base_client is None:
         base_client = RequestsClient(timeout=config.request_timeout)
     client = RateLimitedClient(base_client, config.per_host_delay)
+    return _records(prelim, to_scan, site_cookies, client, config)
 
+
+def _records(prelim: list[ScanRecord], to_scan: dict[str, list[tuple[WebUrl, str]]],
+             site_cookies: dict[str, dict[str, str]], client,
+             config: ScanConfig) -> Iterator[ScanRecord]:
+    """The plan's records: ``prelim`` first, then each scanned page's."""
     results: queue.SimpleQueue[ScanRecord | None] = queue.SimpleQueue()
-    to_scan: dict[str, list[WebUrl]] = {}
-    seen_representatives: set[str] = set()
 
-    prelim: list[ScanRecord] = []
-    for line, url, parse_error in parsed:
-        if url is None:
-            prelim.append(
-                ScanRecord(url=line, site="", template="", status="error",
-                           errors=[parse_error or "unparseable URL"])
-            )
-            continue
-        text = serialize_url(url)
-        template = template_of[text]
-        representative = representative_of[template]
-        if text != representative or text in seen_representatives:
-            prelim.append(
-                ScanRecord(url=text, site=registrable_domain(url.host), template=template,
-                           status="grouped_into", grouped_into=representative)
-            )
-            continue
-        seen_representatives.add(text)
-        if not ethics_gate(url, config):
-            prelim.append(
-                ScanRecord(url=text, site=registrable_domain(url.host), template=template,
-                           status="ethics_blocked", reason="blocked_suffix")
-            )
-            continue
-        to_scan.setdefault(host_key(text), []).append(url)
-
-    def scan_host(urls: list[WebUrl]) -> None:
-        for url in urls:
+    def scan_host(urls: list[tuple[WebUrl, str]]) -> None:
+        for url, template in urls:
             started = _now()
             cookies = site_cookies.get(url.host.lower(), {})
-            template = template_of[serialize_url(url)]
             try:
                 verdict = scan_page(url, cookies, client, config)
                 verdict = verify_exploitable(verdict, client, config)
@@ -220,7 +212,7 @@ def run_scan(
     # Long-lived workers, each taking whole hosts off one queue: a host's
     # pages stay on one thread, so its requests stay serialized.  SimpleQueue
     # blocks in C, so a host or a record costs no Python-level lock.
-    hosts: queue.SimpleQueue[list[WebUrl]] = queue.SimpleQueue()
+    hosts: queue.SimpleQueue[list[tuple[WebUrl, str]]] = queue.SimpleQueue()
     for urls in to_scan.values():
         hosts.put(urls)
     failures: list[BaseException] = []

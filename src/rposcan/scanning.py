@@ -102,6 +102,8 @@ class ScanConfig:
             raise ValueError("max_concurrent_hosts must be >= 1")
         if not self.profiles:
             self.profiles = tuple(default_profiles())
+        # one form for ethics_gate's endswith: lower-cased, one leading dot
+        self.blocked_suffixes = tuple("." + s.lower().lstrip(".") for s in self.blocked_suffixes)
 
 
 @dataclass
@@ -127,14 +129,7 @@ class ScanVerdict:
 
 def ethics_gate(url: WebUrl, config: ScanConfig) -> bool:
     """False iff the host sits under one of the blocked suffixes."""
-    host = url.host.lower().rstrip(".")
-    for suffix in config.blocked_suffixes:
-        suffix = suffix.lower()
-        if not suffix.startswith("."):
-            suffix = "." + suffix
-        if host.endswith(suffix) or host == suffix[1:]:
-            return False
-    return True
+    return not ("." + url.host.lower().rstrip(".")).endswith(config.blocked_suffixes)
 
 
 def _fetch(client, url_text: str, errors: list[str], *, referer: str | None = None,

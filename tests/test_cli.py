@@ -48,25 +48,38 @@ def test_scan_cli_end_to_end(tmp_path):
         handle.shutdown()
 
 
+def _records_file(tmp_path) -> tuple[pathlib.Path, bytes]:
+    """An existing one-line records file, which an input error must leave as it is."""
+    out = tmp_path / "rec.jsonl"
+    out.write_bytes(b'{"kept": "from an earlier run"}\n')
+    return out, out.read_bytes()
+
+
 def test_scan_cli_missing_seed_exits_2(tmp_path):
-    assert main(["scan", "--seed", str(tmp_path / "missing.txt")]) == 2
+    out, before = _records_file(tmp_path)
+    assert main(["scan", "--seed", str(tmp_path / "missing.txt"), "--out", str(out)]) == 2
+    assert out.read_bytes() == before
 
 
 def test_scan_cli_undecodable_seed_file_exits_2(tmp_path, capsys):
     seed = tmp_path / "seed.txt"
     seed.write_bytes(b"http://a.test/\xff.php\n")
-    assert main(["scan", "--seed", str(seed)]) == 2
+    out, before = _records_file(tmp_path)
+    assert main(["scan", "--seed", str(seed), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {seed}: ") and "Traceback" not in err
+    assert out.read_bytes() == before
 
 
 def test_scan_cli_undecodable_cookie_file_exits_2(tmp_path, capsys):
     seed, cookies = tmp_path / "seed.txt", tmp_path / "cookies.txt"
     seed.write_text("http://a.gov/page.php\n")  # blocked, so nothing is fetched
     cookies.write_bytes(b"a.gov\tsid=\xff\n")
-    assert main(["scan", "--seed", str(seed), "--cookies", str(cookies)]) == 2
+    out, before = _records_file(tmp_path)
+    assert main(["scan", "--seed", str(seed), "--cookies", str(cookies), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cookies}: ") and "Traceback" not in err
+    assert out.read_bytes() == before
 
 
 def test_scan_cli_bad_slash_padding_exits_2(tmp_path, capsys):
@@ -256,8 +269,9 @@ def test_mock_serve_cli():
             '"stylesheet_refs": ["\u00e9.css"]}',
             "illegal character",
         ),
+        ('{"name": "t", "routing": "exact_file", "nosnif": true}', "unknown config key(s): nosnif"),
     ],
-    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref"],
+    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref", "unknown-key"],
 )
 def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, text, message):
     config = tmp_path / "target.json"

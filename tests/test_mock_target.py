@@ -475,7 +475,6 @@ def test_config_from_dict_reads_json_form():
         "seed_cookies": {"a": "1"},
         "sink_filter": "sanitize",
         "newline_handling": "cut_at_lf",
-        "unknown_key": "ignored",
     }
     assert config_from_dict(data) == TargetConfig(
         name="t",

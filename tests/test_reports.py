@@ -1,4 +1,5 @@
-import dataclasses
+import json
+import pathlib
 import random
 import sys
 import threading
@@ -436,22 +437,24 @@ def test_run_scan_keeps_max_concurrent_hosts_and_one_thread_per_host(tmp_path):
     assert len(set().union(*client.threads.values())) == 3
 
 
-def _records_without_times(records: list[ScanRecord]) -> list[ScanRecord]:
-    return sorted(
-        (dataclasses.replace(r, started_at=None, finished_at=None) for r in records),
-        key=lambda r: r.url,
-    )
+FIXED_SEED_RECORDS = pathlib.Path(__file__).parent / "fixtures" / "fixed_seed_records.jsonl"
 
 
-def test_run_scan_records_do_not_depend_on_worker_count(tmp_path):
+def _fixed_seed_records(directory: pathlib.Path, workers: int) -> str:
+    """run_scan's records on a fixed seed file, as JSON lines sorted by URL
+    with the timestamps dropped.  The seed holds every matrix and newline
+    config on its own in-process host, with a cookie file, plus a blocked
+    host, a malformed line, a template sibling and a duplicate line."""
     profiles = default_profiles()
     entries = fixture_matrix(profiles) + newline_configs(profiles)
     hosts = {f"m{i}.test": target for i, (target, _) in enumerate(entries)}
-    seed = tmp_path / "seed.txt"
-    seed.write_text(
-        "".join(f"{target.seed_url(f'http://{host}')}\n" for host, target in hosts.items())
-    )
-    cookies = tmp_path / "cookies.txt"
+    lines = [str(target.seed_url(f"http://{host}")) for host, target in hosts.items()]
+    hosts["agency.gov"] = entries[0][0]  # answers, should a request get through
+    sibling = next(line for line in lines if "?" in line) + "0"
+    lines += [str(entries[0][0].seed_url("http://agency.gov")), "http://[bad/x", sibling, lines[1]]
+    seed = directory / "seed.txt"
+    seed.write_text("".join(f"{line}\n" for line in lines))
+    cookies = directory / "cookies.txt"
     cookies.write_text(
         "".join(
             f"{host}\t{';'.join(f'{k}={v}' for k, v in target.seed_cookies.items())}\n"
@@ -459,18 +462,33 @@ def test_run_scan_records_do_not_depend_on_worker_count(tmp_path):
             if target.seed_cookies
         )
     )
-    runs = [
-        list(
-            run_scan(
-                str(seed),
-                ScanConfig(per_host_delay=0.0, max_concurrent_hosts=workers,
-                           profiles=tuple(profiles)),
-                base_client=InProcessClient(hosts),
-                cookie_file=str(cookies),
-            )
-        )
-        for workers in (1, 4)
-    ]
-    one, four = (_records_without_times(records) for records in runs)
-    assert len(one) == len(hosts)
-    assert one == four
+    records = run_scan(
+        str(seed),
+        ScanConfig(per_host_delay=0.0, max_concurrent_hosts=workers, profiles=tuple(profiles)),
+        base_client=InProcessClient(hosts),
+        cookie_file=str(cookies),
+    )
+    rows = []
+    for record in records:
+        row = dict(record.__dict__)
+        del row["started_at"], row["finished_at"]
+        rows.append((record.url, json.dumps(row, sort_keys=True)))
+    return "".join(line + "\n" for _, line in sorted(rows))
+
+
+def test_run_scan_records_do_not_depend_on_worker_count(tmp_path):
+    assert _fixed_seed_records(tmp_path, 1) == _fixed_seed_records(tmp_path, 4)
+
+
+def test_run_scan_fixed_seed_records_match_committed_file(tmp_path):
+    records = _fixed_seed_records(tmp_path, 4)
+    assert {json.loads(line)["status"] for line in records.splitlines()} >= {
+        "exploitable", "vulnerable", "not_vulnerable", "ethics_blocked", "grouped_into", "error"}
+    assert records == FIXED_SEED_RECORDS.read_text()
+
+
+if __name__ == "__main__":  # rewrite the committed file: PYTHONPATH=src python tests/test_reports.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        FIXED_SEED_RECORDS.write_text(_fixed_seed_records(pathlib.Path(scratch), 4))
