@@ -7,7 +7,6 @@ import sys
 import time
 
 from .mock_target import PortInUse, load_config, serve
-from .mutations import DEFAULT_SLASH_PADDING
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
 from .reports import (
     MalformedRecords,
@@ -19,7 +18,7 @@ from .reports import (
     summarize,
     write_records,
 )
-from .scanning import ScanConfig
+from .scanning import ScanConfig, suffix_form
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,16 +30,18 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--cookies", help="per-site cookie file (host<TAB>k=v;k2=v2)")
     scan.add_argument("--out", help="records file (json lines); default stdout")
     scan.add_argument("--profiles", help="browser profile JSON file")
-    scan.add_argument("--slash-padding", type=int, default=DEFAULT_SLASH_PADDING)
-    scan.add_argument("--delay", type=int, default=1000, help="per-host delay in ms")
+    defaults = ScanConfig()
+    scan.add_argument("--delay", type=int, default=round(defaults.per_host_delay * 1000),
+                      help="per-host delay in ms")
     scan.add_argument(
         "--max-hosts",
         type=int,
-        default=4,
+        default=defaults.max_concurrent_hosts,
         help="hosts scanned at once; each host's requests stay serialized and paced",
     )
-    scan.add_argument("--timeout", type=int, default=10000, help="request timeout in ms")
-    scan.add_argument("--seed-rng", type=int, default=0, help="nonce RNG seed")
+    scan.add_argument("--timeout", type=int, default=round(defaults.request_timeout * 1000),
+                      help="request timeout in ms")
+    scan.add_argument("--seed-rng", type=int, default=defaults.seed, help="nonce RNG seed")
     scan.add_argument(
         "--allow-suffix",
         action="append",
@@ -78,7 +79,7 @@ def _cmd_scan(args) -> int:
         print(f"error: cannot load profiles: {exc}", file=sys.stderr)
         return 2
     blocked = ScanConfig().blocked_suffixes
-    allowed = {"." + suffix.lower().lstrip(".") for suffix in args.allow_suffix}
+    allowed = set(map(suffix_form, args.allow_suffix))
     unknown = sorted(allowed.difference(blocked))
     if unknown:
         print(f"error: --allow-suffix {', '.join(unknown)} is not on the blocklist "
@@ -86,12 +87,11 @@ def _cmd_scan(args) -> int:
         return 2
     try:
         config = ScanConfig(
-            slash_padding=args.slash_padding,
             per_host_delay=args.delay / 1000.0,
             max_concurrent_hosts=args.max_hosts,
             request_timeout=args.timeout / 1000.0,
             blocked_suffixes=tuple(s for s in blocked if s not in allowed),
-            profiles=tuple(profiles),
+            profiles=profiles,
             seed=args.seed_rng,
         )
     except ValueError as exc:
@@ -114,11 +114,8 @@ def _cmd_scan(args) -> int:
 def _cmd_summarize(args) -> int:
     try:
         records = read_records(args.infile)
-    except (OSError, MalformedRecords) as exc:
+    except (OSError, NotUtf8, MalformedRecords) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:  # not UTF-8: no line to point at
-        print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return 2
     table = summarize(records)
     if args.format == "csv":

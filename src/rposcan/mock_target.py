@@ -38,7 +38,6 @@ from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
 from .mutations import (
-    DEFAULT_SLASH_PADDING,
     MutationTechnique,
     applicable_techniques,
     expand_stylesheet_targets,
@@ -475,7 +474,7 @@ def _attempt(
     reflect, or no relative refs at all."""
     plan = config.plan
     seed = config.seed_url(_VICTIM_ORIGIN)
-    mutated = mutate(seed, technique, payload, DEFAULT_SLASH_PADDING, config.seed_cookies)
+    mutated = mutate(seed, technique, payload, config.seed_cookies)
     kind, _ = _route(plan, percent_decode(mutated.url.path), mutated.url.query)
     if kind == "css":
         return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
@@ -492,7 +491,7 @@ def _attempt(
     return NotVulnerableReason.NO_REFLECTION
 
 
-def compute_ground_truth(config: TargetConfig, profiles: list[BrowserProfile]) -> GroundTruth:
+def compute_ground_truth(config: TargetConfig, profiles: tuple[BrowserProfile, ...]) -> GroundTruth:
     """The first technique whose marker reflects, in the scanner's order, and
     per engine whether the exploit would fire; or, when none reflects, the
     reason the scanner should give."""
@@ -580,6 +579,21 @@ def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
 # --- serialization ---
 
 
+def _is_json_form(kind, value) -> bool:
+    """Is a decoded JSON value in the annotated type's JSON form: an enum as
+    its value, a set or list as a list, a dict as an object?"""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return isinstance(value, str)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is None:
+        return isinstance(value, kind)
+    if origin is dict:
+        return isinstance(value, dict) and all(_is_json_form(args[1], v) for v in value.values())
+    if origin in (frozenset, list):
+        return isinstance(value, list) and all(_is_json_form(args[0], v) for v in value)
+    return any(_is_json_form(arg, value) for arg in args)  # a union such as str | None
+
+
 def _from_json(kind, value):
     if isinstance(kind, type) and issubclass(kind, Enum):
         return kind(value)
@@ -594,14 +608,19 @@ def _from_json(kind, value):
 
 def config_from_dict(data: dict) -> TargetConfig:
     """A config from its JSON form (enums by value, sets as lists); absent
-    fields take the dataclass defaults and an unknown key raises
-    ``ValueError``, so a misspelt field cannot serve another config.  Real
+    fields take the dataclass defaults.  An unknown key, or a value whose
+    JSON type does not fit its field, raises ``ValueError``, so a misspelt
+    field or a quoted ``"false"`` cannot serve another config.  Real
     stylesheets at refs that do not resolve raise ``MalformedUrl`` here,
     rather than on every request."""
     kinds = typing.get_type_hints(TargetConfig)
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    for name, value in data.items():
+        if not _is_json_form(kinds[name], value):
+            raise ValueError(f"config key {name}: {json.dumps(value)} does not fit "
+                             f"{TargetConfig.__annotations__[name]}")
     config = TargetConfig(**{
         name: _from_json(kind, data[name]) for name, kind in kinds.items() if name in data
     })
@@ -617,7 +636,7 @@ def load_config(path: str) -> TargetConfig:
 # --- the shipped fixture matrix ---
 
 
-def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, GroundTruth]]:
+def fixture_matrix(profiles: tuple[BrowserProfile, ...]) -> list[tuple[TargetConfig, GroundTruth]]:
     """The labeled config matrix used by the end-to-end suite: routing x sink
     x doctype x defense, pruned to the combinations that exercise distinct
     verdict paths."""
@@ -646,7 +665,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
             add(
                 f"pathinfo-url-{doc_key}-{defense_key}",
                 routing=Routing.PATH_INFO_REWRITE,
-                sinks=frozenset({Sink.ECHO_URL}),
                 doctype=doctype,
                 **overrides,
             )
@@ -669,7 +687,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
                 add(
                     f"{tag}-url-{doc_key}-{defense_key}",
                     routing=routing,
-                    sinks=frozenset({Sink.ECHO_URL}),
                     doctype=doctype,
                     **defenses[defense_key],
                     **seed_extra,
@@ -710,7 +727,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-params-quirks-plain",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         seed_path="/app/page.php/p1/p2",
         doctype=DOCTYPE_QUIRKS,
     )
@@ -725,7 +741,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-dropfilter",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         sink_filter=SinkFilter.DROP,
         error_page_echoes_url=False,
@@ -733,7 +748,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-sanitized",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         sink_filter=SinkFilter.SANITIZE,
     )
@@ -742,7 +756,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-absrefs",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         stylesheet_refs=["/static/style.css", "http://cdn.invalid/s.css"],
     )
@@ -751,14 +764,12 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "exactfile-url-quirks-noerrorecho",
         routing=Routing.EXACT_FILE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         error_page_echoes_url=False,
     )
     add(
         "exactfile-url-quirks-norefs404",
         routing=Routing.EXACT_FILE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         error_page_has_refs=False,
     )
@@ -767,7 +778,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "encslash-url-quirks-realcss",
         routing=Routing.ENCODED_SLASH_DECODE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         stylesheet_refs=["style.css"],
         serve_real_stylesheets=True,
@@ -779,7 +789,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-standards-xuacompat",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_STANDARDS,
         x_ua_compatible="IE=edge",
     )
@@ -787,7 +796,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-xuacompat",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         x_ua_compatible="IE=edge",
     )
@@ -795,7 +803,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-standards-deny-combo",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_STANDARDS,
         x_frame_options="DENY",
         nosniff=True,
@@ -804,14 +811,12 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-standards-allowfrom-attacker",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_STANDARDS,
         x_frame_options="ALLOW-FROM " + ATTACKER_ORIGIN,
     )
     add(
         "pathinfo-url-standards-allowfrom-other",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_STANDARDS,
         x_frame_options="ALLOW-FROM http://partner.invalid",
     )
@@ -819,7 +824,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-mixedrefs",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         doctype=DOCTYPE_QUIRKS,
         stylesheet_refs=["/static/reset.css", "../style.css"],
     )
@@ -847,7 +851,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "encslash-aspx-quirks-plain",
         routing=Routing.ENCODED_SLASH_DECODE,
-        sinks=frozenset({Sink.ECHO_URL}),
         page_path="/dir/page.aspx",
         stylesheet_refs=["style.css"],
         doctype=DOCTYPE_QUIRKS,
@@ -857,7 +860,6 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     add(
         "pathinfo-url-quirks-deep",
         routing=Routing.PATH_INFO_REWRITE,
-        sinks=frozenset({Sink.ECHO_URL}),
         page_path="/a/b/c/page.php",
         stylesheet_refs=["../../deep.css"],
         doctype=DOCTYPE_QUIRKS,
@@ -866,7 +868,7 @@ def fixture_matrix(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, G
     return [(config, compute_ground_truth(config, profiles)) for config in configs]
 
 
-def newline_configs(profiles: list[BrowserProfile]) -> list[tuple[TargetConfig, GroundTruth]]:
+def newline_configs(profiles: tuple[BrowserProfile, ...]) -> list[tuple[TargetConfig, GroundTruth]]:
     """Labeled configs whose server refuses newline bytes or cuts its echoes
     at LF, crossed with a few shapes of the matrix.  They are kept out of
     ``fixture_matrix`` so that the matrix, and every run built on it, keeps

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .urls import WebUrl, resolve_relative, serialize_url
 
-DEFAULT_SLASH_PADDING = 20
+SLASH_PADDING = 20  # empty path segments after the payload
 
 # Last path segment that looks like a server-side script; the set of
 # extensions is a scanner tuning knob, not a protocol fact.
@@ -77,7 +77,6 @@ def mutate(
     url: WebUrl,
     technique: MutationTechnique,
     payload: str,
-    slash_padding: int = DEFAULT_SLASH_PADDING,
     cookies: dict[str, str] | None = None,
 ) -> MutatedRequest:
     """Apply one technique, embedding the (already URL-encoded) payload text."""
@@ -86,7 +85,7 @@ def mutate(
         raise TechniqueNotApplicable(f"{technique.value} does not fit {serialize_url(url)}")
 
     segments = url.path_segments
-    padding = ("",) * slash_padding
+    padding = ("",) * SLASH_PADDING
     new_query = url.query  # EncodedQuery is the only technique that moves it
     extra_cookies: dict[str, str] = {}
 

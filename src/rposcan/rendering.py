@@ -276,14 +276,18 @@ def _profile_from_dict(entry: dict) -> BrowserProfile:
         raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
     kwargs = {"engine": Engine(entry["engine"])}
     for name in _BEHAVIOR_FIELDS:
-        kwargs[name] = bool(entry[name])
+        if not isinstance(entry[name], bool):
+            raise ValueError(f"profile key {name} must be true or false")
+        kwargs[name] = entry[name]
     for name in _LIST_FIELDS:
-        if name in entry:
-            kwargs[name] = tuple(entry[name])
+        value = entry.get(name, [])
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ValueError(f"profile key {name} must be a list of strings")
+        kwargs[name] = tuple(value)
     return BrowserProfile(**kwargs)
 
 
-def load_profiles(path: str | None = None) -> list[BrowserProfile]:
+def load_profiles(path: str | None = None) -> tuple[BrowserProfile, ...]:
     """Load engine profiles from a JSON file; without a path, the shipped
     defaults."""
     if path is None:
@@ -292,17 +296,13 @@ def load_profiles(path: str | None = None) -> list[BrowserProfile]:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     doc = json.loads(raw)
-    profiles = [_profile_from_dict(entry) for entry in doc["profiles"]]
+    profiles = tuple(_profile_from_dict(entry) for entry in doc["profiles"])
     if not profiles:
         raise ValueError("profile file defines no engines")
     return profiles
 
 
 @functools.cache
-def _shipped_profiles() -> tuple[BrowserProfile, ...]:
-    return tuple(load_profiles())
-
-
-def default_profiles() -> list[BrowserProfile]:
-    """The shipped profiles, parsed once per process; a new list each call."""
-    return list(_shipped_profiles())
+def default_profiles() -> tuple[BrowserProfile, ...]:
+    """The shipped profiles, parsed once per process; the same tuple each call."""
+    return load_profiles()

@@ -16,7 +16,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO, get_type_hints
 
 from .httpclient import RateLimitedClient, RequestsClient, host_key
 from .mutations import MutationTechnique
@@ -50,23 +50,23 @@ class ScanRecord:
         """A record from its JSON line; raises ValueError or TypeError when
         the line is not one record's keys with values of their types."""
         record = cls(**json.loads(line))
-        for name in _TEXT_FIELDS:
-            if not isinstance(getattr(record, name), str):
-                raise TypeError(f"{name} must be a string")
-        for name in _OPTIONAL_TEXT_FIELDS:
-            if not isinstance(getattr(record, name), (str, type(None))):
-                raise TypeError(f"{name} must be a string or null")
-        results = record.profile_results
-        if not isinstance(results, dict) or not all(isinstance(r, dict) for r in results.values()):
-            raise TypeError("profile_results must be an object of objects")
-        if not isinstance(record.errors, list) or not all(isinstance(e, str) for e in record.errors):
-            raise TypeError("errors must be a list of strings")
+        for name, (form, fits) in _FIELDS.items():
+            if not fits(getattr(record, name)):
+                raise TypeError(f"{name} must be {form}")
         return record
 
 
-_TEXT_FIELDS = ("url", "site", "template", "status")
-_OPTIONAL_TEXT_FIELDS = ("reason", "technique", "newline_variant", "reflected_stylesheet_url",
-                         "grouped_into", "started_at", "finished_at")
+# A record field's annotation: how an error names its JSON form, and the
+# check on a decoded value.  A field of a type not listed fails at import.
+_JSON_FORMS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    str | None: ("a string or null", lambda v: isinstance(v, (str, type(None)))),
+    dict[str, dict]: ("an object of objects",
+                      lambda v: isinstance(v, dict) and all(isinstance(r, dict) for r in v.values())),
+    list[str]: ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v)),
+}
+_FIELDS = {name: _JSON_FORMS[kind] for name, kind in get_type_hints(ScanRecord).items()}
 
 
 def _now() -> str:
@@ -102,16 +102,20 @@ class NotUtf8(ValueError):
     """An input file that is not UTF-8 text; the message starts with ``FILE:``."""
 
 
-def _content_lines(path: str) -> Iterator[str]:
-    """The file's stripped lines, blank lines and ``#`` comments skipped."""
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """The file's non-blank lines, stripped, with their numbers from 1."""
     with open(path, encoding="utf-8") as fh:
         try:
-            for raw in fh:
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield line
+            for number, raw in enumerate(fh, 1):
+                if line := raw.strip():
+                    yield number, line
         except UnicodeDecodeError as exc:
             raise NotUtf8(f"{path}: {exc}") from exc
+
+
+def _content_lines(path: str) -> Iterator[str]:
+    """The file's stripped lines, blank lines and ``#`` comments skipped."""
+    return (line for _, line in _lines(path) if not line.startswith("#"))
 
 
 def read_seed_file(path: str) -> list[str]:
@@ -269,14 +273,11 @@ class MalformedRecords(ValueError):
 
 def read_records(path: str) -> list[ScanRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    records.append(ScanRecord.from_json(line))
-                except (ValueError, TypeError) as exc:  # not JSON, or not a record's keys
-                    raise MalformedRecords(f"{path}:{number}: {exc}") from exc
+    for number, line in _lines(path):
+        try:
+            records.append(ScanRecord.from_json(line))
+        except (ValueError, TypeError) as exc:  # not JSON, or not a record's keys
+            raise MalformedRecords(f"{path}:{number}: {exc}") from exc
     return records
 
 

@@ -20,7 +20,6 @@ from enum import Enum
 from .css_recovery import css_would_fire
 from .httpclient import HttpRequest, HttpResponse, NetworkError
 from .mutations import (
-    DEFAULT_SLASH_PADDING,
     MutatedRequest,
     MutationTechnique,
     applicable_techniques,
@@ -79,9 +78,13 @@ class Blocker(Enum):
     X_UA_COMPATIBLE = "x_ua_compatible"
 
 
+def suffix_form(suffix: str) -> str:
+    """The one form of a blocked suffix: lower-cased, one leading dot."""
+    return "." + suffix.lower().lstrip(".")
+
+
 @dataclass
 class ScanConfig:
-    slash_padding: int = DEFAULT_SLASH_PADDING
     per_host_delay: float = 1.0
     max_concurrent_hosts: int = 4
     request_timeout: float = 10.0
@@ -90,8 +93,6 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.slash_padding < 1:
-            raise ValueError("slash_padding must be >= 1")
         # "not >=" so that NaN fails too: a bad delay must stop the run, not
         # turn the per-host spacing off
         if not self.per_host_delay >= 0:
@@ -101,9 +102,8 @@ class ScanConfig:
         if self.max_concurrent_hosts < 1:
             raise ValueError("max_concurrent_hosts must be >= 1")
         if not self.profiles:
-            self.profiles = tuple(default_profiles())
-        # one form for ethics_gate's endswith: lower-cased, one leading dot
-        self.blocked_suffixes = tuple("." + s.lower().lstrip(".") for s in self.blocked_suffixes)
+            self.profiles = default_profiles()
+        self.blocked_suffixes = tuple(map(suffix_form, self.blocked_suffixes))
 
 
 @dataclass
@@ -191,7 +191,7 @@ def scan_page(
     for technique in applicable_techniques(url, cookies):
         for newline in NewlineVariant:
             payload = build_reflection_payload(nonce, newline)
-            mutated = mutate(url, technique, payload, config.slash_padding, cookies)
+            mutated = mutate(url, technique, payload, cookies)
             request_cookies = {**cookies, **mutated.extra_cookies}
             page_url = serialize_url(mutated.url)
             page_resp = _fetch(client, page_url, errors, cookies=request_cookies)
@@ -305,9 +305,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     assert verdict.nonce is not None
 
     nonce_url, encoded = build_exploit(verdict.nonce, verdict.newline)
-    mutated = mutate(
-        verdict.page_url, verdict.technique, encoded, config.slash_padding, verdict.cookies
-    )
+    mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = list(verdict.errors)  # the input verdict stays as it was
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
     page_url = serialize_url(mutated.url)

@@ -443,9 +443,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
         return verdict
     nonce_url = f"http://css-canary.invalid/{verdict.nonce.value}"
     encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
-    mutated = mutate(
-        verdict.page_url, verdict.technique, encoded, config.slash_padding, verdict.cookies
-    )
+    mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
     page_resp = scanning._fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)

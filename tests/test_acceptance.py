@@ -121,7 +121,7 @@ def test_criterion_2_mutation_properties():
         payload = build_reflection_payload(generate_nonce(0), NewlineVariant.LF)
 
         url = parse_url("http://example.com/app/page.php")
-        mutated = mutate(url, MutationTechnique.PATH_PARAM_SIMPLE, payload, slash_padding=20)
+        mutated = mutate(url, MutationTechnique.PATH_PARAM_SIMPLE, payload)
         for depth in range(20):
             ref = "../" * depth + "style.css"
             resolved = expand_stylesheet_targets(mutated, [ref])[0]

@@ -3,10 +3,11 @@ import socket
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from rposcan import reports
+from rposcan import cli, reports
 from rposcan.cli import main
 from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
 from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig, serve
@@ -82,11 +83,18 @@ def test_scan_cli_undecodable_cookie_file_exits_2(tmp_path, capsys):
     assert out.read_bytes() == before
 
 
-def test_scan_cli_bad_slash_padding_exits_2(tmp_path, capsys):
+def test_scan_cli_without_tuning_flags_uses_scan_config_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def run_scan(seed_file, config, cookie_file):
+        seen.append(config)
+        return []
+
+    monkeypatch.setattr(cli, "run_scan", run_scan)
     seed = tmp_path / "seed.txt"
     seed.write_text("")
-    assert main(["scan", "--seed", str(seed), "--slash-padding", "0"]) == 2
-    assert "error: slash_padding must be >= 1" in capsys.readouterr().err
+    assert main(["scan", "--seed", str(seed), "--out", str(tmp_path / "rec.jsonl")]) == 0
+    assert seen == [ScanConfig()]
 
 
 @pytest.mark.parametrize(
@@ -259,6 +267,16 @@ def test_mock_serve_cli():
         proc.communicate(timeout=5)  # also closes the pipes
 
 
+def _serve_no_longer_than_a_moment(monkeypatch):
+    """End ``mock serve``'s wait at once, so a config or port the CLI wrongly
+    serves fails the test (exit 0) instead of hanging the run."""
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=interrupt))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -270,10 +288,15 @@ def test_mock_serve_cli():
             "illegal character",
         ),
         ('{"name": "t", "routing": "exact_file", "nosnif": true}', "unknown config key(s): nosnif"),
+        ('{"name": "t", "routing": "exact_file", "nosniff": "false"}', "nosniff"),
+        ('{"name": "t", "routing": "exact_file", "stylesheet_refs": "style.css"}',
+         "stylesheet_refs"),
     ],
-    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref", "unknown-key"],
+    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref", "unknown-key",
+         "string-for-bool", "string-for-list"],
 )
-def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, text, message):
+def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, text, message):
+    _serve_no_longer_than_a_moment(monkeypatch)
     config = tmp_path / "target.json"
     config.write_text(text)
     assert main(["mock", "serve", "--config", str(config), "--port", "0"]) == 2
@@ -282,7 +305,8 @@ def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, text, message):
     assert message in err
 
 
-def test_mock_serve_cli_busy_or_invalid_port_exits_2(capsys):
+def test_mock_serve_cli_busy_or_invalid_port_exits_2(capsys, monkeypatch):
+    _serve_no_longer_than_a_moment(monkeypatch)
     serve_on = ["mock", "serve", "--config", str(DEMO_CONFIG), "--port"]
     with socket.create_server(("127.0.0.1", 0)) as busy:
         port = busy.getsockname()[1]

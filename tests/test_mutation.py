@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rposcan.mutations import (
+    SLASH_PADDING,
     MutationTechnique,
     TechniqueNotApplicable,
     applicable_techniques,
@@ -19,6 +20,7 @@ from rposcan.urls import (
 
 T = MutationTechnique
 P = build_reflection_payload(generate_nonce(0), NewlineVariant.LF)
+PAD = "/" * SLASH_PADDING
 
 
 def u(path, query=None):
@@ -64,28 +66,28 @@ def test_fixed_ordering():
 
 
 def test_mutate_path_param_simple():
-    out = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
-    assert out.url.path == f"/page.asp/{P}//"
+    out = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
+    assert out.url.path == f"/page.asp/{P}{PAD}"
 
 
 def test_mutate_path_techniques_preserve_query():
-    out = mutate(u("/page.asp", "id=9"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
+    out = mutate(u("/page.asp", "id=9"), T.PATH_PARAM_SIMPLE, P)
     assert out.url.query == "id=9"
 
 
 def test_mutate_path_param_slash():
-    out = mutate(u("/page.php/param1/param2"), T.PATH_PARAM_SLASH, P, slash_padding=2)
-    assert out.url.path == f"/page.php/{P}param1/{P}param2//"
+    out = mutate(u("/page.php/param1/param2"), T.PATH_PARAM_SLASH, P)
+    assert out.url.path == f"/page.php/{P}param1/{P}param2{PAD}"
 
 
 def test_mutate_path_param_semicolon():
-    out = mutate(u("/page.jsp;param1;param2"), T.PATH_PARAM_SEMICOLON, P, slash_padding=2)
-    assert out.url.path == f"/page.jsp;{P}param1;{P}param2//"
+    out = mutate(u("/page.jsp;param1;param2"), T.PATH_PARAM_SEMICOLON, P)
+    assert out.url.path == f"/page.jsp;{P}param1;{P}param2{PAD}"
 
 
 def test_mutate_encoded_query():
-    out = mutate(u("/page.html", "k1=v1&k2=v2"), T.ENCODED_QUERY, P, slash_padding=2)
-    assert out.url.path == f"/page.html%3Fk1={P}v1&k2={P}v2//"
+    out = mutate(u("/page.html", "k1=v1&k2=v2"), T.ENCODED_QUERY, P)
+    assert out.url.path == f"/page.html%3Fk1={P}v1&k2={P}v2{PAD}"
     assert out.url.query is None
 
 
@@ -96,30 +98,28 @@ def test_mutate_encoded_query():
     ("a=b?c", f"a={P}b%3Fc"),
 ])
 def test_mutate_encoded_query_encodes_the_querys_own_separators(query, moved):
-    out = mutate(u("/app/page.php", query), T.ENCODED_QUERY, P, slash_padding=2)
-    assert out.url.path == f"/app/page.php%3F{moved}//"
+    out = mutate(u("/app/page.php", query), T.ENCODED_QUERY, P)
+    assert out.url.path == f"/app/page.php%3F{moved}{PAD}"
     assert out.url.query is None
 
 
 def test_mutate_encoded_path_canonical_equivalence():
     original = u("/dir/page.aspx")
-    out = mutate(original, T.ENCODED_PATH, P, slash_padding=0)
+    out = mutate(original, T.ENCODED_PATH, P)
     assert server_view(out.url) == server_view(original)
     assert P in out.url.path
 
 
 def test_mutate_cookie():
-    out = mutate(
-        u("/page.php"), T.COOKIE, P, slash_padding=2, cookies={"k1": "v1", "k2": "v2"}
-    )
-    assert out.url.path == "/page.php//"
+    out = mutate(u("/page.php"), T.COOKIE, P, cookies={"k1": "v1", "k2": "v2"})
+    assert out.url.path == f"/page.php{PAD}"
     assert out.extra_cookies == {"k1": P + "v1", "k2": P + "v2"}
     assert P not in serialize_url(out.url)
 
 
 def test_mutate_cookie_keeps_query():
-    out = mutate(u("/page.php", "key=value"), T.COOKIE, P, slash_padding=2, cookies={"k": "v"})
-    assert serialize_url(out.url).endswith("/page.php//?key=value")
+    out = mutate(u("/page.php", "key=value"), T.COOKIE, P, cookies={"k": "v"})
+    assert serialize_url(out.url).endswith(f"/page.php{PAD}?key=value")
 
 
 def test_mutate_rejects_inapplicable():
@@ -148,9 +148,9 @@ def test_mutate_accepts_exactly_the_applicable_techniques(url, cookies):
 
 
 def test_expand_stylesheet_targets():
-    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=2)
+    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
     targets = expand_stylesheet_targets(mutated, ["../style.css"])
-    assert [t.path for t in targets] == [f"/page.asp/{P}/style.css"]
+    assert [t.path for t in targets] == [f"/page.asp/{P}{PAD[1:]}style.css"]
 
 
 def test_expand_deduplicates_preserving_order():
@@ -161,7 +161,7 @@ def test_expand_deduplicates_preserving_order():
 
 @pytest.mark.parametrize("depth", range(20))
 def test_padding_sufficiency(depth):
-    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P, slash_padding=20)
+    mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
     ref = "../" * depth + "style.css"
     resolved = expand_stylesheet_targets(mutated, [ref])[0]
     assert P in resolved.path

@@ -317,17 +317,15 @@ def test_shipped_profile_file_matches_schema():
     assert [p["engine"] for p in doc["profiles"]] == [e.value for e in Engine]
 
 
-def test_default_profiles_parsed_once_returned_as_a_new_list(monkeypatch):
+def test_default_profiles_parsed_once_returned_as_one_tuple(monkeypatch):
     first = default_profiles()
 
     def reread(path=None):
         raise AssertionError("the shipped profiles were parsed again")
 
     monkeypatch.setattr(rendering, "load_profiles", reread)
-    second = default_profiles()
-    assert second == first and second is not first
-    second.clear()  # a caller's list is its own
-    assert default_profiles() == first
+    assert isinstance(first, tuple)
+    assert default_profiles() is first
 
 
 def test_load_profiles_from_custom_file(tmp_path):
@@ -358,20 +356,48 @@ def test_load_profiles_from_custom_file(tmp_path):
     )
 
 
-@pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
-def test_profile_file_rejects_unknown_key(tmp_path, key):
-    entry = {
-        "engine": "chrome",
-        "respects_nosniff": False,
-        "supports_frame_override": False,
-        "base_tag_effective": True,
-        key: True,
-    }
+def _assert_profile_file_rejected(tmp_path, entries, message):
+    """``load_profiles`` raises ValueError naming ``message``, and ``rposcan
+    scan --profiles`` exits 2."""
     path = tmp_path / "profiles.json"
-    path.write_text(json.dumps({"profiles": [entry]}))
-    with pytest.raises(ValueError, match=key):
+    path.write_text(json.dumps({"profiles": entries}))
+    with pytest.raises(ValueError, match=message):
         load_profiles(str(path))
     # a blocked-suffix seed, so no request could leave even if loading passed
     seed = tmp_path / "seed.txt"
     seed.write_text("http://blocked.gov/page.php\n")
     assert main(["scan", "--seed", str(seed), "--profiles", str(path)]) == 2
+
+
+_CHROME_ENTRY = {
+    "engine": "chrome",
+    "respects_nosniff": False,
+    "supports_frame_override": False,
+    "base_tag_effective": True,
+}
+
+
+@pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
+def test_profile_file_rejects_unknown_key(tmp_path, key):
+    _assert_profile_file_rejected(tmp_path, [{**_CHROME_ENTRY, key: True}], key)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("respects_nosniff", "false"),
+        ("supports_frame_override", "false"),
+        ("base_tag_effective", 1),
+        ("extra_quirks_public_ids", "html"),
+        ("quirks_public_id_exceptions", ["-//w3c//dtd html 3.2//", 3]),
+    ],
+    ids=["nosniff-as-string", "frame-override-as-string", "base-tag-as-number",
+         "quirks-ids-as-string", "exceptions-holding-a-number"],
+)
+def test_profile_file_rejects_value_of_wrong_json_type(tmp_path, key, value):
+    # bool("false") is True, and tuple("html") is four one-letter ids
+    _assert_profile_file_rejected(tmp_path, [{**_CHROME_ENTRY, key: value}], key)
+
+
+def test_profile_file_without_engines_is_rejected(tmp_path):
+    _assert_profile_file_rejected(tmp_path, [], "defines no engines")

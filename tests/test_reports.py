@@ -492,3 +492,23 @@ if __name__ == "__main__":  # rewrite the committed file: PYTHONPATH=src python 
 
     with tempfile.TemporaryDirectory() as scratch:
         FIXED_SEED_RECORDS.write_text(_fixed_seed_records(pathlib.Path(scratch), 4))
+
+
+def test_run_scan_unexpected_client_exception_gives_one_error_record(tmp_path):
+    class BrokenForSiteB:
+        def __init__(self, inner) -> None:
+            self.inner = inner
+
+        def fetch(self, request):
+            if host_key(request.url) == "site-b.test":
+                raise RuntimeError("client bug")
+            return self.inner.fetch(request)
+
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://site-a.test/app/page.php\nhttp://site-b.test/app/page.php\n")
+    records = {r.url: r for r in run_scan(str(seed), make_config(max_concurrent_hosts=2),
+                                          base_client=BrokenForSiteB(mock_client()))}
+    broken = records["http://site-b.test/app/page.php"]
+    assert (broken.status, broken.errors) == ("error", ["RuntimeError('client bug')"])
+    assert broken.site == "site-b.test" and broken.template and broken.finished_at
+    assert records["http://site-a.test/app/page.php"].status == "exploitable"

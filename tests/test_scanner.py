@@ -490,3 +490,73 @@ def test_verify_leaves_its_input_verdict_unchanged():
         checked += 1
         with_errors += bool(verified.errors)
     assert checked > 40 and with_errors > 0
+
+
+# --- verdict paths the mock's configs never reach ---
+
+
+class _DownClient:
+    """Fails every fetch."""
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        raise NetworkError("connection refused")
+
+
+def test_every_page_fetch_failing_means_fetch_failed():
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    verdict = scan_page(target.seed_url("http://mock.test"), {}, _DownClient(), make_config())
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is NotVulnerableReason.FETCH_FAILED
+    assert verdict.errors and all("connection refused" in e for e in verdict.errors)
+
+
+def test_failed_exploit_page_fetch_leaves_the_verdict_unverified():
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    config = make_config()
+    probed = scan_page(target.seed_url("http://mock.test"), {}, client_for(target), config)
+    assert probed.status is ScanStatus.VULNERABLE
+    verdict = verify_exploitable(probed, _DownClient(), config)
+    assert verdict.status is ScanStatus.VULNERABLE
+    assert verdict.profile_results == {}
+    assert verdict.errors[-1] == "exploit page fetch failed; verdict left unverified"
+
+
+class _BaseTagLater:
+    """Answers from the wrapped client, and once ``add_base`` is set puts a
+    blocking ``<base>`` at the top of every HTML head."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.add_base = False
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        response = self.inner.fetch(request)
+        if not self.add_base:
+            return response
+        body = response.body.replace(b"<head>", b'<head><base href="/">', 1)
+        return HttpResponse(response.status, response.headers, body)
+
+
+def test_base_tag_on_the_exploit_page_only_blocks_engines_it_binds():
+    # scan_page gives up on a blocking base before any stylesheet fetch, so
+    # Blocker.BASE_TAG shows only when the base appears between probe and
+    # exploit; Internet Explorer's profile ignores the base tag
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    config = make_config()
+    client = _BaseTagLater(client_for(target))
+    probed = scan_page(target.seed_url("http://mock.test"), {}, client, config)
+    assert probed.status is ScanStatus.VULNERABLE
+    client.add_base = True
+    verdict = verify_exploitable(probed, client, config)
+    assert verdict.status is ScanStatus.EXPLOITABLE
+    results = {engine: (r.exploitable, r.framed, r.blockers)
+               for engine, r in verdict.profile_results.items()}
+    blocked = (False, False, [Blocker.BASE_TAG])
+    assert results == {
+        Engine.CHROME: blocked,
+        Engine.OPERA: blocked,
+        Engine.SAFARI: blocked,
+        Engine.FIREFOX: blocked,
+        Engine.EDGE: blocked,
+        Engine.INTERNET_EXPLORER: (True, False, []),
+    }
