@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_scan(args) -> int:
     try:
         profiles = load_profiles(args.profiles) if args.profiles else default_profiles()
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load profiles: {exc}", file=sys.stderr)
         return 2
     blocked = ScanConfig().blocked_suffixes
@@ -131,7 +131,7 @@ def _cmd_mock_serve(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, KeyError) as exc:  # bad JSON or a bad config
+    except ValueError as exc:  # bad JSON or a bad config
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -10,8 +10,9 @@ has no runtime dependency. It sends each request target exactly as the
 scanner wrote it, fragment dropped. Every fetch depends only on its
 ``HttpRequest``: there is no cookie jar and no ``.netrc``, and nothing is
 retried. Redirects are followed inside the client, up to a bound, so those
-hops skip per-host pacing. Proxy settings come from the environment, read
-once per client; TLS uses the system trust store.
+hops skip per-host pacing. Every fetch connects straight to the host and port
+its URL names: ``http_proxy`` and the other proxy variables are ignored, and
+nothing is tunnelled. TLS uses the system trust store.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -20,7 +21,6 @@ that names no headers or cookies shares one read-only empty mapping.
 
 from __future__ import annotations
 
-import base64
 import http.client
 import select
 import ssl
@@ -31,7 +31,7 @@ import zlib
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
-from urllib.parse import quote, unquote, urljoin, urlsplit
+from urllib.parse import quote, urljoin
 
 
 class NetworkError(Exception):
@@ -65,13 +65,6 @@ class HttpExchange(NamedTuple):
     request: HttpRequest
     status: int | None  # None for a fetch that failed
     timestamp: float  # monotonic clock at send time
-
-
-def host_key(url: str) -> str:
-    """host[:port] portion of an absolute URL, the unit of politeness."""
-    rest = url.split("://", 1)[1] if "://" in url else url
-    authority = rest.split("/", 1)[0].split("?", 1)[0]
-    return authority.lower()
 
 
 class RecordingClient:
@@ -164,6 +157,12 @@ def split_url(url: str) -> tuple[str, str, str]:
     return scheme, rest[:cut].rpartition("@")[2].lower(), target
 
 
+def host_key(url: str) -> str:
+    """The ``host[:port]`` a fetch of ``url`` connects to: the unit of
+    politeness, so a request is paced by the host it reaches."""
+    return split_url(url)[1]
+
+
 def _endpoint(scheme: str, authority: str) -> tuple[str, str, int]:
     """(scheme, host, port) of ``host[:port]``: an IPv6 host loses its
     brackets, and a missing port is the scheme's default."""
@@ -240,8 +239,8 @@ class RequestsClient:
     fragment never leaves. gzip and deflate bodies come back decoded, and a
     repeated response header is one entry, its values joined with ``", "``.
 
-    There is no cookie jar, so every fetch depends only on its
-    ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
+    There is no cookie jar and no proxy, so every fetch depends only on
+    its ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
     client, and a redirect's own body is dropped undecoded; a hop to another
     (scheme, host, port) drops ``Cookie``, ``Authorization`` and
     ``Proxy-Authorization``, and one redirect more raises ``NetworkError``.
@@ -255,21 +254,15 @@ class RequestsClient:
     one idle connection per (scheme, host, port) for at most
     ``MAX_IDLE_ORIGINS`` of them, closing the least recently used. An idle
     connection its peer closed is replaced before the send (``select.poll``,
-    so a POSIX system). Proxies come from the environment, read once,
-    ``no_proxy`` included; a ``host:port`` proxy is an http proxy, and one
-    that cannot be used fails each fetch through it. An http target goes to
-    an http proxy as its absolute URL, fragment dropped, with the direct
-    headers and then ``Proxy-Authorization``; an https target goes through
-    a CONNECT tunnel to an http proxy, and through an ``https://`` proxy it
-    raises ``NetworkError``. TLS is verified against the system trust store;
-    ``.netrc`` is never read.
+    so a POSIX system). Each fetch connects straight to the host and port
+    its URL names: ``http_proxy`` and the other proxy variables are ignored,
+    and there are no CONNECT tunnels. TLS is verified against the system
+    trust store; ``.netrc`` is never read.
 
     The name dates from the ``requests``-based client it replaced.
     """
 
     def __init__(self, timeout: float = 10.0) -> None:
-        from urllib.request import getproxies
-
         self._timeout = timeout
         # lower-cased name -> (name, value), so a request header replaces a
         # default whatever its case
@@ -288,41 +281,8 @@ class RequestsClient:
         # them to the collector
         weakref.finalize(self, _close_all, self._idle)
         self._tls: ssl.SSLContext | None = None  # built for the first https connection
-        self._proxy_env = getproxies()
-        # target scheme ("http", "https" or "all") -> (proxy endpoint, proxy
-        # headers), or the reason the proxy cannot be used
-        self._proxies: dict[str, object] = {}
-        for scheme in ("http", "https", "all"):
-            proxy_url = self._proxy_env.get(scheme)
-            if not proxy_url:
-                continue
-            if "://" not in proxy_url:  # "host:port" means an http proxy
-                proxy_url = "http://" + proxy_url
-            try:
-                parts = urlsplit(proxy_url)
-                if parts.scheme not in ("http", "https") or not parts.hostname:
-                    raise ValueError("not an http or https proxy")
-                port = parts.port or (443 if parts.scheme == "https" else 80)
-                auth = parts.netloc.rpartition("@")[0]
-                headers = {"proxy-authorization": "Basic " + base64.b64encode(
-                    unquote(auth).encode("latin-1")).decode()} if auth else {}
-                self._proxies[scheme] = ((parts.scheme, parts.hostname, port), headers)
-            except ValueError as exc:  # a malformed URL, or not an http(s) proxy
-                self._proxies[scheme] = f"proxy {proxy_url}: {exc}"
 
-    def _proxy_for(self, scheme: str, authority: str):
-        proxy = self._proxies.get(scheme) or self._proxies.get("all")
-        if proxy is None:
-            return None
-        from urllib.request import proxy_bypass_environment
-
-        if proxy_bypass_environment(authority, self._proxy_env):
-            return None
-        if isinstance(proxy, str):
-            raise NetworkError(proxy)
-        return proxy
-
-    def _connect(self, endpoint: tuple[str, str, int], tunnel: tuple | None):
+    def _connect(self, endpoint: tuple[str, str, int]):
         scheme, host, port = endpoint
         if scheme == "http":
             return http.client.HTTPConnection(host, port, timeout=self._timeout)
@@ -330,15 +290,12 @@ class RequestsClient:
             context = ssl.create_default_context()
             context.set_alpn_protocols(["http/1.1"])
             self._tls = context
-        conn = http.client.HTTPSConnection(host, port, timeout=self._timeout, context=self._tls)
-        if tunnel is not None:
-            conn.set_tunnel(*tunnel)
-        return conn
+        return http.client.HTTPSConnection(host, port, timeout=self._timeout, context=self._tls)
 
-    def _release(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+    def _release(self, endpoint: tuple, conn: http.client.HTTPConnection) -> None:
         with self._lock:
-            stale = [self._idle.pop(key, None)]  # another thread's, put back meanwhile
-            self._idle[key] = conn
+            stale = [self._idle.pop(endpoint, None)]  # another thread's, put back meanwhile
+            self._idle[endpoint] = conn
             if len(self._idle) > MAX_IDLE_ORIGINS:
                 stale.append(self._idle.pop(next(iter(self._idle))))
         for old in stale:
@@ -349,30 +306,16 @@ class RequestsClient:
         """One GET on a pooled or new connection; the body is not decoded."""
         scheme, authority, target = split_url(url)
         endpoint = _endpoint(scheme, authority)
-        connect_to, tunnel, extra = endpoint, None, {}
-        proxy = self._proxy_for(scheme, authority) if self._proxies else None
-        if proxy is not None:
-            proxy_endpoint, proxy_headers = proxy
-            if scheme == "http":  # the proxy takes the absolute URL and the credentials
-                connect_to, target, extra = proxy_endpoint, url.partition("#")[0], proxy_headers
-            elif proxy_endpoint[0] == "https":
-                raise NetworkError(f"cannot tunnel https through the https proxy {url!r}")
-            else:  # TLS with the target inside a CONNECT tunnel that carries the credentials
-                connect_to = ("https",) + proxy_endpoint[1:]
-                tunnel = (endpoint[1], endpoint[2], proxy_headers)
-        key = connect_to if tunnel is None else connect_to + tunnel[:2]
         with self._lock:
-            conn = self._idle.pop(key, None)
+            conn = self._idle.pop(endpoint, None)
         if conn is not None and _dropped(conn.sock):
             conn.close()
             conn = None
         if conn is None:
-            conn = self._connect(connect_to, tunnel)
+            conn = self._connect(endpoint)
         try:
             conn.putrequest("GET", target, skip_host="host" in headers, skip_accept_encoding=True)
             for name, value in headers.values():
-                conn.putheader(name, value)
-            for name, value in extra.items():
                 conn.putheader(name, value)
             conn.endheaders()
             response = conn.getresponse()
@@ -381,7 +324,7 @@ class RequestsClient:
             conn.close()
             raise NetworkError(str(exc) or type(exc).__name__) from exc
         if conn.sock is not None:  # the server keeps it open
-            self._release(key, conn)
+            self._release(endpoint, conn)
         merged: dict[str, str] = {}
         first_names: dict[str, str] = {}
         for name, value in response.getheaders():

@@ -30,7 +30,7 @@ import selectors
 import socket
 import threading
 import typing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -260,7 +260,7 @@ _CSS_BODY = b"body { margin: 0; }\n"
 def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     """Byte-deterministic response for a GET request against this config."""
     plan = config.plan
-    raw_target = split_url(request.url)[2]
+    _, authority, raw_target = split_url(request.url)
     raw_path, mark, raw_query = raw_target.partition("?")
     decoded = percent_decode(raw_target)
     if plan.refused_bytes and any(byte in decoded for byte in plan.refused_bytes):
@@ -291,7 +291,7 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
     else:
         status, (before, after) = 404, plan.error_markup
         echoed = plan.echo_line("echo-url", decoded) if plan.error_echo else ""
-    origin = "http://" + host_key(request.url) if plan.base_tag else ""
+    origin = "http://" + authority if plan.base_tag else ""
     body = before + origin + after + echoed + "\n</body></html>"
     return HttpResponse(status, dict(plan.html_headers), body.encode("latin-1", errors="replace"))
 
@@ -608,15 +608,22 @@ def _from_json(kind, value):
 
 def config_from_dict(data: dict) -> TargetConfig:
     """A config from its JSON form (enums by value, sets as lists); absent
-    fields take the dataclass defaults.  An unknown key, or a value whose
-    JSON type does not fit its field, raises ``ValueError``, so a misspelt
-    field or a quoted ``"false"`` cannot serve another config.  Real
+    fields take the dataclass defaults.  A document that is not an object,
+    an unknown or missing key, or a value whose JSON type does not fit its
+    field raises ``ValueError``, so a misspelt field or a quoted ``"false"``
+    cannot serve another config.  Real
     stylesheets at refs that do not resolve raise ``MalformedUrl`` here,
     rather than on every request."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a config is a JSON object, not {json.dumps(data)}")
     kinds = typing.get_type_hints(TargetConfig)
     unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(TargetConfig) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config key(s): {', '.join(missing)}")
     for name, value in data.items():
         if not _is_json_form(kinds[name], value):
             raise ValueError(f"config key {name}: {json.dumps(value)} does not fit "

@@ -271,9 +271,14 @@ _LIST_FIELDS = ("extra_quirks_public_ids", "quirks_public_id_exceptions")
 
 
 def _profile_from_dict(entry: dict) -> BrowserProfile:
+    if not isinstance(entry, dict):
+        raise ValueError(f"a profile is a JSON object, not {json.dumps(entry)}")
     unknown = sorted(set(entry) - {"engine", *_BEHAVIOR_FIELDS, *_LIST_FIELDS})
     if unknown:
         raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
+    missing = [name for name in ("engine", *_BEHAVIOR_FIELDS) if name not in entry]
+    if missing:
+        raise ValueError(f"missing profile key(s): {', '.join(missing)}")
     kwargs = {"engine": Engine(entry["engine"])}
     for name in _BEHAVIOR_FIELDS:
         if not isinstance(entry[name], bool):
@@ -289,14 +294,18 @@ def _profile_from_dict(entry: dict) -> BrowserProfile:
 
 def load_profiles(path: str | None = None) -> tuple[BrowserProfile, ...]:
     """Load engine profiles from a JSON file; without a path, the shipped
-    defaults."""
+    defaults. A file that is not UTF-8, not JSON or not of the profile
+    file's shape raises ``ValueError``."""
     if path is None:
         raw = (resources.files("rposcan") / "data" / "default_profiles.json").read_text()
     else:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     doc = json.loads(raw)
-    profiles = tuple(_profile_from_dict(entry) for entry in doc["profiles"])
+    entries = doc.get("profiles") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('a profile file is a JSON object with a "profiles" list')
+    profiles = tuple(_profile_from_dict(entry) for entry in entries)
     if not profiles:
         raise ValueError("profile file defines no engines")
     return profiles

@@ -281,7 +281,10 @@ def _serve_no_longer_than_a_moment(monkeypatch):
     "text, message",
     [
         ('{"name": "t", "routing": ', "Expecting value"),
-        ('{"name": "t"}', "missing 1 required positional argument: 'routing'"),
+        ('{"name": "t"}', "missing config key(s): routing"),
+        ("{}", "missing config key(s): name, routing"),
+        ("[]", "a config is a JSON object, not []"),
+        ("[5]", "a config is a JSON object, not [5]"),
         (
             '{"name": "t", "routing": "exact_file", "serve_real_stylesheets": true, '
             '"stylesheet_refs": ["\u00e9.css"]}',
@@ -292,7 +295,8 @@ def _serve_no_longer_than_a_moment(monkeypatch):
         ('{"name": "t", "routing": "exact_file", "stylesheet_refs": "style.css"}',
          "stylesheet_refs"),
     ],
-    ids=["malformed-json", "missing-routing", "unresolvable-stylesheet-ref", "unknown-key",
+    ids=["malformed-json", "missing-routing", "empty-object", "empty-list", "list-of-number",
+         "unresolvable-stylesheet-ref", "unknown-key",
          "string-for-bool", "string-for-list"],
 )
 def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, text, message):

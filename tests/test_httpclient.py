@@ -1,5 +1,6 @@
 import gc
 import gzip
+import socket
 import sys
 import threading
 import time
@@ -116,6 +117,20 @@ def test_rate_limiter_spaces_actual_sends_despite_oversleep(monkeypatch):
     assert min(gaps) >= DELAY - 1e-9, gaps
 
 
+def test_rate_limiter_paces_by_the_host_the_client_connects_to(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr("rposcan.httpclient.time.monotonic", clock.monotonic)
+    monkeypatch.setattr("rposcan.httpclient.time.sleep", clock.sleep)
+    inner = TimedClient(clock, [0.0, 0.0, 0.0])
+    client = RateLimitedClient(inner, 0.200)
+    # userinfo, case and a fragment do not change the host these reach
+    for url in ("http://u@h.test/a", "http://h.test/b", "http://H.test#x/c"):
+        client.fetch(HttpRequest(url=url))
+    gaps = [after - before for before, after in zip(inner.sends, inner.sends[1:])]
+    assert len(gaps) == 2
+    assert min(gaps) >= 0.200 - 1e-9, gaps
+
+
 # --- RequestsClient against test-local loopback servers ---
 
 
@@ -181,22 +196,14 @@ def url_of(server, path: str = "/") -> str:
     return f"http://127.0.0.1:{server.server_address[1]}{path}"
 
 
-@pytest.fixture
-def no_proxy_env(monkeypatch):
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    return monkeypatch
-
-
-def test_client_hang_up_is_one_connection_and_network_error(no_proxy_env):
+def test_client_hang_up_is_one_connection_and_network_error():
     with local_server(HangUpHandler) as server:
         with pytest.raises(NetworkError):
             RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/page")))
         assert server.connections == 1
 
 
-def test_client_redirect_loop_stops_after_max_redirects(no_proxy_env):
+def test_client_redirect_loop_stops_after_max_redirects():
     # MAX_REDIRECTS is 5: the first request plus five hops, then NetworkError
     respond = lambda h: (302, [("Location", f"/loop{len(h.server.seen)}")], b"")  # noqa: E731
     with local_server(respond=respond) as server:
@@ -213,7 +220,7 @@ def test_client_redirect_loop_stops_after_max_redirects(no_proxy_env):
         ]
 
 
-def test_client_sends_default_headers_then_request_headers_then_cookie(no_proxy_env):
+def test_client_sends_default_headers_then_request_headers_then_cookie():
     with local_server() as server:
         client = RequestsClient(timeout=5)
         response = client.fetch(
@@ -238,7 +245,7 @@ def test_client_sends_default_headers_then_request_headers_then_cookie(no_proxy_
         ]
 
 
-def test_client_does_not_replay_set_cookie(no_proxy_env):
+def test_client_does_not_replay_set_cookie():
     respond = lambda h: (200, [("Set-Cookie", "session=1; Path=/")], b"")  # noqa: E731
     with local_server(respond=respond) as server:
         client = RequestsClient(timeout=5)
@@ -249,7 +256,7 @@ def test_client_does_not_replay_set_cookie(no_proxy_env):
         assert cookies == [None, "a=1", None]
 
 
-def test_client_decodes_gzip_body(no_proxy_env):
+def test_client_decodes_gzip_body():
     body = b"body { margin: 0; }\n" * 10
     respond = lambda h: (200, [("Content-Encoding", "gzip")], gzip.compress(body))  # noqa: E731
     with local_server(respond=respond) as server:
@@ -258,7 +265,22 @@ def test_client_decodes_gzip_body(no_proxy_env):
         assert response.header("content-encoding") == "gzip"
 
 
-def test_client_refuses_non_get_before_connecting(no_proxy_env):
+def test_client_ignores_proxy_variables_and_connects_direct(monkeypatch):
+    # a bound socket that never listens: a connect to it is refused
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        proxy = f"http://127.0.0.1:{closed.getsockname()[1]}"
+        for name in ("http_proxy", "HTTPS_PROXY", "all_proxy"):
+            monkeypatch.setenv(name, proxy)
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        with local_server() as server:
+            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/page")))
+            assert response.body == b"ok"
+            assert [line for line, _ in server.seen] == ["GET /page HTTP/1.1"]
+
+
+def test_client_refuses_non_get_before_connecting():
     with local_server() as server:
         client = RequestsClient(timeout=5)
         for method in ("POST", "HEAD", "PUT"):
@@ -268,37 +290,6 @@ def test_client_refuses_non_get_before_connecting(no_proxy_env):
         client.fetch(HttpRequest(url=url_of(server, "/after")))
         assert server.connections == 1
         assert [line for line, _ in server.seen] == ["GET /after HTTP/1.1"]
-
-
-def test_client_uses_environment_proxy_unless_no_proxy(no_proxy_env):
-    with local_server() as proxy, local_server() as direct:
-        no_proxy_env.setenv("http_proxy", url_of(proxy))
-        via_proxy = RequestsClient(timeout=5)
-        target = url_of(direct, "/app/page.php?x=1")
-        via_proxy.fetch(HttpRequest(url=target))
-        assert [line for line, _ in proxy.seen] == [f"GET {target} HTTP/1.1"]
-        assert direct.seen == []
-
-        # a proxy without a scheme is an http proxy
-        no_proxy_env.setenv("http_proxy", f"127.0.0.1:{proxy.server_address[1]}")
-        RequestsClient(timeout=5).fetch(HttpRequest(url=target))
-        assert [line for line, _ in proxy.seen] == [f"GET {target} HTTP/1.1"] * 2
-        assert direct.seen == []
-
-        no_proxy_env.setenv("no_proxy", "127.0.0.1")
-        RequestsClient(timeout=5).fetch(HttpRequest(url=target))
-        assert [line for line, _ in direct.seen] == ["GET /app/page.php?x=1 HTTP/1.1"]
-        assert len(proxy.seen) == 2
-
-
-def test_client_with_unusable_proxy_fails_at_fetch(no_proxy_env):
-    with local_server() as server:
-        for proxy_url in ("http://[::1", "ftp://127.0.0.1:21"):
-            no_proxy_env.setenv("http_proxy", proxy_url)
-            client = RequestsClient(timeout=5)
-            with pytest.raises(NetworkError):
-                client.fetch(HttpRequest(url=url_of(server, "/page")))
-        assert server.connections == 0
 
 
 def wait_until(condition, timeout: float = 5.0) -> bool:
@@ -321,13 +312,13 @@ def open_connections(server) -> int:
     ("/app/page.php?x=1#frag", "/app/page.php?x=1"),
     ("/app/page.php#frag?x=1", "/app/page.php"),
 ])
-def test_client_sends_the_target_as_written_without_fragment(no_proxy_env, path, on_the_wire):
+def test_client_sends_the_target_as_written_without_fragment(path, on_the_wire):
     with local_server() as server:
         RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, path)))
         assert [line for line, _ in server.seen] == [f"GET {on_the_wire} HTTP/1.1"]
 
 
-def test_client_decodes_deflate_body_zlib_wrapped_or_raw(no_proxy_env):
+def test_client_decodes_deflate_body_zlib_wrapped_or_raw():
     body = b"body { margin: 0; }\n" * 10
     raw = zlib.compressobj(wbits=-zlib.MAX_WBITS)
     for encoded in (zlib.compress(body), raw.compress(body) + raw.flush()):
@@ -337,7 +328,7 @@ def test_client_decodes_deflate_body_zlib_wrapped_or_raw(no_proxy_env):
             assert response.body == body
 
 
-def test_client_redirect_drops_cookie_only_on_a_cross_origin_hop(no_proxy_env):
+def test_client_redirect_drops_cookie_only_on_a_cross_origin_hop():
     with local_server() as other:
         hops = {"/start": "/same", "/same": url_of(other, "/elsewhere")}
         respond = lambda h: (302, [("Location", hops[h.path])], b"")  # noqa: E731
@@ -352,7 +343,7 @@ def test_client_redirect_drops_cookie_only_on_a_cross_origin_hop(no_proxy_env):
         ]
 
 
-def test_client_pool_closes_least_recently_used_origin_past_the_limit(no_proxy_env):
+def test_client_pool_closes_least_recently_used_origin_past_the_limit():
     assert MAX_IDLE_ORIGINS == 10
     with ExitStack() as stack:
         servers = [stack.enter_context(local_server()) for _ in range(MAX_IDLE_ORIGINS + 2)]
@@ -368,7 +359,7 @@ def test_client_pool_closes_least_recently_used_origin_past_the_limit(no_proxy_e
         assert wait_until(lambda: [open_connections(s) for s in servers] == expected)
 
 
-def test_client_replaces_an_idle_connection_the_peer_closed(no_proxy_env):
+def test_client_replaces_an_idle_connection_the_peer_closed():
     def respond(handler):
         handler.close_connection = True  # closes after answering, without saying so
         return 200, [], b"ok"
@@ -382,7 +373,7 @@ def test_client_replaces_an_idle_connection_the_peer_closed(no_proxy_env):
         assert [line for line, _ in server.seen] == ["GET /first HTTP/1.1", "GET /second HTTP/1.1"]
 
 
-def test_dropped_client_closes_its_idle_connections(no_proxy_env):
+def test_dropped_client_closes_its_idle_connections():
     with local_server() as server:
         client = RequestsClient(timeout=5)
         client.fetch(HttpRequest(url=url_of(server, "/")))
@@ -409,7 +400,7 @@ class AnswerOnceHandler(RecordingHandler):
         self.wfile.write(b"ok")
 
 
-def test_client_does_not_retry_a_kept_alive_connection_that_fails(no_proxy_env):
+def test_client_does_not_retry_a_kept_alive_connection_that_fails():
     with local_server(AnswerOnceHandler) as server:
         client = RequestsClient(timeout=5)
         client.fetch(HttpRequest(url=url_of(server, "/first")))
@@ -419,7 +410,7 @@ def test_client_does_not_retry_a_kept_alive_connection_that_fails(no_proxy_env):
         assert len(server.seen) == 2
 
 
-def test_client_shares_its_pool_between_threads(no_proxy_env):
+def test_client_shares_its_pool_between_threads():
     # each request holds its connection alone: the server answers only once
     # all four have arrived, so four connections must be open at once
     barrier = threading.Barrier(4, timeout=5)
@@ -450,7 +441,7 @@ def test_client_shares_its_pool_between_threads(no_proxy_env):
         assert server.connections == 4
 
 
-def test_client_pool_under_thread_contention(no_proxy_env):
+def test_client_pool_under_thread_contention():
     respond = lambda h: (200, [], h.path.encode())  # noqa: E731
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -479,27 +470,3 @@ def test_client_pool_under_thread_contention(no_proxy_env):
             assert wait_until(lambda: [open_connections(s) for s in servers] == [1, 1, 1])
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_client_refuses_https_through_an_https_proxy(no_proxy_env):
-    with local_server() as proxy:
-        no_proxy_env.setenv("https_proxy", f"https://127.0.0.1:{proxy.server_address[1]}")
-        with pytest.raises(NetworkError, match="https proxy"):
-            RequestsClient(timeout=5).fetch(HttpRequest(url="https://a.test/page.php"))
-        assert proxy.connections == 0
-
-
-class RefusingProxyHandler(RecordingHandler):
-    def do_CONNECT(self) -> None:  # noqa: N802 (http.server naming)
-        self.server.seen.append((self.requestline, list(self.headers.items())))
-        self.send_error(403)
-
-
-def test_client_tunnels_https_through_an_http_proxy_with_its_credentials(no_proxy_env):
-    with local_server(RefusingProxyHandler) as proxy:
-        no_proxy_env.setenv("https_proxy", f"http://us%40r:pw@127.0.0.1:{proxy.server_address[1]}")
-        with pytest.raises(NetworkError):
-            RequestsClient(timeout=5).fetch(HttpRequest(url="https://a.test/page.php"))
-        [(line, headers)] = proxy.seen
-        assert line.startswith("CONNECT a.test:443 HTTP/1.")  # 1.1 from Python 3.12
-        assert ("proxy-authorization", "Basic dXNAcjpwdw==") in headers

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 from jsonschema import validate as jsonschema_validate
@@ -356,12 +357,12 @@ def test_load_profiles_from_custom_file(tmp_path):
     )
 
 
-def _assert_profile_file_rejected(tmp_path, entries, message):
-    """``load_profiles`` raises ValueError naming ``message``, and ``rposcan
-    scan --profiles`` exits 2."""
+def _assert_profile_file_rejected(tmp_path, doc, message):
+    """``load_profiles`` raises ValueError naming ``message`` for the JSON
+    document ``doc``, and ``rposcan scan --profiles`` exits 2."""
     path = tmp_path / "profiles.json"
-    path.write_text(json.dumps({"profiles": entries}))
-    with pytest.raises(ValueError, match=message):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_profiles(str(path))
     # a blocked-suffix seed, so no request could leave even if loading passed
     seed = tmp_path / "seed.txt"
@@ -379,7 +380,7 @@ _CHROME_ENTRY = {
 
 @pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
 def test_profile_file_rejects_unknown_key(tmp_path, key):
-    _assert_profile_file_rejected(tmp_path, [{**_CHROME_ENTRY, key: True}], key)
+    _assert_profile_file_rejected(tmp_path, {"profiles": [{**_CHROME_ENTRY, key: True}]}, key)
 
 
 @pytest.mark.parametrize(
@@ -396,8 +397,23 @@ def test_profile_file_rejects_unknown_key(tmp_path, key):
 )
 def test_profile_file_rejects_value_of_wrong_json_type(tmp_path, key, value):
     # bool("false") is True, and tuple("html") is four one-letter ids
-    _assert_profile_file_rejected(tmp_path, [{**_CHROME_ENTRY, key: value}], key)
+    _assert_profile_file_rejected(tmp_path, {"profiles": [{**_CHROME_ENTRY, key: value}]}, key)
 
 
 def test_profile_file_without_engines_is_rejected(tmp_path):
-    _assert_profile_file_rejected(tmp_path, [], "defines no engines")
+    _assert_profile_file_rejected(tmp_path, {"profiles": []}, "defines no engines")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"profiles": [5]}, "a profile is a JSON object, not 5"),
+        ([], 'a JSON object with a "profiles" list'),
+        ({"profiles": {"engine": "chrome"}}, 'a JSON object with a "profiles" list'),
+        ({"profiles": [{k: v for k, v in _CHROME_ENTRY.items() if k != "respects_nosniff"}]},
+         "missing profile key(s): respects_nosniff"),
+    ],
+    ids=["number-for-profile", "list-for-file", "object-for-profiles", "profile-lacking-a-flag"],
+)
+def test_profile_file_of_the_wrong_shape_is_rejected(tmp_path, doc, message):
+    _assert_profile_file_rejected(tmp_path, doc, message)
