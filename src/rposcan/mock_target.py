@@ -28,12 +28,13 @@ import json
 import re
 import selectors
 import socket
+import sys
 import threading
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import responses
 from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
@@ -303,97 +304,162 @@ class PortInUse(OSError):
     pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Buffer the response so headers and body leave in one write; two small
-    # writes stall on Nagle plus the client's delayed ACK.
-    # handle_one_request flushes after do_GET.
-    wbufsize = -1
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        cookies: dict[str, str] = {}
-        for part in self.headers.get("Cookie", "").split(";"):
-            if "=" in part:
-                name, _, value = part.strip().partition("=")
-                cookies[name] = value
-        request = HttpRequest(
-            url=f"http://{self.headers.get('Host', 'localhost')}{self.path}",
-            headers={k: v for k, v in self.headers.items()},
-            cookies=cookies,
-        )
-        response = handle_request(self.server.config, request)
-        self.send_response(response.status)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def log_message(self, *args) -> None:
-        pass
+_HEAD_END = b"\r\n\r\n"
+_MAX_HEAD = 64 * 1024  # bytes before the blank line; a longer head gets 431
 
 
-class MockServer(ThreadingHTTPServer):
-    """One config served over loopback HTTP/1.1 from its own accept thread.
+def _encode(status: int, headers: dict[str, str], body: bytes, keep_open: bool) -> bytes:
+    """Status line, headers, ``Content-Length`` and body, to leave in one
+    write: two small writes stall on Nagle plus the client's delayed ACK."""
+    head = f"HTTP/1.1 {status} {responses.get(status, '')}\r\n"
+    for name, value in headers.items():
+        head += f"{name}: {value}\r\n"
+    head += f"Content-Length: {len(body)}\r\n"
+    if not keep_open:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode("latin-1") + body
 
-    The accept loop waits on the listening socket and on a wake socket, so it
-    never polls. Each accepted connection is kept with its handler thread, so
-    that shutdown closes kept-alive connections instead of leaving them served.
+
+def _refusal(status: int) -> tuple[bytes, bool]:
+    return _encode(status, {}, b"", False), False
+
+
+def _answer(config: TargetConfig, head: bytes) -> tuple[bytes, bool]:
+    """The response to one request head (without its blank line), and whether
+    the connection stays open after it."""
+    request_line, *lines = head.decode("latin-1").split("\r\n")
+    words = request_line.split(" ")
+    if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0") or not words[1].startswith("/"):
+        return _refusal(400)
+    method, target, version = words
+    if method != "GET":
+        return _refusal(501)
+    keep_open = version == "HTTP/1.1"
+    headers: dict[str, str] = {}
+    host, cookie = "localhost", ""
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            return _refusal(400)
+        value = value.strip(" \t")
+        headers[name] = value
+        lowered = name.lower()
+        if lowered == "host":
+            host = value
+        elif lowered == "cookie":
+            cookie = value
+        elif lowered == "connection" and value.lower() == "close":
+            keep_open = False
+    cookies: dict[str, str] = {}
+    for part in cookie.split(";"):
+        if "=" in part:
+            name, _, value = part.strip().partition("=")
+            cookies[name] = value
+    request = HttpRequest(url=f"http://{host}{target}", headers=headers, cookies=cookies)
+    try:
+        response = handle_request(config, request)
+    except Exception:  # a broken config must not stop the server
+        sys.excepthook(*sys.exc_info())  # the traceback to stderr
+        return _refusal(500)
+    return _encode(response.status, response.headers, response.body, keep_open), keep_open
+
+
+def _serve_connection(config: TargetConfig, conn: socket.socket, buffer: bytearray) -> bool:
+    """Read what a readable connection sent and answer every whole request
+    head in its buffer, in order; False when the connection is to be closed."""
+    try:
+        data = conn.recv(65536)
+    except OSError:  # a reset
+        return False
+    if not data:
+        return False
+    start = max(0, len(buffer) - len(_HEAD_END) + 1)  # the rest was searched already
+    buffer += data
+    while True:
+        end = buffer.find(_HEAD_END, start, _MAX_HEAD + len(_HEAD_END))
+        if end == -1:
+            if len(buffer) < _MAX_HEAD + len(_HEAD_END):
+                return True  # the head is not whole yet
+            response, keep_open = _refusal(431)
+        else:
+            response, keep_open = _answer(config, bytes(buffer[:end]))
+            del buffer[: end + len(_HEAD_END)]
+            start = 0
+        try:
+            conn.sendall(response)
+        except OSError:
+            return False
+        if not keep_open:
+            return False
+
+
+class MockServer:
+    """One config served over loopback HTTP/1.1 by one thread.
+
+    The thread waits in a selector on the listening socket, a wake socket and
+    every accepted connection, so it never polls. It splits each request head
+    itself (request line, then ``name: value`` lines; ``Host``, ``Cookie``
+    and ``Connection`` in any case), answers it with ``handle_request`` and
+    writes the response in one ``sendall``. Connections are kept alive; the
+    server closes one after ``Connection: close``, after an HTTP/1.0 request,
+    and on EOF or a reset. A malformed request line or header line gets 400,
+    a method other than GET 501, a head over 64 KiB 431, and an exception
+    raised by ``handle_request`` 500 (its traceback goes to stderr); each is
+    followed by a close, and the loop keeps serving. Responses carry the
+    plan's headers and ``Content-Length``, with no ``Server`` or ``Date``.
+
+    Requests are answered one at a time per server, and a write blocks until
+    the client takes the response, so a client that never reads can hold the
+    loop. That is fine for loopback tests; a mode that answers slowly would
+    have to be scheduled from the selector, not by blocking in it.
     """
 
     def __init__(self, config: TargetConfig, port: int) -> None:
+        listener = socket.socket()
         try:
-            super().__init__(("127.0.0.1", port), _Handler)
-        except OSError as exc:
-            raise PortInUse(f"port {port}: {exc}") from exc
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(("127.0.0.1", port))
+            listener.listen()
+        except BaseException as exc:  # OverflowError too, for a port past 65535
+            listener.close()
+            if isinstance(exc, OSError):
+                raise PortInUse(f"port {port}: {exc}") from exc
+            raise
         self.config = config
-        self.port: int = self.server_address[1]
-        self._lock = threading.Lock()
-        self._open: dict[socket.socket, threading.Thread] = {}
+        self.port: int = listener.getsockname()[1]
+        self._listener = listener
         self._woken, self._wake = socket.socketpair()  # closing _wake stops the loop
-        self.thread = threading.Thread(target=self._accept_until_woken, daemon=True)
+        self.thread = threading.Thread(target=self._serve_until_woken, daemon=True)
         self.thread.start()
 
-    def _accept_until_woken(self) -> None:
-        with self._woken, selectors.DefaultSelector() as selector:
-            selector.register(self, selectors.EVENT_READ)
+    def _serve_until_woken(self) -> None:
+        buffers: dict[socket.socket, bytearray] = {}
+        with self._listener, self._woken, selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._woken, selectors.EVENT_READ)
-            while True:
-                for key, _ in selector.select():
-                    if key.fileobj is self._woken:
-                        return
-                self.handle_request()
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._lock:
-            self._open[request] = thread
-        thread.start()
-
-    def shutdown_request(self, request) -> None:
-        with self._lock:
-            self._open.pop(request, None)
-        super().shutdown_request(request)
+            try:
+                while True:
+                    for key, _ in selector.select():
+                        sock = key.fileobj
+                        if sock is self._woken:
+                            return
+                        if sock is self._listener:
+                            conn, _ = sock.accept()
+                            buffers[conn] = bytearray()
+                            selector.register(conn, selectors.EVENT_READ)
+                        elif not _serve_connection(self.config, sock, buffers[sock]):
+                            selector.unregister(sock)
+                            del buffers[sock]
+                            sock.close()
+            finally:
+                for conn in buffers:
+                    conn.close()
 
     def shutdown(self) -> None:
-        """Stop the accept thread, shut down every open connection, wait for
-        its handler thread, and close the listening socket. This replaces
-        ``BaseServer.shutdown``, which waits for a ``serve_forever`` that
-        never runs here."""
+        """Stop the server thread, which closes every open connection, the
+        listening socket and the wake socket's other end."""
         self._wake.close()
         self.thread.join(timeout=5)
-        with self._lock:
-            open_now = list(self._open.items())
-        for sock, _ in open_now:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # its handler closed it meanwhile
-                pass
-        for _, thread in open_now:
-            thread.join(timeout=5)
-        self.server_close()
 
 
 def serve(config: TargetConfig, port: int = 0) -> MockServer:

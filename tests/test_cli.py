@@ -1,4 +1,5 @@
 import pathlib
+import signal
 import socket
 import subprocess
 import sys
@@ -262,8 +263,15 @@ def test_mock_serve_cli():
                 time.sleep(0.05)
         assert resp.status == 200
         assert b"/app/page.php/x//" in resp.body
+        # Ctrl-C: the KeyboardInterrupt path shuts the server down and exits 0
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+        assert proc.returncode == 0, err
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
     finally:
-        proc.terminate()
+        if proc.poll() is None:
+            proc.kill()
         proc.communicate(timeout=5)  # also closes the pipes
 
 

@@ -3,6 +3,7 @@ import socket
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls
 
-from rposcan.httpclient import HttpRequest, NetworkError, RequestsClient
+from rposcan.httpclient import HttpRequest, NetworkError, RecordingClient, RequestsClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     DOCTYPE_STANDARDS,
@@ -396,6 +397,15 @@ def test_serve_shutdown_is_prompt():
     assert not handle.thread.is_alive()
 
 
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Does the next read see the server's close, as EOF or a reset?  A
+    connection left open fails the read by its timeout instead."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
 def test_shutdown_closes_kept_alive_connections():
     before = set(threading.enumerate())
     handle = serve(TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE), port=0)
@@ -405,15 +415,30 @@ def test_shutdown_closes_kept_alive_connections():
         first = conn.getresponse()
         first.read()
         assert first.status == 200
-        handlers = set(threading.enumerate()) - before - {handle.thread}
-        assert handlers, "the kept-alive connection has a live handler thread"
         handle.shutdown()
-        assert not any(thread.is_alive() for thread in handlers)
-        with pytest.raises((OSError, http.client.HTTPException)):
-            conn.request("GET", "/app/page.php/y//")
-            conn.getresponse().read()
+        assert _closed_by_peer(conn.sock)
+        assert not handle.thread.is_alive()
+        assert not [thread for thread in set(threading.enumerate()) - before
+                    if thread.is_alive()]
     finally:
         conn.close()
+        handle.shutdown()
+
+
+def test_serve_starts_exactly_one_thread():
+    before = set(threading.enumerate())
+    handle = serve(TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE), port=0)
+    conns = [http.client.HTTPConnection("127.0.0.1", handle.port, timeout=5) for _ in range(3)]
+    try:
+        for conn in conns:  # three kept-alive connections, all open at once
+            conn.request("GET", "/app/page.php/x//")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        assert set(threading.enumerate()) - before == {handle.thread}
+    finally:
+        for conn in conns:
+            conn.close()
         handle.shutdown()
 
 
@@ -465,6 +490,192 @@ def test_port_in_use():
             serve(config, port=handle.port)
     finally:
         handle.shutdown()
+
+
+def test_loopback_answers_equal_in_process_answers():
+    # every request an in-process scan of each matrix config sends, replayed
+    # over one kept-alive client, plus request targets that start with "//"
+    profiles = default_profiles()
+    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    client = RequestsClient(timeout=5)
+    for config, _ in fixture_matrix(profiles):
+        handle = serve(config, port=0)
+        try:
+            origin = f"127.0.0.1:{handle.port}"
+            recorder = RecordingClient(InProcessClient({origin: config}))
+            seed = config.seed_url("http://" + origin)
+            verify_exploitable(scan_page(seed, config.seed_cookies, recorder, scan_config),
+                               recorder, scan_config)
+            requests = [exchange.request for exchange in recorder.exchanges]
+            assert requests
+            requests += [HttpRequest(url=f"http://{origin}//"),
+                         HttpRequest(url=f"http://{origin}/{seed.path}")]
+            for request in requests:
+                expected = handle_request(config, request)
+                got = client.fetch(request)
+                assert got.status == expected.status, (config.name, request)
+                assert got.body == expected.body, (config.name, request)
+                for name, value in expected.headers.items():
+                    assert got.header(name) == value, (config.name, request, name)
+                assert got.header("Content-Length") == str(len(got.body))
+        finally:
+            handle.shutdown()
+
+
+@contextmanager
+def _raw_connection(config=None):
+    """A plain socket to a served config, for clients that speak odd HTTP;
+    every read times out after 5 s."""
+    handle = serve(config or TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE), port=0)
+    try:
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock:
+            yield handle, sock
+    finally:
+        handle.shutdown()
+
+
+def _read_response(reader) -> tuple[int, dict[str, str], bytes]:
+    """(status, headers by lower-cased name, body) of the next response."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
+
+
+def _exchange(sock, data: bytes) -> tuple[int, dict[str, str], bytes]:
+    sock.sendall(data)
+    with sock.makefile("rb") as reader:
+        return _read_response(reader)
+
+
+def test_server_reads_a_head_sent_one_byte_at_a_time():
+    with _raw_connection() as (handle, sock):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in b"GET /app/page.php/x// HTTP/1.1\r\nHost: mock.test\r\n\r\n":
+            sock.send(bytes([byte]))
+            time.sleep(0.001)
+        with sock.makefile("rb") as reader:
+            status, _, body = _read_response(reader)
+        assert (status, body) == (200, _get(handle.config, "/app/page.php/x//").body)
+
+
+def test_server_answers_pipelined_requests_in_order():
+    targets = ["/app/page.php/one//", "/missing/two.css", "/app/page.php/three//"]
+    with _raw_connection() as (handle, sock):
+        sock.sendall(b"".join(
+            f"GET {target} HTTP/1.1\r\nHost: mock.test\r\n\r\n".encode() for target in targets
+        ))
+        with sock.makefile("rb") as reader:
+            answers = [_read_response(reader) for _ in targets]
+        for target, (status, _, body) in zip(targets, answers):
+            expected = _get(handle.config, target)
+            assert (status, body) == (expected.status, expected.body)
+
+
+def test_server_reads_host_and_cookie_in_any_case():
+    config = TargetConfig(
+        name="t",
+        routing=Routing.PATH_INFO_REWRITE,
+        sinks=frozenset({Sink.ECHO_COOKIE_VALUES}),
+        emit_base_tag=True,
+    )
+    with _raw_connection(config) as (_, sock):
+        status, _, body = _exchange(
+            sock, b"GET /app/page.php HTTP/1.1\r\nhost: other.test:81\r\ncOOKIE: sid=abc1\r\n\r\n"
+        )
+    expected = handle_request(config, HttpRequest(url="http://other.test:81/app/page.php",
+                                                  cookies={"sid": "abc1"}))
+    assert (status, body) == (200, expected.body)
+    assert b'<base href="http://other.test:81/app/">' in body
+    assert b"abc1" in body
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET /app/page.php/x// HTTP/1.1\r\nHost: mock.test\r\nConnection: close\r\n\r\n",
+        b"GET /app/page.php/x// HTTP/1.1\r\nHost: mock.test\r\nconnection: Close\r\n\r\n",
+        b"GET /app/page.php/x// HTTP/1.0\r\nHost: mock.test\r\n\r\n",
+    ],
+    ids=["connection-close", "connection-close-any-case", "http-1.0"],
+)
+def test_server_closes_after_the_response_when_asked(head):
+    with _raw_connection() as (handle, sock):
+        status, headers, body = _exchange(sock, head)
+        assert (status, body) == (200, _get(handle.config, "/app/page.php/x//").body)
+        assert headers["connection"] == "close"
+        assert _closed_by_peer(sock)
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        (b"POST /app/page.php HTTP/1.1\r\nHost: mock.test\r\n\r\n", 501),
+        (b"HEAD /app/page.php HTTP/1.1\r\nHost: mock.test\r\n\r\n", 501),
+        (b"garbage\r\n\r\n", 400),
+        (b"GET /app/page.php HTTP/2.0\r\n\r\n", 400),
+        (b"GET app/page.php HTTP/1.1\r\n\r\n", 400),
+        (b"GET /app/page.php HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+    ],
+    ids=["post", "head", "garbage", "http-2", "relative-target", "header-without-colon"],
+)
+def test_server_refuses_odd_requests_and_closes(head, status):
+    with _raw_connection() as (_, sock):
+        got, headers, body = _exchange(sock, head)
+        assert (got, body) == (status, b"")
+        assert headers["connection"] == "close"
+        assert _closed_by_peer(sock)
+
+
+def test_server_answers_431_to_a_head_over_64_kib_and_closes():
+    prefix = b"GET /app/page.php/x// HTTP/1.1\r\nX-Filler: "
+    with _raw_connection() as (handle, sock):
+        # a head of exactly 64 KiB is answered; the server reads it whole
+        filler = b"a" * (64 * 1024 - len(prefix))
+        status, _, _ = _exchange(sock, prefix + filler + b"\r\n\r\n")
+        assert status == 200
+        # one byte more, and no blank line within reach: 431; the server has
+        # read every byte sent, so its close is seen as EOF
+        status, headers, _ = _exchange(sock, prefix + filler + b"a\r\n\r")
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert _closed_by_peer(sock)
+        # the server keeps serving
+        url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
+        assert RequestsClient(timeout=5).fetch(HttpRequest(url=url)).status == 200
+
+
+def test_idle_connections_do_not_delay_another_client():
+    with _raw_connection() as (handle, idle):
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as partial:
+            partial.sendall(b"GET /app/page.php HTTP/1.1\r\nHost: mock")  # never finished
+            url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
+            started = time.monotonic()
+            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url))
+            assert time.monotonic() - started < 1
+            assert response.status == 200
+
+
+def test_server_answers_500_when_the_handler_raises_and_keeps_serving(capsys):
+    config = TargetConfig(
+        name="t",
+        routing=Routing.EXACT_FILE,
+        serve_real_stylesheets=True,
+        stylesheet_refs=["\u00e9.css"],
+    )
+    with pytest.raises(MalformedUrl):
+        _get(config, "/app/page.php")
+    head = b"GET /app/page.php HTTP/1.1\r\nHost: mock.test\r\n\r\n"
+    with _raw_connection(config) as (handle, sock):
+        status, headers, _ = _exchange(sock, head)
+        assert (status, headers["connection"]) == (500, "close")
+        assert _closed_by_peer(sock)
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as again:
+            assert _exchange(again, head)[0] == 500
+        assert handle.thread.is_alive()
+    assert "MalformedUrl" in capsys.readouterr().err
 
 
 def test_config_from_dict_reads_json_form():
