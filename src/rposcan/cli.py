@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hosts scanned at once; each host's requests stay serialized and paced",
     )
     scan.add_argument("--timeout", type=int, default=round(defaults.request_timeout * 1000),
-                      help="request timeout in ms")
+                      help="the most one fetch may take in ms, redirects included: "
+                      "connects, sends and whole responses, not each read")
     scan.add_argument("--seed-rng", type=int, default=defaults.seed, help="nonce RNG seed")
     scan.add_argument(
         "--allow-suffix",

@@ -4,15 +4,17 @@ The scanner only ever needs ``fetch(request) -> response`` for GET requests;
 everything else (recording, per-host pacing, the real network) stacks around
 that one method so tests can substitute deterministic clients.
 
-The real network client, ``RequestsClient``, is a small GET client on the
-standard library's ``http.client`` with a thread-safe keep-alive pool; rposcan
+The real network client, ``RequestsClient``, is a small GET client with its
+own HTTP/1.1 reader on raw sockets and a thread-safe keep-alive pool; rposcan
 has no runtime dependency. It sends each request target exactly as the
-scanner wrote it, fragment dropped. Every fetch depends only on its
-``HttpRequest``: there is no cookie jar and no ``.netrc``, and nothing is
-retried. Redirects are followed inside the client, up to a bound, so those
-hops skip per-host pacing. Every fetch connects straight to the host and port
-its URL names: ``http_proxy`` and the other proxy variables are ignored, and
-nothing is tunnelled. TLS uses the system trust store.
+scanner wrote it, fragment dropped. A body longer than ``MAX_BODY_BYTES``, on
+the wire or decoded, fails the fetch, and ``timeout`` bounds the whole fetch.
+Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
+``.netrc``, and nothing is retried. Redirects are followed inside the client,
+up to a bound, so those hops skip per-host pacing. Every fetch connects
+straight to the host and port its URL names: ``http_proxy`` and the other
+proxy variables are ignored, and nothing is tunnelled. TLS uses the system
+trust store.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -21,8 +23,9 @@ that names no headers or cookies shares one read-only empty mapping.
 
 from __future__ import annotations
 
-import http.client
+import re
 import select
+import socket
 import ssl
 import threading
 import time
@@ -126,6 +129,8 @@ class RateLimitedClient:
 
 USER_AGENT = "rposcan/0.1"
 MAX_REDIRECTS = 5
+# a body longer than this, as sent or as decoded, fails the fetch
+MAX_BODY_BYTES = 16 << 20
 # idle kept-alive connections are kept for at most this many origins, one
 # each, as urllib3's PoolManager(num_pools=10) with maxsize=1 did
 MAX_IDLE_ORIGINS = 10
@@ -136,6 +141,16 @@ _CREDENTIAL_HEADERS = frozenset(("cookie", "authorization", "proxy-authorization
 # what a Location may hold raw; anything else (a space, non-ASCII) is
 # percent-encoded as UTF-8, as urllib3 and browsers do, so that the hop can go out
 _LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
+# http.client's limits on a response head: bytes per line, CRLF included, and
+# lines after the status line, the blank line that ends the head included
+_MAX_LINE = 65536
+_MAX_LINES = 100
+# what http.client refused to send: a request target with a control
+# character, space or non-ASCII character, and a header name that is empty,
+# starts with whitespace or holds a colon, CR or LF
+_BAD_TARGET = re.compile("[^!-~]").search
+_HEADER_NAME = re.compile(r"[^:\s][^:\r\n]*", re.ASCII).fullmatch
+_STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
 
 
 def split_url(url: str) -> tuple[str, str, str]:
@@ -189,18 +204,33 @@ def _close_all(idle: dict) -> None:
         conn.close()
 
 
+def _too_large() -> NetworkError:
+    return NetworkError(f"body longer than MAX_BODY_BYTES ({MAX_BODY_BYTES} bytes)")
+
+
+def _inflate(data: bytes, wbits: int, room: int):
+    """A ``zlib`` stream's output, at most ``room`` bytes of it (else
+    ``NetworkError``), and its decompressor."""
+    stream = zlib.decompressobj(wbits)
+    out = stream.decompress(data, room + 1)
+    if len(out) > room:
+        raise _too_large()
+    return out, stream
+
+
 def _gunzip(data: bytes) -> bytes:
     """Every gzip member in ``data``. A truncated member gives what it holds,
     and bytes after a whole member that do not decode are ignored."""
-    out, first = [], True
+    out, room, first = [], MAX_BODY_BYTES, True
     while data:
-        member = zlib.decompressobj(16 + zlib.MAX_WBITS)
         try:
-            out.append(member.decompress(data))
+            chunk, member = _inflate(data, 16 + zlib.MAX_WBITS, room)
         except zlib.error:
             if first:
                 raise
             break
+        out.append(chunk)
+        room -= len(chunk)
         if not member.eof:
             break
         data, first = member.unused_data, False
@@ -210,24 +240,185 @@ def _gunzip(data: bytes) -> bytes:
 def _decode(body: bytes, encodings: str) -> bytes:
     """Undo a ``Content-Encoding`` list from its last coding back: gzip (or
     x-gzip) and deflate, zlib-wrapped or raw. An unknown coding stops the
-    decoding; a body that does not decompress raises ``zlib.error``."""
+    decoding; a body that does not decompress raises ``zlib.error``, and one
+    that decodes past ``MAX_BODY_BYTES`` raises ``NetworkError``."""
     for coding in reversed(encodings.lower().split(",")):
         coding = coding.strip()
         if coding in ("gzip", "x-gzip"):
             body = _gunzip(body)
         elif coding == "deflate":
             try:
-                body = zlib.decompressobj().decompress(body)
+                body = _inflate(body, zlib.MAX_WBITS, MAX_BODY_BYTES)[0]
             except zlib.error:
-                body = zlib.decompressobj(-zlib.MAX_WBITS).decompress(body)
+                body = _inflate(body, -zlib.MAX_WBITS, MAX_BODY_BYTES)[0]
         elif coding:
             break
     return body
 
 
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError
+    return left
+
+
+def _request_head(target: str, endpoint: tuple[str, str, int], headers) -> bytes:
+    """The request line and headers as ``http.client`` wrote them: ``Host``
+    first (bracketed IPv6, the port only when not the scheme's default)
+    unless the request sets its own, then ``headers`` in order. A target or
+    header ``http.client`` refused to send raises ``NetworkError``."""
+    if _BAD_TARGET(target):
+        raise NetworkError(f"cannot send request target {target!r}")
+    fields = list(headers.values())
+    if "host" not in headers:
+        scheme, host, port = endpoint
+        if not host.isascii():
+            try:
+                host = host.encode("idna").decode("ascii")
+            except UnicodeError as exc:
+                raise NetworkError(f"bad host {host!r}: {exc}") from None
+        host = f"[{host}]" if ":" in host else host
+        fields.insert(0, ("Host", host if port == (443 if scheme == "https" else 80) else f"{host}:{port}"))
+    lines = [f"GET {target} HTTP/1.1"]
+    for name, value in fields:
+        if not (name.isascii() and _HEADER_NAME(name)) or "\r" in value or "\n" in value:
+            raise NetworkError(f"cannot send header {name!r}: {value!r}")
+        lines.append(f"{name}: {value}")
+    lines.append("\r\n")
+    try:
+        return "\r\n".join(lines).encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise NetworkError(f"a header value that is not Latin-1: {exc}") from None
+
+
+class _Wire:
+    """The bytes of one response as they arrive on ``sock`` before
+    ``deadline``, in one buffer that the reader consumes from ``pos``."""
+
+    __slots__ = ("sock", "deadline", "buf", "pos")
+
+    def __init__(self, sock, deadline: float) -> None:
+        self.sock, self.deadline, self.buf, self.pos = sock, deadline, bytearray(), 0
+
+    def fill(self) -> bool:
+        """Adds what arrives next; False once the peer has closed."""
+        self.sock.settimeout(_time_left(self.deadline))
+        data = self.sock.recv(65536)
+        del self.buf[: self.pos]
+        self.pos = 0
+        self.buf += data
+        return bool(data)
+
+    def until(self, mark: bytes, limit: int) -> bytes:
+        """The bytes before the next ``mark``, which is consumed too; more
+        than ``limit`` of them raise ``NetworkError``."""
+        end = self.buf.find(mark, self.pos)
+        while end < 0:
+            seen = len(self.buf) - self.pos
+            if seen > limit:
+                raise NetworkError(f"a response line or head longer than {limit} bytes")
+            if not self.fill():
+                raise NetworkError("connection closed before the response was whole")
+            end = self.buf.find(mark, max(seen - len(mark) + 1, 0))
+        data = bytes(self.buf[self.pos : end])
+        self.pos = end + len(mark)
+        return data
+
+    def take(self, size: int) -> bytes:
+        while len(self.buf) - self.pos < size:
+            if not self.fill():
+                raise NetworkError("connection closed before the body was whole")
+        data = bytes(self.buf[self.pos : self.pos + size])
+        self.pos += size
+        return data
+
+
+def _read_head(wire: _Wire) -> tuple[int, bool, dict[str, str], dict[str, str]]:
+    """Status, whether HTTP/1.1 or later, the headers as a dict (a repeated
+    one merged under its first-seen name, values joined with ``", "``) and a
+    map from each lower-cased name to that name, after any interim 1xx."""
+    while True:
+        lines = wire.until(b"\r\n\r\n", _MAX_LINE * _MAX_LINES).decode("latin-1").split("\r\n")
+        status = _STATUS_LINE(lines[0])
+        if status is None:
+            raise NetworkError(f"bad status line {lines[0][:80]!r}")
+        if len(lines) > _MAX_LINES:
+            raise NetworkError(f"a response head with more than {_MAX_LINES - 1} headers")
+        if max(map(len, lines)) > _MAX_LINE - 2:
+            raise NetworkError(f"a response line longer than {_MAX_LINE} bytes")
+        if status[2][0] != "1":
+            break
+    headers: dict[str, str] = {}
+    names: dict[str, str] = {}
+    name = None
+    for line in lines[1:]:
+        if line[0] in " \t":  # obs-fold: kept with its line break, as http.client's parser did
+            if name is not None:
+                headers[name] += "\r\n" + line
+            continue
+        name, colon, value = line.partition(":")
+        if not colon:
+            name = None
+            continue
+        name = names.setdefault(name.lower(), name)
+        value = value.lstrip(" \t")
+        headers[name] = headers[name] + ", " + value if name in headers else value
+    return int(status[2]), status[1] != "0", headers, names
+
+
+def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
+    """One response from ``sock``, its body not decoded, and whether the
+    connection may carry another request: the body was framed, nothing
+    followed it, and the server did not ask to close."""
+    wire = _Wire(sock, deadline)
+    status, http11, headers, names = _read_head(wire)
+    field = lambda name: headers.get(names.get(name))  # noqa: E731
+    connection = (field("connection") or "").lower()
+    reusable = "close" not in connection if http11 else "keep-alive" in connection
+    coding, length = field("transfer-encoding"), field("content-length")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None and coding.strip().lower() == "chunked":
+        chunks, size = [], 0
+        while True:
+            line = wire.until(b"\r\n", _MAX_LINE)
+            try:
+                chunk = int(line.partition(b";")[0], 16)
+                if chunk < 0:
+                    raise ValueError
+            except ValueError:
+                raise NetworkError(f"bad chunk size {line[:80]!r}") from None
+            if chunk == 0:
+                break
+            size += chunk
+            if size > MAX_BODY_BYTES:
+                raise _too_large()
+            chunks.append(wire.take(chunk))
+            wire.take(2)  # the CRLF after the data, unchecked as http.client left it
+        while wire.until(b"\r\n", _MAX_LINE):  # trailers, dropped
+            pass
+        body = b"".join(chunks)
+    elif coding is None and length is not None:
+        sizes = {value.strip() for value in length.split(",")}
+        size = sizes.pop()
+        if sizes or not size.isdecimal():
+            raise NetworkError(f"bad Content-Length {length!r}")
+        if int(size) > MAX_BODY_BYTES:
+            raise _too_large()
+        body = wire.take(int(size))
+    else:  # the body runs to the connection's close
+        while wire.fill():
+            if len(wire.buf) - wire.pos > MAX_BODY_BYTES:
+                raise _too_large()
+        body, reusable = bytes(wire.buf[wire.pos :]), False
+    return HttpResponse(status, headers, body), reusable and wire.pos == len(wire.buf)
+
+
 class RequestsClient:
-    """Real network client: GET only, on ``http.client``, with bounded
-    redirects and a keep-alive pool shared by every thread that uses it.
+    """Real network client: GET only, with its own HTTP/1.1 reader on raw
+    sockets, bounded redirects and a keep-alive pool shared by every thread
+    that uses it.
 
     Each request carries ``Host``, ``User-Agent: USER_AGENT``,
     ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and ``Connection:
@@ -236,8 +427,19 @@ class RequestsClient:
     cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order, unquoted,
     unless the request sets ``Cookie`` itself. The request target is the
     URL's path and query as written, escapes and a lone ``%`` included; the
-    fragment never leaves. gzip and deflate bodies come back decoded, and a
-    repeated response header is one entry, its values joined with ``", "``.
+    fragment never leaves. A target with a control character, space or
+    non-ASCII character, a header value with CR or LF or outside Latin-1, and
+    a malformed header name raise ``NetworkError`` before anything is sent.
+
+    The response is read as HTTP/1.1 with ``http.client``'s limits (65536
+    bytes per line, 99 headers): interim 1xx responses are skipped, a
+    repeated header is one entry under its first-seen name with its values
+    joined by ``", "``, and the body is chunked, ``Content-Length``-framed,
+    empty (204, 304) or read to the connection's close. A body longer than
+    ``MAX_BODY_BYTES``, as sent or as gzip or deflate decoded, raises
+    ``NetworkError``. ``timeout`` is a total deadline for the whole fetch,
+    redirects included: every connect, TLS handshake, send and read gets only
+    the time left. Name resolution is not bounded by it.
 
     There is no cookie jar and no proxy, so every fetch depends only on
     its ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
@@ -245,19 +447,20 @@ class RequestsClient:
     (scheme, host, port) drops ``Cookie``, ``Authorization`` and
     ``Proxy-Authorization``, and one redirect more raises ``NetworkError``.
     Nothing is retried: a failed connect, send or read raises
-    ``NetworkError`` at once, with the ``http.client`` or ``OSError`` text,
-    so no request leaves outside the spacing ``RateLimitedClient`` gives it.
-    ``timeout`` bounds the connect and each socket read.
+    ``NetworkError`` at once, with this client's own text or the ``OSError``
+    text, so no request leaves outside the spacing ``RateLimitedClient``
+    gives it.
 
-    A connection leaves the pool while a request uses it, and goes back once
-    its response is read whole, unless the server closes it. The pool keeps
-    one idle connection per (scheme, host, port) for at most
-    ``MAX_IDLE_ORIGINS`` of them, closing the least recently used. An idle
-    connection its peer closed is replaced before the send (``select.poll``,
-    so a POSIX system). Each fetch connects straight to the host and port
-    its URL names: ``http_proxy`` and the other proxy variables are ignored,
-    and there are no CONNECT tunnels. TLS is verified against the system
-    trust store; ``.netrc`` is never read.
+    A connection leaves the pool while a request uses it, and goes back only
+    when its response was framed, nothing followed it, and the server did not
+    ask to close it (HTTP/1.0 must ask to keep it). The pool keeps one idle
+    connection per (scheme, host, port) for at most ``MAX_IDLE_ORIGINS`` of
+    them, closing the least recently used. An idle connection its peer
+    closed is replaced before the send (``select.poll``, so a POSIX system).
+    Each fetch connects straight to the host and port its URL names:
+    ``http_proxy`` and the other proxy variables are ignored, and there are
+    no CONNECT tunnels. TLS is verified against the system trust store, with
+    ALPN ``http/1.1``; ``.netrc`` is never read.
 
     The name dates from the ``requests``-based client it replaced.
     """
@@ -276,61 +479,66 @@ class RequestsClient:
             )
         }
         self._lock = threading.Lock()
-        self._idle: dict[tuple, http.client.HTTPConnection] = {}  # least recently used first
+        self._idle: dict[tuple, socket.socket] = {}  # least recently used first
         # a client that is dropped closes its idle sockets rather than leave
         # them to the collector
         weakref.finalize(self, _close_all, self._idle)
         self._tls: ssl.SSLContext | None = None  # built for the first https connection
 
-    def _connect(self, endpoint: tuple[str, str, int]):
+    def _connect(self, endpoint: tuple[str, str, int], deadline: float) -> socket.socket:
         scheme, host, port = endpoint
-        if scheme == "http":
-            return http.client.HTTPConnection(host, port, timeout=self._timeout)
-        if self._tls is None:  # threads that race here build equal contexts
-            context = ssl.create_default_context()
-            context.set_alpn_protocols(["http/1.1"])
-            self._tls = context
-        return http.client.HTTPSConnection(host, port, timeout=self._timeout, context=self._tls)
+        sock = socket.create_connection((host, port), timeout=_time_left(deadline))
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "http":
+                return sock
+            if self._tls is None:  # threads that race here build equal contexts
+                context = ssl.create_default_context()
+                context.set_alpn_protocols(["http/1.1"])
+                self._tls = context
+            sock.settimeout(_time_left(deadline))  # the handshake's reads share it
+            return self._tls.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
 
-    def _release(self, endpoint: tuple, conn: http.client.HTTPConnection) -> None:
+    def _release(self, endpoint: tuple, sock: socket.socket) -> None:
         with self._lock:
             stale = [self._idle.pop(endpoint, None)]  # another thread's, put back meanwhile
-            self._idle[endpoint] = conn
+            self._idle[endpoint] = sock
             if len(self._idle) > MAX_IDLE_ORIGINS:
                 stale.append(self._idle.pop(next(iter(self._idle))))
         for old in stale:
             if old is not None:
                 old.close()
 
-    def _exchange(self, url: str, headers: dict[str, tuple[str, str]]) -> HttpResponse:
+    def _exchange(self, url: str, headers: dict[str, tuple[str, str]], deadline: float) -> HttpResponse:
         """One GET on a pooled or new connection; the body is not decoded."""
         scheme, authority, target = split_url(url)
         endpoint = _endpoint(scheme, authority)
+        head = _request_head(target, endpoint, headers)
         with self._lock:
-            conn = self._idle.pop(endpoint, None)
-        if conn is not None and _dropped(conn.sock):
-            conn.close()
-            conn = None
-        if conn is None:
-            conn = self._connect(endpoint)
+            sock = self._idle.pop(endpoint, None)
+        if sock is not None and _dropped(sock):
+            sock.close()
+            sock = None
+        reusable = False
         try:
-            conn.putrequest("GET", target, skip_host="host" in headers, skip_accept_encoding=True)
-            for name, value in headers.values():
-                conn.putheader(name, value)
-            conn.endheaders()
-            response = conn.getresponse()
-            body = response.read()
-        except (http.client.HTTPException, OSError, ValueError) as exc:
-            conn.close()
+            if sock is None:
+                sock = self._connect(endpoint, deadline)
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(head)
+            response, reusable = _read_response(sock, deadline)
+        except TimeoutError as exc:
+            raise NetworkError(f"fetch not done within its {self._timeout} s timeout") from exc
+        except (OSError, ValueError) as exc:
             raise NetworkError(str(exc) or type(exc).__name__) from exc
-        if conn.sock is not None:  # the server keeps it open
-            self._release(endpoint, conn)
-        merged: dict[str, str] = {}
-        first_names: dict[str, str] = {}
-        for name, value in response.getheaders():
-            name = first_names.setdefault(name.lower(), name)
-            merged[name] = merged[name] + ", " + value if name in merged else value
-        return HttpResponse(response.status, merged, body)
+        finally:
+            if not reusable and sock is not None:
+                sock.close()
+        if reusable:
+            self._release(endpoint, sock)
+        return response
 
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
@@ -340,9 +548,9 @@ class RequestsClient:
             headers[name.lower()] = (name, value)
         if request.cookies and "cookie" not in headers:
             headers["cookie"] = ("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items()))
-        url = request.url
+        url, deadline = request.url, time.monotonic() + self._timeout
         for _ in range(MAX_REDIRECTS + 1):
-            response = self._exchange(url, headers)
+            response = self._exchange(url, headers, deadline)
             location = response.status in _REDIRECT_STATUSES and response.header("Location")
             if not location:
                 encodings = response.header("Content-Encoding")

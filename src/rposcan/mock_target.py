@@ -34,7 +34,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from http.client import responses
+from http import HTTPStatus
 from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
@@ -306,12 +306,13 @@ class PortInUse(OSError):
 
 _HEAD_END = b"\r\n\r\n"
 _MAX_HEAD = 64 * 1024  # bytes before the blank line; a longer head gets 431
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def _encode(status: int, headers: dict[str, str], body: bytes, keep_open: bool) -> bytes:
     """Status line, headers, ``Content-Length`` and body, to leave in one
     write: two small writes stall on Nagle plus the client's delayed ACK."""
-    head = f"HTTP/1.1 {status} {responses.get(status, '')}\r\n"
+    head = f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
     for name, value in headers.items():
         head += f"{name}: {value}\r\n"
     head += f"Content-Length: {len(body)}\r\n"

@@ -1,6 +1,9 @@
 import gc
 import gzip
+import os
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -8,6 +11,7 @@ import warnings
 import zlib
 from contextlib import ExitStack, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +474,460 @@ def test_client_pool_under_thread_contention():
             assert wait_until(lambda: [open_connections(s) for s in servers] == [1, 1, 1])
     finally:
         sys.setswitchinterval(interval)
+
+
+# --- the transport against scripted raw bytes ---
+#
+# Where a case names http.client, the transport differs from the
+# http.client-based client it replaced on purpose; every other case holds
+# for both.
+
+HANG_UP = object()
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+FIXTURES = Path(__file__).parent / "fixtures"
+TLS_LOCALHOST = str(FIXTURES / "tls_localhost.pem")  # localhost and 127.0.0.1
+TLS_OTHER = str(FIXTURES / "tls_other.pem")  # other.test only
+
+
+class ScriptedServer:
+    """A loopback server that answers the n-th request head it reads, on
+    whichever connection, with ``replies[n]`` (the last reply once they run
+    out). A reply is bytes, or a list of steps: bytes to send, a pause in
+    seconds, or ``HANG_UP``. It records each request head, the connections
+    it accepted and which of them (by accept order) the client closed. With
+    ``tls``, a certificate and key file, it serves TLS and counts failed
+    handshakes."""
+
+    def __init__(self, replies, tls: str | None = None) -> None:
+        self.replies = [reply if isinstance(reply, list) else [reply] for reply in replies]
+        self.heads: list[bytes] = []
+        self.connections = self.failed_handshakes = 0
+        self.client_closed: list[int] = []
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        self._tls = None
+        if tls:
+            self._tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self._tls.load_cert_chain(tls)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.01)
+        self.port = self._listener.getsockname()[1]
+        self._threads = [threading.Thread(target=self._accept)]
+        self._threads[0].start()
+
+    def url(self, path: str = "/", scheme: str = "http") -> str:
+        return f"{scheme}://127.0.0.1:{self.port}{path}"
+
+    @property
+    def lines(self) -> list[str]:
+        return [head.split(b"\r\n")[0].decode("latin-1") for head in self.heads]
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
+
+    def _accept(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self._count("connections")
+            thread = threading.Thread(target=self._serve, args=(conn, self.connections - 1))
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn, index: int) -> None:
+        if self._tls:
+            conn.settimeout(5)
+            try:
+                conn = self._tls.wrap_socket(conn, server_side=True)
+            except OSError:
+                self._count("failed_handshakes")
+                conn.close()
+                return
+        conn.settimeout(0.05)  # a short wait, so that close() need not wait long
+        with conn:
+            buf, idle = b"", 0
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    try:
+                        data = conn.recv(65536)
+                    except TimeoutError:
+                        idle += 1
+                        if self._stop.is_set() or idle > 100:
+                            return
+                        continue
+                    except OSError:
+                        return
+                    if not data:
+                        self.client_closed.append(index)
+                        return
+                    buf, idle = buf + data, 0
+                head, _, buf = buf.partition(b"\r\n\r\n")
+                with self._lock:
+                    n = len(self.heads)
+                    self.heads.append(head)
+                for step in self.replies[min(n, len(self.replies) - 1)]:
+                    if step is HANG_UP:
+                        return
+                    if isinstance(step, float):
+                        if self._stop.wait(step):
+                            return
+                        continue
+                    try:
+                        conn.sendall(step)
+                    except OSError:
+                        return
+
+    def close(self) -> None:
+        self._stop.set()
+        for thread in self._threads:  # the accept thread first: no thread joins after
+            thread.join(timeout=10)
+        self._listener.close()
+        assert not any(thread.is_alive() for thread in self._threads)
+
+
+@contextmanager
+def scripted_server(*replies, tls: str | None = None):
+    server = ScriptedServer(replies, tls)
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+def pieces(data: bytes, *cuts: int) -> list:
+    """``data`` sent in pieces cut at ``cuts``, with a pause between them."""
+    bounds = [0, *cuts, len(data)]
+    steps: list = []
+    for start, end in zip(bounds, bounds[1:]):
+        steps += [0.02, data[start:end]]
+    return steps[1:]
+
+
+def fetch_twice(server, *, timeout: float = 5):
+    """The first fetch's response and the second fetch's body, on one client."""
+    client = RequestsClient(timeout=timeout)
+    response = client.fetch(HttpRequest(server.url("/first")))
+    return response, client.fetch(HttpRequest(server.url("/second"))).body
+
+
+CHUNKED = (
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"4;name=value\r\nWiki\r\n5\r\npedia\r\n0\r\nX-Trailer: 1\r\n\r\n"
+)
+
+
+@pytest.mark.parametrize("cuts", [(), (50,), (52, 60, 75), (len(CHUNKED) - 3,)])
+def test_client_reads_a_chunked_body_with_extension_and_trailer_and_keeps_the_connection(cuts):
+    with scripted_server(pieces(CHUNKED, *cuts), OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.status, response.body, second) == (200, b"Wikipedia", b"ok")
+        assert "X-Trailer" not in response.headers
+        assert server.connections == 1
+
+
+@pytest.mark.parametrize("reply, pooled", [
+    ([b"HTTP/1.0 200 OK\r\nContent-Type: text/css\r\n\r\nhello", HANG_UP], False),
+    (b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello", False),
+    (b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 5\r\n\r\nhello", True),
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello", False),
+    (b"HTTP/1.1 200 OK\r\nconnection: Close\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", False),
+    ([b"HTTP/1.1 200 OK\r\n\r\nhel", 0.02, b"lo", HANG_UP], False),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", True),
+], ids=["1.0-to-close", "1.0-length", "1.0-keep-alive", "1.1-close", "1.1-chunked-close", "1.1-to-close", "1.1"])
+def test_client_pools_a_connection_only_when_the_response_allows_it(reply, pooled):
+    with scripted_server(reply, OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.body, second) == (b"hello", b"ok")
+        assert server.connections == (1 if pooled else 2)
+        if not pooled and reply[-1] is not HANG_UP:  # the client closed it
+            assert wait_until(lambda: 0 in server.client_closed)
+
+
+def test_client_skips_100_continue():
+    with scripted_server(b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.status, response.body, second) == (200, b"ok", b"ok")
+        assert "X-Interim" not in response.headers
+        assert server.connections == 1
+
+
+def test_client_skips_every_interim_response_where_http_client_returned_a_103():
+    early_hints = b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>; rel=preload\r\n\r\n"
+    with scripted_server(b"HTTP/1.1 100 Continue\r\n\r\n" + early_hints + OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.status, response.body, second) == (200, b"ok", b"ok")
+        assert "Link" not in response.headers
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 204 No Content\r\n\r\n",
+    b"HTTP/1.1 304 Not Modified\r\nContent-Length: 20\r\n\r\n",
+], ids=["204", "304"])
+def test_client_reads_no_body_after_204_and_304(reply):
+    with scripted_server(reply, OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.body, second) == (b"", b"ok")
+        assert server.connections == 1
+
+
+@pytest.mark.parametrize("status_line, status", [
+    (b"HTTP/1.1 200", 200),
+    (b"HTTP/1.1 404 ", 404),
+    (b"HTTP/1.1 500 Internal  Server Error", 500),
+])
+def test_client_reads_a_status_line_with_or_without_reason(status_line, status):
+    with scripted_server(status_line + b"\r\nContent-Length: 2\r\n\r\nok") as server:
+        response, _ = fetch_twice(server)
+        assert (response.status, response.body) == (status, b"ok")
+
+
+def test_client_joins_a_folded_header_onto_the_previous_value_and_merges_repeats():
+    reply = (
+        b"HTTP/1.1 200 OK\r\nX-Folded: first  \r\n  second\r\n\tthird\r\n"
+        b"Set-Cookie: a=1\r\nset-cookie: b=2\r\nContent-Length: 2\r\n\r\nok"
+    )
+    with scripted_server(reply) as server:
+        response, _ = fetch_twice(server)
+        assert response.headers == {
+            "X-Folded": "first  \r\n  second\r\n\tthird",
+            "Set-Cookie": "a=1, b=2",
+            "Content-Length": "2",
+        }
+
+
+def test_client_skips_a_header_line_without_colon_where_http_client_dropped_the_rest():
+    reply = b"HTTP/1.1 200 OK\r\nX-Before: 1\r\nno colon\r\nContent-Length: 2\r\nX-After: 2\r\n\r\nok"
+    with scripted_server([reply, HANG_UP]) as server:  # http.client read this to close
+        response = RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+        assert response.body == b"ok"
+        assert response.headers == {"X-Before": "1", "Content-Length": "2", "X-After": "2"}
+
+
+@pytest.mark.parametrize("reply", [
+    [b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", HANG_UP],
+    [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel", HANG_UP],
+    [b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", 5.0],
+], ids=["length-then-close", "chunked-then-close", "length-then-silence"])
+def test_client_fails_a_body_cut_short_and_drops_the_connection(reply):
+    with scripted_server(reply, OK) as server:
+        client = RequestsClient(timeout=0.5)
+        with pytest.raises(NetworkError):
+            client.fetch(HttpRequest(server.url("/first")))
+        assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
+        assert server.connections == 2
+
+
+def test_client_does_not_reuse_a_connection_with_bytes_past_the_body():
+    # bytes that arrive after the response was read: the idle socket polls readable
+    with scripted_server([OK, 0.05, b"EXTRA"], OK) as server:
+        client = RequestsClient(timeout=5)
+        assert client.fetch(HttpRequest(server.url("/first"))).body == b"ok"
+        time.sleep(0.2)
+        assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
+        assert server.connections == 2
+
+
+def test_client_does_not_reuse_a_connection_with_bytes_past_the_body_where_http_client_did():
+    # bytes that arrive with the response: http.client's read buffer took them
+    # and the connection went back to the pool
+    with scripted_server(OK + b"EXTRA", OK) as server:
+        response, second = fetch_twice(server)
+        assert (response.body, second) == (b"ok", b"ok")
+        assert server.connections == 2
+
+
+def test_client_accepts_repeated_equal_content_lengths():
+    with scripted_server(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok") as server:
+        response, _ = fetch_twice(server)
+        assert response.body == b"ok"
+
+
+def test_client_refuses_conflicting_content_lengths_where_http_client_took_the_first():
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nokX"
+    with scripted_server(reply) as server:
+        with pytest.raises(NetworkError):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+
+
+def many_headers(count: int) -> bytes:
+    lines = b"".join(b"X-%d: v\r\n" % i for i in range(count - 1))
+    return b"HTTP/1.1 200 OK\r\n" + lines + b"Content-Length: 2\r\n\r\nok"
+
+
+def long_header(line_bytes: int) -> bytes:
+    # a header line of ``line_bytes`` bytes with its CRLF
+    return b"HTTP/1.1 200 OK\r\nX-Long: " + b"v" * (line_bytes - 10) + b"\r\nContent-Length: 2\r\n\r\nok"
+
+
+@pytest.mark.parametrize("reply, ok", [
+    (b"garbage\r\n\r\n", False),
+    (b"HTTP/1.1 OK\r\n\r\n", False),
+    (b"HTTP/1.1 2000 OK\r\n\r\n", False),
+    (b"HTTP/2 200\r\n\r\n", False),
+    # http.client counts the blank line that ends the head: 99 headers pass
+    (many_headers(99), True),
+    (many_headers(100), False),
+    (long_header(65536), True),
+    (long_header(65537), False),
+], ids=["garbage", "no-code", "four-digits", "http-2", "99-headers", "100-headers", "65536-byte-line", "65537-byte-line"])
+def test_client_enforces_the_status_line_and_head_limits(reply, ok):
+    with scripted_server(reply) as server:
+        client = RequestsClient(timeout=5)
+        if ok:
+            assert client.fetch(HttpRequest(server.url())).body == b"ok"
+        else:
+            with pytest.raises(NetworkError):
+                client.fetch(HttpRequest(server.url()))
+            assert wait_until(lambda: 0 in server.client_closed)
+
+
+@pytest.mark.parametrize("path, headers", [
+    ("/a b", {}),
+    ("/a\x00b", {}),
+    ("/", {"Referer": "http://a.test/\r\nX-Injected: 1"}),
+    ("/", {"Referer": "http://a.test/\nx"}),
+    ("/", {"Referer": "http://a.test/Ā"}),
+    ("/", {"X-Colon:": "1"}),
+    ("/", {" X-Space": "1"}),
+])
+def test_client_refuses_a_request_it_cannot_send_before_connecting(path, headers):
+    with scripted_server(OK) as server:
+        client = RequestsClient(timeout=5)
+        with pytest.raises(NetworkError):
+            client.fetch(HttpRequest(server.url(path), headers=headers))
+        assert client.fetch(HttpRequest(server.url("/after"))).body == b"ok"
+        assert server.lines == ["GET /after HTTP/1.1"]
+        assert server.connections == 1
+
+
+def test_client_fails_a_head_with_bare_line_feeds_where_http_client_read_it():
+    with scripted_server([b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok", HANG_UP]) as server:
+        with pytest.raises(NetworkError):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+
+
+class _SentBytes(list):
+    def sendall(self, data: bytes) -> None:
+        self.append(data)
+
+
+@pytest.mark.parametrize("url", [
+    "http://example.test/a",
+    "https://example.test:443/a?b=1",
+    "http://example.test:8443/",
+    "http://[::1]:8080/a",
+    "https://[::1]/",
+    "https://bücher.test/",
+])
+def test_client_writes_the_host_header_as_http_client_did(url):
+    import http.client
+
+    from rposcan.httpclient import _endpoint, _request_head, split_url
+
+    scheme, authority, target = split_url(url)
+    endpoint = _endpoint(scheme, authority)
+    connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    conn = connection(*endpoint[1:])
+    conn.sock = sent = _SentBytes()  # no connect: endheaders writes here
+    conn.putrequest("GET", target, skip_accept_encoding=True)
+    conn.putheader("User-Agent", "rposcan/0.1")
+    conn.endheaders()
+    head = _request_head(target, endpoint, {"user-agent": ("User-Agent", "rposcan/0.1")})
+    assert head == b"".join(sent)
+
+
+@pytest.mark.parametrize("reply", [
+    [b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n"] + [0.2, b"x"] * 20,
+    [0.4, b"HTTP/1.1 302 Found\r\nLocation: /next\r\nContent-Length: 0\r\n\r\n"],
+], ids=["slow-drip", "slow-redirects"])
+def test_client_timeout_is_a_total_deadline_for_the_whole_fetch(reply):
+    with scripted_server(reply) as server:
+        start = time.monotonic()
+        with pytest.raises(NetworkError, match="timeout"):
+            RequestsClient(timeout=1).fetch(HttpRequest(server.url()))
+        assert time.monotonic() - start < 1.5
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 1001\r\n\r\n",
+    [b"HTTP/1.1 200 OK\r\n\r\n" + b"x" * 600, 0.02, b"x" * 600],
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + (b"258\r\n" + b"x" * 600 + b"\r\n") * 2,
+], ids=["length", "to-close", "chunked"])
+def test_client_caps_the_body_and_drops_the_connection(monkeypatch, reply):
+    monkeypatch.setattr("rposcan.httpclient.MAX_BODY_BYTES", 1000)
+    with scripted_server(reply) as server:
+        start = time.monotonic()
+        with pytest.raises(NetworkError, match="MAX_BODY_BYTES"):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+        assert time.monotonic() - start < 1
+        assert wait_until(lambda: 0 in server.client_closed)
+
+
+@pytest.mark.parametrize("coding, wbits", [("gzip", 16 + zlib.MAX_WBITS), ("deflate", zlib.MAX_WBITS)])
+def test_client_caps_the_decoded_body(coding, wbits):
+    # about 100 KiB on the wire that inflates to 100 MiB
+    packer, zeros = zlib.compressobj(9, zlib.DEFLATED, wbits), bytes(1 << 20)
+    bomb = b"".join(packer.compress(zeros) for _ in range(100)) + packer.flush()
+    assert len(bomb) < 200_000
+    head = f"HTTP/1.1 200 OK\r\nContent-Encoding: {coding}\r\nContent-Length: {len(bomb)}\r\n\r\n"
+    with scripted_server(head.encode() + bomb) as server:
+        with pytest.raises(NetworkError, match="MAX_BODY_BYTES"):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+
+
+# --- TLS ---
+
+
+@pytest.fixture
+def trust_test_certificates(monkeypatch):
+    """``ssl.create_default_context`` that also trusts both test certificates."""
+    create = ssl.create_default_context
+
+    def trusting(*args, **kwargs):
+        context = create(*args, **kwargs)
+        context.load_verify_locations(TLS_LOCALHOST)
+        context.load_verify_locations(TLS_OTHER)
+        return context
+
+    monkeypatch.setattr(ssl, "create_default_context", trusting)
+
+
+def test_client_refuses_a_certificate_it_does_not_trust():
+    with scripted_server(OK, tls=TLS_LOCALHOST) as server:
+        with pytest.raises(NetworkError):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url(scheme="https")))
+        assert wait_until(lambda: server.failed_handshakes == 1)
+        assert server.heads == []
+
+
+def test_client_checks_the_host_name_and_reuses_a_tls_connection(trust_test_certificates):
+    with scripted_server(OK, tls=TLS_LOCALHOST) as server:
+        client = RequestsClient(timeout=5)
+        for path in ("/first", "/second"):
+            assert client.fetch(HttpRequest(server.url(path, scheme="https"))).body == b"ok"
+        assert server.connections == 1
+        assert server.lines == ["GET /first HTTP/1.1", "GET /second HTTP/1.1"]
+    with scripted_server(OK, tls=TLS_OTHER) as server:
+        with pytest.raises(NetworkError):
+            RequestsClient(timeout=5).fetch(HttpRequest(server.url(scheme="https")))
+        assert wait_until(lambda: server.failed_handshakes == 1)
+        assert server.heads == []
+
+
+def test_no_rposcan_module_imports_http_client_or_the_email_parser():
+    import rposcan
+
+    code = (
+        "import importlib, pkgutil, sys, rposcan\n"
+        "for module in pkgutil.iter_modules(rposcan.__path__):\n"
+        "    importlib.import_module('rposcan.' + module.name)\n"
+        "print(sorted({'http.client', 'email.parser'} & set(sys.modules)))\n"
+    )
+    src = str(Path(rposcan.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
