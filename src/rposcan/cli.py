@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hosts scanned at once; each host's requests stay serialized and paced",
     )
     scan.add_argument("--timeout", type=int, default=round(defaults.request_timeout * 1000),
-                      help="the most one fetch may take in ms, redirects included: "
-                      "connects, sends and whole responses, not each read")
+                      help="the most one request may take in ms, each redirect hop "
+                      "its own request: connect, send and whole response, not each read")
     scan.add_argument("--seed-rng", type=int, default=defaults.seed, help="nonce RNG seed")
     scan.add_argument(
         "--allow-suffix",

@@ -10,11 +10,11 @@ has no runtime dependency. It sends each request target exactly as the
 scanner wrote it, fragment dropped. A body longer than ``MAX_BODY_BYTES``, on
 the wire or decoded, fails the fetch, and ``timeout`` bounds the whole fetch.
 Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
-``.netrc``, and nothing is retried. Redirects are followed inside the client,
-up to a bound, so those hops skip per-host pacing. Every fetch connects
-straight to the host and port its URL names: ``http_proxy`` and the other
-proxy variables are ignored, and nothing is tunnelled. TLS uses the system
-trust store.
+``.netrc``, and nothing is retried. A fetch is one exchange: a redirect comes
+back as it was answered, and the scanner decides whether to follow it. Every
+fetch connects straight to the host and port its URL names: ``http_proxy`` and
+the other proxy variables are ignored, and nothing is tunnelled. TLS uses the
+system trust store.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -34,7 +34,6 @@ import zlib
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
-from urllib.parse import quote, urljoin
 
 
 class NetworkError(Exception):
@@ -128,19 +127,12 @@ class RateLimitedClient:
 
 
 USER_AGENT = "rposcan/0.1"
-MAX_REDIRECTS = 5
 # a body longer than this, as sent or as decoded, fails the fetch
 MAX_BODY_BYTES = 16 << 20
 # idle kept-alive connections are kept for at most this many origins, one
 # each, as urllib3's PoolManager(num_pools=10) with maxsize=1 did
 MAX_IDLE_ORIGINS = 10
 
-_REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
-# dropped on a redirect to another (scheme, host, port), as urllib3 did
-_CREDENTIAL_HEADERS = frozenset(("cookie", "authorization", "proxy-authorization"))
-# what a Location may hold raw; anything else (a space, non-ASCII) is
-# percent-encoded as UTF-8, as urllib3 and browsers do, so that the hop can go out
-_LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
 # http.client's limits on a response head: bytes per line, CRLF included, and
 # lines after the status line, the blank line that ends the head included
 _MAX_LINE = 65536
@@ -416,9 +408,9 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
 
 
 class RequestsClient:
-    """Real network client: GET only, with its own HTTP/1.1 reader on raw
-    sockets, bounded redirects and a keep-alive pool shared by every thread
-    that uses it.
+    """Real network client: GET only, one exchange per fetch, with its own
+    HTTP/1.1 reader on raw sockets and a keep-alive pool shared by every
+    thread that uses it.
 
     Each request carries ``Host``, ``User-Agent: USER_AGENT``,
     ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and ``Connection:
@@ -437,16 +429,13 @@ class RequestsClient:
     joined by ``", "``, and the body is chunked, ``Content-Length``-framed,
     empty (204, 304) or read to the connection's close. A body longer than
     ``MAX_BODY_BYTES``, as sent or as gzip or deflate decoded, raises
-    ``NetworkError``. ``timeout`` is a total deadline for the whole fetch,
-    redirects included: every connect, TLS handshake, send and read gets only
-    the time left. Name resolution is not bounded by it.
+    ``NetworkError``. ``timeout`` is a total deadline for the fetch: every
+    connect, TLS handshake, send and read gets only the time left. Name
+    resolution is not bounded by it.
 
     There is no cookie jar and no proxy, so every fetch depends only on
-    its ``HttpRequest``. Up to ``MAX_REDIRECTS`` redirects are followed in the
-    client, and a redirect's own body is dropped undecoded; a hop to another
-    (scheme, host, port) drops ``Cookie``, ``Authorization`` and
-    ``Proxy-Authorization``, and one redirect more raises ``NetworkError``.
-    Nothing is retried: a failed connect, send or read raises
+    its ``HttpRequest``. A 3xx is returned like any other response, its
+    ``Location`` unfollowed. Nothing is retried: a failed connect, send or read raises
     ``NetworkError`` at once, with this client's own text or the ``OSError``
     text, so no request leaves outside the spacing ``RateLimitedClient``
     gives it.
@@ -548,20 +537,11 @@ class RequestsClient:
             headers[name.lower()] = (name, value)
         if request.cookies and "cookie" not in headers:
             headers["cookie"] = ("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items()))
-        url, deadline = request.url, time.monotonic() + self._timeout
-        for _ in range(MAX_REDIRECTS + 1):
-            response = self._exchange(url, headers, deadline)
-            location = response.status in _REDIRECT_STATUSES and response.header("Location")
-            if not location:
-                encodings = response.header("Content-Encoding")
-                if not encodings:
-                    return response
-                try:
-                    return response._replace(body=_decode(response.body, encodings))
-                except zlib.error as exc:
-                    raise NetworkError(f"cannot decode {encodings} body: {exc}") from exc
-            next_url = urljoin(url, quote(location, safe=_LOCATION_SAFE))
-            if _endpoint(*split_url(next_url)[:2]) != _endpoint(*split_url(url)[:2]):
-                headers = {k: v for k, v in headers.items() if k not in _CREDENTIAL_HEADERS}
-            url = next_url
-        raise NetworkError(f"more than {MAX_REDIRECTS} redirects from {request.url}")
+        response = self._exchange(request.url, headers, time.monotonic() + self._timeout)
+        encodings = response.header("Content-Encoding")
+        if not encodings:
+            return response
+        try:
+            return response._replace(body=_decode(response.body, encodings))
+        except zlib.error as exc:
+            raise NetworkError(f"cannot decode {encodings} body: {exc}") from exc

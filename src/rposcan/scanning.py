@@ -10,12 +10,17 @@ newline normally has nothing to show for the others, and that refusals come as
 swaps in the exploit payload, with the newline that won, and asks the
 rendering model, per browser profile, whether the reflected style would
 actually be parsed and fire.
+
+Redirects are followed here, not in the client: each hop is a request of its
+own, so it passes the blocklist, the per-host spacing and any exchange log
+like the URL that led to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from urllib.parse import quote
 
 from .css_recovery import css_would_fire
 from .httpclient import HttpRequest, HttpResponse, NetworkError
@@ -46,7 +51,7 @@ from .rendering import (
     framing_allowed,
     stylesheet_accepted,
 )
-from .urls import WebUrl, serialize_url
+from .urls import MalformedUrl, WebUrl, parse_url, resolve_relative, serialize_url
 
 DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
 
@@ -55,6 +60,13 @@ DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
 # set, not one measured on real servers; a refusal with any other status ends
 # the technique after LF.
 _REFUSED_STATUSES = frozenset({400, 403})
+
+# A fetch follows at most this many redirects; one more fails it.
+MAX_REDIRECTS = 5
+_REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
+# what a Location may hold raw; anything else (a space, non-ASCII) is
+# percent-encoded as UTF-8, as browsers do, so that the hop can go out
+_LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 class ScanStatus(Enum):
@@ -132,18 +144,46 @@ def ethics_gate(url: WebUrl, config: ScanConfig) -> bool:
     return not ("." + url.host.lower().rstrip(".")).endswith(config.blocked_suffixes)
 
 
-def _fetch(client, url_text: str, errors: list[str], *, referer: str | None = None,
-           cookies: dict[str, str] | None = None) -> HttpResponse | None:
+def _fetch(client, config: ScanConfig, url_text: str, errors: list[str], *,
+           referer: str | None = None, cookies: dict[str, str] | None = None) -> HttpResponse | None:
+    """The response to a GET of ``url_text``, redirects followed, or None with
+    the reason appended to ``errors``.
+
+    Each hop is one ``client.fetch``, up to ``MAX_REDIRECTS`` of them. Its URL
+    is the ``Location`` resolved as a browser resolves a reference; one that
+    does not parse, or whose host fails ``ethics_gate``, ends the fetch before
+    anything is sent. The cookies go along only while the origin stays the
+    same, and the ``Referer`` stays."""
     headers = {"Referer": referer} if referer else {}
-    try:
-        return client.fetch(HttpRequest(url=url_text, headers=headers, cookies=cookies or {}))
-    except NetworkError as exc:
-        errors.append(f"{url_text}: {exc}")
-        return None
+    request = HttpRequest(url=url_text, headers=headers, cookies=cookies or {})
+    here: WebUrl | None = None  # request.url parsed, once a redirect needs it
+    for _ in range(MAX_REDIRECTS + 1):
+        try:
+            response = client.fetch(request)
+        except NetworkError as exc:
+            errors.append(f"{request.url}: {exc}")
+            return None
+        location = response.status in _REDIRECT_STATUSES and response.header("Location")
+        if not location:
+            return response
+        try:
+            here = here or parse_url(request.url)
+            hop = resolve_relative(here, quote(location, safe=_LOCATION_SAFE))
+        except MalformedUrl as exc:
+            errors.append(f"{request.url}: redirect not followed: {exc}")
+            return None
+        if not ethics_gate(hop, config):
+            errors.append(f"{request.url}: redirect to blocked host {hop.host} not followed")
+            return None
+        cookies = request.cookies if hop.origin == here.origin else {}
+        request, here = request._replace(url=serialize_url(hop), cookies=cookies), hop
+    errors.append(f"{url_text}: more than MAX_REDIRECTS ({MAX_REDIRECTS}) redirects")
+    return None
 
 
 def _reflecting_sheet(
     client,
+    config: ScanConfig,
     mutated: MutatedRequest,
     page_url: str,
     relative_refs: list[str],
@@ -157,7 +197,7 @@ def _reflecting_sheet(
     does."""
     for sheet in expand_stylesheet_targets(mutated, relative_refs):
         sheet_url = serialize_url(sheet)
-        response = _fetch(client, sheet_url, errors, referer=page_url, cookies=cookies)
+        response = _fetch(client, config, sheet_url, errors, referer=page_url, cookies=cookies)
         if response is not None and find_reflection(response.body, nonce):
             return sheet_url, response
     return None
@@ -194,7 +234,7 @@ def scan_page(
             mutated = mutate(url, technique, payload, cookies)
             request_cookies = {**cookies, **mutated.extra_cookies}
             page_url = serialize_url(mutated.url)
-            page_resp = _fetch(client, page_url, errors, cookies=request_cookies)
+            page_resp = _fetch(client, config, page_url, errors, cookies=request_cookies)
             if page_resp is None:
                 continue  # no answer counts as refused: try the next newline
             fetched_anything = True
@@ -206,7 +246,7 @@ def scan_page(
             if relative_refs:
                 saw_relative_refs = True
                 hit = _reflecting_sheet(
-                    client, mutated, page_url, relative_refs, request_cookies, nonce, errors
+                    client, config, mutated, page_url, relative_refs, request_cookies, nonce, errors
                 )
                 if hit is not None:
                     return ScanVerdict(
@@ -309,7 +349,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     errors = list(verdict.errors)  # the input verdict stays as it was
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
     page_url = serialize_url(mutated.url)
-    page_resp = _fetch(client, page_url, errors, cookies=request_cookies)
+    page_resp = _fetch(client, config, page_url, errors, cookies=request_cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return replace(verdict, errors=errors)
@@ -318,7 +358,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     base_present = has_blocking_base(doc)
 
     hit = _reflecting_sheet(
-        client, mutated, page_url, doc.relative_refs, request_cookies, verdict.nonce, errors
+        client, config, mutated, page_url, doc.relative_refs, request_cookies, verdict.nonce, errors
     )
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra

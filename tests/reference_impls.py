@@ -446,7 +446,9 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_resp = scanning._fetch(client, serialize_url(mutated.url), errors, cookies=request_cookies)
+    page_resp = scanning._fetch(
+        client, config, serialize_url(mutated.url), errors, cookies=request_cookies
+    )
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return verdict
@@ -454,7 +456,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     page_security = ResponseSecurity.from_headers(page_resp.headers)
     base_present = has_blocking_base(doc)
     hit = scanning._reflecting_sheet(
-        client, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
+        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
         verdict.nonce, errors,
     )
     if hit is None:

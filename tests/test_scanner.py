@@ -1,9 +1,11 @@
 import copy
 import time
+from dataclasses import replace
 
 import pytest
 
 import reference_impls
+from test_httpclient import FakeClock, local_server, url_of
 
 from rposcan import scanning
 from rposcan.httpclient import (
@@ -13,6 +15,7 @@ from rposcan.httpclient import (
     RateLimitedClient,
     RecordingClient,
     RequestsClient,
+    host_key,
 )
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
@@ -24,6 +27,7 @@ from rposcan.mock_target import (
     TargetConfig,
     compute_ground_truth,
     fixture_matrix,
+    handle_request,
     newline_configs,
     serve,
     verdict_matches_truth,
@@ -31,6 +35,7 @@ from rposcan.mock_target import (
 from rposcan.mutations import MutationTechnique
 from rposcan.payloads import NewlineVariant
 from rposcan.rendering import Engine, default_profiles
+from rposcan.reports import run_scan
 from rposcan.scanning import (
     Blocker,
     NotVulnerableReason,
@@ -560,3 +565,159 @@ def test_base_tag_on_the_exploit_page_only_blocks_engines_it_binds():
         Engine.EDGE: blocked,
         Engine.INTERNET_EXPLORER: (True, False, []),
     }
+
+
+# --- redirects: each hop is a request of its own ---
+
+
+class _Redirects:
+    """Answers a GET of a URL in ``routes`` with its (status, headers), any
+    other with an empty 200, and keeps every request."""
+
+    def __init__(self, routes: dict[str, tuple[int, dict[str, str]]]) -> None:
+        self.routes = routes
+        self.requests: list[HttpRequest] = []
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        self.requests.append(request)
+        status, headers = self.routes.get(request.url, (200, {}))
+        return HttpResponse(status, headers, b"")
+
+
+def _follow(client, url: str, **kwargs):
+    errors: list[str] = []
+    return scanning._fetch(client, make_config(), url, errors, **kwargs), errors
+
+
+def test_redirect_chain_stops_after_max_redirects():
+    class Loop(_Redirects):
+        def fetch(self, request: HttpRequest) -> HttpResponse:
+            self.requests.append(request)
+            return HttpResponse(302, {"Location": f"/loop{len(self.requests)}"}, b"")
+
+    client = Loop({})
+    response, errors = _follow(client, "http://h.test/start")
+    assert response is None
+    assert scanning.MAX_REDIRECTS == 5
+    assert [r.url for r in client.requests] == ["http://h.test/start"] + [
+        f"http://h.test/loop{n}" for n in range(1, 6)
+    ]
+    assert errors == ["http://h.test/start: more than MAX_REDIRECTS (5) redirects"]
+
+
+@pytest.mark.parametrize("location, hop, kept", [
+    ("/next", "http://h.test/next", True),
+    ("http://H.test/next", "http://h.test/next", True),
+    ("https://h.test/next", "https://h.test/next", False),
+    ("http://h.test:8080/next", "http://h.test:8080/next", False),
+    ("//other.test/next", "http://other.test/next", False),
+], ids=["relative", "same-origin", "scheme", "port", "host"])
+def test_redirect_keeps_cookies_within_the_origin_and_the_referer_always(location, hop, kept):
+    client = _Redirects({"http://h.test/start": (302, {"Location": location})})
+    response, errors = _follow(client, "http://h.test/start", referer="http://h.test/page",
+                               cookies={"sid": "1"})
+    assert response is not None and response.status == 200 and errors == []
+    first, second = client.requests
+    assert dict(first.cookies) == {"sid": "1"}
+    assert second.url == hop
+    assert dict(second.cookies) == ({"sid": "1"} if kept else {})
+    assert dict(second.headers) == dict(first.headers) == {"Referer": "http://h.test/page"}
+
+
+def test_redirect_to_a_blocked_host_sends_it_nothing():
+    client = _Redirects({"http://h.test/start": (302, {"Location": "http://x.gov/next"})})
+    response, errors = _follow(client, "http://h.test/start")
+    assert response is None
+    assert [r.url for r in client.requests] == ["http://h.test/start"]
+    assert errors == ["http://h.test/start: redirect to blocked host x.gov not followed"]
+
+    # a page whose every answer is such a hop reads as a failed fetch
+    class AlwaysToGov(_Redirects):
+        def fetch(self, request: HttpRequest) -> HttpResponse:
+            self.requests.append(request)
+            return HttpResponse(302, {"Location": "http://www.x.gov/"}, b"")
+
+    client = AlwaysToGov({})
+    verdict = scan_page(parse_url("http://h.test/app/page.php"), {}, client, make_config())
+    assert verdict.reason is NotVulnerableReason.FETCH_FAILED
+    assert client.requests and not any(".gov" in r.url for r in client.requests)
+    assert all("blocked host www.x.gov" in e for e in verdict.errors)
+
+
+@pytest.mark.parametrize("location", [
+    "http://user@h.test/next",
+    "http://[::1]/next",
+    "http://h.test:99999/next",
+    "http://h.test:x/next",
+], ids=["userinfo", "ipv6", "port-range", "port-text"])
+def test_redirect_to_a_location_the_url_parser_refuses_sends_nothing(location):
+    client = _Redirects({"http://h.test/start": (302, {"Location": location})})
+    response, errors = _follow(client, "http://h.test/start")
+    assert response is None
+    assert len(client.requests) == 1
+    (error,) = errors
+    assert error.startswith("http://h.test/start: redirect not followed: ")
+
+
+def test_each_same_host_redirect_hop_waits_a_full_delay(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr("rposcan.httpclient.time.monotonic", clock.monotonic)
+    monkeypatch.setattr("rposcan.httpclient.time.sleep", clock.sleep)
+
+    sends: list[float] = []
+
+    class Stamped(_Redirects):
+        def fetch(self, request: HttpRequest) -> HttpResponse:
+            sends.append(clock.now)
+            return super().fetch(request)
+
+    inner = Stamped({
+        "http://h.test/a": (302, {"Location": "/b"}),
+        "http://h.test/b": (302, {"Location": "/c"}),
+    })
+    response, errors = _follow(RateLimitedClient(inner, 0.2), "http://h.test/a")
+    assert response is not None and response.status == 200 and errors == []
+    assert [r.url for r in inner.requests] == ["http://h.test/a", "http://h.test/b", "http://h.test/c"]
+    gaps = [after - before for before, after in zip(sends, sends[1:])]
+    assert len(gaps) == 2 and min(gaps) >= 0.2 - 1e-9, gaps
+
+
+def test_run_scan_paces_gates_and_logs_redirect_hops_over_loopback(tmp_path):
+    # The page 302s to another path on the same server, and the first of two
+    # sheets 302s to a blocked host: the record is the one the scanner gives
+    # for the page without that sheet and without redirects, plus an error
+    # for each blocked hop.
+    delay = 0.05
+    plain = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    target = replace(plain, stylesheet_refs=["../print.css", *plain.stylesheet_refs])
+
+    def respond(handler):
+        path = handler.path
+        if path.endswith("print.css"):
+            return 302, [("Location", "http://blocked.gov/print.css")], b""
+        if not path.endswith(".css") and not path.startswith("/moved/"):
+            return 302, [("Location", "/moved" + path)], b""
+        url = url_of(handler.server, path.removeprefix("/moved"))
+        response = handle_request(target, HttpRequest(url, headers=dict(handler.headers)))
+        return response.status, list(response.headers.items()), response.body
+
+    with local_server(respond=respond) as server:
+        seed = tmp_path / "seed.txt"
+        seed.write_text(url_of(server, plain.page_path) + "\n")
+        recorder = RecordingClient(RequestsClient(timeout=5))
+        (record,) = run_scan(str(seed), make_config(per_host_delay=delay), base_client=recorder)
+    (expected,) = run_scan(str(seed), make_config(),
+                           base_client=InProcessClient({host_key(url_of(server)): plain}))
+
+    assert record.status == "exploitable" and expected.errors == []
+    unstamped = dict(started_at=None, finished_at=None, errors=[])
+    assert replace(record, **unstamped) == replace(expected, **unstamped)
+    assert len(record.errors) == 2  # the probe's and the exploit's
+    assert all(e.endswith("print.css: redirect to blocked host blocked.gov not followed")
+               for e in record.errors)
+
+    assert [x.status for x in recorder.exchanges] == [302, 200, 302, 200] * 2
+    assert not any(host_key(x.request.url).endswith(".gov") for x in recorder.exchanges)
+    stamps = [x.timestamp for x in recorder.exchanges]
+    gaps = [after - before for before, after in zip(stamps, stamps[1:])]
+    assert min(gaps) >= 0.9 * delay, gaps
