@@ -6,18 +6,10 @@ import argparse
 import sys
 import time
 
-from .mock_target import PortInUse, load_config, serve
+from .jsonform import BadInput
+from .mock_target import load_config, serve
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
-from .reports import (
-    MalformedRecords,
-    NotUtf8,
-    read_records,
-    render_csv,
-    render_table,
-    run_scan,
-    summarize,
-    write_records,
-)
+from .reports import read_records, render_csv, render_table, run_scan, summarize, write_records
 from .scanning import ScanConfig, suffix_form
 
 
@@ -76,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_scan(args) -> int:
     try:
         profiles = load_profiles(args.profiles) if args.profiles else default_profiles()
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load profiles: {exc}", file=sys.stderr)
+    except (OSError, BadInput) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     blocked = ScanConfig().blocked_suffixes
     allowed = set(map(suffix_form, args.allow_suffix))
@@ -105,7 +97,7 @@ def _cmd_scan(args) -> int:
                 count = write_records(records, fh)
         else:
             count = write_records(records, sys.stdout)
-    except (OSError, NotUtf8) as exc:
+    except (OSError, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {count} records", file=sys.stderr)
@@ -115,7 +107,7 @@ def _cmd_scan(args) -> int:
 def _cmd_summarize(args) -> int:
     try:
         records = read_records(args.infile)
-    except (OSError, NotUtf8, MalformedRecords) as exc:
+    except (OSError, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     table = summarize(records)
@@ -129,15 +121,8 @@ def _cmd_summarize(args) -> int:
 def _cmd_mock_serve(args) -> int:
     try:
         config = load_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # bad JSON or a bad config
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 2
-    try:
         server = serve(config, args.port)
-    except (PortInUse, OverflowError) as exc:  # OverflowError: a port outside 0-65535
+    except (OSError, BadInput, OverflowError) as exc:  # OverflowError: a port outside 0-65535
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(

@@ -145,6 +145,9 @@ _HEADER_NAME = re.compile(r"[^:\s][^:\r\n]*", re.ASCII).fullmatch
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
 
 
+_DEFAULT_PORT = {"http": ":80", "https": ":443"}
+
+
 def split_url(url: str) -> tuple[str, str, str]:
     """(scheme, authority, target) of an absolute http(s) URL: the scheme and
     ``host[:port]`` lower-cased with any userinfo dropped, and the path and
@@ -165,9 +168,11 @@ def split_url(url: str) -> tuple[str, str, str]:
 
 
 def host_key(url: str) -> str:
-    """The ``host[:port]`` a fetch of ``url`` connects to: the unit of
-    politeness, so a request is paced by the host it reaches."""
-    return split_url(url)[1]
+    """The ``host[:port]`` a fetch of ``url`` connects to, without the
+    scheme's default port: the unit of politeness, so a request is paced by
+    the host it reaches however its URL writes the port."""
+    scheme, authority, _ = split_url(url)
+    return authority.removesuffix(_DEFAULT_PORT[scheme])
 
 
 def _endpoint(scheme: str, authority: str) -> tuple[str, str, int]:

@@ -24,20 +24,19 @@ judging.
 
 from __future__ import annotations
 
-import json
 import re
 import selectors
 import socket
 import sys
 import threading
-import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from http import HTTPStatus
 from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
+from .jsonform import from_json_form, load
 from .mutations import (
     MutationTechnique,
     applicable_techniques,
@@ -646,65 +645,18 @@ def verdict_matches_truth(verdict, truth: GroundTruth) -> list[str]:
 # --- serialization ---
 
 
-def _is_json_form(kind, value) -> bool:
-    """Is a decoded JSON value in the annotated type's JSON form: an enum as
-    its value, a set or list as a list, a dict as an object?"""
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        return isinstance(value, str)
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is None:
-        return isinstance(value, kind)
-    if origin is dict:
-        return isinstance(value, dict) and all(_is_json_form(args[1], v) for v in value.values())
-    if origin in (frozenset, list):
-        return isinstance(value, list) and all(_is_json_form(args[0], v) for v in value)
-    return any(_is_json_form(arg, value) for arg in args)  # a union such as str | None
-
-
-def _from_json(kind, value):
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        return kind(value)
-    origin = typing.get_origin(kind)
-    if origin is frozenset:
-        (item_kind,) = typing.get_args(kind)
-        return frozenset(_from_json(item_kind, item) for item in value)
-    if origin in (dict, list):
-        return origin(value)
-    return value
-
-
-def config_from_dict(data: dict) -> TargetConfig:
-    """A config from its JSON form (enums by value, sets as lists); absent
-    fields take the dataclass defaults.  A document that is not an object,
-    an unknown or missing key, or a value whose JSON type does not fit its
-    field raises ``ValueError``, so a misspelt field or a quoted ``"false"``
-    cannot serve another config.  Real
+def config_from_dict(data) -> TargetConfig:
+    """A config from its JSON form (``jsonform.from_json_form``).  Real
     stylesheets at refs that do not resolve raise ``MalformedUrl`` here,
     rather than on every request."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a config is a JSON object, not {json.dumps(data)}")
-    kinds = typing.get_type_hints(TargetConfig)
-    unknown = sorted(set(data) - set(kinds))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = [f.name for f in fields(TargetConfig) if f.name not in data
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"missing config key(s): {', '.join(missing)}")
-    for name, value in data.items():
-        if not _is_json_form(kinds[name], value):
-            raise ValueError(f"config key {name}: {json.dumps(value)} does not fit "
-                             f"{TargetConfig.__annotations__[name]}")
-    config = TargetConfig(**{
-        name: _from_json(kind, data[name]) for name, kind in kinds.items() if name in data
-    })
+    config = from_json_form(TargetConfig, data, "config")
     config.plan  # building the plan resolves the real stylesheets' refs
     return config
 
 
 def load_config(path: str) -> TargetConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """The config in a JSON file; a bad one raises ``BadInput``."""
+    return load(path, config_from_dict)
 
 
 # --- the shipped fixture matrix ---

@@ -12,12 +12,13 @@ agree with each other, as do the two Microsoft engines).
 from __future__ import annotations
 
 import functools
-import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import NamedTuple
+
+from .jsonform import from_json_form, load
 
 
 class Engine(Enum):
@@ -265,50 +266,28 @@ def stylesheet_accepted(
     return True
 
 
-_BEHAVIOR_FIELDS = ("respects_nosniff", "supports_frame_override", "base_tag_effective")
-
-_LIST_FIELDS = ("extra_quirks_public_ids", "quirks_public_id_exceptions")
+_DEFAULT_PROFILES = os.path.join(os.path.dirname(__file__), "data", "default_profiles.json")
 
 
-def _profile_from_dict(entry: dict) -> BrowserProfile:
-    if not isinstance(entry, dict):
-        raise ValueError(f"a profile is a JSON object, not {json.dumps(entry)}")
-    unknown = sorted(set(entry) - {"engine", *_BEHAVIOR_FIELDS, *_LIST_FIELDS})
-    if unknown:
-        raise ValueError(f"unknown profile key(s): {', '.join(unknown)}")
-    missing = [name for name in ("engine", *_BEHAVIOR_FIELDS) if name not in entry]
-    if missing:
-        raise ValueError(f"missing profile key(s): {', '.join(missing)}")
-    kwargs = {"engine": Engine(entry["engine"])}
-    for name in _BEHAVIOR_FIELDS:
-        if not isinstance(entry[name], bool):
-            raise ValueError(f"profile key {name} must be true or false")
-        kwargs[name] = entry[name]
-    for name in _LIST_FIELDS:
-        value = entry.get(name, [])
-        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-            raise ValueError(f"profile key {name} must be a list of strings")
-        kwargs[name] = tuple(value)
-    return BrowserProfile(**kwargs)
+def _profiles_from_json(doc) -> tuple[BrowserProfile, ...]:
+    entries = doc.get("profiles") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('a profile file is a JSON object with a "profiles" list')
+    profiles = tuple(from_json_form(BrowserProfile, entry, "profile") for entry in entries)
+    if not profiles:
+        raise ValueError("profile file defines no engines")
+    engines = [profile.engine.value for profile in profiles]
+    twice = sorted({engine for engine in engines if engines.count(engine) > 1})
+    if twice:
+        raise ValueError(f"engine(s) defined more than once: {', '.join(twice)}")
+    return profiles
 
 
 def load_profiles(path: str | None = None) -> tuple[BrowserProfile, ...]:
     """Load engine profiles from a JSON file; without a path, the shipped
-    defaults. A file that is not UTF-8, not JSON or not of the profile
-    file's shape raises ``ValueError``."""
-    if path is None:
-        raw = (resources.files("rposcan") / "data" / "default_profiles.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    entries = doc.get("profiles") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError('a profile file is a JSON object with a "profiles" list')
-    profiles = tuple(_profile_from_dict(entry) for entry in entries)
-    if not profiles:
-        raise ValueError("profile file defines no engines")
-    return profiles
+    defaults. A file that is not UTF-8 JSON of the profile file's shape, or
+    that defines one engine twice, raises ``BadInput``."""
+    return load(_DEFAULT_PROFILES if path is None else path, _profiles_from_json)
 
 
 @functools.cache

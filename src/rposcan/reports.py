@@ -16,9 +16,10 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, TextIO, get_type_hints
+from typing import Iterable, Iterator, TextIO
 
 from .httpclient import RateLimitedClient, RequestsClient, host_key
+from .jsonform import BadInput, from_json_form
 from .mutations import MutationTechnique
 from .pages import group_candidates, abstract_url
 from .rendering import Engine
@@ -36,7 +37,7 @@ class ScanRecord:
     technique: str | None = None
     newline_variant: str | None = None
     reflected_stylesheet_url: str | None = None
-    profile_results: dict[str, dict] = field(default_factory=dict)
+    profile_results: dict[str, dict[str, bool | list[str]]] = field(default_factory=dict)
     grouped_into: str | None = None
     started_at: str | None = None
     finished_at: str | None = None
@@ -47,26 +48,9 @@ class ScanRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
-        """A record from its JSON line; raises ValueError or TypeError when
-        the line is not one record's keys with values of their types."""
-        record = cls(**json.loads(line))
-        for name, (form, fits) in _FIELDS.items():
-            if not fits(getattr(record, name)):
-                raise TypeError(f"{name} must be {form}")
-        return record
-
-
-# A record field's annotation: how an error names its JSON form, and the
-# check on a decoded value.  A field of a type not listed fails at import.
-_JSON_FORMS = {
-    str: ("a string", lambda v: isinstance(v, str)),
-    str | None: ("a string or null", lambda v: isinstance(v, (str, type(None)))),
-    dict[str, dict]: ("an object of objects",
-                      lambda v: isinstance(v, dict) and all(isinstance(r, dict) for r in v.values())),
-    list[str]: ("a list of strings",
-                lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v)),
-}
-_FIELDS = {name: _JSON_FORMS[kind] for name, kind in get_type_hints(ScanRecord).items()}
+        """A record from its JSON line; raises ValueError when the line is
+        not one record's keys with values of their types."""
+        return from_json_form(cls, json.loads(line), "record")
 
 
 def _now() -> str:
@@ -98,10 +82,6 @@ def record_from_verdict(url: WebUrl, template: str, verdict: ScanVerdict,
     )
 
 
-class NotUtf8(ValueError):
-    """An input file that is not UTF-8 text; the message starts with ``FILE:``."""
-
-
 def _lines(path: str) -> Iterator[tuple[int, str]]:
     """The file's non-blank lines, stripped, with their numbers from 1."""
     with open(path, encoding="utf-8") as fh:
@@ -110,7 +90,7 @@ def _lines(path: str) -> Iterator[tuple[int, str]]:
                 if line := raw.strip():
                     yield number, line
         except UnicodeDecodeError as exc:
-            raise NotUtf8(f"{path}: {exc}") from exc
+            raise BadInput(f"{path}: {exc}") from exc
 
 
 def _content_lines(path: str) -> Iterator[str]:
@@ -266,18 +246,13 @@ def write_records(records: Iterable[ScanRecord], out: TextIO) -> int:
     return count
 
 
-class MalformedRecords(ValueError):
-    """A records-file line that is not one record; the message starts with
-    ``FILE:LINE:``."""
-
-
 def read_records(path: str) -> list[ScanRecord]:
     records = []
     for number, line in _lines(path):
         try:
             records.append(ScanRecord.from_json(line))
-        except (ValueError, TypeError) as exc:  # not JSON, or not a record's keys
-            raise MalformedRecords(f"{path}:{number}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not a record's keys
+            raise BadInput(f"{path}:{number}: {exc}") from exc
     return records
 
 

@@ -46,7 +46,7 @@ from rposcan.css_recovery import (
     URL,
     WS,
 )
-from rposcan.httpclient import HttpRequest, HttpResponse, host_key
+from rposcan.httpclient import HttpRequest, HttpResponse, split_url
 from rposcan.mock_target import (
     _REFUSED_BYTES,
     _SANITIZE_RE,
@@ -618,7 +618,7 @@ def _ref_lines(config: TargetConfig) -> list[str]:
 
 
 def _page_body(config: TargetConfig, request: HttpRequest, query_pairs) -> bytes:
-    origin = "http://" + host_key(request.url)
+    origin = "http://" + split_url(request.url)[1]
     lines = _head_lines(config, origin)
     lines.extend(_ref_lines(config))
     lines.append("</head>")
@@ -631,7 +631,7 @@ def _page_body(config: TargetConfig, request: HttpRequest, query_pairs) -> bytes
 
 
 def _error_body(config: TargetConfig, request: HttpRequest) -> bytes:
-    origin = "http://" + host_key(request.url)
+    origin = "http://" + split_url(request.url)[1]
     lines = _head_lines(config, origin)
     if config.error_page_has_refs:
         lines.extend(_ref_lines(config))

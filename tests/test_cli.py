@@ -153,42 +153,49 @@ def test_summarize_cli_missing_file_exits_2(tmp_path):
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "vulnerable", "colour": "red"}',
-            "unexpected keyword argument 'colour'",
+            "unknown record key(s): colour",
         ),
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "vulnerable", "technique": "cookie", "profile_results": [1]}',
-            "profile_results must be an object of objects",
+            "record key profile_results: [1] does not fit",
         ),
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "vulnerable", "profile_results": {"chrome": true}}',
-            "profile_results must be an object of objects",
+            'record key profile_results: {"chrome": true} does not fit',
+        ),
+        (
+            '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
+            '"status": "exploitable", "technique": "path_param_simple", "profile_results": '
+            '{"chrome": {"exploitable": "false", "framed": false, "blockers": []}}}',
+            'record key profile_results: {"chrome": {"exploitable": "false", ',
         ),
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "error", "errors": "boom"}',
-            "errors must be a list of strings",
+            'record key errors: "boom" does not fit list[str]',
         ),
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "error", "errors": [1]}',
-            "errors must be a list of strings",
+            "record key errors: [1] does not fit list[str]",
         ),
         (
             '{"url": "http://a.test/x", "site": "a.test", "template": "a.test/x", '
             '"status": "vulnerable", "technique": 3}',
-            "technique must be a string or null",
+            "record key technique: 3 does not fit str | None",
         ),
         (
             '{"url": "http://a.test/x", "site": ["a.test"], "template": "a.test/x", '
             '"status": "vulnerable"}',
-            "site must be a string",
+            'record key site: ["a.test"] does not fit str',
         ),
-        ("[1]", "argument after ** must be a mapping"),
+        ("[1]", "a record is a JSON object, not [1]"),
     ],
     ids=["truncated-json", "unknown-key", "results-list", "result-not-object",
-         "errors-string", "errors-not-strings", "technique-number", "site-list", "not-object"],
+         "exploitable-string", "errors-string", "errors-not-strings", "technique-number",
+         "site-list", "not-object"],
 )
 def test_summarize_cli_malformed_record_exits_2(tmp_path, capsys, line, message):
     good = ScanRecord(url="http://a.test/y", site="a.test", template="a.test/y",
@@ -302,10 +309,11 @@ def _serve_no_longer_than_a_moment(monkeypatch):
         ('{"name": "t", "routing": "exact_file", "nosniff": "false"}', "nosniff"),
         ('{"name": "t", "routing": "exact_file", "stylesheet_refs": "style.css"}',
          "stylesheet_refs"),
+        ('{"name": "t", "routing": "nowhere"}', 'config key routing: "nowhere" does not fit'),
     ],
     ids=["malformed-json", "missing-routing", "empty-object", "empty-list", "list-of-number",
          "unresolvable-stylesheet-ref", "unknown-key",
-         "string-for-bool", "string-for-list"],
+         "string-for-bool", "string-for-list", "unknown-routing"],
 )
 def test_mock_serve_cli_bad_config_exits_2(tmp_path, capsys, monkeypatch, text, message):
     _serve_no_longer_than_a_moment(monkeypatch)

@@ -125,13 +125,14 @@ def test_rate_limiter_paces_by_the_host_the_client_connects_to(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr("rposcan.httpclient.time.monotonic", clock.monotonic)
     monkeypatch.setattr("rposcan.httpclient.time.sleep", clock.sleep)
-    inner = TimedClient(clock, [0.0, 0.0, 0.0])
+    inner = TimedClient(clock, [0.0, 0.0, 0.0, 0.0])
     client = RateLimitedClient(inner, 0.200)
-    # userinfo, case and a fragment do not change the host these reach
-    for url in ("http://u@h.test/a", "http://h.test/b", "http://H.test#x/c"):
+    # userinfo, case, a fragment and the default port written out do not
+    # change the host these reach
+    for url in ("http://u@h.test/a", "http://h.test/b", "http://H.test#x/c", "http://h.test:80/d"):
         client.fetch(HttpRequest(url=url))
     gaps = [after - before for before, after in zip(inner.sends, inner.sends[1:])]
-    assert len(gaps) == 2
+    assert len(gaps) == 3
     assert min(gaps) >= 0.200 - 1e-9, gaps
 
 

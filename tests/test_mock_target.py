@@ -1,10 +1,12 @@
 import http.client
+import json
 import socket
 import statistics
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -695,6 +697,26 @@ def test_config_from_dict_reads_json_form():
         sink_filter=SinkFilter.SANITIZE,
         newline_handling=NewlineHandling.CUT_AT_LF,
     )
+
+
+def _json_form(config: TargetConfig) -> dict:
+    """A config as a config file writes it: enums by value, sets as sorted lists."""
+
+    def form(value):
+        if isinstance(value, Enum):
+            return value.value
+        if isinstance(value, frozenset):
+            return sorted(form(item) for item in value)
+        return value
+
+    return {f.name: form(getattr(config, f.name)) for f in fields(config)}
+
+
+def test_every_shipped_config_reads_back_equal_from_its_json_form():
+    profiles = default_profiles()
+    configs = [config for config, _ in fixture_matrix(profiles) + newline_configs(profiles)]
+    for config in configs:
+        assert config_from_dict(json.loads(json.dumps(_json_form(config)))) == config, config.name
 
 
 # The answer key of the 58-config matrix, one label per config: the reason

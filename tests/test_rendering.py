@@ -7,6 +7,7 @@ from jsonschema import validate as jsonschema_validate
 
 from rposcan import rendering
 from rposcan.cli import main
+from rposcan.jsonform import BadInput
 from rposcan.rendering import (
     BrowserProfile,
     Engine,
@@ -357,17 +358,20 @@ def test_load_profiles_from_custom_file(tmp_path):
     )
 
 
-def _assert_profile_file_rejected(tmp_path, doc, message):
-    """``load_profiles`` raises ValueError naming ``message`` for the JSON
-    document ``doc``, and ``rposcan scan --profiles`` exits 2."""
+def _assert_profile_file_rejected(tmp_path, capsys, doc, message):
+    """``load_profiles`` raises BadInput naming the file and ``message`` for
+    the JSON document ``doc``, and ``rposcan scan --profiles`` exits 2 with
+    that message."""
     path = tmp_path / "profiles.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(BadInput, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_profiles(str(path))
     # a blocked-suffix seed, so no request could leave even if loading passed
     seed = tmp_path / "seed.txt"
     seed.write_text("http://blocked.gov/page.php\n")
     assert main(["scan", "--seed", str(seed), "--profiles", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 _CHROME_ENTRY = {
@@ -379,8 +383,8 @@ _CHROME_ENTRY = {
 
 
 @pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
-def test_profile_file_rejects_unknown_key(tmp_path, key):
-    _assert_profile_file_rejected(tmp_path, {"profiles": [{**_CHROME_ENTRY, key: True}]}, key)
+def test_profile_file_rejects_unknown_key(tmp_path, capsys, key):
+    _assert_profile_file_rejected(tmp_path, capsys, {"profiles": [{**_CHROME_ENTRY, key: True}]}, key)
 
 
 @pytest.mark.parametrize(
@@ -391,17 +395,18 @@ def test_profile_file_rejects_unknown_key(tmp_path, key):
         ("base_tag_effective", 1),
         ("extra_quirks_public_ids", "html"),
         ("quirks_public_id_exceptions", ["-//w3c//dtd html 3.2//", 3]),
+        ("engine", "netscape"),
     ],
     ids=["nosniff-as-string", "frame-override-as-string", "base-tag-as-number",
-         "quirks-ids-as-string", "exceptions-holding-a-number"],
+         "quirks-ids-as-string", "exceptions-holding-a-number", "unknown-engine"],
 )
-def test_profile_file_rejects_value_of_wrong_json_type(tmp_path, key, value):
+def test_profile_file_rejects_value_of_wrong_json_type(tmp_path, capsys, key, value):
     # bool("false") is True, and tuple("html") is four one-letter ids
-    _assert_profile_file_rejected(tmp_path, {"profiles": [{**_CHROME_ENTRY, key: value}]}, key)
+    _assert_profile_file_rejected(tmp_path, capsys, {"profiles": [{**_CHROME_ENTRY, key: value}]}, key)
 
 
-def test_profile_file_without_engines_is_rejected(tmp_path):
-    _assert_profile_file_rejected(tmp_path, {"profiles": []}, "defines no engines")
+def test_profile_file_without_engines_is_rejected(tmp_path, capsys):
+    _assert_profile_file_rejected(tmp_path, capsys, {"profiles": []}, "defines no engines")
 
 
 @pytest.mark.parametrize(
@@ -412,8 +417,11 @@ def test_profile_file_without_engines_is_rejected(tmp_path):
         ({"profiles": {"engine": "chrome"}}, 'a JSON object with a "profiles" list'),
         ({"profiles": [{k: v for k, v in _CHROME_ENTRY.items() if k != "respects_nosniff"}]},
          "missing profile key(s): respects_nosniff"),
+        ({"profiles": [_CHROME_ENTRY, {**_CHROME_ENTRY, "respects_nosniff": True}]},
+         "engine(s) defined more than once: chrome"),
     ],
-    ids=["number-for-profile", "list-for-file", "object-for-profiles", "profile-lacking-a-flag"],
+    ids=["number-for-profile", "list-for-file", "object-for-profiles", "profile-lacking-a-flag",
+         "engine-twice"],
 )
-def test_profile_file_of_the_wrong_shape_is_rejected(tmp_path, doc, message):
-    _assert_profile_file_rejected(tmp_path, doc, message)
+def test_profile_file_of_the_wrong_shape_is_rejected(tmp_path, capsys, doc, message):
+    _assert_profile_file_rejected(tmp_path, capsys, doc, message)

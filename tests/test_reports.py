@@ -19,6 +19,7 @@ from rposcan.mock_target import (
 from rposcan.reports import (
     ScanRecord,
     read_cookie_file,
+    read_records,
     read_seed_file,
     render_csv,
     render_table,
@@ -468,12 +469,15 @@ def _fixed_seed_records(directory: pathlib.Path, workers: int) -> str:
         base_client=InProcessClient(hosts),
         cookie_file=str(cookies),
     )
-    rows = []
-    for record in records:
-        row = dict(record.__dict__)
-        del row["started_at"], row["finished_at"]
-        rows.append((record.url, json.dumps(row, sort_keys=True)))
-    return "".join(line + "\n" for _, line in sorted(rows))
+    rows = sorted((record.url, _untimed_json(record)) for record in records)
+    return "".join(line + "\n" for _, line in rows)
+
+
+def _untimed_json(record: ScanRecord) -> str:
+    """A record's JSON line without its timestamps."""
+    row = dict(record.__dict__)
+    del row["started_at"], row["finished_at"]
+    return json.dumps(row, sort_keys=True)
 
 
 def test_run_scan_records_do_not_depend_on_worker_count(tmp_path):
@@ -485,6 +489,12 @@ def test_run_scan_fixed_seed_records_match_committed_file(tmp_path):
     assert {json.loads(line)["status"] for line in records.splitlines()} >= {
         "exploitable", "vulnerable", "not_vulnerable", "ethics_blocked", "grouped_into", "error"}
     assert records == FIXED_SEED_RECORDS.read_text()
+
+
+def test_fixed_seed_records_read_back_and_write_back_byte_identical():
+    records = read_records(str(FIXED_SEED_RECORDS))
+    written = "".join(_untimed_json(record) + "\n" for record in records)
+    assert written == FIXED_SEED_RECORDS.read_text()
 
 
 if __name__ == "__main__":  # rewrite the committed file: PYTHONPATH=src python tests/test_reports.py
