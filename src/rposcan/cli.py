@@ -18,6 +18,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="scan pages from a seed file")
+    scan.set_defaults(run=_cmd_scan)
     scan.add_argument("--seed", required=True, help="file with one URL per line")
     scan.add_argument("--cookies", help="per-site cookie file (host<TAB>k=v;k2=v2)")
     scan.add_argument("--out", help="records file (json lines); default stdout")
@@ -45,18 +46,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     summ = sub.add_parser("summarize", help="summarize a records file")
+    summ.set_defaults(run=_cmd_summarize)
     summ.add_argument("--in", dest="infile", required=True)
     summ.add_argument("--format", choices=("table", "csv"), default="table")
 
     mock = sub.add_parser("mock", help="mock target server")
     mock_sub = mock.add_subparsers(dest="mock_command", required=True)
     mock_serve = mock_sub.add_parser("serve", help="serve one target config")
+    mock_serve.set_defaults(run=_cmd_mock_serve)
     mock_serve.add_argument("--config", required=True, help="target config JSON file")
     mock_serve.add_argument("--port", type=int, default=8080)
 
     doctype = sub.add_parser("doctype", help="doctype utilities")
     doctype_sub = doctype.add_subparsers(dest="doctype_command", required=True)
     classify = doctype_sub.add_parser("classify", help="classify a doctype per engine")
+    classify.set_defaults(run=_cmd_doctype_classify)
     group = classify.add_mutually_exclusive_group(required=True)
     group.add_argument("--doctype", help="doctype text; use '(none)' for no doctype")
     group.add_argument("--stdin", action="store_true", help="read doctypes from stdin")
@@ -66,11 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        profiles = load_profiles(args.profiles) if args.profiles else default_profiles()
-    except (OSError, BadInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profiles = load_profiles(args.profiles) if args.profiles else default_profiles()
     blocked = ScanConfig().blocked_suffixes
     allowed = set(map(suffix_form, args.allow_suffix))
     unknown = sorted(allowed.difference(blocked))
@@ -90,27 +90,18 @@ def _cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        records = run_scan(args.seed, config, cookie_file=args.cookies)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                count = write_records(records, fh)
-        else:
-            count = write_records(records, sys.stdout)
-    except (OSError, BadInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = run_scan(args.seed, config, cookie_file=args.cookies)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            count = write_records(records, fh)
+    else:
+        count = write_records(records, sys.stdout)
     print(f"wrote {count} records", file=sys.stderr)
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    try:
-        records = read_records(args.infile)
-    except (OSError, BadInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    table = summarize(records)
+    table = summarize(read_records(args.infile))
     if args.format == "csv":
         print(render_csv(table))
     else:
@@ -119,12 +110,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
-    try:
-        config = load_config(args.config)
-        server = serve(config, args.port)
-    except (OSError, BadInput, OverflowError) as exc:  # OverflowError: a port outside 0-65535
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    server = serve(config, args.port)
     print(
         f"serving {config.name!r} on http://127.0.0.1:{server.port}{config.page_path}",
         flush=True,
@@ -162,15 +149,11 @@ def _cmd_doctype_classify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "scan":
-        return _cmd_scan(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    if args.command == "mock":
-        return _cmd_mock_serve(args)
-    if args.command == "doctype":
-        return _cmd_doctype_classify(args)
-    return 2
+    try:
+        return args.run(args)
+    except (OSError, BadInput) as exc:  # an input file, or a port that cannot be served
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

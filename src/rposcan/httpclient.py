@@ -4,21 +4,19 @@ The scanner only ever needs ``fetch(request) -> response`` for GET requests;
 everything else (recording, per-host pacing, the real network) stacks around
 that one method so tests can substitute deterministic clients.
 
-The real network client, ``RequestsClient``, is a small GET client with its
-own HTTP/1.1 reader on raw sockets and a thread-safe keep-alive pool; rposcan
-has no runtime dependency. It sends each request target exactly as the
-scanner wrote it, fragment dropped. A body longer than ``MAX_BODY_BYTES``, on
-the wire or decoded, fails the fetch, and ``timeout`` bounds the whole fetch.
-Every fetch depends only on its ``HttpRequest``: there is no cookie jar and no
-``.netrc``, and nothing is retried. A fetch is one exchange: a redirect comes
-back as it was answered, and the scanner decides whether to follow it. Every
-fetch connects straight to the host and port its URL names: ``http_proxy`` and
-the other proxy variables are ignored, and nothing is tunnelled. TLS uses the
-system trust store.
+A request is what the scanner sends: a URL, an optional Referer and
+cookies. The real network client, ``RequestsClient``, is a small GET client
+with its own HTTP/1.1 reader on raw sockets and a thread-safe keep-alive pool;
+rposcan has no runtime dependency. It reads each URL with ``urls.parse_url``,
+so a URL the scanner could not have written fails before any connect. A body
+longer than ``MAX_BODY_BYTES``, on the wire or decoded, fails the fetch, and
+``timeout`` bounds the whole fetch. Every fetch depends only on its
+``HttpRequest``: no cookie jar, no ``.netrc``, no proxy, no retry, and a
+redirect comes back as it was answered.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
-that names no headers or cookies shares one read-only empty mapping.
+without cookies shares one read-only empty mapping.
 """
 
 from __future__ import annotations
@@ -35,6 +33,8 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .urls import MalformedUrl, WebUrl, parse_url
+
 
 class NetworkError(Exception):
     """A fetch that did not produce an HTTP response."""
@@ -46,7 +46,7 @@ _EMPTY: Mapping[str, str] = MappingProxyType({})
 class HttpRequest(NamedTuple):
     url: str
     method: str = "GET"
-    headers: Mapping[str, str] = _EMPTY
+    referer: str | None = None
     cookies: Mapping[str, str] = _EMPTY
 
 
@@ -137,11 +137,11 @@ MAX_IDLE_ORIGINS = 10
 # lines after the status line, the blank line that ends the head included
 _MAX_LINE = 65536
 _MAX_LINES = 100
-# what http.client refused to send: a request target with a control
-# character, space or non-ASCII character, and a header name that is empty,
-# starts with whitespace or holds a colon, CR or LF
-_BAD_TARGET = re.compile("[^!-~]").search
-_HEADER_NAME = re.compile(r"[^:\s][^:\r\n]*", re.ASCII).fullmatch
+# every request's headers after Host, in http.client's order
+_DEFAULT_FIELDS = (
+    f"User-Agent: {USER_AGENT}\r\nAccept-Encoding: gzip, deflate\r\n"
+    "Accept: */*\r\nConnection: keep-alive\r\n"
+)
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
 
 
@@ -173,18 +173,6 @@ def host_key(url: str) -> str:
     the host it reaches however its URL writes the port."""
     scheme, authority, _ = split_url(url)
     return authority.removesuffix(_DEFAULT_PORT[scheme])
-
-
-def _endpoint(scheme: str, authority: str) -> tuple[str, str, int]:
-    """(scheme, host, port) of ``host[:port]``: an IPv6 host loses its
-    brackets, and a missing port is the scheme's default."""
-    host, colon, port = authority.rpartition(":")
-    if not colon or "]" in port:
-        host, port = authority, ""
-    host = host.strip("[]")
-    if not host or (port and not port.isdigit()):
-        raise NetworkError(f"bad host or port: {authority!r}")
-    return scheme, host, int(port) if port else (443 if scheme == "https" else 80)
 
 
 def _dropped(sock) -> bool:
@@ -260,31 +248,27 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-def _request_head(target: str, endpoint: tuple[str, str, int], headers) -> bytes:
-    """The request line and headers as ``http.client`` wrote them: ``Host``
-    first (bracketed IPv6, the port only when not the scheme's default)
-    unless the request sets its own, then ``headers`` in order. A target or
-    header ``http.client`` refused to send raises ``NetworkError``."""
-    if _BAD_TARGET(target):
-        raise NetworkError(f"cannot send request target {target!r}")
-    fields = list(headers.values())
-    if "host" not in headers:
-        scheme, host, port = endpoint
-        if not host.isascii():
-            try:
-                host = host.encode("idna").decode("ascii")
-            except UnicodeError as exc:
-                raise NetworkError(f"bad host {host!r}: {exc}") from None
-        host = f"[{host}]" if ":" in host else host
-        fields.insert(0, ("Host", host if port == (443 if scheme == "https" else 80) else f"{host}:{port}"))
-    lines = [f"GET {target} HTTP/1.1"]
-    for name, value in fields:
-        if not (name.isascii() and _HEADER_NAME(name)) or "\r" in value or "\n" in value:
-            raise NetworkError(f"cannot send header {name!r}: {value!r}")
-        lines.append(f"{name}: {value}")
-    lines.append("\r\n")
+def _field(name: str, value: str) -> str:
+    if "\r" in value or "\n" in value:
+        raise NetworkError(f"cannot send {name} {value!r}: it holds CR or LF")
+    return f"{name}: {value}\r\n"
+
+
+def _request_head(url: WebUrl, request: HttpRequest) -> bytes:
+    """The request line, ``Host`` (the port only when not the scheme's
+    default), the default headers, then ``Referer`` and one ``Cookie`` header
+    when the request has them. A Referer or cookie with CR or LF, or outside
+    Latin-1, raises ``NetworkError``."""
+    host = url.host if url.port is None else f"{url.host}:{url.port}"
+    host = host.removesuffix(_DEFAULT_PORT[url.scheme])
+    target = url.path if url.query is None else f"{url.path}?{url.query}"
+    head = f"GET {target} HTTP/1.1\r\nHost: {host}\r\n{_DEFAULT_FIELDS}"
+    if request.referer:
+        head += _field("Referer", request.referer)
+    if request.cookies:
+        head += _field("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items()))
     try:
-        return "\r\n".join(lines).encode("latin-1")
+        return (head + "\r\n").encode("latin-1")
     except UnicodeEncodeError as exc:
         raise NetworkError(f"a header value that is not Latin-1: {exc}") from None
 
@@ -417,16 +401,16 @@ class RequestsClient:
     HTTP/1.1 reader on raw sockets and a keep-alive pool shared by every
     thread that uses it.
 
-    Each request carries ``Host``, ``User-Agent: USER_AGENT``,
-    ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and ``Connection:
-    keep-alive``, then the request's own headers (one of the same name, in
-    any case, replaces a default or ``Host`` in place), then the request's
-    cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order, unquoted,
-    unless the request sets ``Cookie`` itself. The request target is the
-    URL's path and query as written, escapes and a lone ``%`` included; the
-    fragment never leaves. A target with a control character, space or
-    non-ASCII character, a header value with CR or LF or outside Latin-1, and
-    a malformed header name raise ``NetworkError`` before anything is sent.
+    The URL is read with ``urls.parse_url``: one it refuses (userinfo, an
+    IPv6 literal, a non-ASCII host, a bad port, a space or control character)
+    raises ``NetworkError`` before any connect. The head is the request line
+    with the URL's path and query as written (never the fragment), ``Host``
+    (the port only when not the scheme's default), ``User-Agent:
+    USER_AGENT``, ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and
+    ``Connection: keep-alive``, then ``Referer`` when the request has one,
+    then the cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order,
+    unquoted. A Referer or cookie with CR or LF, or outside Latin-1, raises
+    ``NetworkError`` before anything is sent.
 
     The response is read as HTTP/1.1 with ``http.client``'s limits (65536
     bytes per line, 99 headers): interim 1xx responses are skipped, a
@@ -461,17 +445,6 @@ class RequestsClient:
 
     def __init__(self, timeout: float = 10.0) -> None:
         self._timeout = timeout
-        # lower-cased name -> (name, value), so a request header replaces a
-        # default whatever its case
-        self._defaults = {
-            name.lower(): (name, value)
-            for name, value in (
-                ("User-Agent", USER_AGENT),
-                ("Accept-Encoding", "gzip, deflate"),
-                ("Accept", "*/*"),
-                ("Connection", "keep-alive"),
-            )
-        }
         self._lock = threading.Lock()
         self._idle: dict[tuple, socket.socket] = {}  # least recently used first
         # a client that is dropped closes its idle sockets rather than leave
@@ -506,11 +479,8 @@ class RequestsClient:
             if old is not None:
                 old.close()
 
-    def _exchange(self, url: str, headers: dict[str, tuple[str, str]], deadline: float) -> HttpResponse:
+    def _exchange(self, endpoint: tuple[str, str, int], head: bytes, deadline: float) -> HttpResponse:
         """One GET on a pooled or new connection; the body is not decoded."""
-        scheme, authority, target = split_url(url)
-        endpoint = _endpoint(scheme, authority)
-        head = _request_head(target, endpoint, headers)
         with self._lock:
             sock = self._idle.pop(endpoint, None)
         if sock is not None and _dropped(sock):
@@ -537,12 +507,12 @@ class RequestsClient:
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             raise NetworkError(f"only GET is supported, not {request.method}")
-        headers = dict(self._defaults)
-        for name, value in request.headers.items():
-            headers[name.lower()] = (name, value)
-        if request.cookies and "cookie" not in headers:
-            headers["cookie"] = ("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items()))
-        response = self._exchange(request.url, headers, time.monotonic() + self._timeout)
+        try:
+            url = parse_url(request.url)
+        except MalformedUrl as exc:
+            raise NetworkError(f"cannot send {request.url!r}: {exc}") from None
+        endpoint = (url.scheme, url.host, url.port or (443 if url.scheme == "https" else 80))
+        response = self._exchange(endpoint, _request_head(url, request), time.monotonic() + self._timeout)
         encodings = response.header("Content-Encoding")
         if not encodings:
             return response

@@ -283,10 +283,8 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
         if plan.echo_cookie:
             for _, value in sorted(request.cookies.items()):
                 echoes.append(plan.echo_line("echo-cookie", percent_decode(value)))
-        if plan.echo_referrer:
-            referer = request.headers.get("Referer") or request.headers.get("referer")
-            if referer:
-                echoes.append(plan.echo_line("echo-referrer", percent_decode(referer)))
+        if plan.echo_referrer and request.referer:
+            echoes.append(plan.echo_line("echo-referrer", percent_decode(request.referer)))
         echoed = "".join(echoes)
     else:
         status, (before, after) = 404, plan.error_markup
@@ -335,19 +333,19 @@ def _answer(config: TargetConfig, head: bytes) -> tuple[bytes, bool]:
     if method != "GET":
         return _refusal(501)
     keep_open = version == "HTTP/1.1"
-    headers: dict[str, str] = {}
-    host, cookie = "localhost", ""
+    host, cookie, referer = "localhost", "", None
     for line in lines:
         name, colon, value = line.partition(":")
         if not colon:
             return _refusal(400)
         value = value.strip(" \t")
-        headers[name] = value
         lowered = name.lower()
         if lowered == "host":
             host = value
         elif lowered == "cookie":
             cookie = value
+        elif lowered == "referer":
+            referer = value
         elif lowered == "connection" and value.lower() == "close":
             keep_open = False
     cookies: dict[str, str] = {}
@@ -355,7 +353,7 @@ def _answer(config: TargetConfig, head: bytes) -> tuple[bytes, bool]:
         if "=" in part:
             name, _, value = part.strip().partition("=")
             cookies[name] = value
-    request = HttpRequest(url=f"http://{host}{target}", headers=headers, cookies=cookies)
+    request = HttpRequest(url=f"http://{host}{target}", referer=referer, cookies=cookies)
     try:
         response = handle_request(config, request)
     except Exception:  # a broken config must not stop the server
@@ -398,14 +396,15 @@ class MockServer:
 
     The thread waits in a selector on the listening socket, a wake socket and
     every accepted connection, so it never polls. It splits each request head
-    itself (request line, then ``name: value`` lines; ``Host``, ``Cookie``
-    and ``Connection`` in any case), answers it with ``handle_request`` and
-    writes the response in one ``sendall``. Connections are kept alive; the
-    server closes one after ``Connection: close``, after an HTTP/1.0 request,
-    and on EOF or a reset. A malformed request line or header line gets 400,
-    a method other than GET 501, a head over 64 KiB 431, and an exception
-    raised by ``handle_request`` 500 (its traceback goes to stderr); each is
-    followed by a close, and the loop keeps serving. Responses carry the
+    itself (request line, then ``name: value`` lines; ``Host``, ``Cookie``,
+    ``Referer`` and ``Connection`` in any case), answers it with
+    ``handle_request`` and writes the response in one ``sendall``.
+    Connections are kept alive; the server closes one after ``Connection:
+    close``, after an HTTP/1.0 request, and on EOF or a reset. A malformed
+    request line or header line gets 400, a method other than GET 501, a head
+    over 64 KiB 431, and an exception raised by ``handle_request`` 500 (its
+    traceback goes to stderr); each is followed by a close, and the loop
+    keeps serving. Responses carry the
     plan's headers and ``Content-Length``, with no ``Server`` or ``Date``.
 
     Requests are answered one at a time per server, and a write blocks until
@@ -420,9 +419,9 @@ class MockServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind(("127.0.0.1", port))
             listener.listen()
-        except BaseException as exc:  # OverflowError too, for a port past 65535
+        except BaseException as exc:
             listener.close()
-            if isinstance(exc, OSError):
+            if isinstance(exc, (OSError, OverflowError)):  # OverflowError: a port outside 0-65535
                 raise PortInUse(f"port {port}: {exc}") from exc
             raise
         self.config = config

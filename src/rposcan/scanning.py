@@ -154,8 +154,7 @@ def _fetch(client, config: ScanConfig, url_text: str, errors: list[str], *,
     does not parse, or whose host fails ``ethics_gate``, ends the fetch before
     anything is sent. The cookies go along only while the origin stays the
     same, and the ``Referer`` stays."""
-    headers = {"Referer": referer} if referer else {}
-    request = HttpRequest(url=url_text, headers=headers, cookies=cookies or {})
+    request = HttpRequest(url=url_text, referer=referer, cookies=cookies or {})
     here: WebUrl | None = None  # request.url parsed, once a redirect needs it
     for _ in range(MAX_REDIRECTS + 1):
         try:

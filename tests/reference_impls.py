@@ -584,9 +584,8 @@ def _sink_echoes(
         for _, value in sorted(request.cookies.items()):
             echoes.append(("echo-cookie", percent_decode(value)))
     if Sink.ECHO_REFERRER in config.sinks:
-        referer = request.headers.get("Referer") or request.headers.get("referer")
-        if referer:
-            echoes.append(("echo-referrer", percent_decode(referer)))
+        if request.referer:
+            echoes.append(("echo-referrer", percent_decode(request.referer)))
     filtered = []
     for css_class, value in echoes:
         kept = _apply_filter(config, value)

@@ -30,15 +30,15 @@ DELAY = 0.020
 
 def test_requests_and_responses_are_immutable_and_share_one_empty_mapping():
     first, second = HttpRequest(url="http://a.test/"), HttpRequest("http://a.test/")
-    assert first.headers is second.headers is first.cookies is second.cookies
+    assert first.cookies is second.cookies
     with pytest.raises(TypeError):
-        first.headers["Referer"] = "http://a.test/x"
-    assert second.headers == {} and second.cookies == {}
+        first.cookies["sid"] = "1"
+    assert second.cookies == {} and second.referer is None
     assert second.method == "GET"
     response = HttpResponse(200, {"Content-Type": "text/css"}, b"")
     for obj, name, value in [
         (first, "url", "http://b.test/"),
-        (first, "headers", {}),
+        (first, "referer", "http://a.test/x"),
         (response, "status", 404),
         (response, "body", b"x"),
     ]:
@@ -214,31 +214,6 @@ def test_client_hands_a_redirect_back_unfollowed():
         response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/start")))
         assert (response.status, response.header("Location"), response.body) == (302, "/next", b"moved")
         assert [line for line, _ in server.seen] == ["GET /start HTTP/1.1"]
-
-
-def test_client_sends_default_headers_then_request_headers_then_cookie():
-    with local_server() as server:
-        client = RequestsClient(timeout=5)
-        response = client.fetch(
-            HttpRequest(
-                url=url_of(server, "/app/page.php/%0A%7B%7D//"),
-                headers={"Referer": "http://ref.test/a?b=%0A", "accept": "text/css"},
-                cookies={"sid": "abc 123", "lang": '"en"', "empty": ""},
-            )
-        )
-        assert response.status == 200
-        assert response.body == b"ok"
-        (line, headers), = server.seen
-        assert line == "GET /app/page.php/%0A%7B%7D// HTTP/1.1"
-        assert headers == [
-            ("Host", f"127.0.0.1:{server.server_address[1]}"),
-            ("User-Agent", "rposcan/0.1"),
-            ("Accept-Encoding", "gzip, deflate"),
-            ("accept", "text/css"),
-            ("Connection", "keep-alive"),
-            ("Referer", "http://ref.test/a?b=%0A"),
-            ("Cookie", 'sid=abc 123; lang="en"; empty='),
-        ]
 
 
 def test_client_does_not_replay_set_cookie():
@@ -761,23 +736,72 @@ def test_client_enforces_the_status_line_and_head_limits(reply, ok):
             assert wait_until(lambda: 0 in server.client_closed)
 
 
-@pytest.mark.parametrize("path, headers", [
-    ("/a b", {}),
-    ("/a\x00b", {}),
-    ("/", {"Referer": "http://a.test/\r\nX-Injected: 1"}),
-    ("/", {"Referer": "http://a.test/\nx"}),
-    ("/", {"Referer": "http://a.test/Ā"}),
-    ("/", {"X-Colon:": "1"}),
-    ("/", {" X-Space": "1"}),
-])
-def test_client_refuses_a_request_it_cannot_send_before_connecting(path, headers):
+def test_client_sends_default_headers_then_request_headers_then_cookie():
+    with scripted_server(OK) as server:
+        response = RequestsClient(timeout=5).fetch(HttpRequest(
+            url=server.url("/app/page.php/%0A%7B%7D//?q=%0A#frag"),
+            referer="http://ref.test/a?b=%0A",
+            cookies={"sid": "abc 123", "lang": '"en"', "empty": ""},
+        ))
+        assert (response.status, response.body) == (200, b"ok")
+        assert server.heads == [
+            b"GET /app/page.php/%0A%7B%7D//?q=%0A HTTP/1.1\r\n"
+            + f"Host: 127.0.0.1:{server.port}\r\n".encode()
+            + b"User-Agent: rposcan/0.1\r\n"
+            b"Accept-Encoding: gzip, deflate\r\n"
+            b"Accept: */*\r\n"
+            b"Connection: keep-alive\r\n"
+            b"Referer: http://ref.test/a?b=%0A\r\n"
+            b'Cookie: sid=abc 123; lang="en"; empty='
+        ]
+
+
+def _refused_before_connecting(path: str, **fields) -> None:
+    """A request for ``path`` with ``fields`` fails and sends nothing; the
+    client then fetches on one new connection."""
     with scripted_server(OK) as server:
         client = RequestsClient(timeout=5)
         with pytest.raises(NetworkError):
-            client.fetch(HttpRequest(server.url(path), headers=headers))
+            client.fetch(HttpRequest(server.url(path), **fields))
         assert client.fetch(HttpRequest(server.url("/after"))).body == b"ok"
         assert server.lines == ["GET /after HTTP/1.1"]
         assert server.connections == 1
+
+
+@pytest.mark.parametrize("path, headers", [
+    ("/a b", {}),
+    ("/a\x00b", {}),
+    ("/", {"referer": "http://a.test/\r\nX-Injected: 1"}),
+    ("/", {"referer": "http://a.test/\nx"}),
+    ("/", {"referer": "http://a.test/Ā"}),
+])
+def test_client_refuses_a_request_it_cannot_send_before_connecting(path, headers):
+    _refused_before_connecting(path, **headers)
+
+
+@pytest.mark.parametrize("cookies", [
+    {"sid": "1\r\nX-Injected: 1"},
+    {"sid\n": "1"},
+    {"sid": "Ā"},
+], ids=["crlf-in-value", "lf-in-name", "not-latin-1"])
+def test_client_refuses_cookies_it_cannot_send_before_connecting(cookies):
+    _refused_before_connecting("/", cookies=cookies)
+
+
+@pytest.mark.parametrize("url", [
+    "http://[::1]:8080/a",
+    "https://[::1]/",
+    "https://bücher.test/",
+    "http://user@127.0.0.1/",
+    "http://127.0.0.1:0/",
+], ids=["ipv6", "ipv6-https", "idna", "userinfo", "port-0"])
+def test_client_refuses_a_url_the_scanner_cannot_write_before_connecting(monkeypatch, url):
+    connects = []
+    monkeypatch.setattr("rposcan.httpclient.socket.create_connection",
+                        lambda *args, **kwargs: connects.append(args))
+    with pytest.raises(NetworkError, match="cannot send"):
+        RequestsClient(timeout=5).fetch(HttpRequest(url))
+    assert connects == []
 
 
 def test_client_fails_a_head_with_bare_line_feeds_where_http_client_read_it():
@@ -795,25 +819,24 @@ class _SentBytes(list):
     "http://example.test/a",
     "https://example.test:443/a?b=1",
     "http://example.test:8443/",
-    "http://[::1]:8080/a",
-    "https://[::1]/",
-    "https://bücher.test/",
 ])
 def test_client_writes_the_host_header_as_http_client_did(url):
     import http.client
 
-    from rposcan.httpclient import _endpoint, _request_head, split_url
+    from rposcan.httpclient import _request_head
+    from rposcan.urls import parse_url
 
-    scheme, authority, target = split_url(url)
-    endpoint = _endpoint(scheme, authority)
-    connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-    conn = connection(*endpoint[1:])
+    parsed = parse_url(url)
+    connection = http.client.HTTPSConnection if parsed.scheme == "https" else http.client.HTTPConnection
+    conn = connection(parsed.host, parsed.port)
     conn.sock = sent = _SentBytes()  # no connect: endheaders writes here
+    target = parsed.path if parsed.query is None else f"{parsed.path}?{parsed.query}"
     conn.putrequest("GET", target, skip_accept_encoding=True)
-    conn.putheader("User-Agent", "rposcan/0.1")
+    for name, value in [("User-Agent", "rposcan/0.1"), ("Accept-Encoding", "gzip, deflate"),
+                        ("Accept", "*/*"), ("Connection", "keep-alive")]:
+        conn.putheader(name, value)
     conn.endheaders()
-    head = _request_head(target, endpoint, {"user-agent": ("User-Agent", "rposcan/0.1")})
-    assert head == b"".join(sent)
+    assert _request_head(parsed, HttpRequest(url)) == b"".join(sent)
 
 
 @pytest.mark.parametrize("reply", [

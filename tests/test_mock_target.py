@@ -40,13 +40,11 @@ from rposcan.scanning import (
     scan_page,
     verify_exploitable,
 )
-from rposcan.urls import MalformedUrl, parse_url, server_view
+from rposcan.urls import MalformedUrl, parse_url, serialize_url, server_view
 
 
-def _get(config, target, cookies=None, headers=None):
-    request = HttpRequest(
-        url="http://mock.test" + target, headers=headers or {}, cookies=cookies or {}
-    )
+def _get(config, target, cookies=None, referer=None):
+    request = HttpRequest(url="http://mock.test" + target, referer=referer, cookies=cookies or {})
     return handle_request(config, request)
 
 
@@ -120,7 +118,7 @@ def test_referrer_echo_sink_decodes_once():
         routing=Routing.PATH_INFO_REWRITE,
         sinks=frozenset({Sink.ECHO_REFERRER}),
     )
-    resp = _get(config, "/app/page.php//", headers={"Referer": "http://x/%7BPAYLOAD%7D"})
+    resp = _get(config, "/app/page.php//", referer="http://x/%7BPAYLOAD%7D")
     assert b"{PAYLOAD}" in resp.body
 
 
@@ -302,12 +300,11 @@ def _targets(draw, config: TargetConfig) -> str:
     _configs().flatmap(lambda config: st.tuples(st.just(config), _targets(config))),
     st.sampled_from(["mock.test", "Mock.Test:8080", "127.0.0.1:81"]),
     st.dictionaries(st.sampled_from(["sid", "lang", "a"]), _TEXT, max_size=3),
-    st.one_of(st.none(), st.tuples(st.sampled_from(["Referer", "referer"]), _TEXT)),
+    st.one_of(st.none(), _TEXT),
 )
 def test_handler_matches_reference_on_any_request(exchange, host, cookies, referer):
     config, target = exchange
-    headers = dict([referer]) if referer else {}
-    request = HttpRequest(url=f"http://{host}{target}", headers=headers, cookies=cookies)
+    request = HttpRequest(url=f"http://{host}{target}", referer=referer, cookies=cookies)
     unresolvable = False
     if config.serve_real_stylesheets:
         try:
@@ -492,6 +489,9 @@ def test_port_in_use():
             serve(config, port=handle.port)
     finally:
         handle.shutdown()
+    for port in (-1, 65536):
+        with pytest.raises(PortInUse, match=f"port {port}: "):
+            serve(config, port=port)
 
 
 def test_loopback_answers_equal_in_process_answers():
@@ -510,6 +510,8 @@ def test_loopback_answers_equal_in_process_answers():
                                recorder, scan_config)
             requests = [exchange.request for exchange in recorder.exchanges]
             assert requests
+            # the client re-parses each URL: it must come back as the scanner wrote it
+            assert all(serialize_url(parse_url(r.url)) == r.url for r in requests)
             requests += [HttpRequest(url=f"http://{origin}//"),
                          HttpRequest(url=f"http://{origin}/{seed.path}")]
             for request in requests:
@@ -592,6 +594,18 @@ def test_server_reads_host_and_cookie_in_any_case():
     assert (status, body) == (200, expected.body)
     assert b'<base href="http://other.test:81/app/">' in body
     assert b"abc1" in body
+
+
+def test_server_reads_a_referer_in_any_case():
+    config = TargetConfig(
+        name="t", routing=Routing.PATH_INFO_REWRITE, sinks=frozenset({Sink.ECHO_REFERRER})
+    )
+    with _raw_connection(config) as (_, sock):
+        status, _, body = _exchange(
+            sock, b"GET /app/page.php HTTP/1.1\r\nHost: mock.test\r\nREFERER: http://ref.test/MARK\r\n\r\n"
+        )
+    assert (status, body) == (200, _get(config, "/app/page.php", referer="http://ref.test/MARK").body)
+    assert b"MARK" in body
 
 
 @pytest.mark.parametrize(
