@@ -4,13 +4,14 @@ The scanner only ever needs ``fetch(request) -> response`` for GET requests;
 everything else (recording, per-host pacing, the real network) stacks around
 that one method so tests can substitute deterministic clients.
 
-A request is what the scanner sends: a URL, an optional Referer and
-cookies. The real network client, ``RequestsClient``, is a small GET client
-with its own HTTP/1.1 reader on raw sockets and a thread-safe keep-alive pool;
-rposcan has no runtime dependency. It reads each URL with ``urls.parse_url``,
-so a URL the scanner could not have written fails before any connect. A body
-longer than ``MAX_BODY_BYTES``, on the wire or decoded, fails the fetch, and
-``timeout`` bounds the whole fetch. Every fetch depends only on its
+A request is what the scanner sends: the ``WebUrl`` it built, an optional
+Referer and cookies. The real network client, ``RequestsClient``, is a small
+GET client with its own HTTP/1.1 reader on raw sockets and a thread-safe
+keep-alive pool; rposcan has no runtime dependency. It writes the request
+head from the request's ``WebUrl`` and reads no URL string; it checks only
+the bytes it writes, so a head it could not send fails before any connect. A
+body longer than ``MAX_BODY_BYTES``, on the wire or decoded, fails the fetch,
+and ``timeout`` bounds the whole fetch. Every fetch depends only on its
 ``HttpRequest``: no cookie jar, no ``.netrc``, no proxy, no retry, and a
 redirect comes back as it was answered.
 
@@ -33,7 +34,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .urls import MalformedUrl, WebUrl, parse_url
+from .urls import DEFAULT_PORT, WebUrl, host_key, serialize_url
 
 
 class NetworkError(Exception):
@@ -44,10 +45,14 @@ _EMPTY: Mapping[str, str] = MappingProxyType({})
 
 
 class HttpRequest(NamedTuple):
-    url: str
+    web_url: WebUrl
     method: str = "GET"
     referer: str | None = None
     cookies: Mapping[str, str] = _EMPTY
+
+    @property
+    def url(self) -> str:
+        return serialize_url(self.web_url)
 
 
 class HttpResponse(NamedTuple):
@@ -115,7 +120,7 @@ class RateLimitedClient:
             return self._host_locks[host]
 
     def fetch(self, request: HttpRequest) -> HttpResponse:
-        host = host_key(request.url)
+        host = host_key(request.web_url)
         with self._lock_for(host):
             now = time.monotonic()
             slot = max(now, self._next_slot.get(host, now))
@@ -143,36 +148,9 @@ _DEFAULT_FIELDS = (
     "Accept: */*\r\nConnection: keep-alive\r\n"
 )
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
-
-
-_DEFAULT_PORT = {"http": ":80", "https": ":443"}
-
-
-def split_url(url: str) -> tuple[str, str, str]:
-    """(scheme, authority, target) of an absolute http(s) URL: the scheme and
-    ``host[:port]`` lower-cased with any userinfo dropped, and the path and
-    query as written, without the fragment (``/`` when the path is empty)."""
-    scheme, sep, rest = url.partition("://")
-    scheme = scheme.lower()
-    if not sep or scheme not in ("http", "https"):
-        raise NetworkError(f"not an absolute http(s) URL: {url!r}")
-    cut = len(rest)
-    for mark in "/?#":
-        found = rest.find(mark, 0, cut)
-        if found != -1:
-            cut = found
-    target = rest[cut:].partition("#")[0]
-    if not target.startswith("/"):
-        target = "/" + target
-    return scheme, rest[:cut].rpartition("@")[2].lower(), target
-
-
-def host_key(url: str) -> str:
-    """The ``host[:port]`` a fetch of ``url`` connects to, without the
-    scheme's default port: the unit of politeness, so a request is paced by
-    the host it reaches however its URL writes the port."""
-    scheme, authority, _ = split_url(url)
-    return authority.removesuffix(_DEFAULT_PORT[scheme])
+# a byte that the request line or Host must not hold: a space, a control
+# character or anything outside ASCII
+_UNSENDABLE = re.compile(r"[^\x21-\x7e]").search
 
 
 def _dropped(sock) -> bool:
@@ -254,14 +232,15 @@ def _field(name: str, value: str) -> str:
     return f"{name}: {value}\r\n"
 
 
-def _request_head(url: WebUrl, request: HttpRequest) -> bytes:
-    """The request line, ``Host`` (the port only when not the scheme's
-    default), the default headers, then ``Referer`` and one ``Cookie`` header
-    when the request has them. A Referer or cookie with CR or LF, or outside
-    Latin-1, raises ``NetworkError``."""
-    host = url.host if url.port is None else f"{url.host}:{url.port}"
-    host = host.removesuffix(_DEFAULT_PORT[url.scheme])
-    target = url.path if url.query is None else f"{url.path}?{url.query}"
+def _request_head(request: HttpRequest) -> bytes:
+    """The request line, ``Host`` (``urls.host_key``), the default headers,
+    then ``Referer`` and one ``Cookie`` header when the request has them. A
+    host or target with a space, a control character or a non-ASCII
+    character, or a Referer or cookie with CR or LF or outside Latin-1,
+    raises ``NetworkError``."""
+    host, target = host_key(request.web_url), request.web_url.target
+    if _UNSENDABLE(host) or _UNSENDABLE(target):
+        raise NetworkError(f"cannot send {host!r} {target!r}: a space, control or non-ASCII character")
     head = f"GET {target} HTTP/1.1\r\nHost: {host}\r\n{_DEFAULT_FIELDS}"
     if request.referer:
         head += _field("Referer", request.referer)
@@ -401,16 +380,16 @@ class RequestsClient:
     HTTP/1.1 reader on raw sockets and a keep-alive pool shared by every
     thread that uses it.
 
-    The URL is read with ``urls.parse_url``: one it refuses (userinfo, an
-    IPv6 literal, a non-ASCII host, a bad port, a space or control character)
-    raises ``NetworkError`` before any connect. The head is the request line
-    with the URL's path and query as written (never the fragment), ``Host``
-    (the port only when not the scheme's default), ``User-Agent:
-    USER_AGENT``, ``Accept-Encoding: gzip, deflate``, ``Accept: */*`` and
-    ``Connection: keep-alive``, then ``Referer`` when the request has one,
-    then the cookies as one ``Cookie: n1=v1; n2=v2`` header in dict order,
-    unquoted. A Referer or cookie with CR or LF, or outside Latin-1, raises
-    ``NetworkError`` before anything is sent.
+    The head is written from the request's ``WebUrl``, read no further: the
+    request line with its path and query as written (never the fragment),
+    ``Host`` (``urls.host_key``: the port only when not the scheme's
+    default), ``User-Agent: USER_AGENT``, ``Accept-Encoding: gzip, deflate``,
+    ``Accept: */*`` and ``Connection: keep-alive``, then ``Referer`` when the
+    request has one, then the cookies as one ``Cookie: n1=v1; n2=v2`` header
+    in dict order, unquoted. Only the bytes written are checked: a host or
+    target with a space, a control character or a non-ASCII character, or a
+    Referer or cookie with CR or LF or outside Latin-1, raises
+    ``NetworkError`` before any connect.
 
     The response is read as HTTP/1.1 with ``http.client``'s limits (65536
     bytes per line, 99 headers): interim 1xx responses are skipped, a
@@ -507,12 +486,9 @@ class RequestsClient:
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             raise NetworkError(f"only GET is supported, not {request.method}")
-        try:
-            url = parse_url(request.url)
-        except MalformedUrl as exc:
-            raise NetworkError(f"cannot send {request.url!r}: {exc}") from None
-        endpoint = (url.scheme, url.host, url.port or (443 if url.scheme == "https" else 80))
-        response = self._exchange(endpoint, _request_head(url, request), time.monotonic() + self._timeout)
+        url = request.web_url
+        endpoint = (url.scheme, url.host, url.port or DEFAULT_PORT[url.scheme])
+        response = self._exchange(endpoint, _request_head(request), time.monotonic() + self._timeout)
         encodings = response.header("Content-Encoding")
         if not encodings:
             return response

@@ -29,13 +29,14 @@ import selectors
 import socket
 import sys
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from http import HTTPStatus
 from urllib.parse import quote
 
-from .httpclient import HttpRequest, HttpResponse, NetworkError, host_key, split_url
+from .httpclient import HttpRequest, HttpResponse, NetworkError
 from .jsonform import from_json_form, load
 from .mutations import (
     MutationTechnique,
@@ -43,7 +44,6 @@ from .mutations import (
     expand_stylesheet_targets,
     mutate,
 )
-from .pages import is_relative_href
 from .rendering import (
     ATTACKER_ORIGIN,
     BrowserProfile,
@@ -56,6 +56,8 @@ from .scanning import NotVulnerableReason, ScanStatus
 from .urls import (
     WebUrl,
     _remove_dot_segments,
+    host_key,
+    is_relative_href,
     parse_url,
     percent_decode,
     resolve_relative,
@@ -257,10 +259,11 @@ _REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
 _CSS_BODY = b"body { margin: 0; }\n"
 
 
-def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
-    """Byte-deterministic response for a GET request against this config."""
+def handle_request(config: TargetConfig, authority: str, raw_target: str,
+                   cookies: Mapping[str, str], referer: str | None) -> HttpResponse:
+    """Byte-deterministic response for a GET request against this config,
+    given its ``Host`` and request target as sent."""
     plan = config.plan
-    _, authority, raw_target = split_url(request.url)
     raw_path, mark, raw_query = raw_target.partition("?")
     decoded = percent_decode(raw_target)
     if plan.refused_bytes and any(byte in decoded for byte in plan.refused_bytes):
@@ -281,10 +284,10 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
             for _, value in query_pairs:
                 echoes.append(plan.echo_line("echo-query", value))
         if plan.echo_cookie:
-            for _, value in sorted(request.cookies.items()):
+            for _, value in sorted(cookies.items()):
                 echoes.append(plan.echo_line("echo-cookie", percent_decode(value)))
-        if plan.echo_referrer and request.referer:
-            echoes.append(plan.echo_line("echo-referrer", percent_decode(request.referer)))
+        if plan.echo_referrer and referer:
+            echoes.append(plan.echo_line("echo-referrer", percent_decode(referer)))
         echoed = "".join(echoes)
     else:
         status, (before, after) = 404, plan.error_markup
@@ -353,9 +356,8 @@ def _answer(config: TargetConfig, head: bytes) -> tuple[bytes, bool]:
         if "=" in part:
             name, _, value = part.strip().partition("=")
             cookies[name] = value
-    request = HttpRequest(url=f"http://{host}{target}", referer=referer, cookies=cookies)
     try:
-        response = handle_request(config, request)
+        response = handle_request(config, host, target, cookies, referer)
     except Exception:  # a broken config must not stop the server
         sys.excepthook(*sys.exc_info())  # the traceback to stderr
         return _refusal(500)
@@ -467,7 +469,8 @@ def serve(config: TargetConfig, port: int = 0) -> MockServer:
 
 
 class InProcessClient:
-    """Client that answers from configs directly, keyed by host[:port]."""
+    """Client that answers from configs directly, keyed by ``urls.host_key``:
+    each config sees the ``Host`` and target ``RequestsClient`` would send."""
 
     def __init__(self, hosts: dict[str, TargetConfig]) -> None:
         self._hosts = hosts
@@ -475,10 +478,12 @@ class InProcessClient:
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.method != "GET":
             raise NetworkError(f"only GET is supported, not {request.method}")
-        config = self._hosts.get(host_key(request.url))
+        url = request.web_url
+        authority = host_key(url)
+        config = self._hosts.get(authority)
         if config is None:
             raise NetworkError(f"unknown mock host in {request.url}")
-        return handle_request(config, request)
+        return handle_request(config, authority, url.target, request.cookies, request.referer)
 
 
 # --- ground truth ---

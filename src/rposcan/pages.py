@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 from html import unescape
 from typing import NamedTuple
 
-from .urls import WebUrl
+from .urls import WebUrl, host_key, is_relative_href
 
-_SCHEME_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _DIGIT_RUN_RE = re.compile(r"[0-9]{3,}")
 
 
@@ -61,12 +60,6 @@ class PageDocument:
     @property
     def relative_refs(self) -> list[str]:
         return [ref.href for ref in self.stylesheet_refs if ref.relative]
-
-
-def is_relative_href(href: str) -> bool:
-    if _SCHEME_PREFIX_RE.match(href):
-        return False
-    return not href.startswith("/")  # covers both "//host" and root-relative
 
 
 # Tag pieces as the HTML5 tokenizer reads them: only ASCII whitespace
@@ -221,10 +214,10 @@ def _abstract_query(query: str) -> str:
 
 
 def abstract_url(url: WebUrl) -> str:
-    """Collapse per-instance identifiers so template siblings group together."""
-    netloc = url.host if url.port is None else f"{url.host}:{url.port}"
+    """Collapse per-instance identifiers so template siblings group together,
+    under ``host_key``'s authority whether a default port is written or not."""
     path = "/" + "/".join(_abstract_segment(seg) for seg in url.path_segments)
-    abstract = netloc + path
+    abstract = host_key(url) + path
     if url.query is not None:
         abstract += "?" + _abstract_query(url.query)
     return abstract

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
 
-from .httpclient import RateLimitedClient, RequestsClient, host_key
+from .httpclient import RateLimitedClient, RequestsClient
 from .jsonform import BadInput, from_json_form
 from .mutations import MutationTechnique
 from .pages import group_candidates, abstract_url
 from .rendering import Engine
 from .scanning import ScanConfig, ScanStatus, ScanVerdict, ethics_gate, scan_page, verify_exploitable
-from .urls import MalformedUrl, WebUrl, parse_url, registrable_domain, serialize_url
+from .urls import MalformedUrl, WebUrl, host_key, parse_url, registrable_domain, serialize_url
 
 
 @dataclass
@@ -162,7 +162,7 @@ def run_scan(
             prelim.append(ScanRecord(url=text, site=site, template=template,
                                      status="ethics_blocked", reason="blocked_suffix"))
         else:
-            to_scan.setdefault(host_key(text), []).append((url, template))
+            to_scan.setdefault(host_key(url), []).append((url, template))
 
     if base_client is None:
         base_client = RequestsClient(timeout=config.request_timeout)

@@ -51,7 +51,7 @@ from .rendering import (
     framing_allowed,
     stylesheet_accepted,
 )
-from .urls import MalformedUrl, WebUrl, parse_url, resolve_relative, serialize_url
+from .urls import MalformedUrl, WebUrl, resolve_relative, serialize_url
 
 DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
 
@@ -144,18 +144,17 @@ def ethics_gate(url: WebUrl, config: ScanConfig) -> bool:
     return not ("." + url.host.lower().rstrip(".")).endswith(config.blocked_suffixes)
 
 
-def _fetch(client, config: ScanConfig, url_text: str, errors: list[str], *,
+def _fetch(client, config: ScanConfig, url: WebUrl, errors: list[str], *,
            referer: str | None = None, cookies: dict[str, str] | None = None) -> HttpResponse | None:
-    """The response to a GET of ``url_text``, redirects followed, or None with
-    the reason appended to ``errors``.
+    """The response to a GET of ``url``, redirects followed, or None with the
+    reason appended to ``errors``.
 
     Each hop is one ``client.fetch``, up to ``MAX_REDIRECTS`` of them. Its URL
     is the ``Location`` resolved as a browser resolves a reference; one that
     does not parse, or whose host fails ``ethics_gate``, ends the fetch before
     anything is sent. The cookies go along only while the origin stays the
     same, and the ``Referer`` stays."""
-    request = HttpRequest(url=url_text, referer=referer, cookies=cookies or {})
-    here: WebUrl | None = None  # request.url parsed, once a redirect needs it
+    request = HttpRequest(url, referer=referer, cookies=cookies or {})
     for _ in range(MAX_REDIRECTS + 1):
         try:
             response = client.fetch(request)
@@ -165,8 +164,8 @@ def _fetch(client, config: ScanConfig, url_text: str, errors: list[str], *,
         location = response.status in _REDIRECT_STATUSES and response.header("Location")
         if not location:
             return response
+        here = request.web_url
         try:
-            here = here or parse_url(request.url)
             hop = resolve_relative(here, quote(location, safe=_LOCATION_SAFE))
         except MalformedUrl as exc:
             errors.append(f"{request.url}: redirect not followed: {exc}")
@@ -175,8 +174,8 @@ def _fetch(client, config: ScanConfig, url_text: str, errors: list[str], *,
             errors.append(f"{request.url}: redirect to blocked host {hop.host} not followed")
             return None
         cookies = request.cookies if hop.origin == here.origin else {}
-        request, here = request._replace(url=serialize_url(hop), cookies=cookies), hop
-    errors.append(f"{url_text}: more than MAX_REDIRECTS ({MAX_REDIRECTS}) redirects")
+        request = request._replace(web_url=hop, cookies=cookies)
+    errors.append(f"{serialize_url(url)}: more than MAX_REDIRECTS ({MAX_REDIRECTS}) redirects")
     return None
 
 
@@ -195,10 +194,9 @@ def _reflecting_sheet(
     first one whose body reflects the nonce, with its URL; None when none
     does."""
     for sheet in expand_stylesheet_targets(mutated, relative_refs):
-        sheet_url = serialize_url(sheet)
-        response = _fetch(client, config, sheet_url, errors, referer=page_url, cookies=cookies)
+        response = _fetch(client, config, sheet, errors, referer=page_url, cookies=cookies)
         if response is not None and find_reflection(response.body, nonce):
-            return sheet_url, response
+            return serialize_url(sheet), response
     return None
 
 
@@ -232,8 +230,7 @@ def scan_page(
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, cookies)
             request_cookies = {**cookies, **mutated.extra_cookies}
-            page_url = serialize_url(mutated.url)
-            page_resp = _fetch(client, config, page_url, errors, cookies=request_cookies)
+            page_resp = _fetch(client, config, mutated.url, errors, cookies=request_cookies)
             if page_resp is None:
                 continue  # no answer counts as refused: try the next newline
             fetched_anything = True
@@ -244,6 +241,7 @@ def scan_page(
             relative_refs = doc.relative_refs
             if relative_refs:
                 saw_relative_refs = True
+                page_url = serialize_url(mutated.url)
                 hit = _reflecting_sheet(
                     client, config, mutated, page_url, relative_refs, request_cookies, nonce, errors
                 )
@@ -347,8 +345,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = list(verdict.errors)  # the input verdict stays as it was
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_url = serialize_url(mutated.url)
-    page_resp = _fetch(client, config, page_url, errors, cookies=request_cookies)
+    page_resp = _fetch(client, config, mutated.url, errors, cookies=request_cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return replace(verdict, errors=errors)
@@ -357,7 +354,8 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     base_present = has_blocking_base(doc)
 
     hit = _reflecting_sheet(
-        client, config, mutated, page_url, doc.relative_refs, request_cookies, verdict.nonce, errors
+        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
+        verdict.nonce, errors
     )
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra

@@ -73,6 +73,11 @@ class WebUrl(_WebUrlFields):
         return "/" + "/".join(self.path_segments)
 
     @property
+    def target(self) -> str:
+        """The path and query, as a request line carries them."""
+        return self.path if self.query is None else f"{self.path}?{self.query}"
+
+    @property
     def origin(self) -> str:
         if self.port is None:
             return f"{self.scheme}://{self.host}"
@@ -80,6 +85,18 @@ class WebUrl(_WebUrlFields):
 
     def __str__(self) -> str:
         return serialize_url(self)
+
+
+DEFAULT_PORT = {"http": 80, "https": 443}
+
+
+def host_key(url: WebUrl) -> str:
+    """The ``host[:port]`` a fetch of ``url`` reaches, the port only when it
+    is not the scheme's default: the ``Host`` a request carries and the unit
+    of politeness, however the URL writes the port."""
+    if url.port is None or url.port == DEFAULT_PORT[url.scheme]:
+        return url.host
+    return f"{url.host}:{url.port}"
 
 
 def _check_chars(text: str, allowed: frozenset[str], what: str) -> None:
@@ -201,6 +218,13 @@ def percent_decode(text: str) -> str:
 
 
 _ILLEGAL_REFERENCE_CHAR_RE = re.compile(r'[\x00-\x20<>"]')
+
+
+def is_relative_href(href: str) -> bool:
+    """True for a reference that ``resolve_relative`` merges with the base
+    directory: no scheme, and no leading ``/`` (which covers both ``//host``
+    and root-relative references)."""
+    return _SCHEME_RE.match(href) is None and not href.startswith("/")
 
 
 def browser_base_directory(url: WebUrl) -> str:

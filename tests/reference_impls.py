@@ -46,7 +46,7 @@ from rposcan.css_recovery import (
     URL,
     WS,
 )
-from rposcan.httpclient import HttpRequest, HttpResponse, split_url
+from rposcan.httpclient import HttpResponse
 from rposcan.mock_target import (
     _REFUSED_BYTES,
     _SANITIZE_RE,
@@ -57,12 +57,13 @@ from rposcan.mock_target import (
     TargetConfig,
 )
 from rposcan.mutations import mutate
-from rposcan.pages import PageDocument, StylesheetRef, has_blocking_base, is_relative_href
+from rposcan.pages import PageDocument, StylesheetRef, has_blocking_base
 from rposcan.payloads import build_exploit_payload, encode_exploit
 from rposcan.rendering import ResponseSecurity
 from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
 from rposcan.urls import (
     _remove_dot_segments,
+    is_relative_href,
     parse_url,
     percent_decode,
     resolve_relative,
@@ -446,9 +447,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
     request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_resp = scanning._fetch(
-        client, config, serialize_url(mutated.url), errors, cookies=request_cookies
-    )
+    page_resp = scanning._fetch(client, config, mutated.url, errors, cookies=request_cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return verdict
@@ -571,9 +570,8 @@ def _apply_filter(config: TargetConfig, value: str) -> str | None:
 
 
 def _sink_echoes(
-    config: TargetConfig, request: HttpRequest, query_pairs: list[tuple[str, str]]
+    config: TargetConfig, raw_target: str, cookies, referer, query_pairs: list[tuple[str, str]]
 ) -> list[tuple[str, str]]:
-    raw_target = _raw_target_of(request.url)
     echoes: list[tuple[str, str]] = []
     if Sink.ECHO_URL in config.sinks:
         echoes.append(("echo-url", percent_decode(raw_target)))
@@ -581,23 +579,17 @@ def _sink_echoes(
         for _, value in query_pairs:
             echoes.append(("echo-query", value))
     if Sink.ECHO_COOKIE_VALUES in config.sinks:
-        for _, value in sorted(request.cookies.items()):
+        for _, value in sorted(cookies.items()):
             echoes.append(("echo-cookie", percent_decode(value)))
     if Sink.ECHO_REFERRER in config.sinks:
-        if request.referer:
-            echoes.append(("echo-referrer", percent_decode(request.referer)))
+        if referer:
+            echoes.append(("echo-referrer", percent_decode(referer)))
     filtered = []
     for css_class, value in echoes:
         kept = _apply_filter(config, value)
         if kept is not None:
             filtered.append((css_class, kept))
     return filtered
-
-
-def _raw_target_of(url: str) -> str:
-    rest = url.split("://", 1)[1] if "://" in url else url
-    slash = rest.find("/")
-    return rest[slash:].partition("#")[0] if slash != -1 else "/"
 
 
 def _head_lines(config: TargetConfig, origin: str) -> list[str]:
@@ -616,29 +608,28 @@ def _ref_lines(config: TargetConfig) -> list[str]:
     return [f'<link rel="stylesheet" href="{ref}">' for ref in config.stylesheet_refs]
 
 
-def _page_body(config: TargetConfig, request: HttpRequest, query_pairs) -> bytes:
-    origin = "http://" + split_url(request.url)[1]
-    lines = _head_lines(config, origin)
+def _page_body(config: TargetConfig, authority: str, raw_target: str, cookies, referer,
+               query_pairs) -> bytes:
+    lines = _head_lines(config, "http://" + authority)
     lines.extend(_ref_lines(config))
     lines.append("</head>")
     lines.append("<body>")
     lines.append("<h1>mock page</h1>")
-    for css_class, value in _sink_echoes(config, request, query_pairs):
+    for css_class, value in _sink_echoes(config, raw_target, cookies, referer, query_pairs):
         lines.append(f'<p class="{css_class}">{value}</p>')
     lines.append("</body></html>")
     return "\n".join(lines).encode("latin-1", errors="replace")
 
 
-def _error_body(config: TargetConfig, request: HttpRequest) -> bytes:
-    origin = "http://" + split_url(request.url)[1]
-    lines = _head_lines(config, origin)
+def _error_body(config: TargetConfig, authority: str, raw_target: str) -> bytes:
+    lines = _head_lines(config, "http://" + authority)
     if config.error_page_has_refs:
         lines.extend(_ref_lines(config))
     lines.append("</head>")
     lines.append("<body>")
     lines.append("<h1>404 Not Found</h1>")
     if config.error_page_echoes_url:
-        echoed = _apply_filter(config, percent_decode(_raw_target_of(request.url)))
+        echoed = _apply_filter(config, percent_decode(raw_target))
         if echoed is not None:
             lines.append(f'<p class="echo-url">{echoed}</p>')
     lines.append("</body></html>")
@@ -667,9 +658,10 @@ def _refuses(config: TargetConfig, raw_target: str) -> bool:
     return any(byte in decoded for byte in refused)
 
 
-def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
-    """Byte-deterministic response for a GET request against this config."""
-    raw_target = _raw_target_of(request.url)
+def handle_request(config: TargetConfig, authority: str, raw_target: str, cookies,
+                   referer: str | None) -> HttpResponse:
+    """Byte-deterministic response for a GET request against this config,
+    given its ``Host`` and request target as sent."""
     headers = _security_headers(config)
     if _refuses(config, raw_target):
         headers["Content-Type"] = "text/html; charset=utf-8"
@@ -680,5 +672,6 @@ def handle_request(config: TargetConfig, request: HttpRequest) -> HttpResponse:
         return HttpResponse(200, headers, b"body { margin: 0; }\n")
     headers["Content-Type"] = "text/html; charset=utf-8"
     if kind == "page":
-        return HttpResponse(200, headers, _page_body(config, request, query_pairs))
-    return HttpResponse(404, headers, _error_body(config, request))
+        return HttpResponse(200, headers, _page_body(config, authority, raw_target, cookies, referer,
+                                                     query_pairs))
+    return HttpResponse(404, headers, _error_body(config, authority, raw_target))

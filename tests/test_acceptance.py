@@ -15,7 +15,7 @@ from urllib.parse import quote
 import pytest
 
 from rposcan.css_recovery import css_would_fire, token_trace
-from rposcan.httpclient import RateLimitedClient, RecordingClient, RequestsClient, host_key
+from rposcan.httpclient import RateLimitedClient, RecordingClient, RequestsClient
 from rposcan.mock_target import fixture_matrix, serve, verdict_matches_truth
 from rposcan.mutations import MutationTechnique, expand_stylesheet_targets, mutate
 from rposcan.payloads import NewlineVariant, build_reflection_payload, generate_nonce
@@ -39,6 +39,7 @@ from rposcan.scanning import (
 from rposcan.urls import (
     WebUrl,
     browser_base_directory,
+    host_key,
     parse_url,
     resolve_relative,
     serialize_url,
@@ -285,7 +286,7 @@ def test_criterion_7_safety_contract(matrix_run):
 
         per_host: dict[str, list] = {}
         for x in exchanges:
-            per_host.setdefault(host_key(x.request.url), []).append(x)
+            per_host.setdefault(host_key(x.request.web_url), []).append(x)
         short_gaps = [
             (host, before.request.url, after.request.url,
              round((after.timestamp - before.timestamp) * 1000, 3))
@@ -297,5 +298,5 @@ def test_criterion_7_safety_contract(matrix_run):
 
         blocked = ScanConfig().blocked_suffixes
         for x in exchanges:
-            host = host_key(x.request.url).split(":")[0]
+            host = host_key(x.request.web_url).split(":")[0]
             assert not any(host.endswith(suffix) for suffix in blocked)

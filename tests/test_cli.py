@@ -262,7 +262,7 @@ def test_mock_serve_cli():
         deadline = time.monotonic() + 5
         while True:
             try:
-                resp = client.fetch(HttpRequest(url=f"http://127.0.0.1:{port}/app/page.php/x//"))
+                resp = client.fetch(HttpRequest(parse_url(f"http://127.0.0.1:{port}/app/page.php/x//")))
                 break
             except NetworkError:
                 if time.monotonic() > deadline:

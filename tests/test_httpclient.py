@@ -24,12 +24,13 @@ from rposcan.httpclient import (
     RequestsClient,
 )
 from rposcan.httpclient import MAX_IDLE_ORIGINS
+from rposcan.urls import WebUrl, parse_url
 
 DELAY = 0.020
 
 
 def test_requests_and_responses_are_immutable_and_share_one_empty_mapping():
-    first, second = HttpRequest(url="http://a.test/"), HttpRequest("http://a.test/")
+    first, second = HttpRequest(parse_url("http://a.test/")), HttpRequest(parse_url("http://a.test/"))
     assert first.cookies is second.cookies
     with pytest.raises(TypeError):
         first.cookies["sid"] = "1"
@@ -37,6 +38,7 @@ def test_requests_and_responses_are_immutable_and_share_one_empty_mapping():
     assert second.method == "GET"
     response = HttpResponse(200, {"Content-Type": "text/css"}, b"")
     for obj, name, value in [
+        (first, "web_url", parse_url("http://b.test/")),
         (first, "url", "http://b.test/"),
         (first, "referer", "http://a.test/x"),
         (response, "status", 404),
@@ -45,6 +47,7 @@ def test_requests_and_responses_are_immutable_and_share_one_empty_mapping():
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
     assert response.header("content-type") == "text/css"
+    assert first.url == "http://a.test/"  # the string form, derived from web_url
 
 
 class _FailingClient:
@@ -54,7 +57,7 @@ class _FailingClient:
 
 def test_recording_client_records_a_failed_fetch_without_response():
     recording = RecordingClient(_FailingClient())
-    request = HttpRequest(url="http://a.test/")
+    request = HttpRequest(parse_url("http://a.test/"))
     with pytest.raises(NetworkError):
         recording.fetch(request)
     [exchange] = recording.exchanges
@@ -68,7 +71,7 @@ class _NotFoundClient:
 
 def test_recording_client_logs_the_status_and_no_body():
     recording = RecordingClient(_NotFoundClient())
-    request = HttpRequest(url="http://a.test/")
+    request = HttpRequest(parse_url("http://a.test/"))
     assert recording.fetch(request).body == b"not found"
     [exchange] = recording.exchanges
     assert exchange.request == request and exchange.status == 404
@@ -115,7 +118,7 @@ def test_rate_limiter_spaces_actual_sends_despite_oversleep(monkeypatch):
     inner = TimedClient(clock, costs)
     client = RateLimitedClient(inner, DELAY)
     for i in range(len(costs)):
-        client.fetch(HttpRequest(url=f"http://one.test/page{i}"))
+        client.fetch(HttpRequest(parse_url(f"http://one.test/page{i}")))
     gaps = [after - before for before, after in zip(inner.sends, inner.sends[1:])]
     assert len(gaps) == len(costs) - 1
     assert min(gaps) >= DELAY - 1e-9, gaps
@@ -125,14 +128,14 @@ def test_rate_limiter_paces_by_the_host_the_client_connects_to(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr("rposcan.httpclient.time.monotonic", clock.monotonic)
     monkeypatch.setattr("rposcan.httpclient.time.sleep", clock.sleep)
-    inner = TimedClient(clock, [0.0, 0.0, 0.0, 0.0])
+    inner = TimedClient(clock, [0.0, 0.0, 0.0])
     client = RateLimitedClient(inner, 0.200)
-    # userinfo, case, a fragment and the default port written out do not
-    # change the host these reach
-    for url in ("http://u@h.test/a", "http://h.test/b", "http://H.test#x/c", "http://h.test:80/d"):
-        client.fetch(HttpRequest(url=url))
+    # case, a fragment and the default port written out do not change the
+    # host these reach
+    for url in ("http://h.test/b", "http://H.test#x/c", "http://h.test:80/d"):
+        client.fetch(HttpRequest(parse_url(url)))
     gaps = [after - before for before, after in zip(inner.sends, inner.sends[1:])]
-    assert len(gaps) == 3
+    assert len(gaps) == 2
     assert min(gaps) >= 0.200 - 1e-9, gaps
 
 
@@ -197,21 +200,21 @@ def local_server(handler=RecordingHandler, respond=lambda h: (200, [], b"ok")):
         thread.join()
 
 
-def url_of(server, path: str = "/") -> str:
-    return f"http://127.0.0.1:{server.server_address[1]}{path}"
+def url_of(server, path: str = "/") -> WebUrl:
+    return parse_url(f"http://127.0.0.1:{server.server_address[1]}{path}")
 
 
 def test_client_hang_up_is_one_connection_and_network_error():
     with local_server(HangUpHandler) as server:
         with pytest.raises(NetworkError):
-            RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/page")))
+            RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/page")))
         assert server.connections == 1
 
 
 def test_client_hands_a_redirect_back_unfollowed():
     respond = lambda h: (302, [("Location", "/next")], b"moved")  # noqa: E731
     with local_server(respond=respond) as server:
-        response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/start")))
+        response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/start")))
         assert (response.status, response.header("Location"), response.body) == (302, "/next", b"moved")
         assert [line for line, _ in server.seen] == ["GET /start HTTP/1.1"]
 
@@ -220,9 +223,9 @@ def test_client_does_not_replay_set_cookie():
     respond = lambda h: (200, [("Set-Cookie", "session=1; Path=/")], b"")  # noqa: E731
     with local_server(respond=respond) as server:
         client = RequestsClient(timeout=5)
-        client.fetch(HttpRequest(url=url_of(server, "/first")))
-        client.fetch(HttpRequest(url=url_of(server, "/second"), cookies={"a": "1"}))
-        client.fetch(HttpRequest(url=url_of(server, "/third")))
+        client.fetch(HttpRequest(url_of(server, "/first")))
+        client.fetch(HttpRequest(url_of(server, "/second"), cookies={"a": "1"}))
+        client.fetch(HttpRequest(url_of(server, "/third")))
         cookies = [dict(headers).get("Cookie") for _, headers in server.seen]
         assert cookies == [None, "a=1", None]
 
@@ -231,7 +234,7 @@ def test_client_decodes_gzip_body():
     body = b"body { margin: 0; }\n" * 10
     respond = lambda h: (200, [("Content-Encoding", "gzip")], gzip.compress(body))  # noqa: E731
     with local_server(respond=respond) as server:
-        response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/s.css")))
+        response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/s.css")))
         assert response.body == body
         assert response.header("content-encoding") == "gzip"
 
@@ -246,7 +249,7 @@ def test_client_ignores_proxy_variables_and_connects_direct(monkeypatch):
         monkeypatch.delenv("no_proxy", raising=False)
         monkeypatch.delenv("NO_PROXY", raising=False)
         with local_server() as server:
-            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/page")))
+            response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/page")))
             assert response.body == b"ok"
             assert [line for line, _ in server.seen] == ["GET /page HTTP/1.1"]
 
@@ -256,9 +259,9 @@ def test_client_refuses_non_get_before_connecting():
         client = RequestsClient(timeout=5)
         for method in ("POST", "HEAD", "PUT"):
             with pytest.raises(NetworkError):
-                client.fetch(HttpRequest(url=url_of(server, "/form"), method=method))
+                client.fetch(HttpRequest(url_of(server, "/form"), method=method))
         assert server.connections == 0
-        client.fetch(HttpRequest(url=url_of(server, "/after")))
+        client.fetch(HttpRequest(url_of(server, "/after")))
         assert server.connections == 1
         assert [line for line, _ in server.seen] == ["GET /after HTTP/1.1"]
 
@@ -285,7 +288,7 @@ def open_connections(server) -> int:
 ])
 def test_client_sends_the_target_as_written_without_fragment(path, on_the_wire):
     with local_server() as server:
-        RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, path)))
+        RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, path)))
         assert [line for line, _ in server.seen] == [f"GET {on_the_wire} HTTP/1.1"]
 
 
@@ -295,7 +298,7 @@ def test_client_decodes_deflate_body_zlib_wrapped_or_raw():
     for encoded in (zlib.compress(body), raw.compress(body) + raw.flush()):
         respond = lambda h, e=encoded: (200, [("Content-Encoding", "deflate")], e)  # noqa: E731
         with local_server(respond=respond) as server:
-            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url_of(server, "/s.css")))
+            response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/s.css")))
             assert response.body == body
 
 
@@ -305,11 +308,11 @@ def test_client_pool_closes_least_recently_used_origin_past_the_limit():
         servers = [stack.enter_context(local_server()) for _ in range(MAX_IDLE_ORIGINS + 2)]
         client = RequestsClient(timeout=5)
         for server in servers:
-            client.fetch(HttpRequest(url=url_of(server, "/")))
+            client.fetch(HttpRequest(url_of(server, "/")))
         # the two least recently used origins lose their idle connection
         assert wait_until(lambda: [open_connections(s) for s in servers] == [0, 0] + [1] * 10)
-        client.fetch(HttpRequest(url=url_of(servers[2], "/again")))  # reused: now the newest
-        client.fetch(HttpRequest(url=url_of(servers[0], "/again")))  # new: closes servers[3]'s
+        client.fetch(HttpRequest(url_of(servers[2], "/again")))  # reused: now the newest
+        client.fetch(HttpRequest(url_of(servers[0], "/again")))  # new: closes servers[3]'s
         assert [s.connections for s in servers] == [2, 1] + [1] * 10
         expected = [1, 0, 1, 0] + [1] * 8
         assert wait_until(lambda: [open_connections(s) for s in servers] == expected)
@@ -322,9 +325,9 @@ def test_client_replaces_an_idle_connection_the_peer_closed():
 
     with local_server(respond=respond) as server:
         client = RequestsClient(timeout=5)
-        client.fetch(HttpRequest(url=url_of(server, "/first")))
+        client.fetch(HttpRequest(url_of(server, "/first")))
         assert wait_until(lambda: server.closed == 1)
-        assert client.fetch(HttpRequest(url=url_of(server, "/second"))).body == b"ok"
+        assert client.fetch(HttpRequest(url_of(server, "/second"))).body == b"ok"
         assert server.connections == 2
         assert [line for line, _ in server.seen] == ["GET /first HTTP/1.1", "GET /second HTTP/1.1"]
 
@@ -332,7 +335,7 @@ def test_client_replaces_an_idle_connection_the_peer_closed():
 def test_dropped_client_closes_its_idle_connections():
     with local_server() as server:
         client = RequestsClient(timeout=5)
-        client.fetch(HttpRequest(url=url_of(server, "/")))
+        client.fetch(HttpRequest(url_of(server, "/")))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             del client
@@ -359,9 +362,9 @@ class AnswerOnceHandler(RecordingHandler):
 def test_client_does_not_retry_a_kept_alive_connection_that_fails():
     with local_server(AnswerOnceHandler) as server:
         client = RequestsClient(timeout=5)
-        client.fetch(HttpRequest(url=url_of(server, "/first")))
+        client.fetch(HttpRequest(url_of(server, "/first")))
         with pytest.raises(NetworkError):
-            client.fetch(HttpRequest(url=url_of(server, "/second")))
+            client.fetch(HttpRequest(url_of(server, "/second")))
         assert server.connections == 1
         assert len(server.seen) == 2
 
@@ -381,7 +384,7 @@ def test_client_shares_its_pool_between_threads():
         bodies = {}
 
         def fetch(i: int) -> None:
-            bodies[i] = client.fetch(HttpRequest(url=url_of(server, f"/t{i}"))).body
+            bodies[i] = client.fetch(HttpRequest(url_of(server, f"/t{i}"))).body
 
         threads = [threading.Thread(target=fetch, args=(i,)) for i in range(4)]
         for thread in threads:
@@ -393,7 +396,7 @@ def test_client_shares_its_pool_between_threads():
         assert server.connections == 4
         # one idle connection is kept for the origin, the other three closed
         assert wait_until(lambda: open_connections(server) == 1)
-        client.fetch(HttpRequest(url=url_of(server, "/after")))
+        client.fetch(HttpRequest(url_of(server, "/after")))
         assert server.connections == 4
 
 
@@ -410,7 +413,7 @@ def test_client_pool_under_thread_contention():
             def work(worker: int) -> None:
                 for i in range(20):
                     path = f"/w{worker}/r{i}"
-                    body = client.fetch(HttpRequest(url=url_of(servers[i % 3], path))).body
+                    body = client.fetch(HttpRequest(url_of(servers[i % 3], path))).body
                     if body != path.encode():
                         wrong.append((path, body))
 
@@ -467,8 +470,8 @@ class ScriptedServer:
         self._threads = [threading.Thread(target=self._accept)]
         self._threads[0].start()
 
-    def url(self, path: str = "/", scheme: str = "http") -> str:
-        return f"{scheme}://127.0.0.1:{self.port}{path}"
+    def url(self, path: str = "/", scheme: str = "http") -> WebUrl:
+        return parse_url(f"{scheme}://127.0.0.1:{self.port}{path}")
 
     @property
     def lines(self) -> list[str]:
@@ -739,7 +742,7 @@ def test_client_enforces_the_status_line_and_head_limits(reply, ok):
 def test_client_sends_default_headers_then_request_headers_then_cookie():
     with scripted_server(OK) as server:
         response = RequestsClient(timeout=5).fetch(HttpRequest(
-            url=server.url("/app/page.php/%0A%7B%7D//?q=%0A#frag"),
+            server.url("/app/page.php/%0A%7B%7D//?q=%0A#frag"),
             referer="http://ref.test/a?b=%0A",
             cookies={"sid": "abc 123", "lang": '"en"', "empty": ""},
         ))
@@ -757,12 +760,14 @@ def test_client_sends_default_headers_then_request_headers_then_cookie():
 
 
 def _refused_before_connecting(path: str, **fields) -> None:
-    """A request for ``path`` with ``fields`` fails and sends nothing; the
+    """A request for ``path``, its ``WebUrl`` built by hand since no parser
+    gives one with such a path, with ``fields`` fails and sends nothing; the
     client then fetches on one new connection."""
     with scripted_server(OK) as server:
         client = RequestsClient(timeout=5)
+        url = WebUrl("http", "127.0.0.1", server.port, tuple(path.split("/")[1:]))
         with pytest.raises(NetworkError):
-            client.fetch(HttpRequest(server.url(path), **fields))
+            client.fetch(HttpRequest(url, **fields))
         assert client.fetch(HttpRequest(server.url("/after"))).body == b"ok"
         assert server.lines == ["GET /after HTTP/1.1"]
         assert server.connections == 1
@@ -789,13 +794,14 @@ def test_client_refuses_cookies_it_cannot_send_before_connecting(cookies):
 
 
 @pytest.mark.parametrize("url", [
-    "http://[::1]:8080/a",
-    "https://[::1]/",
-    "https://bücher.test/",
-    "http://user@127.0.0.1/",
-    "http://127.0.0.1:0/",
-], ids=["ipv6", "ipv6-https", "idna", "userinfo", "port-0"])
-def test_client_refuses_a_url_the_scanner_cannot_write_before_connecting(monkeypatch, url):
+    WebUrl("http", "a b.test", None, ("",)),
+    WebUrl("http", "a\x7f.test", None, ("",)),
+    WebUrl("https", "bücher.test", None, ("",)),
+    WebUrl("http", "a.test", None, ("é",)),
+    WebUrl("http", "a.test", None, ("",), "q=a\tb"),
+    WebUrl("http", "a.test", None, ("",), "q=\r\nX-Injected: 1"),
+], ids=["space-in-host", "del-in-host", "non-ascii-host", "non-ascii-path", "tab-in-query", "crlf-in-query"])
+def test_client_refuses_a_host_or_target_it_cannot_send_before_connecting(monkeypatch, url):
     connects = []
     monkeypatch.setattr("rposcan.httpclient.socket.create_connection",
                         lambda *args, **kwargs: connects.append(args))
@@ -815,28 +821,70 @@ class _SentBytes(list):
         self.append(data)
 
 
+def _http_client_head(url, request: HttpRequest) -> bytes:
+    """The head ``http.client`` writes for ``request`` to ``url``, a parsed
+    URL, with the client's fields in the client's order."""
+    import http.client
+
+    if url.scheme == "https":  # a context without certificates: nothing connects
+        conn = http.client.HTTPSConnection(url.host, url.port, context=ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT))
+    else:
+        conn = http.client.HTTPConnection(url.host, url.port)
+    conn.sock = sent = _SentBytes()  # no connect: endheaders writes here
+    target = url.path if url.query is None else f"{url.path}?{url.query}"
+    conn.putrequest("GET", target, skip_accept_encoding=True)
+    fields = [("User-Agent", "rposcan/0.1"), ("Accept-Encoding", "gzip, deflate"),
+              ("Accept", "*/*"), ("Connection", "keep-alive")]
+    if request.referer:
+        fields.append(("Referer", request.referer))
+    if request.cookies:
+        fields.append(("Cookie", "; ".join(f"{n}={v}" for n, v in request.cookies.items())))
+    for name, value in fields:
+        conn.putheader(name, value)
+    conn.endheaders()
+    return b"".join(sent)
+
+
 @pytest.mark.parametrize("url", [
     "http://example.test/a",
     "https://example.test:443/a?b=1",
     "http://example.test:8443/",
 ])
 def test_client_writes_the_host_header_as_http_client_did(url):
-    import http.client
-
     from rposcan.httpclient import _request_head
-    from rposcan.urls import parse_url
 
-    parsed = parse_url(url)
-    connection = http.client.HTTPSConnection if parsed.scheme == "https" else http.client.HTTPConnection
-    conn = connection(parsed.host, parsed.port)
-    conn.sock = sent = _SentBytes()  # no connect: endheaders writes here
-    target = parsed.path if parsed.query is None else f"{parsed.path}?{parsed.query}"
-    conn.putrequest("GET", target, skip_accept_encoding=True)
-    for name, value in [("User-Agent", "rposcan/0.1"), ("Accept-Encoding", "gzip, deflate"),
-                        ("Accept", "*/*"), ("Connection", "keep-alive")]:
-        conn.putheader(name, value)
-    conn.endheaders()
-    assert _request_head(parsed, HttpRequest(url)) == b"".join(sent)
+    request = HttpRequest(parse_url(url))
+    assert _request_head(request) == _http_client_head(request.web_url, request)
+
+
+# seed origins for the scanner's requests, with the authority each one is
+# served under: the default port left out and written out, and another port
+SCANNER_ORIGINS = [
+    ("http://mock.test", "mock.test"),
+    ("http://mock.test:8080", "mock.test:8080"),
+    ("https://mock.test:443", "mock.test"),
+]
+
+
+def test_client_writes_every_scanner_request_head_as_http_client_did():
+    from rposcan.httpclient import _request_head
+    from rposcan.mock_target import InProcessClient, fixture_matrix, newline_configs
+    from rposcan.rendering import default_profiles
+    from rposcan.scanning import ScanConfig, scan_page, verify_exploitable
+
+    profiles = default_profiles()
+    config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
+    requests = []
+    for index, (target, _) in enumerate(fixture_matrix(profiles) + newline_configs(profiles)):
+        origin, authority = SCANNER_ORIGINS[index % len(SCANNER_ORIGINS)]
+        client = RecordingClient(InProcessClient({authority: target}))
+        verdict = scan_page(target.seed_url(origin), target.seed_cookies, client, config)
+        verify_exploitable(verdict, client, config)
+        requests += [x.request for x in client.exchanges]
+    assert len(requests) == 362
+    assert any(r.referer for r in requests) and any(r.cookies for r in requests)
+    for request in requests:
+        assert _request_head(request) == _http_client_head(request.web_url, request), request
 
 
 @pytest.mark.parametrize("reply", [

@@ -40,12 +40,11 @@ from rposcan.scanning import (
     scan_page,
     verify_exploitable,
 )
-from rposcan.urls import MalformedUrl, parse_url, serialize_url, server_view
+from rposcan.urls import MalformedUrl, host_key, parse_url, server_view
 
 
 def _get(config, target, cookies=None, referer=None):
-    request = HttpRequest(url="http://mock.test" + target, referer=referer, cookies=cookies or {})
-    return handle_request(config, request)
+    return handle_request(config, "mock.test", target, cookies or {}, referer)
 
 
 def test_pathinfo_serves_page_for_suffixed_url():
@@ -209,9 +208,9 @@ def test_real_stylesheet_served_as_css():
 
 def test_handle_request_deterministic():
     config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE)
-    request = HttpRequest(url="http://mock.test/app/page.php/x//", cookies={"a": "1"})
-    first = handle_request(config, request)
-    second = handle_request(config, request)
+    request = (config, "mock.test", "/app/page.php/x//", {"a": "1"}, None)
+    first = handle_request(*request)
+    second = handle_request(*request)
     assert first.body == second.body
     assert first.headers == second.headers
     assert first.status == second.status
@@ -225,15 +224,19 @@ def _same_response(got, expected) -> None:
 
 class _ComparingClient:
     """Answers from the handler and checks every answer against the reference
-    handler, which rebuilds everything from the config on each request."""
+    handler, which rebuilds everything from the config on each request; each
+    request's URL reads back from its string form unchanged."""
 
     def __init__(self, config: TargetConfig) -> None:
         self.config = config
         self.compared = 0
 
     def fetch(self, request):
-        got = handle_request(self.config, request)
-        _same_response(got, reference_impls.handle_request(self.config, request))
+        assert parse_url(request.url) == request.web_url
+        url = request.web_url
+        sent = (self.config, host_key(url), url.target, request.cookies, request.referer)
+        got = handle_request(*sent)
+        _same_response(got, reference_impls.handle_request(*sent))
         self.compared += 1
         return got
 
@@ -304,7 +307,7 @@ def _targets(draw, config: TargetConfig) -> str:
 )
 def test_handler_matches_reference_on_any_request(exchange, host, cookies, referer):
     config, target = exchange
-    request = HttpRequest(url=f"http://{host}{target}", referer=referer, cookies=cookies)
+    request = (config, host, target, cookies, referer)
     unresolvable = False
     if config.serve_real_stylesheets:
         try:
@@ -317,10 +320,9 @@ def test_handler_matches_reference_on_any_request(exchange, host, cookies, refer
             # real stylesheets at refs that do not resolve: the reference
             # raises once it routes, the plan on every request
             with pytest.raises(MalformedUrl):
-                handle_request(config, request)
+                handle_request(*request)
         else:
-            _same_response(handle_request(config, request),
-                           reference_impls.handle_request(config, request))
+            _same_response(handle_request(*request), reference_impls.handle_request(*request))
 
 
 def test_each_config_answers_by_its_own_flags_when_ids_are_reused():
@@ -370,7 +372,16 @@ def test_answered_config_refuses_field_assignment():
 def test_in_process_client_requires_known_host():
     client = InProcessClient({"known.test": TargetConfig(name="t", routing=Routing.EXACT_FILE)})
     with pytest.raises(NetworkError):
-        client.fetch(HttpRequest(url="http://unknown.test/x"))
+        client.fetch(HttpRequest(parse_url("http://unknown.test/x")))
+
+
+def test_in_process_client_answers_with_the_host_the_wire_carries():
+    # RequestsClient writes "Host: h.test" for this URL: lower case, and no
+    # default port
+    config = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, emit_base_tag=True)
+    client = InProcessClient({"h.test": config})
+    body = client.fetch(HttpRequest(parse_url("http://H.test:80/app/page.php"))).body
+    assert b'<base href="http://h.test/app/">' in body
 
 
 def test_serve_liveness_and_shutdown():
@@ -378,7 +389,7 @@ def test_serve_liveness_and_shutdown():
     handle = serve(config, port=0)
     try:
         url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
-        resp = RequestsClient(timeout=5).fetch(HttpRequest(url=url))
+        resp = RequestsClient(timeout=5).fetch(HttpRequest(parse_url(url)))
         assert resp.status == 200
         assert b"/app/page.php/x//" in resp.body
     finally:
@@ -449,9 +460,7 @@ def test_keep_alive_round_trips_skip_delayed_ack():
         latencies = []
         for i in range(20):
             target = f"/app/page.php/x{i}//" if i % 2 else "/missing/style.css"
-            expected = handle_request(
-                config, HttpRequest(url=f"http://127.0.0.1:{handle.port}{target}")
-            )
+            expected = handle_request(config, f"127.0.0.1:{handle.port}", target, {}, None)
             started = time.monotonic()
             conn.request("GET", target)
             resp = conn.getresponse()
@@ -472,8 +481,8 @@ def test_two_servers_behave_independently():
     try:
         target = "/app/page.php/x//"
         client = RequestsClient(timeout=5)
-        a = client.fetch(HttpRequest(url=f"http://127.0.0.1:{first.port}{target}"))
-        b = client.fetch(HttpRequest(url=f"http://127.0.0.1:{second.port}{target}"))
+        a = client.fetch(HttpRequest(parse_url(f"http://127.0.0.1:{first.port}{target}")))
+        b = client.fetch(HttpRequest(parse_url(f"http://127.0.0.1:{second.port}{target}")))
         assert a.status == 200
         assert b.status == 404
     finally:
@@ -510,12 +519,11 @@ def test_loopback_answers_equal_in_process_answers():
                                recorder, scan_config)
             requests = [exchange.request for exchange in recorder.exchanges]
             assert requests
-            # the client re-parses each URL: it must come back as the scanner wrote it
-            assert all(serialize_url(parse_url(r.url)) == r.url for r in requests)
-            requests += [HttpRequest(url=f"http://{origin}//"),
-                         HttpRequest(url=f"http://{origin}/{seed.path}")]
+            requests += [HttpRequest(parse_url(f"http://{origin}//")),
+                         HttpRequest(parse_url(f"http://{origin}/{seed.path}"))]
             for request in requests:
-                expected = handle_request(config, request)
+                expected = handle_request(config, origin, request.web_url.target, request.cookies,
+                                          request.referer)
                 got = client.fetch(request)
                 assert got.status == expected.status, (config.name, request)
                 assert got.body == expected.body, (config.name, request)
@@ -589,8 +597,7 @@ def test_server_reads_host_and_cookie_in_any_case():
         status, _, body = _exchange(
             sock, b"GET /app/page.php HTTP/1.1\r\nhost: other.test:81\r\ncOOKIE: sid=abc1\r\n\r\n"
         )
-    expected = handle_request(config, HttpRequest(url="http://other.test:81/app/page.php",
-                                                  cookies={"sid": "abc1"}))
+    expected = handle_request(config, "other.test:81", "/app/page.php", {"sid": "abc1"}, None)
     assert (status, body) == (200, expected.body)
     assert b'<base href="http://other.test:81/app/">' in body
     assert b"abc1" in body
@@ -660,7 +667,7 @@ def test_server_answers_431_to_a_head_over_64_kib_and_closes():
         assert _closed_by_peer(sock)
         # the server keeps serving
         url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
-        assert RequestsClient(timeout=5).fetch(HttpRequest(url=url)).status == 200
+        assert RequestsClient(timeout=5).fetch(HttpRequest(parse_url(url))).status == 200
 
 
 def test_idle_connections_do_not_delay_another_client():
@@ -669,7 +676,7 @@ def test_idle_connections_do_not_delay_another_client():
             partial.sendall(b"GET /app/page.php HTTP/1.1\r\nHost: mock")  # never finished
             url = f"http://127.0.0.1:{handle.port}/app/page.php/x//"
             started = time.monotonic()
-            response = RequestsClient(timeout=5).fetch(HttpRequest(url=url))
+            response = RequestsClient(timeout=5).fetch(HttpRequest(parse_url(url)))
             assert time.monotonic() - started < 1
             assert response.status == 200
 

@@ -10,9 +10,8 @@ from rposcan.pages import (
     analyze_html,
     group_candidates,
     has_blocking_base,
-    is_relative_href,
 )
-from rposcan.urls import parse_url
+from rposcan.urls import is_relative_href, parse_url
 
 
 def test_extracts_relative_stylesheet():

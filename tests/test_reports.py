@@ -6,7 +6,7 @@ import threading
 import time
 
 from rposcan import reports
-from rposcan.httpclient import RecordingClient, host_key
+from rposcan.httpclient import RecordingClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     InProcessClient,
@@ -28,6 +28,7 @@ from rposcan.reports import (
 )
 from rposcan.rendering import default_profiles
 from rposcan.scanning import ScanConfig
+from rposcan.urls import host_key
 
 
 def make_config(**overrides) -> ScanConfig:
@@ -103,6 +104,18 @@ def test_run_scan_groups_template_siblings(tmp_path):
     assert statuses == ["exploitable", "grouped_into"]
     grouped = next(r for r in records if r.status == "grouped_into")
     assert grouped.grouped_into == "http://site-a.test/app/page.php?lang=en"
+
+
+def test_run_scan_scans_a_page_once_however_its_url_writes_the_default_port(tmp_path):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://site-a.test/app/page.php\nhttp://site-a.test:80/app/page.php\n")
+    recorder = RecordingClient(mock_client())
+    records = {r.url: r for r in run_scan(str(seed), make_config(), base_client=recorder)}
+    scanned, spelled = records["http://site-a.test/app/page.php"], records["http://site-a.test:80/app/page.php"]
+    assert scanned.status == "exploitable"
+    assert (spelled.status, spelled.grouped_into) == ("grouped_into", scanned.url)
+    assert spelled.template == scanned.template == "site-a.test/app/page.php"
+    assert len(recorder.exchanges) == 4  # one probe round and one exploit round
 
 
 def test_run_scan_loss_free(tmp_path):
@@ -321,7 +334,7 @@ def test_run_scan_closed_early_starts_no_queued_host(tmp_path):
     records.close()
     gate.release.set()
     assert _join_new_threads(before) == []
-    assert {host_key(x.request.url) for x in recorder.exchanges} == {"site-a.test"}
+    assert {host_key(x.request.web_url) for x in recorder.exchanges} == {"site-a.test"}
 
 
 def test_run_scan_worker_failure_does_not_hang(tmp_path, monkeypatch):
@@ -396,7 +409,7 @@ class InFlightClient:
         self.threads: dict[str, set[int]] = {}
 
     def fetch(self, request):
-        host = host_key(request.url)
+        host = host_key(request.web_url)
         with self._lock:
             self._active[host] = self._active.get(host, 0) + 1
             if self._active[host] > 1:
@@ -510,7 +523,7 @@ def test_run_scan_unexpected_client_exception_gives_one_error_record(tmp_path):
             self.inner = inner
 
         def fetch(self, request):
-            if host_key(request.url) == "site-b.test":
+            if host_key(request.web_url) == "site-b.test":
                 raise RuntimeError("client bug")
             return self.inner.fetch(request)
 

@@ -15,7 +15,6 @@ from rposcan.httpclient import (
     RateLimitedClient,
     RecordingClient,
     RequestsClient,
-    host_key,
 )
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
@@ -45,7 +44,7 @@ from rposcan.scanning import (
     scan_page,
     verify_exploitable,
 )
-from rposcan.urls import parse_url
+from rposcan.urls import host_key, parse_url
 
 PROFILES = tuple(default_profiles())
 
@@ -242,8 +241,8 @@ def test_rate_limited_client_spacing():
     recording = RecordingClient(InstantClient())
     limited = RateLimitedClient(recording, delay)
     for _ in range(4):
-        limited.fetch(HttpRequest(url="http://slow.test/x"))
-    limited.fetch(HttpRequest(url="http://other.test/y"))
+        limited.fetch(HttpRequest(parse_url("http://slow.test/x")))
+    limited.fetch(HttpRequest(parse_url("http://other.test/y")))
     stamps = [x.timestamp for x in recording.exchanges if "slow.test" in x.request.url]
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]
     assert len(gaps) == 3
@@ -258,7 +257,7 @@ def test_rate_limiter_does_not_throttle_across_hosts():
     limited = RateLimitedClient(InstantClient(), 0.5)
     start = time.monotonic()
     for i in range(5):
-        limited.fetch(HttpRequest(url=f"http://host{i}.test/x"))
+        limited.fetch(HttpRequest(parse_url(f"http://host{i}.test/x")))
     assert time.monotonic() - start < 0.4
 
 
@@ -586,7 +585,7 @@ class _Redirects:
 
 def _follow(client, url: str, **kwargs):
     errors: list[str] = []
-    return scanning._fetch(client, make_config(), url, errors, **kwargs), errors
+    return scanning._fetch(client, make_config(), parse_url(url), errors, **kwargs), errors
 
 
 def test_redirect_chain_stops_after_max_redirects():
@@ -697,13 +696,13 @@ def test_run_scan_paces_gates_and_logs_redirect_hops_over_loopback(tmp_path):
             return 302, [("Location", "http://blocked.gov/print.css")], b""
         if not path.endswith(".css") and not path.startswith("/moved/"):
             return 302, [("Location", "/moved" + path)], b""
-        url = url_of(handler.server, path.removeprefix("/moved"))
-        response = handle_request(target, HttpRequest(url, referer=handler.headers.get("Referer")))
+        response = handle_request(target, handler.headers["Host"], path.removeprefix("/moved"), {},
+                                  handler.headers.get("Referer"))
         return response.status, list(response.headers.items()), response.body
 
     with local_server(respond=respond) as server:
         seed = tmp_path / "seed.txt"
-        seed.write_text(url_of(server, plain.page_path) + "\n")
+        seed.write_text(f"{url_of(server, plain.page_path)}\n")
         recorder = RecordingClient(RequestsClient(timeout=5))
         (record,) = run_scan(str(seed), make_config(per_host_delay=delay), base_client=recorder)
     (expected,) = run_scan(str(seed), make_config(),
@@ -717,7 +716,7 @@ def test_run_scan_paces_gates_and_logs_redirect_hops_over_loopback(tmp_path):
                for e in record.errors)
 
     assert [x.status for x in recorder.exchanges] == [302, 200, 302, 200] * 2
-    assert not any(host_key(x.request.url).endswith(".gov") for x in recorder.exchanges)
+    assert not any(host_key(x.request.web_url).endswith(".gov") for x in recorder.exchanges)
     stamps = [x.timestamp for x in recorder.exchanges]
     gaps = [after - before for before, after in zip(stamps, stamps[1:])]
     assert min(gaps) >= 0.9 * delay, gaps

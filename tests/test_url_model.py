@@ -12,6 +12,7 @@ from rposcan.urls import (
     WebUrl,
     _remove_dot_segments,
     browser_base_directory,
+    host_key,
     parse_url,
     percent_decode,
     resolve_relative,
@@ -103,11 +104,31 @@ def test_parse_port_and_query_and_fragment():
         "http://example.com:notaport/",
         "//example.com/x",
         "relative/path",
+        "http://[::1]:8080/a",
+        "https://[::1]/",
+        "https://bücher.test/",
+        "http://user@127.0.0.1/",
+        "http://127.0.0.1:0/",
     ],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(MalformedUrl):
         parse_url(bad)
+
+
+@pytest.mark.parametrize(
+    "url, key",
+    [
+        ("http://h.test/a", "h.test"),
+        ("http://H.test:80/a", "h.test"),
+        ("https://h.test:443/", "h.test"),
+        ("http://h.test:443/", "h.test:443"),
+        ("https://h.test:80/", "h.test:80"),
+        ("http://h.test:8080/?q#f", "h.test:8080"),
+    ],
+)
+def test_host_key_leaves_out_only_the_schemes_default_port(url, key):
+    assert host_key(parse_url(url)) == key
 
 
 @pytest.mark.parametrize(
