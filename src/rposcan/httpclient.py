@@ -9,8 +9,9 @@ Referer and cookies. The real network client, ``RequestsClient``, is a small
 GET client with its own HTTP/1.1 reader on raw sockets and a thread-safe
 keep-alive pool; rposcan has no runtime dependency. It writes the request
 head from the request's ``WebUrl`` and reads no URL string; it checks only
-the bytes it writes, so a head it could not send fails before any connect. A
-body longer than ``MAX_BODY_BYTES``, on the wire or decoded, fails the fetch,
+the bytes it writes, so a head it could not send fails before any connect. It
+asks for ``Accept-Encoding: identity`` and reads the body as sent: a body in
+any other content coding, or longer than ``MAX_BODY_BYTES``, fails the fetch,
 and ``timeout`` bounds the whole fetch. Every fetch depends only on its
 ``HttpRequest``: no cookie jar, no ``.netrc``, no proxy, no retry, and a
 redirect comes back as it was answered.
@@ -29,7 +30,6 @@ import ssl
 import threading
 import time
 import weakref
-import zlib
 from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
@@ -132,7 +132,7 @@ class RateLimitedClient:
 
 
 USER_AGENT = "rposcan/0.1"
-# a body longer than this, as sent or as decoded, fails the fetch
+# a body longer than this fails the fetch
 MAX_BODY_BYTES = 16 << 20
 # idle kept-alive connections are kept for at most this many origins, one
 # each, as urllib3's PoolManager(num_pools=10) with maxsize=1 did
@@ -142,9 +142,9 @@ MAX_IDLE_ORIGINS = 10
 # lines after the status line, the blank line that ends the head included
 _MAX_LINE = 65536
 _MAX_LINES = 100
-# every request's headers after Host, in http.client's order
+# every request's headers after Host, in http.client's default order
 _DEFAULT_FIELDS = (
-    f"User-Agent: {USER_AGENT}\r\nAccept-Encoding: gzip, deflate\r\n"
+    f"Accept-Encoding: identity\r\nUser-Agent: {USER_AGENT}\r\n"
     "Accept: */*\r\nConnection: keep-alive\r\n"
 )
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
@@ -169,54 +169,6 @@ def _close_all(idle: dict) -> None:
 
 def _too_large() -> NetworkError:
     return NetworkError(f"body longer than MAX_BODY_BYTES ({MAX_BODY_BYTES} bytes)")
-
-
-def _inflate(data: bytes, wbits: int, room: int):
-    """A ``zlib`` stream's output, at most ``room`` bytes of it (else
-    ``NetworkError``), and its decompressor."""
-    stream = zlib.decompressobj(wbits)
-    out = stream.decompress(data, room + 1)
-    if len(out) > room:
-        raise _too_large()
-    return out, stream
-
-
-def _gunzip(data: bytes) -> bytes:
-    """Every gzip member in ``data``. A truncated member gives what it holds,
-    and bytes after a whole member that do not decode are ignored."""
-    out, room, first = [], MAX_BODY_BYTES, True
-    while data:
-        try:
-            chunk, member = _inflate(data, 16 + zlib.MAX_WBITS, room)
-        except zlib.error:
-            if first:
-                raise
-            break
-        out.append(chunk)
-        room -= len(chunk)
-        if not member.eof:
-            break
-        data, first = member.unused_data, False
-    return b"".join(out)
-
-
-def _decode(body: bytes, encodings: str) -> bytes:
-    """Undo a ``Content-Encoding`` list from its last coding back: gzip (or
-    x-gzip) and deflate, zlib-wrapped or raw. An unknown coding stops the
-    decoding; a body that does not decompress raises ``zlib.error``, and one
-    that decodes past ``MAX_BODY_BYTES`` raises ``NetworkError``."""
-    for coding in reversed(encodings.lower().split(",")):
-        coding = coding.strip()
-        if coding in ("gzip", "x-gzip"):
-            body = _gunzip(body)
-        elif coding == "deflate":
-            try:
-                body = _inflate(body, zlib.MAX_WBITS, MAX_BODY_BYTES)[0]
-            except zlib.error:
-                body = _inflate(body, -zlib.MAX_WBITS, MAX_BODY_BYTES)[0]
-        elif coding:
-            break
-    return body
 
 
 def _time_left(deadline: float) -> float:
@@ -328,12 +280,16 @@ def _read_head(wire: _Wire) -> tuple[int, bool, dict[str, str], dict[str, str]]:
 
 
 def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
-    """One response from ``sock``, its body not decoded, and whether the
-    connection may carry another request: the body was framed, nothing
-    followed it, and the server did not ask to close."""
+    """One response from ``sock`` and whether the connection may carry
+    another request: the body was framed, nothing followed it, and the
+    server did not ask to close. A body in a content coding other than
+    identity raises ``NetworkError`` before it is read."""
     wire = _Wire(sock, deadline)
     status, http11, headers, names = _read_head(wire)
     field = lambda name: headers.get(names.get(name))  # noqa: E731
+    content_coding = (field("content-encoding") or "").strip()
+    if content_coding.lower() not in ("", "identity") and status not in (204, 304):
+        raise NetworkError(f"a body in content coding {content_coding!r}, where identity was asked for")
     connection = (field("connection") or "").lower()
     reusable = "close" not in connection if http11 else "keep-alive" in connection
     coding, length = field("transfer-encoding"), field("content-length")
@@ -383,7 +339,7 @@ class RequestsClient:
     The head is written from the request's ``WebUrl``, read no further: the
     request line with its path and query as written (never the fragment),
     ``Host`` (``urls.host_key``: the port only when not the scheme's
-    default), ``User-Agent: USER_AGENT``, ``Accept-Encoding: gzip, deflate``,
+    default), ``Accept-Encoding: identity``, ``User-Agent: USER_AGENT``,
     ``Accept: */*`` and ``Connection: keep-alive``, then ``Referer`` when the
     request has one, then the cookies as one ``Cookie: n1=v1; n2=v2`` header
     in dict order, unquoted. Only the bytes written are checked: a host or
@@ -395,9 +351,10 @@ class RequestsClient:
     bytes per line, 99 headers): interim 1xx responses are skipped, a
     repeated header is one entry under its first-seen name with its values
     joined by ``", "``, and the body is chunked, ``Content-Length``-framed,
-    empty (204, 304) or read to the connection's close. A body longer than
-    ``MAX_BODY_BYTES``, as sent or as gzip or deflate decoded, raises
-    ``NetworkError``. ``timeout`` is a total deadline for the fetch: every
+    empty (204, 304) or read to the connection's close. The body comes back
+    as sent: a ``Content-Encoding`` other than identity raises
+    ``NetworkError`` before the body is read, and so does a body longer than
+    ``MAX_BODY_BYTES``. ``timeout`` is a total deadline for the fetch: every
     connect, TLS handshake, send and read gets only the time left. Name
     resolution is not bounded by it.
 
@@ -459,7 +416,7 @@ class RequestsClient:
                 old.close()
 
     def _exchange(self, endpoint: tuple[str, str, int], head: bytes, deadline: float) -> HttpResponse:
-        """One GET on a pooled or new connection; the body is not decoded."""
+        """One GET on a pooled or new connection."""
         with self._lock:
             sock = self._idle.pop(endpoint, None)
         if sock is not None and _dropped(sock):
@@ -488,11 +445,4 @@ class RequestsClient:
             raise NetworkError(f"only GET is supported, not {request.method}")
         url = request.web_url
         endpoint = (url.scheme, url.host, url.port or DEFAULT_PORT[url.scheme])
-        response = self._exchange(endpoint, _request_head(request), time.monotonic() + self._timeout)
-        encodings = response.header("Content-Encoding")
-        if not encodings:
-            return response
-        try:
-            return response._replace(body=_decode(response.body, encodings))
-        except zlib.error as exc:
-            raise NetworkError(f"cannot decode {encodings} body: {exc}") from exc
+        return self._exchange(endpoint, _request_head(request), time.monotonic() + self._timeout)

@@ -79,9 +79,8 @@ class WebUrl(_WebUrlFields):
 
     @property
     def origin(self) -> str:
-        if self.port is None:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+        """Scheme and ``host_key``: a written default port is left out."""
+        return f"{self.scheme}://{host_key(self)}"
 
     def __str__(self) -> str:
         return serialize_url(self)

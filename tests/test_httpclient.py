@@ -230,15 +230,6 @@ def test_client_does_not_replay_set_cookie():
         assert cookies == [None, "a=1", None]
 
 
-def test_client_decodes_gzip_body():
-    body = b"body { margin: 0; }\n" * 10
-    respond = lambda h: (200, [("Content-Encoding", "gzip")], gzip.compress(body))  # noqa: E731
-    with local_server(respond=respond) as server:
-        response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/s.css")))
-        assert response.body == body
-        assert response.header("content-encoding") == "gzip"
-
-
 def test_client_ignores_proxy_variables_and_connects_direct(monkeypatch):
     # a bound socket that never listens: a connect to it is refused
     with socket.socket() as closed:
@@ -290,16 +281,6 @@ def test_client_sends_the_target_as_written_without_fragment(path, on_the_wire):
     with local_server() as server:
         RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, path)))
         assert [line for line, _ in server.seen] == [f"GET {on_the_wire} HTTP/1.1"]
-
-
-def test_client_decodes_deflate_body_zlib_wrapped_or_raw():
-    body = b"body { margin: 0; }\n" * 10
-    raw = zlib.compressobj(wbits=-zlib.MAX_WBITS)
-    for encoded in (zlib.compress(body), raw.compress(body) + raw.flush()):
-        respond = lambda h, e=encoded: (200, [("Content-Encoding", "deflate")], e)  # noqa: E731
-        with local_server(respond=respond) as server:
-            response = RequestsClient(timeout=5).fetch(HttpRequest(url_of(server, "/s.css")))
-            assert response.body == body
 
 
 def test_client_pool_closes_least_recently_used_origin_past_the_limit():
@@ -750,8 +731,8 @@ def test_client_sends_default_headers_then_request_headers_then_cookie():
         assert server.heads == [
             b"GET /app/page.php/%0A%7B%7D//?q=%0A HTTP/1.1\r\n"
             + f"Host: 127.0.0.1:{server.port}\r\n".encode()
-            + b"User-Agent: rposcan/0.1\r\n"
-            b"Accept-Encoding: gzip, deflate\r\n"
+            + b"Accept-Encoding: identity\r\n"
+            b"User-Agent: rposcan/0.1\r\n"
             b"Accept: */*\r\n"
             b"Connection: keep-alive\r\n"
             b"Referer: http://ref.test/a?b=%0A\r\n"
@@ -822,8 +803,8 @@ class _SentBytes(list):
 
 
 def _http_client_head(url, request: HttpRequest) -> bytes:
-    """The head ``http.client`` writes for ``request`` to ``url``, a parsed
-    URL, with the client's fields in the client's order."""
+    """The head ``http.client`` writes by default for ``request`` to ``url``,
+    a parsed URL, with the client's fields in the client's order."""
     import http.client
 
     if url.scheme == "https":  # a context without certificates: nothing connects
@@ -832,9 +813,8 @@ def _http_client_head(url, request: HttpRequest) -> bytes:
         conn = http.client.HTTPConnection(url.host, url.port)
     conn.sock = sent = _SentBytes()  # no connect: endheaders writes here
     target = url.path if url.query is None else f"{url.path}?{url.query}"
-    conn.putrequest("GET", target, skip_accept_encoding=True)
-    fields = [("User-Agent", "rposcan/0.1"), ("Accept-Encoding", "gzip, deflate"),
-              ("Accept", "*/*"), ("Connection", "keep-alive")]
+    conn.putrequest("GET", target)
+    fields = [("User-Agent", "rposcan/0.1"), ("Accept", "*/*"), ("Connection", "keep-alive")]
     if request.referer:
         fields.append(("Referer", request.referer))
     if request.cookies:
@@ -913,16 +893,38 @@ def test_client_caps_the_body_and_drops_the_connection(monkeypatch, reply):
         assert wait_until(lambda: 0 in server.client_closed)
 
 
-@pytest.mark.parametrize("coding, wbits", [("gzip", 16 + zlib.MAX_WBITS), ("deflate", zlib.MAX_WBITS)])
-def test_client_caps_the_decoded_body(coding, wbits):
-    # about 100 KiB on the wire that inflates to 100 MiB
-    packer, zeros = zlib.compressobj(9, zlib.DEFLATED, wbits), bytes(1 << 20)
-    bomb = b"".join(packer.compress(zeros) for _ in range(100)) + packer.flush()
-    assert len(bomb) < 200_000
-    head = f"HTTP/1.1 200 OK\r\nContent-Encoding: {coding}\r\nContent-Length: {len(bomb)}\r\n\r\n"
-    with scripted_server(head.encode() + bomb) as server:
-        with pytest.raises(NetworkError, match="MAX_BODY_BYTES"):
-            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+def _coded(coding: str, body: bytes) -> bytes:
+    return f"HTTP/1.1 200 OK\r\nContent-Encoding: {coding}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+
+
+CSS = b"body { margin: 0; }\n" * 10
+# 100 gzip members of 1 MiB of zeros: about 100 KiB that inflates to 100 MiB
+GZIP_BOMB = gzip.compress(bytes(1 << 20)) * 100
+
+
+@pytest.mark.parametrize("reply, refused", [
+    (_coded("gzip", gzip.compress(CSS)), "gzip"),
+    (_coded("deflate", zlib.compress(CSS)), "deflate"),
+    (_coded("br", gzip.compress(CSS)), "br"),
+    (_coded("gzip, br", gzip.compress(CSS)), "gzip, br"),
+    (_coded("gzip", GZIP_BOMB), "gzip"),
+    (_coded("identity", b"ok"), None),
+    (_coded(" IDENTITY ", b"ok"), None),
+    (b"HTTP/1.1 304 Not Modified\r\nContent-Encoding: gzip\r\n\r\n", None),
+], ids=["gzip", "deflate", "br", "gzip-br", "gzip-bomb", "identity", "identity-upper", "304-gzip"])
+def test_client_fails_a_body_in_any_coding_but_identity_and_drops_the_connection(reply, refused):
+    assert len(GZIP_BOMB) < 200_000
+    with scripted_server(reply, OK) as server:
+        client = RequestsClient(timeout=5)
+        start = time.monotonic()
+        if refused is None:
+            assert client.fetch(HttpRequest(server.url("/first"))).body in (b"ok", b"")
+        else:
+            with pytest.raises(NetworkError, match=f"content coding '{refused}'"):
+                client.fetch(HttpRequest(server.url("/first")))
+        assert time.monotonic() - start < 1
+        assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
+        assert server.connections == (1 if refused is None else 2)
 
 
 # --- TLS ---

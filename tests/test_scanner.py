@@ -1,4 +1,5 @@
 import copy
+import gzip
 import time
 from dataclasses import replace
 
@@ -412,6 +413,20 @@ def test_refuse_crlf_over_loopback():
     assert [x.status for x in recording.exchanges] == [400, 200, 200, 200, 200]
 
 
+def test_a_body_in_a_coding_the_client_cannot_read_fails_the_page_fetch():
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+
+    def respond(handler):  # the mock's answer, gzipped and labelled br
+        answer = handle_request(target, handler.headers["Host"], handler.path, {}, handler.headers["Referer"])
+        return answer.status, [*answer.headers.items(), ("Content-Encoding", "br")], gzip.compress(answer.body)
+
+    with local_server(respond=respond) as server:
+        seed = target.seed_url(f"http://127.0.0.1:{server.server_address[1]}")
+        verdict = scan_page(seed, {}, RequestsClient(timeout=5), make_config())
+    assert verdict.reason is NotVulnerableReason.FETCH_FAILED
+    assert verdict.errors and all("content coding 'br'" in e for e in verdict.errors)
+
+
 def _matrix_hosts() -> dict[str, TargetConfig]:
     entries = fixture_matrix(default_profiles())
     return {f"m{i}.test": target for i, (target, _) in enumerate(entries)}
@@ -607,10 +622,11 @@ def test_redirect_chain_stops_after_max_redirects():
 @pytest.mark.parametrize("location, hop, kept", [
     ("/next", "http://h.test/next", True),
     ("http://H.test/next", "http://h.test/next", True),
+    ("http://h.test:80/next", "http://h.test:80/next", True),
     ("https://h.test/next", "https://h.test/next", False),
     ("http://h.test:8080/next", "http://h.test:8080/next", False),
     ("//other.test/next", "http://other.test/next", False),
-], ids=["relative", "same-origin", "scheme", "port", "host"])
+], ids=["relative", "same-origin", "default-port", "scheme", "port", "host"])
 def test_redirect_keeps_cookies_within_the_origin_and_the_referer_always(location, hop, kept):
     client = _Redirects({"http://h.test/start": (302, {"Location": location})})
     response, errors = _follow(client, "http://h.test/start", referer="http://h.test/page",

@@ -128,7 +128,10 @@ def test_parse_rejects_malformed(bad):
     ],
 )
 def test_host_key_leaves_out_only_the_schemes_default_port(url, key):
-    assert host_key(parse_url(url)) == key
+    parsed = parse_url(url)
+    assert host_key(parsed) == key
+    # one authority rule: the origin is the scheme and host_key
+    assert parsed.origin == f"{parsed.scheme}://{key}"
 
 
 @pytest.mark.parametrize(
