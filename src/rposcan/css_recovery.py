@@ -214,7 +214,7 @@ def tokenize(text: str) -> Generator[Token, re.Pattern | None, None]:
 def token_trace(body: bytes) -> list[str]:
     """Human-checkable token stream, used for the committed oracle traces."""
     lines = []
-    for kind, value, offset in tokenize(body.decode("latin-1", errors="replace")):
+    for kind, value, offset in tokenize(body.decode("latin-1")):
         shown = value if kind != WS else repr(value)
         if len(shown) > 60:
             shown = shown[:57] + "..."
@@ -384,7 +384,7 @@ def _background_urls(tokens: Generator[Token, re.Pattern | None, None]) -> Itera
 def surviving_background_urls(body: bytes) -> list[str]:
     """URLs of ``background`` declarations that survive error recovery inside
     rules whose selector looks plausible."""
-    return list(_background_urls(tokenize(body.decode("latin-1", errors="replace"))))
+    return list(_background_urls(tokenize(body.decode("latin-1"))))
 
 
 def css_would_fire(body: bytes, nonce_url: str) -> bool:
@@ -395,7 +395,7 @@ def css_would_fire(body: bytes, nonce_url: str) -> bool:
     differs from its slice only by unescaping backslashes.  So with no
     backslash in the text, no token can equal a URL the text does not contain,
     and the answer is False without tokenizing."""
-    text = body.decode("latin-1", errors="replace")
+    text = body.decode("latin-1")
     if nonce_url not in text and "\\" not in text:
         return False
     return nonce_url in _background_urls(tokenize(text))

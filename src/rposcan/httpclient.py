@@ -11,10 +11,10 @@ keep-alive pool; rposcan has no runtime dependency. It writes the request
 head from the request's ``WebUrl`` and reads no URL string; it checks only
 the bytes it writes, so a head it could not send fails before any connect. It
 asks for ``Accept-Encoding: identity`` and reads the body as sent: a body in
-any other content coding, or longer than ``MAX_BODY_BYTES``, fails the fetch,
-and ``timeout`` bounds the whole fetch. Every fetch depends only on its
-``HttpRequest``: no cookie jar, no ``.netrc``, no proxy, no retry, and a
-redirect comes back as it was answered.
+any other content coding, in a transfer coding other than chunked, or longer
+than ``MAX_BODY_BYTES``, fails the fetch, and ``timeout`` bounds the whole
+fetch. Every fetch depends only on its ``HttpRequest``: no cookie jar, no
+``.netrc``, no proxy, no retry, and a redirect comes back as it was answered.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -283,19 +283,22 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
     """One response from ``sock`` and whether the connection may carry
     another request: the body was framed, nothing followed it, and the
     server did not ask to close. A body in a content coding other than
-    identity raises ``NetworkError`` before it is read."""
+    identity, or in a transfer coding other than chunked alone, raises
+    ``NetworkError`` before it is read."""
     wire = _Wire(sock, deadline)
     status, http11, headers, names = _read_head(wire)
     field = lambda name: headers.get(names.get(name))  # noqa: E731
-    content_coding = (field("content-encoding") or "").strip()
-    if content_coding.lower() not in ("", "identity") and status not in (204, 304):
-        raise NetworkError(f"a body in content coding {content_coding!r}, where identity was asked for")
     connection = (field("connection") or "").lower()
     reusable = "close" not in connection if http11 else "keep-alive" in connection
+    content_coding = (field("content-encoding") or "").strip()
     coding, length = field("transfer-encoding"), field("content-length")
     if status in (204, 304):
         body = b""
-    elif coding is not None and coding.strip().lower() == "chunked":
+    elif content_coding.lower() not in ("", "identity"):
+        raise NetworkError(f"a body in content coding {content_coding!r}, where identity was asked for")
+    elif coding is not None and coding.strip().lower() != "chunked":
+        raise NetworkError(f"a body in transfer coding {coding.strip()!r}, where only chunked is read")
+    elif coding is not None:
         chunks, size = [], 0
         while True:
             line = wire.until(b"\r\n", _MAX_LINE)
@@ -352,8 +355,9 @@ class RequestsClient:
     repeated header is one entry under its first-seen name with its values
     joined by ``", "``, and the body is chunked, ``Content-Length``-framed,
     empty (204, 304) or read to the connection's close. The body comes back
-    as sent: a ``Content-Encoding`` other than identity raises
-    ``NetworkError`` before the body is read, and so does a body longer than
+    as sent: a ``Content-Encoding`` other than identity or a
+    ``Transfer-Encoding`` other than chunked alone raises ``NetworkError``
+    before the body is read, and so does a body longer than
     ``MAX_BODY_BYTES``. ``timeout`` is a total deadline for the fetch: every
     connect, TLS handshake, send and read gets only the time left. Name
     resolution is not bounded by it.

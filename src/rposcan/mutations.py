@@ -37,10 +37,10 @@ class TechniqueNotApplicable(ValueError):
 
 
 class MutatedRequest(NamedTuple):
-    """The mutated page URL, and the cookies the technique adds."""
+    """The mutated page URL, and the cookies its fetch sends."""
 
     url: WebUrl
-    extra_cookies: dict[str, str]
+    cookies: dict[str, str]
 
 
 def _script_segment_index(segments: tuple[str, ...]) -> int | None:
@@ -87,7 +87,6 @@ def mutate(
     segments = url.path_segments
     padding = ("",) * SLASH_PADDING
     new_query = url.query  # EncodedQuery is the only technique that moves it
-    extra_cookies: dict[str, str] = {}
 
     if technique is MutationTechnique.PATH_PARAM_SIMPLE:
         base = segments[:-1] if segments[-1] == "" else segments
@@ -135,13 +134,12 @@ def mutate(
 
     elif technique is MutationTechnique.COOKIE:
         new_segments = segments + padding
-        extra_cookies = {name: payload + value for name, value in cookies.items()}
+        cookies = {name: payload + value for name, value in cookies.items()}
 
     else:  # pragma: no cover
         raise TechniqueNotApplicable(str(technique))
 
-    return MutatedRequest(WebUrl(url.scheme, url.host, url.port, new_segments, new_query),
-                          extra_cookies)
+    return MutatedRequest(WebUrl(url.scheme, url.host, url.port, new_segments, new_query), cookies)
 
 
 def expand_stylesheet_targets(

@@ -1,10 +1,9 @@
 """HTML fact extraction and URL templating.
 
-Pulls out of a page body only the facts this pipeline cares about: the
-doctype, the first ``<base href>`` (and where it sits), and every stylesheet
-``<link>`` with its position and whether its href is genuinely relative.
-Root-relative and absolute references cannot be overwritten by path
-confusion, so they are flagged out.
+Pulls out of a page body only the facts a verdict reads: the doctype, the
+genuinely relative stylesheet ``<link>`` hrefs, and whether a ``<base href>``
+fixes their expansion first.  Root-relative and absolute references cannot be
+overwritten by path confusion, so they are dropped.
 
 The body is decoded as latin-1 and walked once with one regular expression
 that matches a whole markup construct at a ``<``: a comment, a declaration
@@ -13,8 +12,7 @@ attributes.  Between two constructs that can carry a fact, a skip run built
 from the same patterns steps over text and every construct that cannot:
 comments, processing instructions, declarations other than a doctype, end
 tags other than a frame's, and start tags other than base, link, script,
-style and the frames.  So Python runs only on those few constructs, and each
-offset is the index of its ``<``.
+style and the frames.  So Python runs only on those few constructs.
 Tags follow the HTML5 tokenizer: only tab, LF, FF, CR and space separate
 names and attributes; a quoted attribute value runs to its closing quote,
 ``<`` and ``>`` included; ``<!-->`` and ``<!--->`` are empty comments, and
@@ -35,7 +33,6 @@ Base and link tags inside an open frame are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from html import unescape
 from typing import NamedTuple
 
@@ -44,22 +41,14 @@ from .urls import WebUrl, host_key, is_relative_href
 _DIGIT_RUN_RE = re.compile(r"[0-9]{3,}")
 
 
-class StylesheetRef(NamedTuple):
-    href: str
-    relative: bool
-    offset: int
+class PageDocument(NamedTuple):
+    """The facts a verdict reads from a page.  ``blocking_base``: the first
+    ``<base href>`` comes before every relative stylesheet link, so it fixes
+    their expansion before path confusion can move it."""
 
-
-@dataclass
-class PageDocument:
-    doctype: str | None = None
-    base_href: str | None = None
-    base_offset: int | None = None
-    stylesheet_refs: list[StylesheetRef] = field(default_factory=list)
-
-    @property
-    def relative_refs(self) -> list[str]:
-        return [ref.href for ref in self.stylesheet_refs if ref.relative]
+    doctype: str | None
+    relative_refs: list[str]
+    blocking_base: bool
 
 
 # Tag pieces as the HTML5 tokenizer reads them: only ASCII whitespace
@@ -136,9 +125,12 @@ def _attributes(text: str) -> dict[str, str]:
 
 
 def analyze_html(body: bytes) -> PageDocument:
-    """Extract doctype, base tag, and stylesheet links; never raises on junk."""
+    """Extract doctype, relative stylesheet links and the base decision;
+    never raises on junk."""
     text = body.decode("latin-1")
-    doc = PageDocument()
+    doctype: str | None = None
+    relative_refs: list[str] = []
+    blocking_base: bool | None = None  # None until the first base with an href
     frame_depth = 0
     skip = _SKIP_RE.match
     markup = _MARKUP_RE.match
@@ -161,39 +153,23 @@ def analyze_html(body: bytes) -> PageDocument:
             elif frame_depth:
                 pass  # base and link tags inside a frame do not count
             elif tag == "base":
-                if doc.base_href is None:
-                    href = _attributes(match.group("attrs")).get("href")
-                    if href is not None:
-                        doc.base_href = href
-                        doc.base_offset = match.start()
+                if blocking_base is None and "href" in _attributes(match.group("attrs")):
+                    blocking_base = not relative_refs
             elif tag == "link":
                 attrs = _attributes(match.group("attrs"))
                 rel = (attrs.get("rel") or "").lower().split()
                 href = attrs.get("href")
-                if "stylesheet" in rel and href:
-                    doc.stylesheet_refs.append(
-                        StylesheetRef(href=href, relative=is_relative_href(href), offset=match.start())
-                    )
+                if "stylesheet" in rel and href and is_relative_href(href):
+                    relative_refs.append(href)
         elif kind == "end_close":
             if frame_depth and match.group("end").lower() in _FRAME_TAGS:
                 frame_depth -= 1
         elif kind == "decl_end":
             decl = match.group("decl")
-            if doc.doctype is None and decl[:7].lower() == "doctype":
-                doc.doctype = decl[7:].strip()
+            if doctype is None and decl[:7].lower() == "doctype":
+                doctype = decl[7:].strip()
         pos = skip(text, pos).end()
-    return doc
-
-
-def has_blocking_base(doc: PageDocument) -> bool:
-    """True when a base tag would fix relative expansion before the first
-    relative stylesheet reference gets a chance to be confused."""
-    if doc.base_offset is None:
-        return False
-    relative_offsets = [r.offset for r in doc.stylesheet_refs if r.relative]
-    if not relative_offsets:
-        return True
-    return doc.base_offset < min(relative_offsets)
+    return PageDocument(doctype, relative_refs, bool(blocking_base))
 
 
 def _abstract_segment(segment: str) -> str:

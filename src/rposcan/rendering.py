@@ -122,7 +122,11 @@ class BrowserProfile:
 
 
 class ResponseSecurity(NamedTuple):
-    """Security-relevant response facts; raw header values kept for audit."""
+    """The response headers the rendering rules read: ``content_type`` and
+    ``nosniff`` decide whether a sheet is accepted, ``x_frame_options``
+    whether the page may be framed, and ``x_ua_compatible`` whether framing
+    can force quirks mode.  Values are as sent, parsed by the rule that
+    reads them."""
 
     content_type: str | None = None
     nosniff: bool = False

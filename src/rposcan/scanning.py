@@ -31,7 +31,7 @@ from .mutations import (
     expand_stylesheet_targets,
     mutate,
 )
-from .pages import analyze_html, has_blocking_base
+from .pages import analyze_html
 from .payloads import (
     NewlineVariant,
     Nonce,
@@ -185,16 +185,15 @@ def _reflecting_sheet(
     mutated: MutatedRequest,
     page_url: str,
     relative_refs: list[str],
-    cookies: dict[str, str],
     nonce: Nonce,
     errors: list[str],
 ) -> tuple[str, HttpResponse] | None:
     """Fetch each stylesheet the refs resolve to from the mutated page, with
-    that page (``page_url``, already serialized) as Referer, and return the
-    first one whose body reflects the nonce, with its URL; None when none
-    does."""
+    that page (``page_url``, already serialized) as Referer and its cookies,
+    and return the first one whose body reflects the nonce, with its URL;
+    None when none does."""
     for sheet in expand_stylesheet_targets(mutated, relative_refs):
-        response = _fetch(client, config, sheet, errors, referer=page_url, cookies=cookies)
+        response = _fetch(client, config, sheet, errors, referer=page_url, cookies=mutated.cookies)
         if response is not None and find_reflection(response.body, nonce):
             return serialize_url(sheet), response
     return None
@@ -229,22 +228,19 @@ def scan_page(
         for newline in NewlineVariant:
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, cookies)
-            request_cookies = {**cookies, **mutated.extra_cookies}
-            page_resp = _fetch(client, config, mutated.url, errors, cookies=request_cookies)
+            page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
             if page_resp is None:
                 continue  # no answer counts as refused: try the next newline
             fetched_anything = True
             doc = analyze_html(page_resp.body)
-            if has_blocking_base(doc):
+            if doc.blocking_base:
                 saw_base = True
                 break  # the base tag is payload-independent; next technique
             relative_refs = doc.relative_refs
             if relative_refs:
                 saw_relative_refs = True
                 page_url = serialize_url(mutated.url)
-                hit = _reflecting_sheet(
-                    client, config, mutated, page_url, relative_refs, request_cookies, nonce, errors
-                )
+                hit = _reflecting_sheet(client, config, mutated, page_url, relative_refs, nonce, errors)
                 if hit is not None:
                     return ScanVerdict(
                         status=ScanStatus.VULNERABLE,
@@ -344,18 +340,15 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     nonce_url, encoded = build_exploit(verdict.nonce, verdict.newline)
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = list(verdict.errors)  # the input verdict stays as it was
-    request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_resp = _fetch(client, config, mutated.url, errors, cookies=request_cookies)
+    page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return replace(verdict, errors=errors)
     doc = analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
-    base_present = has_blocking_base(doc)
 
     hit = _reflecting_sheet(
-        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
-        verdict.nonce, errors
+        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, verdict.nonce, errors
     )
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra
@@ -370,7 +363,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
 
     _, sheet_resp = hit
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
-    facts = (doc.doctype, page_security, sheet_security, base_present, verdict.page_url.origin)
+    facts = (doc.doctype, page_security, sheet_security, doc.blocking_base, verdict.page_url.origin)
     # The CSS oracle only ANDs into "exploitable" and adds no blocker, so it
     # is asked only when some profile is otherwise unblocked; it depends on
     # the sheet and the canary, not on the engine.

@@ -7,8 +7,8 @@ They serve only as oracles for the equivalence tests:
   each prelude, block and declaration as a list before judging it (on the
   ``rposcan`` tokenizer, so a difference points at the walk);
 - ``remove_dot_segments``: RFC 3986 section 5.2.4, string-rewriting form;
-- ``analyze_html``: fact extraction on top of ``html.parser``, with offsets
-  counted the way ``HTMLParser.getpos`` counts lines (``\\n`` only);
+- ``analyze_html``: fact extraction on top of ``html.parser``, deciding the
+  base tag by the relative links seen when it arrives;
 - ``verify_exploitable``: verification that asks the CSS oracle
   (``scanning.css_would_fire``, looked up at call time) before judging any
   profile, and judges every profile once;
@@ -57,7 +57,7 @@ from rposcan.mock_target import (
     TargetConfig,
 )
 from rposcan.mutations import mutate
-from rposcan.pages import PageDocument, StylesheetRef, has_blocking_base
+from rposcan.pages import PageDocument
 from rposcan.payloads import build_exploit_payload, encode_exploit
 from rposcan.rendering import ResponseSecurity
 from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
@@ -379,25 +379,14 @@ class _FactParser(HTMLParser):
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.doc = PageDocument()
-        self._line_starts: list[int] = [0]
+        self.doctype: str | None = None
+        self.relative_refs: list[str] = []
+        self.relative_before_base: int | None = None  # set at the first base
         self._frame_depth = 0
 
-    def feed_text(self, text: str) -> None:
-        # getpos() counts lines by "\n" alone, so the table must too
-        offset = 0
-        for line in text.split("\n")[:-1]:
-            offset += len(line) + 1
-            self._line_starts.append(offset)
-        self.feed(text)
-
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_starts[line - 1] + col
-
     def handle_decl(self, decl: str) -> None:
-        if self.doc.doctype is None and decl.lower().startswith("doctype"):
-            self.doc.doctype = decl[len("doctype"):].strip()
+        if self.doctype is None and decl.lower().startswith("doctype"):
+            self.doctype = decl[len("doctype"):].strip()
 
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         if tag in ("iframe", "frame", "frameset"):
@@ -406,16 +395,13 @@ class _FactParser(HTMLParser):
         if self._frame_depth > 0:
             return
         attr_map = {name: value for name, value in attrs if value is not None}
-        if tag == "base" and self.doc.base_href is None and "href" in attr_map:
-            self.doc.base_href = attr_map["href"]
-            self.doc.base_offset = self._offset()
+        if tag == "base" and self.relative_before_base is None and "href" in attr_map:
+            self.relative_before_base = len(self.relative_refs)
         elif tag == "link":
             rel = (attr_map.get("rel") or "").lower().split()
             href = attr_map.get("href")
-            if "stylesheet" in rel and href:
-                self.doc.stylesheet_refs.append(
-                    StylesheetRef(href=href, relative=is_relative_href(href), offset=self._offset())
-                )
+            if "stylesheet" in rel and href and is_relative_href(href):
+                self.relative_refs.append(href)
 
     def handle_endtag(self, tag: str) -> None:
         if tag in ("iframe", "frame", "frameset") and self._frame_depth > 0:
@@ -423,14 +409,15 @@ class _FactParser(HTMLParser):
 
 
 def analyze_html(body: bytes) -> PageDocument:
-    """Extract doctype, base tag, and stylesheet links; never raises on junk."""
+    """Extract doctype, relative stylesheet links and the base decision;
+    never raises on junk."""
     parser = _FactParser()
     try:
-        parser.feed_text(body.decode("latin-1"))
+        parser.feed(body.decode("latin-1"))
         parser.close()
     except Exception:
         pass  # salvage whatever was collected before the parser gave up
-    return parser.doc
+    return PageDocument(parser.doctype, parser.relative_refs, parser.relative_before_base == 0)
 
 
 # --- eager verification ---
@@ -446,17 +433,14 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
-    request_cookies = {**verdict.cookies, **mutated.extra_cookies}
-    page_resp = scanning._fetch(client, config, mutated.url, errors, cookies=request_cookies)
+    page_resp = scanning._fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
     if page_resp is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return verdict
     doc = scanning.analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
-    base_present = has_blocking_base(doc)
     hit = scanning._reflecting_sheet(
-        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, request_cookies,
-        verdict.nonce, errors,
+        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, verdict.nonce, errors,
     )
     if hit is None:
         errors.append("exploit payload did not reflect")
@@ -470,7 +454,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
     style_fires = scanning.css_would_fire(sheet_resp.body, nonce_url)
     facts = (
-        style_fires, doc.doctype, page_security, sheet_security, base_present,
+        style_fires, doc.doctype, page_security, sheet_security, doc.blocking_base,
         verdict.page_url.origin,
     )
     results = {}

@@ -9,6 +9,7 @@ queries, empty ``;`` parameters, real stylesheets, every newline handling.
 
 import random
 
+from rposcan.httpclient import RecordingClient
 from rposcan.mock_target import (
     DOCTYPE_QUIRKS,
     DOCTYPE_STANDARDS,
@@ -74,9 +75,9 @@ def generated_configs(seed: int, count: int) -> list[TargetConfig]:
 def test_generated_corpus_matches_answer_key():
     profiles = default_profiles()
     scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
-    missed = 0
+    missed = requests = 0
     for config in generated_configs(seed=3, count=3000):
-        client = InProcessClient({"mock.test": config})
+        client = RecordingClient(InProcessClient({"mock.test": config}))
         seed = config.seed_url("http://mock.test")
         verdict = scan_page(seed, config.seed_cookies, client, scan_config)
         verdict = verify_exploitable(verdict, client, scan_config)
@@ -87,5 +88,9 @@ def test_generated_corpus_matches_answer_key():
             assert config.newline_handling is NewlineHandling.CUT_AT_LF, (config, problems)
             assert problems == ["vulnerable: scanner=False truth=True"], (config, problems)
             missed += 1
+        requests += len(client.exchanges)
     # what sending FF and CR only after a refused LF loses on this corpus
     assert missed == 129
+    # what the corpus's verdicts cost, redirect hops included; a change to
+    # the request plan moves this on purpose
+    assert requests == 19_802

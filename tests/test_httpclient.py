@@ -897,22 +897,38 @@ def _coded(coding: str, body: bytes) -> bytes:
     return f"HTTP/1.1 200 OK\r\nContent-Encoding: {coding}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
 
 
+def _transfer_coded(coding: str, chunks: bytes) -> bytes:
+    return f"HTTP/1.1 200 OK\r\nTransfer-Encoding: {coding}\r\n\r\n".encode() + chunks
+
+
+def chunked(data: bytes) -> bytes:
+    return b"%x\r\n%s\r\n0\r\n\r\n" % (len(data), data)
+
+
 CSS = b"body { margin: 0; }\n" * 10
 # 100 gzip members of 1 MiB of zeros: about 100 KiB that inflates to 100 MiB
 GZIP_BOMB = gzip.compress(bytes(1 << 20)) * 100
 
 
 @pytest.mark.parametrize("reply, refused", [
-    (_coded("gzip", gzip.compress(CSS)), "gzip"),
-    (_coded("deflate", zlib.compress(CSS)), "deflate"),
-    (_coded("br", gzip.compress(CSS)), "br"),
-    (_coded("gzip, br", gzip.compress(CSS)), "gzip, br"),
-    (_coded("gzip", GZIP_BOMB), "gzip"),
+    (_coded("gzip", gzip.compress(CSS)), "content coding 'gzip'"),
+    (_coded("deflate", zlib.compress(CSS)), "content coding 'deflate'"),
+    (_coded("br", gzip.compress(CSS)), "content coding 'br'"),
+    (_coded("gzip, br", gzip.compress(CSS)), "content coding 'gzip, br'"),
+    (_coded("gzip", GZIP_BOMB), "content coding 'gzip'"),
     (_coded("identity", b"ok"), None),
     (_coded(" IDENTITY ", b"ok"), None),
     (b"HTTP/1.1 304 Not Modified\r\nContent-Encoding: gzip\r\n\r\n", None),
-], ids=["gzip", "deflate", "br", "gzip-br", "gzip-bomb", "identity", "identity-upper", "304-gzip"])
-def test_client_fails_a_body_in_any_coding_but_identity_and_drops_the_connection(reply, refused):
+    (_transfer_coded("gzip", gzip.compress(b"ok")), "transfer coding 'gzip'"),
+    (_transfer_coded("gzip, chunked", chunked(gzip.compress(b"ok"))), "transfer coding 'gzip, chunked'"),
+    (_transfer_coded("chunked, gzip", chunked(gzip.compress(b"ok"))), "transfer coding 'chunked, gzip'"),
+    (_transfer_coded("Chunked", chunked(b"ok")), None),
+    (_transfer_coded(" chunked ", chunked(b"ok")), None),
+    (b"HTTP/1.1 304 Not Modified\r\nTransfer-Encoding: gzip\r\n\r\n", None),
+], ids=["gzip", "deflate", "br", "gzip-br", "gzip-bomb", "identity", "identity-upper", "304-gzip",
+        "te-gzip", "te-gzip-chunked", "te-chunked-gzip", "te-chunked-upper", "te-chunked-spaced",
+        "te-304-gzip"])
+def test_client_fails_a_body_in_a_coding_it_does_not_read_and_drops_the_connection(reply, refused):
     assert len(GZIP_BOMB) < 200_000
     with scripted_server(reply, OK) as server:
         client = RequestsClient(timeout=5)
@@ -920,7 +936,7 @@ def test_client_fails_a_body_in_any_coding_but_identity_and_drops_the_connection
         if refused is None:
             assert client.fetch(HttpRequest(server.url("/first"))).body in (b"ok", b"")
         else:
-            with pytest.raises(NetworkError, match=f"content coding '{refused}'"):
+            with pytest.raises(NetworkError, match=refused):
                 client.fetch(HttpRequest(server.url("/first")))
         assert time.monotonic() - start < 1
         assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"

@@ -113,7 +113,7 @@ def test_mutate_encoded_path_canonical_equivalence():
 def test_mutate_cookie():
     out = mutate(u("/page.php"), T.COOKIE, P, cookies={"k1": "v1", "k2": "v2"})
     assert out.url.path == f"/page.php{PAD}"
-    assert out.extra_cookies == {"k1": P + "v1", "k2": P + "v2"}
+    assert out.cookies == {"k1": P + "v1", "k2": P + "v2"}
     assert P not in serialize_url(out.url)
 
 
@@ -193,7 +193,7 @@ def test_host_scheme_preserved_and_views_diverge(path, technique):
     assert out.url.host == original.host
     assert out.url.scheme == original.scheme
     diverged = browser_base_directory(out.url) != browser_base_directory(original)
-    assert diverged or out.extra_cookies != {}
+    assert diverged or out.cookies != cookies
 
 
 # segments with and without script extensions, empty and non-empty ";"
@@ -213,9 +213,11 @@ def test_every_applicable_technique_carries_the_payload(path, query, cookies):
     url = u(path, query)
     for technique in applicable_techniques(url, cookies):
         out = mutate(url, technique, P, cookies=cookies)
-        assert P in serialize_url(out.url) or any(
-            P in value for value in out.extra_cookies.values()
-        ), (technique, serialize_url(url))
+        if technique is T.COOKIE:
+            assert out.cookies == {name: P + value for name, value in cookies.items()}
+        else:  # a URL technique sends the seed cookies as they are
+            assert P in serialize_url(out.url), (technique, serialize_url(url))
+            assert out.cookies == cookies
 
 
 @pytest.mark.parametrize("technique", [t for t in T if t is not T.COOKIE])
@@ -231,7 +233,7 @@ def test_mutated_request_and_its_url_are_immutable():
     mutated = mutate(u("/page.asp"), T.COOKIE, P, cookies={"sid": "1"})
     for obj, name, value in [
         (mutated, "url", u("/other.asp")),
-        (mutated, "extra_cookies", {}),
+        (mutated, "cookies", {}),
         (mutated.url, "path_segments", ("x",)),
         (mutated.url, "host", "other.test"),
     ]:

@@ -3,35 +3,25 @@ from hypothesis import given, settings, strategies as st
 
 import reference_impls
 from rposcan import pages
-from rposcan.pages import (
-    PageDocument,
-    StylesheetRef,
-    abstract_url,
-    analyze_html,
-    group_candidates,
-    has_blocking_base,
-)
+from rposcan.pages import abstract_url, analyze_html, group_candidates
 from rposcan.urls import is_relative_href, parse_url
 
 
 def test_extracts_relative_stylesheet():
     doc = analyze_html(b'<html><head><link rel="stylesheet" href="dist/styles.css"></head></html>')
-    assert len(doc.stylesheet_refs) == 1
-    ref = doc.stylesheet_refs[0]
-    assert ref.href == "dist/styles.css"
-    assert ref.relative is True
+    assert doc.relative_refs == ["dist/styles.css"]
+    assert doc.blocking_base is False
 
 
-def test_base_recorded_with_offset_before_ref():
+def test_base_before_ref_blocks():
     doc = analyze_html(b'<base href="https://x/"><link rel=stylesheet href=a.css>')
-    assert doc.base_href == "https://x/"
-    assert doc.base_offset is not None
-    assert doc.base_offset < doc.stylesheet_refs[0].offset
+    assert doc.relative_refs == ["a.css"]
+    assert doc.blocking_base is True
 
 
 def test_root_relative_is_not_relative():
     doc = analyze_html(b'<link rel=stylesheet href="/a.css">')
-    assert doc.stylesheet_refs[0].relative is False
+    assert doc.relative_refs == []
 
 
 def test_scheme_relative_and_absolute_not_relative():
@@ -40,7 +30,7 @@ def test_scheme_relative_and_absolute_not_relative():
         b'<link rel=stylesheet href="https://x/b.css">'
         b'<link rel=stylesheet href="c.css">'
     )
-    assert [r.relative for r in doc.stylesheet_refs] == [False, False, True]
+    assert doc.relative_refs == ["c.css"]
 
 
 def test_doctype_captured_raw():
@@ -53,13 +43,12 @@ def test_doctype_captured_raw():
 def test_non_html_and_empty_bodies_yield_empty_document():
     for body in (b"", b"\x00\xff\xfe binary junk \x9c", b"just text"):
         doc = analyze_html(body)
-        assert doc.doctype is None
-        assert doc.stylesheet_refs == []
+        assert doc == (None, [], False)
 
 
 def test_tolerates_unclosed_tags():
     doc = analyze_html(b"<html><head><link rel=stylesheet href=a.css><body><p>x")
-    assert len(doc.stylesheet_refs) == 1
+    assert doc.relative_refs == ["a.css"]
 
 
 def test_ignores_links_inside_frames():
@@ -67,28 +56,38 @@ def test_ignores_links_inside_frames():
         b'<iframe><link rel=stylesheet href="inner.css"></iframe>'
         b'<link rel=stylesheet href="outer.css">'
     )
-    assert [r.href for r in doc.stylesheet_refs] == ["outer.css"]
+    assert doc.relative_refs == ["outer.css"]
 
 
 def test_non_stylesheet_links_skipped():
     doc = analyze_html(b'<link rel="icon" href="f.ico"><link rel="alternate stylesheet" href="alt.css">')
-    assert [r.href for r in doc.stylesheet_refs] == ["alt.css"]
+    assert doc.relative_refs == ["alt.css"]
 
 
-def test_has_blocking_base_orderings():
+def test_blocking_base_orderings():
     before = analyze_html(b'<base href="/b/"><link rel=stylesheet href=a.css>')
-    assert has_blocking_base(before) is True
+    assert before.blocking_base is True
 
     after = analyze_html(b'<link rel=stylesheet href=a.css><base href="/b/">')
-    assert has_blocking_base(after) is False
+    assert after.blocking_base is False
 
     none = analyze_html(b'<link rel=stylesheet href=a.css>')
-    assert has_blocking_base(none) is False
+    assert none.blocking_base is False
+
+    # an absolute link before the base does not count
+    absolute = analyze_html(
+        b'<link rel=stylesheet href=/x.css><base href="/b/"><link rel=stylesheet href=a.css>'
+    )
+    assert absolute.blocking_base is True
+
+    # a base without an href is not the first base
+    bare = analyze_html(b'<base target=_top><link rel=stylesheet href=a.css><base href="/b/">')
+    assert bare.blocking_base is False
 
 
 def test_base_with_no_relative_refs_blocks():
     doc = analyze_html(b'<base href="/b/"><link rel=stylesheet href="/abs.css">')
-    assert has_blocking_base(doc) is True
+    assert doc.blocking_base is True
 
 
 def test_abstract_url_query_values():
@@ -161,21 +160,13 @@ _HREFS = st.one_of(
 def test_relative_flag_never_true_for_absolute(href):
     body = f'<link rel="stylesheet" href="{href}">'.encode()
     doc = analyze_html(body)
-    if not doc.stylesheet_refs:
-        return
-    flag = doc.stylesheet_refs[0].relative
     has_scheme = ":" in href.split("/")[0] and not href.startswith("/")
     if href.startswith(("/", "//")) or has_scheme:
-        assert flag is False
-    assert flag == is_relative_href(href)
+        assert doc.relative_refs == []
+    assert doc.relative_refs == ([href] if is_relative_href(href) else [])
 
 
 # --- the one-pass scanner against the html.parser reference ---
-
-
-def _facts(doc: PageDocument):
-    refs = [(r.href, r.relative, r.offset) for r in doc.stylesheet_refs]
-    return doc.doctype, doc.base_href, doc.base_offset, refs
 
 
 _WS = st.sampled_from([" ", "\n", "\t", "\r", "\x0c", "\r\n", "  "])
@@ -258,7 +249,7 @@ _CONSTRUCTS = st.one_of(
 @given(st.lists(_CONSTRUCTS, max_size=12).map("".join))
 def test_facts_match_html_parser_reference(page):
     body = page.encode("latin-1")
-    assert _facts(analyze_html(body)) == _facts(reference_impls.analyze_html(body))
+    assert analyze_html(body) == reference_impls.analyze_html(body)
 
 
 # Near misses of the names that carry facts, frame end tags with no frame
@@ -288,7 +279,7 @@ _UNCLOSED = st.sampled_from(
 )
 def test_facts_match_reference_around_near_misses(page, tail):
     body = (page + tail).encode("latin-1")
-    assert _facts(analyze_html(body)) == _facts(reference_impls.analyze_html(body))
+    assert analyze_html(body) == reference_impls.analyze_html(body)
 
 
 _FACT_TAGS = ("base", "link", "script", "style", "iframe", "frame", "frameset")
@@ -327,25 +318,21 @@ def test_skip_run_stops_at_the_first_possible_fact(page, tail):
 
 # A UTF-8 "Å" is C3 85; decoded as latin-1 its \x85 is a line break to
 # str.splitlines but not to a tag scanner.
-UTF8_BASE_PAGE = (
-    "<title>ÅÅ</title>\n".encode("utf-8")
-    + b" " * 20
-    + b'<base href="/">\n<link rel=stylesheet href="a.css">'
-)
+UTF8_TITLE = "<title>ÅÅ</title>\n".encode("utf-8") + b" " * 20
+BASE = b'<base href="/">'
+LINK = b'<link rel=stylesheet href="a.css">'
 
 
-def test_offsets_are_indices_after_latin1_line_breaks():
-    doc = analyze_html(UTF8_BASE_PAGE)
-    text = UTF8_BASE_PAGE.decode("latin-1")
-    assert doc.base_offset == text.index("<base")
-    assert [r.offset for r in doc.stylesheet_refs] == [text.index("<link")]
-    assert has_blocking_base(doc) is True
+def test_base_order_after_latin1_line_breaks():
+    assert analyze_html(UTF8_TITLE + BASE + b"\n" + LINK).blocking_base is True
+    assert analyze_html(UTF8_TITLE + LINK + b"\n" + BASE).blocking_base is False
 
 
 @pytest.mark.parametrize("separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r\n"])
-def test_offsets_ignore_non_newline_line_breaks(separator):
-    body = f"<p>a{separator}b</p>\n<link rel=stylesheet href=a.css>".encode("latin-1")
-    assert analyze_html(body).stylesheet_refs[0].offset == body.index(b"<link")
+def test_base_order_ignores_non_newline_line_breaks(separator):
+    between = f"<p>a{separator}b</p>\n".encode("latin-1")
+    assert analyze_html(BASE + between + LINK).blocking_base is True
+    assert analyze_html(LINK + between + BASE).blocking_base is False
 
 
 # End of input inside a construct follows HTML5: an open comment or
@@ -364,8 +351,8 @@ def test_offsets_ignore_non_newline_line_breaks(separator):
 )
 def test_unfinished_construct_hides_the_rest(page):
     doc = analyze_html(page.encode())
-    assert doc.base_href is None
-    assert doc.stylesheet_refs == []
+    assert doc.blocking_base is False
+    assert doc.relative_refs == []
 
 
 @pytest.mark.parametrize("page", ["<!DOCTYPE html", "<!doctype", "<!DOCTYPE html PUBLIC \"x"])
@@ -396,15 +383,15 @@ def test_unfinished_doctype_is_not_recorded(page):
     ],
 )
 def test_facts_follow_html5_tokenizer(page, hrefs):
-    doc = analyze_html(page.encode("latin-1"))
-    assert [r.href for r in doc.stylesheet_refs] == hrefs
+    assert analyze_html(page.encode("latin-1")).relative_refs == hrefs
 
 
 def test_quoted_values_may_hold_angle_brackets_and_duplicates_keep_the_last():
     doc = analyze_html(b'<link title="a>b<c" rel=icon rel="stylesheet" href=x.css href="y.css">')
-    assert [r.href for r in doc.stylesheet_refs] == ["y.css"]
-    doc = analyze_html(b'<base href="/a/"><base href="/b/"><link rel=stylesheet href=s.css>')
-    assert (doc.base_href, doc.base_offset) == ("/a/", 0)
+    assert doc.relative_refs == ["y.css"]
+    # the first base decides; a later one changes nothing
+    doc = analyze_html(b'<base href="/a/"><link rel=stylesheet href=s.css><base href="/b/">')
+    assert doc.blocking_base is True
 
 
 def test_script_and_style_content_is_raw_text():
@@ -413,8 +400,8 @@ def test_script_and_style_content_is_raw_text():
         b"<STYLE><link rel=stylesheet href=in.css></STYLE >"
         b"<link rel=stylesheet href=out.css>"
     )
-    assert doc.base_href is None
-    assert [r.href for r in doc.stylesheet_refs] == ["out.css"]
+    assert doc.blocking_base is False
+    assert doc.relative_refs == ["out.css"]
 
 
 def test_frame_depth_rule():
@@ -424,6 +411,6 @@ def test_frame_depth_rule():
         b"<iframe /><link rel=stylesheet href=c.css>"
     )
     # the unclosed <frame> keeps one level open after </frameset>
-    assert [r.href for r in doc.stylesheet_refs] == []
+    assert doc.relative_refs == []
     doc = analyze_html(b"<iframe/></iframe></iframe><link rel=stylesheet href=d.css>")
-    assert [r.href for r in doc.stylesheet_refs] == ["d.css"]
+    assert doc.relative_refs == ["d.css"]

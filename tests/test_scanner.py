@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import reference_impls
-from test_httpclient import FakeClock, local_server, url_of
+from test_httpclient import FakeClock, chunked, local_server, url_of
 
 from rposcan import scanning
 from rposcan.httpclient import (
@@ -413,18 +413,22 @@ def test_refuse_crlf_over_loopback():
     assert [x.status for x in recording.exchanges] == [400, 200, 200, 200, 200]
 
 
-def test_a_body_in_a_coding_the_client_cannot_read_fails_the_page_fetch():
+@pytest.mark.parametrize("header, coding, frame, error", [
+    ("Content-Encoding", "br", lambda body: body, "content coding 'br'"),
+    ("Transfer-Encoding", "gzip, chunked", chunked, "transfer coding 'gzip, chunked'"),
+], ids=["content-br", "transfer-gzip-chunked"])
+def test_a_body_in_a_coding_the_client_cannot_read_fails_the_page_fetch(header, coding, frame, error):
     target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
 
-    def respond(handler):  # the mock's answer, gzipped and labelled br
+    def respond(handler):  # the mock's answer, gzipped and labelled with the coding
         answer = handle_request(target, handler.headers["Host"], handler.path, {}, handler.headers["Referer"])
-        return answer.status, [*answer.headers.items(), ("Content-Encoding", "br")], gzip.compress(answer.body)
+        return answer.status, [*answer.headers.items(), (header, coding)], frame(gzip.compress(answer.body))
 
     with local_server(respond=respond) as server:
         seed = target.seed_url(f"http://127.0.0.1:{server.server_address[1]}")
         verdict = scan_page(seed, {}, RequestsClient(timeout=5), make_config())
     assert verdict.reason is NotVulnerableReason.FETCH_FAILED
-    assert verdict.errors and all("content coding 'br'" in e for e in verdict.errors)
+    assert verdict.errors and all(error in e for e in verdict.errors)
 
 
 def _matrix_hosts() -> dict[str, TargetConfig]:
