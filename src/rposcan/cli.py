@@ -7,7 +7,6 @@ import sys
 import time
 
 from .jsonform import BadInput
-from .mock_target import load_config, serve
 from .rendering import RenderingMode, classify_doctype, default_profiles, load_profiles
 from .reports import read_records, render_csv, render_table, run_scan, summarize, write_records
 from .scanning import ScanConfig, suffix_form
@@ -110,6 +109,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_mock_serve(args) -> int:
+    from .mock_target import load_config, serve  # only this command loads the mock
+
     config = load_config(args.config)
     server = serve(config, args.port)
     print(

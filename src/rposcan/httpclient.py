@@ -15,6 +15,8 @@ any other content coding, in a transfer coding other than chunked, or longer
 than ``MAX_BODY_BYTES``, fails the fetch, and ``timeout`` bounds the whole
 fetch. Every fetch depends only on its ``HttpRequest``: no cookie jar, no
 ``.netrc``, no proxy, no retry, and a redirect comes back as it was answered.
+``ssl`` is imported by the first https connection, so an http-only run never
+loads it.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -26,7 +28,6 @@ from __future__ import annotations
 import re
 import select
 import socket
-import ssl
 import threading
 import time
 import weakref
@@ -241,9 +242,16 @@ class _Wire:
         while len(self.buf) - self.pos < size:
             if not self.fill():
                 raise NetworkError("connection closed before the body was whole")
-        data = bytes(self.buf[self.pos : self.pos + size])
+        data = self.copy(self.pos, self.pos + size)
         self.pos += size
         return data
+
+    def copy(self, start: int, end: int) -> bytes:
+        """``buf[start:end]`` as bytes in one copy, where a bytearray slice
+        would copy it twice; the view is released before ``fill`` resizes
+        the buffer."""
+        with memoryview(self.buf) as view:
+            return bytes(view[start:end])
 
 
 def _read_head(wire: _Wire) -> tuple[int, bool, dict[str, str], dict[str, str]]:
@@ -281,10 +289,10 @@ def _read_head(wire: _Wire) -> tuple[int, bool, dict[str, str], dict[str, str]]:
 
 def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
     """One response from ``sock`` and whether the connection may carry
-    another request: the body was framed, nothing followed it, and the
-    server did not ask to close. A body in a content coding other than
-    identity, or in a transfer coding other than chunked alone, raises
-    ``NetworkError`` before it is read."""
+    another request: the body was framed, by chunks or by length but not
+    both, nothing followed it, and the server did not ask to close. A body
+    in a content coding other than identity, or in a transfer coding other
+    than chunked alone, raises ``NetworkError`` before it is read."""
     wire = _Wire(sock, deadline)
     status, http11, headers, names = _read_head(wire)
     field = lambda name: headers.get(names.get(name))  # noqa: E731
@@ -318,6 +326,9 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
         while wire.until(b"\r\n", _MAX_LINE):  # trailers, dropped
             pass
         body = b"".join(chunks)
+        # a Content-Length beside it may mean response splitting (RFC 9112
+        # 6.3): the body is read as chunked, but the connection is not reused
+        reusable = reusable and length is None
     elif coding is None and length is not None:
         sizes = {value.strip() for value in length.split(",")}
         size = sizes.pop()
@@ -330,7 +341,7 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
         while wire.fill():
             if len(wire.buf) - wire.pos > MAX_BODY_BYTES:
                 raise _too_large()
-        body, reusable = bytes(wire.buf[wire.pos :]), False
+        body, reusable = wire.copy(wire.pos, len(wire.buf)), False
     return HttpResponse(status, headers, body), reusable and wire.pos == len(wire.buf)
 
 
@@ -354,8 +365,9 @@ class RequestsClient:
     bytes per line, 99 headers): interim 1xx responses are skipped, a
     repeated header is one entry under its first-seen name with its values
     joined by ``", "``, and the body is chunked, ``Content-Length``-framed,
-    empty (204, 304) or read to the connection's close. The body comes back
-    as sent: a ``Content-Encoding`` other than identity or a
+    empty (204, 304) or read to the connection's close; a length-framed or
+    read-to-close body is copied once out of the receive buffer. The body
+    comes back as sent: a ``Content-Encoding`` other than identity or a
     ``Transfer-Encoding`` other than chunked alone raises ``NetworkError``
     before the body is read, and so does a body longer than
     ``MAX_BODY_BYTES``. ``timeout`` is a total deadline for the fetch: every
@@ -371,14 +383,16 @@ class RequestsClient:
 
     A connection leaves the pool while a request uses it, and goes back only
     when its response was framed, nothing followed it, and the server did not
-    ask to close it (HTTP/1.0 must ask to keep it). The pool keeps one idle
-    connection per (scheme, host, port) for at most ``MAX_IDLE_ORIGINS`` of
-    them, closing the least recently used. An idle connection its peer
+    ask to close it (HTTP/1.0 must ask to keep it). A chunked response that
+    also carries ``Content-Length`` is read as chunked and never pooled. The
+    pool keeps one idle connection per (scheme, host, port) for at most
+    ``MAX_IDLE_ORIGINS`` of them, closing the least recently used. An idle connection its peer
     closed is replaced before the send (``select.poll``, so a POSIX system).
     Each fetch connects straight to the host and port its URL names:
     ``http_proxy`` and the other proxy variables are ignored, and there are
     no CONNECT tunnels. TLS is verified against the system trust store, with
-    ALPN ``http/1.1``; ``.netrc`` is never read.
+    ALPN ``http/1.1``, and ``ssl`` loads with the first https connection;
+    ``.netrc`` is never read.
 
     The name dates from the ``requests``-based client it replaced.
     """
@@ -390,7 +404,7 @@ class RequestsClient:
         # a client that is dropped closes its idle sockets rather than leave
         # them to the collector
         weakref.finalize(self, _close_all, self._idle)
-        self._tls: ssl.SSLContext | None = None  # built for the first https connection
+        self._tls = None  # an ssl.SSLContext, built for the first https connection
 
     def _connect(self, endpoint: tuple[str, str, int], deadline: float) -> socket.socket:
         scheme, host, port = endpoint
@@ -400,6 +414,8 @@ class RequestsClient:
             if scheme == "http":
                 return sock
             if self._tls is None:  # threads that race here build equal contexts
+                import ssl  # here, so an http-only run never loads it
+
                 context = ssl.create_default_context()
                 context.set_alpn_protocols(["http/1.1"])
                 self._tls = context

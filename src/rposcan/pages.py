@@ -33,7 +33,6 @@ Base and link tags inside an open frame are ignored.
 from __future__ import annotations
 
 import re
-from html import unescape
 from typing import NamedTuple
 
 from .urls import WebUrl, host_key, is_relative_href
@@ -120,7 +119,11 @@ def _attributes(text: str) -> dict[str, str]:
         if equals:
             if value[:1] in ('"', "'"):
                 value = value[1:-1]
-            attrs[name.lower()] = unescape(value) if value else value
+            if "&" in value:  # only a reference can decode, so html's entity table loads on the first
+                from html import unescape
+
+                value = unescape(value)
+            attrs[name.lower()] = value
     return attrs
 
 

@@ -5,8 +5,10 @@ import socket
 import ssl
 import subprocess
 import sys
+import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 import zlib
 from contextlib import ExitStack, contextmanager
@@ -23,7 +25,7 @@ from rposcan.httpclient import (
     RecordingClient,
     RequestsClient,
 )
-from rposcan.httpclient import MAX_IDLE_ORIGINS
+from rposcan.httpclient import MAX_IDLE_ORIGINS, _read_response
 from rposcan.urls import WebUrl, parse_url
 
 DELAY = 0.020
@@ -572,7 +574,9 @@ def test_client_reads_a_chunked_body_with_extension_and_trailer_and_keeps_the_co
     (b"HTTP/1.1 200 OK\r\nconnection: Close\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", False),
     ([b"HTTP/1.1 200 OK\r\n\r\nhel", 0.02, b"lo", HANG_UP], False),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", True),
-], ids=["1.0-to-close", "1.0-length", "1.0-keep-alive", "1.1-close", "1.1-chunked-close", "1.1-to-close", "1.1"])
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 50\r\n\r\n5\r\nhello\r\n0\r\n\r\n", False),
+], ids=["1.0-to-close", "1.0-length", "1.0-keep-alive", "1.1-close", "1.1-chunked-close", "1.1-to-close", "1.1",
+        "1.1-chunked-and-length"])
 def test_client_pools_a_connection_only_when_the_response_allows_it(reply, pooled):
     with scripted_server(reply, OK) as server:
         response, second = fetch_twice(server)
@@ -893,6 +897,25 @@ def test_client_caps_the_body_and_drops_the_connection(monkeypatch, reply):
         assert wait_until(lambda: 0 in server.client_closed)
 
 
+def test_a_length_framed_body_is_copied_once():
+    size = 4 << 20
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % size + b"x" * size
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        sender = threading.Thread(target=writer.sendall, args=(reply,))
+        tracemalloc.start()
+        try:
+            sender.start()
+            response, reusable = _read_response(reader, time.monotonic() + 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sender.join()
+    assert (len(response.body), reusable) == (size, True)
+    # the receive buffer, with its growth slack, and one copy of the body
+    assert peak < 2.5 * size
+
+
 def _coded(coding: str, body: bytes) -> bytes:
     return f"HTTP/1.1 200 OK\r\nContent-Encoding: {coding}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
 
@@ -982,17 +1005,55 @@ def test_client_checks_the_host_name_and_reuses_a_tls_connection(trust_test_cert
         assert server.heads == []
 
 
-def test_no_rposcan_module_imports_http_client_or_the_email_parser():
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    rposcan from the tree under test."""
     import rposcan
 
+    src = str(Path(rposcan.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_no_rposcan_module_imports_http_client_or_the_email_parser():
     code = (
         "import importlib, pkgutil, sys, rposcan\n"
         "for module in pkgutil.iter_modules(rposcan.__path__):\n"
         "    importlib.import_module('rposcan.' + module.name)\n"
         "print(sorted({'http.client', 'email.parser'} & set(sys.modules)))\n"
     )
-    src = str(Path(rposcan.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+def test_an_http_run_loads_neither_tls_nor_the_entity_table_nor_the_mock():
+    code = textwrap.dedent("""
+        import socket, sys, threading
+        import rposcan.cli, rposcan.reports
+        deferred = {"ssl", "html.entities", "rposcan.mock_target"}
+        print(sorted(deferred & set(sys.modules)))
+
+        from rposcan.httpclient import HttpRequest, RequestsClient
+        from rposcan.urls import parse_url
+
+        def answer(listener):
+            conn, _ = listener.accept()
+            with conn:
+                head = b""
+                while b"\\r\\n\\r\\n" not in head:
+                    head += conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\\r\\nContent-Length: 2\\r\\n\\r\\nok")
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = threading.Thread(target=answer, args=(listener,))
+            server.start()
+            port = listener.getsockname()[1]
+            body = RequestsClient(timeout=5).fetch(HttpRequest(parse_url(f"http://127.0.0.1:{port}/"))).body
+            server.join()
+        print(body, "ssl" in sys.modules)
+
+        from rposcan.pages import analyze_html
+        print(analyze_html(b'<link rel=stylesheet href="a.css?x=1&amp;y=2">').relative_refs)
+    """)
+    assert run_python(code).splitlines() == ["[]", "b'ok' False", "['a.css?x=1&y=2']"]
