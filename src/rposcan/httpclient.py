@@ -15,8 +15,9 @@ any other content coding, in a transfer coding other than chunked, or longer
 than ``MAX_BODY_BYTES``, fails the fetch, and ``timeout`` bounds the whole
 fetch. Every fetch depends only on its ``HttpRequest``: no cookie jar, no
 ``.netrc``, no proxy, no retry, and a redirect comes back as it was answered.
-``ssl`` is imported by the first https connection, so an http-only run never
-loads it.
+``socket`` and ``select`` are imported by the first connection and ``ssl`` by
+the first https one, so a run that opens no connection loads none of them and
+an http-only run never loads ``ssl``.
 
 ``HttpRequest`` and ``HttpResponse`` are named tuples: every exchange builds
 both, and a tuple costs a fraction of a frozen dataclass to build.  A request
@@ -26,16 +27,17 @@ without cookies shares one read-only empty mapping.
 from __future__ import annotations
 
 import re
-import select
-import socket
 import threading
 import time
 import weakref
 from collections.abc import Mapping
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .urls import DEFAULT_PORT, WebUrl, host_key, serialize_url
+
+if TYPE_CHECKING:
+    import socket
 
 
 class NetworkError(Exception):
@@ -136,7 +138,8 @@ USER_AGENT = "rposcan/0.1"
 # a body longer than this fails the fetch
 MAX_BODY_BYTES = 16 << 20
 # idle kept-alive connections are kept for at most this many origins, one
-# each, as urllib3's PoolManager(num_pools=10) with maxsize=1 did
+# each: room for the default four workers, each on one host at a time, while
+# a scan over thousands of hosts holds no more than this many idle sockets open
 MAX_IDLE_ORIGINS = 10
 
 # http.client's limits on a response head: bytes per line, CRLF included, and
@@ -158,6 +161,8 @@ def _dropped(sock) -> bool:
     """An idle kept-alive socket that polls readable was closed by its peer,
     or holds bytes no request asked for, so it must not carry a request.
     ``poll`` takes any descriptor number, where ``select`` stops at 1024."""
+    import select  # loaded with ``socket`` by the first connection
+
     poller = select.poll()
     poller.register(sock, select.POLLIN)
     return bool(poller.poll(0))
@@ -407,6 +412,8 @@ class RequestsClient:
         self._tls = None  # an ssl.SSLContext, built for the first https connection
 
     def _connect(self, endpoint: tuple[str, str, int], deadline: float) -> socket.socket:
+        import socket  # here, so a run that opens no connection never loads it
+
         scheme, host, port = endpoint
         sock = socket.create_connection((host, port), timeout=_time_left(deadline))
         try:

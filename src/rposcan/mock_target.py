@@ -25,15 +25,13 @@ judging.
 from __future__ import annotations
 
 import re
-import selectors
-import socket
 import sys
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from http import HTTPStatus
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
 from urllib.parse import quote
 
 from .httpclient import HttpRequest, HttpResponse, NetworkError
@@ -63,6 +61,9 @@ from .urls import (
     resolve_relative,
     serialize_url,
 )
+
+if TYPE_CHECKING:
+    import socket
 
 
 class Routing(Enum):
@@ -306,13 +307,19 @@ class PortInUse(OSError):
 
 _HEAD_END = b"\r\n\r\n"
 _MAX_HEAD = 64 * 1024  # bytes before the blank line; a longer head gets 431
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
+@cache
+def _reasons() -> dict[int, str]:
+    from http import HTTPStatus  # here, so an in-process run never loads it
+
+    return {status.value: status.phrase for status in HTTPStatus}
 
 
 def _encode(status: int, headers: dict[str, str], body: bytes, keep_open: bool) -> bytes:
     """Status line, headers, ``Content-Length`` and body, to leave in one
     write: two small writes stall on Nagle plus the client's delayed ACK."""
-    head = f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+    head = f"HTTP/1.1 {status} {_reasons().get(status, '')}\r\n"
     for name, value in headers.items():
         head += f"{name}: {value}\r\n"
     head += f"Content-Length: {len(body)}\r\n"
@@ -408,6 +415,9 @@ class MockServer:
     traceback goes to stderr); each is followed by a close, and the loop
     keeps serving. Responses carry the
     plan's headers and ``Content-Length``, with no ``Server`` or ``Date``.
+    ``socket`` and ``selectors`` load with the first server and ``http`` with
+    its first response, so an in-process run, answered by ``InProcessClient``,
+    loads none of them.
 
     Requests are answered one at a time per server, and a write blocks until
     the client takes the response, so a client that never reads can hold the
@@ -416,6 +426,8 @@ class MockServer:
     """
 
     def __init__(self, config: TargetConfig, port: int) -> None:
+        import socket  # here, so an in-process run never loads it
+
         listener = socket.socket()
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -434,6 +446,8 @@ class MockServer:
         self.thread.start()
 
     def _serve_until_woken(self) -> None:
+        import selectors
+
         buffers: dict[socket.socket, bytearray] = {}
         with self._listener, self._woken, selectors.DefaultSelector() as selector:
             selector.register(self._listener, selectors.EVENT_READ)

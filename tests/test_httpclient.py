@@ -1,5 +1,6 @@
 import gc
 import gzip
+import json
 import os
 import socket
 import ssl
@@ -788,8 +789,7 @@ def test_client_refuses_cookies_it_cannot_send_before_connecting(cookies):
 ], ids=["space-in-host", "del-in-host", "non-ascii-host", "non-ascii-path", "tab-in-query", "crlf-in-query"])
 def test_client_refuses_a_host_or_target_it_cannot_send_before_connecting(monkeypatch, url):
     connects = []
-    monkeypatch.setattr("rposcan.httpclient.socket.create_connection",
-                        lambda *args, **kwargs: connects.append(args))
+    monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: connects.append(args))
     with pytest.raises(NetworkError, match="cannot send"):
         RequestsClient(timeout=5).fetch(HttpRequest(url))
     assert connects == []
@@ -1029,10 +1029,13 @@ def test_no_rposcan_module_imports_http_client_or_the_email_parser():
 
 def test_an_http_run_loads_neither_tls_nor_the_entity_table_nor_the_mock():
     code = textwrap.dedent("""
-        import socket, sys, threading
+        import sys
         import rposcan.cli, rposcan.reports
-        deferred = {"ssl", "html.entities", "rposcan.mock_target"}
+        deferred = {"ssl", "socket", "select", "selectors", "datetime", "http", "html.entities",
+                    "rposcan.mock_target"}
         print(sorted(deferred & set(sys.modules)))
+
+        import socket, threading
 
         from rposcan.httpclient import HttpRequest, RequestsClient
         from rposcan.urls import parse_url
@@ -1057,3 +1060,42 @@ def test_an_http_run_loads_neither_tls_nor_the_entity_table_nor_the_mock():
         print(analyze_html(b'<link rel=stylesheet href="a.css?x=1&amp;y=2">').relative_refs)
     """)
     assert run_python(code).splitlines() == ["[]", "b'ok' False", "['a.css?x=1&y=2']"]
+
+
+def test_an_in_process_run_loads_no_network_stack_and_the_mock_still_serves(tmp_path):
+    from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig
+    from rposcan.reports import run_scan
+    from rposcan.scanning import ScanConfig
+
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://site-a.test/app/page.php\n")
+    config = TargetConfig(name="a", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    (record,) = run_scan(str(seed), ScanConfig(per_host_delay=0.0),
+                         base_client=InProcessClient({"site-a.test": config}))
+    expected = {**json.loads(record.to_json()), "started_at": None, "finished_at": None}
+    assert expected["status"] == "exploitable"
+    code = textwrap.dedent("""
+        import json, sys
+        from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig, serve
+        from rposcan.reports import run_scan
+        from rposcan.scanning import ScanConfig
+
+        config = TargetConfig(name="a", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+        (record,) = run_scan(SEED, ScanConfig(per_host_delay=0.0),
+                             base_client=InProcessClient({"site-a.test": config}))
+        print(json.dumps({**json.loads(record.to_json()), "started_at": None, "finished_at": None}))
+        print(sorted({"socket", "select", "selectors", "datetime", "http"} & set(sys.modules)))
+
+        from rposcan.httpclient import HttpRequest, RequestsClient
+        from rposcan.urls import parse_url
+        server = serve(config)
+        try:
+            url = parse_url(f"http://127.0.0.1:{server.port}/app/page.php")
+            print(RequestsClient(timeout=5).fetch(HttpRequest(url)).status)
+        finally:
+            server.shutdown()
+        print(server.thread.is_alive())
+    """).replace("SEED", repr(str(seed)))
+    lines = run_python(code).splitlines()
+    assert json.loads(lines[0]) == expected
+    assert lines[1:] == ["[]", "200", "False"]

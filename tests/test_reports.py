@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from rposcan import reports
 from rposcan.httpclient import RecordingClient
 from rposcan.mock_target import (
@@ -535,3 +537,17 @@ def test_run_scan_unexpected_client_exception_gives_one_error_record(tmp_path):
     assert (broken.status, broken.errors) == ("error", ["RuntimeError('client bug')"])
     assert broken.site == "site-b.test" and broken.template and broken.finished_at
     assert records["http://site-a.test/app/page.php"].status == "exploitable"
+
+
+@pytest.mark.parametrize("ns", [
+    1_700_000_000 * 10**9,  # a whole second: no fraction
+    1_700_000_000 * 10**9 + 1_000,  # ends .000001
+    1_700_000_000 * 10**9 + 999_999_999,  # the nanoseconds past the microsecond are cut
+    86_399 * 10**9 + 123_456_000,
+], ids=["whole-second", "one-microsecond", "truncated", "first-day"])
+def test_now_writes_datetime_isoformat(monkeypatch, ns):
+    from datetime import datetime, timedelta, timezone
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    expected = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=ns // 1000)
+    assert reports._now() == expected.isoformat()
