@@ -569,7 +569,7 @@ def _attempt(
     relative_refs = [ref for ref in config.stylesheet_refs if is_relative_href(ref)]
     if not relative_refs or (kind == "404" and not config.error_page_has_refs):
         return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
-    for sheet in expand_stylesheet_targets(mutated, relative_refs):
+    for sheet in expand_stylesheet_targets(mutated, relative_refs, []):
         if _reflects(plan, technique, mutated.url, sheet):
             return None
     return NotVulnerableReason.NO_REFLECTION
@@ -579,7 +579,8 @@ def compute_ground_truth(config: TargetConfig, profiles: tuple[BrowserProfile, .
     """The first technique whose marker reflects, in the scanner's order, and
     per engine whether the exploit would fire; or, when none reflects, the
     reason the scanner should give."""
-    seen: set[NotVulnerableReason] = set()
+    # a page refused outright is still answered: at worst no relative refs
+    strongest = NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     for technique in applicable_techniques(config.seed_url(_VICTIM_ORIGIN), config.seed_cookies):
         # a server that refuses every newline answers a bare 400 whenever the
         # payload rides in the request target, that is for all but the cookie
@@ -591,15 +592,9 @@ def compute_ground_truth(config: TargetConfig, profiles: tuple[BrowserProfile, .
         reason = _attempt(config, technique, _MARKER)
         if reason is None:
             break
-        seen.add(reason)
+        strongest = max(strongest, reason)  # as the scanner does
     else:
-        # as the scanner does: the base tag first, then refs that did not reflect
-        reason = next(
-            (r for r in (NotVulnerableReason.BASE_TAG, NotVulnerableReason.NO_REFLECTION)
-             if r in seen),
-            NotVulnerableReason.NO_RELATIVE_STYLESHEETS,
-        )
-        return GroundTruth(vulnerable=False, reason=reason.value, technique=None, profiles={})
+        return GroundTruth(vulnerable=False, reason=strongest.value, technique=None, profiles={})
 
     # the reflected "stylesheet" is the page or the error document, served
     # with the page's headers, never real css

@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .urls import WebUrl, resolve_relative, serialize_url
+from .urls import MalformedUrl, WebUrl, resolve_href, serialize_url
 
 SLASH_PADDING = 20  # empty path segments after the payload
 
@@ -143,8 +143,18 @@ def mutate(
 
 
 def expand_stylesheet_targets(
-    mutated: MutatedRequest, relative_refs: list[str]
+    mutated: MutatedRequest, relative_refs: list[str], errors: list[str]
 ) -> list[WebUrl]:
-    """Resolve each reference against the mutated page URL, dropping duplicates
-    (equal URLs) but keeping first-seen order."""
-    return list(dict.fromkeys(resolve_relative(mutated.url, ref) for ref in relative_refs))
+    """Resolve each reference against the mutated page URL as a browser
+    does, dropping duplicates (equal URLs) but keeping first-seen order.  A
+    reference that does not resolve is left out, and why goes to ``errors``
+    once, however many mutated pages carry it."""
+    targets: dict[WebUrl, None] = {}
+    for ref in relative_refs:
+        try:
+            targets[resolve_href(mutated.url, ref)] = None
+        except MalformedUrl as exc:
+            message = f"stylesheet {ref!r} left out: {exc}"
+            if message not in errors:
+                errors.append(message)
+    return list(targets)

@@ -1,12 +1,8 @@
 """Per-page scan pipeline: mutate, fetch, detect reflection, judge exploitability.
 
 A page is scanned technique by technique until one mutated fetch produces a
-stylesheet response that reflects the probe nonce.  Each technique is probed
-with an LF newline in front of the nonce; the FF and then the CR variant are
-tried only when the server refused the newline before them (the page fetch
-failed, or came back 400 or 403).  That rule assumes a server that answers one
-newline normally has nothing to show for the others, and that refusals come as
-400 or 403; neither has been checked against real servers.  Verification then
+stylesheet response that reflects the probe nonce; ``scan_page`` gives the
+order of the newline variants and what that order assumes.  Verification then
 swaps in the exploit payload, with the newline that won, and asks the
 rendering model, per browser profile, whether the reflected style would
 actually be parsed and fire.
@@ -20,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from urllib.parse import quote
 
 from .css_recovery import css_would_fire
 from .httpclient import HttpRequest, HttpResponse, NetworkError
@@ -34,7 +29,6 @@ from .mutations import (
 from .pages import analyze_html
 from .payloads import (
     NewlineVariant,
-    Nonce,
     build_exploit,
     build_reflection_payload,
     find_reflection,
@@ -51,7 +45,7 @@ from .rendering import (
     framing_allowed,
     stylesheet_accepted,
 )
-from .urls import MalformedUrl, WebUrl, resolve_relative, serialize_url
+from .urls import MalformedUrl, WebUrl, resolve_href, serialize_url
 
 DEFAULT_BLOCKED_SUFFIXES = (".gov", ".mil", ".army", ".navy", ".airforce")
 
@@ -64,9 +58,6 @@ _REFUSED_STATUSES = frozenset({400, 403})
 # A fetch follows at most this many redirects; one more fails it.
 MAX_REDIRECTS = 5
 _REDIRECT_STATUSES = frozenset((301, 302, 303, 307, 308))
-# what a Location may hold raw; anything else (a space, non-ASCII) is
-# percent-encoded as UTF-8, as browsers do, so that the hop can go out
-_LOCATION_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 class ScanStatus(Enum):
@@ -76,10 +67,19 @@ class ScanStatus(Enum):
 
 
 class NotVulnerableReason(Enum):
-    BASE_TAG = "base_tag"
+    """Why a page is not vulnerable, weakest first: a page's reason is the
+    strongest that any of its page fetches showed."""
+
+    FETCH_FAILED = "fetch_failed"
     NO_RELATIVE_STYLESHEETS = "no_relative_stylesheets"
     NO_REFLECTION = "no_reflection"
-    FETCH_FAILED = "fetch_failed"
+    BASE_TAG = "base_tag"
+
+    def __lt__(self, other: NotVulnerableReason) -> bool:
+        return _STRENGTH.index(self) < _STRENGTH.index(other)
+
+
+_STRENGTH = tuple(NotVulnerableReason)
 
 
 class Blocker(Enum):
@@ -135,7 +135,6 @@ class ScanVerdict:
     reflected_stylesheet_url: str | None = None
     profile_results: dict[Engine, ProfileResult] = field(default_factory=dict)
     cookies: dict[str, str] = field(default_factory=dict)
-    nonce: Nonce | None = None
     errors: list[str] = field(default_factory=list)
 
 
@@ -166,7 +165,7 @@ def _fetch(client, config: ScanConfig, url: WebUrl, errors: list[str], *,
             return response
         here = request.web_url
         try:
-            hop = resolve_relative(here, quote(location, safe=_LOCATION_SAFE))
+            hop = resolve_href(here, location)
         except MalformedUrl as exc:
             errors.append(f"{request.url}: redirect not followed: {exc}")
             return None
@@ -183,16 +182,15 @@ def _reflecting_sheet(
     client,
     config: ScanConfig,
     mutated: MutatedRequest,
-    page_url: str,
     relative_refs: list[str],
-    nonce: Nonce,
+    nonce: str,
     errors: list[str],
 ) -> tuple[str, HttpResponse] | None:
     """Fetch each stylesheet the refs resolve to from the mutated page, with
-    that page (``page_url``, already serialized) as Referer and its cookies,
-    and return the first one whose body reflects the nonce, with its URL;
-    None when none does."""
-    for sheet in expand_stylesheet_targets(mutated, relative_refs):
+    that page as Referer and its cookies, and return the first one whose body
+    reflects the nonce, with its URL; None when none does."""
+    page_url = serialize_url(mutated.url)
+    for sheet in expand_stylesheet_targets(mutated, relative_refs, errors):
         response = _fetch(client, config, sheet, errors, referer=page_url, cookies=mutated.cookies)
         if response is not None and find_reflection(response.body, nonce):
             return serialize_url(sheet), response
@@ -206,7 +204,9 @@ def scan_page(
     config: ScanConfig,
 ) -> ScanVerdict:
     """Try every applicable technique until a stylesheet response reflects the
-    probe; base-tag responses disqualify the technique outright.
+    probe; base-tag responses disqualify the technique outright.  A page that
+    none reflects gets the strongest ``NotVulnerableReason`` that its page
+    fetches showed.
 
     Within a technique the newline variants go LF, FF, CR, and the next one
     is sent only when the page fetch for the one before failed or answered
@@ -217,12 +217,10 @@ def scan_page(
     a target that refuses LF with a status outside ``_REFUSED_STATUSES`` (a
     404, 406 or 500, say), and one whose sink cuts the echo at LF while FF or
     CR would reflect whole; the mock's ``NewlineHandling.CUT_AT_LF`` configs
-    count the second kind."""
+    count the second kind (5 of 6 missed)."""
     nonce = generate_nonce(config.seed)
     errors: list[str] = []
-    saw_base = False
-    saw_relative_refs = False
-    fetched_anything = False
+    reason = NotVulnerableReason.FETCH_FAILED
 
     for technique in applicable_techniques(url, cookies):
         for newline in NewlineVariant:
@@ -231,16 +229,15 @@ def scan_page(
             page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
             if page_resp is None:
                 continue  # no answer counts as refused: try the next newline
-            fetched_anything = True
             doc = analyze_html(page_resp.body)
             if doc.blocking_base:
-                saw_base = True
+                reason = NotVulnerableReason.BASE_TAG
                 break  # the base tag is payload-independent; next technique
-            relative_refs = doc.relative_refs
-            if relative_refs:
-                saw_relative_refs = True
-                page_url = serialize_url(mutated.url)
-                hit = _reflecting_sheet(client, config, mutated, page_url, relative_refs, nonce, errors)
+            if not doc.relative_refs:
+                reason = max(reason, NotVulnerableReason.NO_RELATIVE_STYLESHEETS)
+            else:
+                reason = max(reason, NotVulnerableReason.NO_REFLECTION)
+                hit = _reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
                 if hit is not None:
                     return ScanVerdict(
                         status=ScanStatus.VULNERABLE,
@@ -249,26 +246,16 @@ def scan_page(
                         newline=newline,
                         reflected_stylesheet_url=hit[0],
                         cookies=dict(cookies),
-                        nonce=nonce,
                         errors=errors,
                     )
             if page_resp.status not in _REFUSED_STATUSES:
                 break  # not refused; assumed that another newline shows the same
 
-    if saw_base:
-        reason = NotVulnerableReason.BASE_TAG
-    elif saw_relative_refs:
-        reason = NotVulnerableReason.NO_REFLECTION
-    elif fetched_anything:
-        reason = NotVulnerableReason.NO_RELATIVE_STYLESHEETS
-    else:
-        reason = NotVulnerableReason.FETCH_FAILED
     return ScanVerdict(
         status=ScanStatus.NOT_VULNERABLE,
         page_url=url,
         reason=reason,
         cookies=dict(cookies),
-        nonce=nonce,
         errors=errors,
     )
 
@@ -335,9 +322,9 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     if verdict.status is not ScanStatus.VULNERABLE:
         return verdict
     assert verdict.technique is not None and verdict.newline is not None
-    assert verdict.nonce is not None
 
-    nonce_url, encoded = build_exploit(verdict.nonce, verdict.newline)
+    nonce = generate_nonce(config.seed)
+    nonce_url, encoded = build_exploit(nonce, verdict.newline)
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = list(verdict.errors)  # the input verdict stays as it was
     page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
@@ -347,9 +334,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     doc = analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
 
-    hit = _reflecting_sheet(
-        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, verdict.nonce, errors
-    )
+    hit = _reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra
         # path depth after decoding, stricter filtering, ...): vulnerable,

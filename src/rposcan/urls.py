@@ -12,6 +12,7 @@ from __future__ import annotations
 import codecs
 import re
 from typing import NamedTuple
+from urllib.parse import quote
 
 
 class MalformedUrl(ValueError):
@@ -281,6 +282,19 @@ def resolve_relative(base: WebUrl, reference: str) -> WebUrl:
     )
 
 
+# what a written reference may hold raw; anything else (a space, non-ASCII)
+# is percent-encoded as UTF-8, as browsers do
+_HREF_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def resolve_href(base: WebUrl, href: str) -> WebUrl:
+    """Resolve a reference as a page's ``href`` or a ``Location`` writes it:
+    percent-encoded by the browsers' rule first, then ``resolve_relative``,
+    whose ``MalformedUrl`` it raises for what still does not parse (a raw
+    ``[`` or ``]``)."""
+    return resolve_relative(base, quote(href, safe=_HREF_SAFE))
+
+
 def server_view(url: WebUrl) -> str:
     """Compute the path a decode-then-canonicalize rewriting server resolves.
 
@@ -292,9 +306,10 @@ def server_view(url: WebUrl) -> str:
 
 def registrable_domain(host: str) -> str:
     """Best-effort registrable domain (no public-suffix list: the last two
-    labels, or three when the second-level label is a common registry tier)."""
+    labels, or three when the second-level label is a common registry tier).
+    A host whose labels are all decimal is an IP address, its own site."""
     labels = host.lower().rstrip(".").split(".")
-    if len(labels) <= 2:
+    if len(labels) <= 2 or all(label.isdecimal() for label in labels):
         return ".".join(labels)
     second_level_registries = {"co", "com", "net", "org", "gov", "ac", "edu", "or"}
     if labels[-2] in second_level_registries and len(labels[-1]) == 2:

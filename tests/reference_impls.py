@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from html.parser import HTMLParser
+from urllib.parse import quote
 
 from rposcan import css_recovery, scanning
 from rposcan.css_recovery import (
@@ -58,7 +59,7 @@ from rposcan.mock_target import (
 )
 from rposcan.mutations import mutate
 from rposcan.pages import PageDocument
-from rposcan.payloads import build_exploit_payload, encode_exploit
+from rposcan.payloads import build_exploit_payload, generate_nonce
 from rposcan.rendering import ResponseSecurity
 from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
 from rposcan.urls import (
@@ -67,7 +68,6 @@ from rposcan.urls import (
     parse_url,
     percent_decode,
     resolve_relative,
-    serialize_url,
 )
 
 # --- CSS tokenizer ---
@@ -429,8 +429,9 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     framed)."""
     if verdict.status is not ScanStatus.VULNERABLE:
         return verdict
-    nonce_url = f"http://css-canary.invalid/{verdict.nonce.value}"
-    encoded = encode_exploit(build_exploit_payload(nonce_url), verdict.newline)
+    nonce = generate_nonce(config.seed)
+    nonce_url = f"http://css-canary.invalid/{nonce}"
+    encoded = verdict.newline.value + quote(build_exploit_payload(nonce_url), safe="")
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
     page_resp = scanning._fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
@@ -439,9 +440,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
         return verdict
     doc = scanning.analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
-    hit = scanning._reflecting_sheet(
-        client, config, mutated, serialize_url(mutated.url), doc.relative_refs, verdict.nonce, errors,
-    )
+    hit = scanning._reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
     if hit is None:
         errors.append("exploit payload did not reflect")
         results = {

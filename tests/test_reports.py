@@ -215,6 +215,17 @@ def test_summarize_counts_pages_and_sites():
     assert table.candidate_sites == 2
 
 
+def test_each_ip_address_is_a_site_of_its_own(tmp_path):
+    target = TargetConfig(name="a", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    hosts = ("127.0.0.1", "10.0.0.1", "192.168.0.1")
+    seed = tmp_path / "seed.txt"
+    seed.write_text("".join(f"http://{host}/app/page.php\n" for host in hosts))
+    client = InProcessClient(dict.fromkeys(hosts, target))
+    records = list(run_scan(str(seed), make_config(), base_client=client))
+    assert sorted(r.site for r in records) == sorted(hosts)
+    assert summarize(records).candidate_sites == 3
+
+
 def test_summarize_total_counts_site_once_across_techniques():
     records = [
         _record("http://a.test/1", "a.test", "vulnerable", "path_param_simple"),

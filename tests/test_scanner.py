@@ -1,5 +1,6 @@
 import copy
 import gzip
+import re
 import time
 from dataclasses import replace
 
@@ -32,8 +33,8 @@ from rposcan.mock_target import (
     serve,
     verdict_matches_truth,
 )
-from rposcan.mutations import MutationTechnique
-from rposcan.payloads import NewlineVariant
+from rposcan.mutations import MutationTechnique, applicable_techniques
+from rposcan.payloads import NewlineVariant, generate_nonce
 from rposcan.rendering import Engine, default_profiles
 from rposcan.reports import run_scan
 from rposcan.scanning import (
@@ -208,8 +209,19 @@ def test_scan_deterministic_with_fixed_seed():
     first, _, _ = scan(target, seed=7)
     second, _, _ = scan(target, seed=7)
     assert first == second
-    third, _, _ = scan(target, seed=8)
-    assert third.nonce != first.nonce
+
+    def nonces_sent(seed: int) -> set[str]:
+        config = make_config(seed=seed)
+        recording = RecordingClient(client_for(target))
+        probed = scan_page(target.seed_url("http://mock.test"), {}, recording, config)
+        verify_exploitable(probed, recording, config)
+        nonce = re.compile(r"(?<![a-z0-9])[a-z0-9]{32}(?![a-z0-9])")
+        return {n for x in recording.exchanges for n in nonce.findall(x.request.url)}
+
+    # the probe and the exploit both carry the nonce of the config's seed
+    assert nonces_sent(7) == {generate_nonce(7)}
+    assert nonces_sent(8) == {generate_nonce(8)}
+    assert generate_nonce(7) != generate_nonce(8)
 
 
 def test_network_errors_recorded_not_fatal():
@@ -583,6 +595,97 @@ def test_base_tag_on_the_exploit_page_only_blocks_engines_it_binds():
         Engine.EDGE: blocked,
         Engine.INTERNET_EXPLORER: (True, False, []),
     }
+
+
+_FACTS = {
+    "base": b'<base href="/"><link rel=stylesheet href="a.css">',
+    "refs": b"<link rel=stylesheet href=a.css>",
+    "none": b"<p>no stylesheet</p>",
+}
+
+
+class _FactPerTechnique:
+    """Answers each page fetch of ``PATH_PARAM_SIMPLE`` with ``first`` and of
+    ``ENCODED_PATH`` with ``second``: a key of ``_FACTS``, or "fail" for a
+    network error.  Stylesheets come back empty, so nothing reflects."""
+
+    def __init__(self, first: str, second: str) -> None:
+        self.first, self.second = first, second
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        if request.referer is not None:
+            return HttpResponse(200, {"Content-Type": "text/css"}, b"")
+        fact = self.second if "%2F.." in request.url else self.first
+        if fact == "fail":
+            raise NetworkError("refused")
+        return HttpResponse(200, {"Content-Type": "text/html"}, _FACTS[fact])
+
+
+@pytest.mark.parametrize("first, second, reason", [
+    ("base", "refs", NotVulnerableReason.BASE_TAG),
+    ("refs", "base", NotVulnerableReason.BASE_TAG),
+    ("none", "base", NotVulnerableReason.BASE_TAG),
+    ("fail", "base", NotVulnerableReason.BASE_TAG),
+    ("refs", "none", NotVulnerableReason.NO_REFLECTION),
+    ("none", "refs", NotVulnerableReason.NO_REFLECTION),
+    ("fail", "refs", NotVulnerableReason.NO_REFLECTION),
+    ("fail", "none", NotVulnerableReason.NO_RELATIVE_STYLESHEETS),
+    ("none", "fail", NotVulnerableReason.NO_RELATIVE_STYLESHEETS),
+    ("fail", "fail", NotVulnerableReason.FETCH_FAILED),
+])
+def test_a_page_gets_the_strongest_reason_any_technique_showed(first, second, reason):
+    url = parse_url("http://h.test/app/page.php")
+    client = _FactPerTechnique(first, second)
+    assert applicable_techniques(url) == [
+        MutationTechnique.PATH_PARAM_SIMPLE, MutationTechnique.ENCODED_PATH,
+    ]
+    verdict = scan_page(url, {}, client, make_config())
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is reason
+
+
+class _EchoSheets:
+    """Answers every page fetch with ``page`` and every stylesheet fetch with
+    its own URL as the body, so each stylesheet fetched reflects."""
+
+    def __init__(self, page: bytes) -> None:
+        self.page = page
+
+    def fetch(self, request: HttpRequest) -> HttpResponse:
+        if request.referer is None:
+            return HttpResponse(200, {"Content-Type": "text/html"}, self.page)
+        return HttpResponse(200, {"Content-Type": "text/css"}, request.url.encode())
+
+
+@pytest.mark.parametrize("href, written", [
+    ("my style.css", "my%20style.css"),
+    ("café.css", "caf%C3%A9.css"),
+])
+def test_an_href_a_browser_percent_encodes_is_fetched_encoded(href, written):
+    page = f'<link rel=stylesheet href="{href}"><link rel=stylesheet href="../style.css">'
+    url = parse_url("http://h.test/app/page.php")
+    # a page is read as Latin-1, so "é" is one byte of it
+    verdict = scan_page(url, {}, _EchoSheets(page.encode("latin-1")), make_config())
+    assert verdict.status is ScanStatus.VULNERABLE
+    assert verdict.reflected_stylesheet_url.endswith("/" + written)
+    assert verdict.errors == []
+
+
+def test_an_href_that_does_not_resolve_is_left_out_and_named():
+    page = b'<link rel=stylesheet href="a[1].css"><link rel=stylesheet href="../style.css">'
+    url = parse_url("http://h.test/app/page.php")
+    verdict = scan_page(url, {}, _EchoSheets(page), make_config())
+    assert verdict.status is ScanStatus.VULNERABLE
+    assert verdict.reflected_stylesheet_url.endswith("/style.css")
+    assert len(verdict.errors) == 1 and "'a[1].css'" in verdict.errors[0]
+
+    # named once, though each technique's page carries it
+    page = b'<link rel=stylesheet href="a[1].css">'
+    url = parse_url("http://h.test/app/page.php;a=1?x=y")
+    verdict = scan_page(url, {"sid": "1"}, _EchoSheets(page), make_config())
+    assert verdict.reason is NotVulnerableReason.NO_REFLECTION
+    assert len(applicable_techniques(url, {"sid": "1"})) == 5
+    assert len(verdict.errors) == 1 and "'a[1].css'" in verdict.errors[0]
 
 
 # --- redirects: each hop is a request of its own ---

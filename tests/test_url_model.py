@@ -15,6 +15,7 @@ from rposcan.urls import (
     host_key,
     parse_url,
     percent_decode,
+    registrable_domain,
     resolve_relative,
     serialize_url,
     server_view,
@@ -132,6 +133,20 @@ def test_host_key_leaves_out_only_the_schemes_default_port(url, key):
     assert host_key(parsed) == key
     # one authority rule: the origin is the scheme and host_key
     assert parsed.origin == f"{parsed.scheme}://{key}"
+
+
+@pytest.mark.parametrize("host, site", [
+    ("www.example.com", "example.com"),
+    ("a.b.example.co.uk", "example.co.uk"),
+    ("example.com.", "example.com"),
+    ("localhost", "localhost"),
+    ("127.0.0.1", "127.0.0.1"),
+    ("10.0.0.1", "10.0.0.1"),
+    ("192.168.0.1", "192.168.0.1"),
+    ("10.0.0.example", "0.example"),
+])
+def test_registrable_domain_keeps_an_ip_address_whole(host, site):
+    assert registrable_domain(host) == site
 
 
 @pytest.mark.parametrize(
