@@ -24,37 +24,51 @@ class BadInput(ValueError):
 
 
 @functools.cache
-def _kinds(cls) -> tuple[dict[str, typing.Any], tuple[str, ...]]:
-    """A dataclass's resolved field types, and its fields without a default."""
+def _fields(cls) -> tuple[dict[str, tuple[typing.Callable, typing.Callable | None]],
+                         tuple[str, ...]]:
+    """A dataclass's fields, each with the check and the conversion its
+    resolved type gives, and its fields without a default.  Built once per
+    class, so reading a value calls nothing in ``typing``."""
     required = tuple(f.name for f in fields(cls)
                      if f.default is MISSING and f.default_factory is MISSING)
-    return typing.get_type_hints(cls), required
+    hints = typing.get_type_hints(cls)
+    return {name: (_check(kind), _convert(kind)) for name, kind in hints.items()}, required
 
 
-def _is_json_form(kind, value) -> bool:
-    """Is a decoded JSON value in the annotated type's JSON form?"""
+def _check(kind) -> typing.Callable[[typing.Any], bool]:
+    """The test of whether a decoded JSON value is in the annotated type's
+    JSON form."""
     if isinstance(kind, type) and issubclass(kind, Enum):
-        return any(value == member.value for member in kind)
+        values = [member.value for member in kind]
+        return lambda value: value in values
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is None:
-        return isinstance(value, kind)
+        return lambda value: isinstance(value, kind)
     if origin is dict:
-        return isinstance(value, dict) and all(_is_json_form(args[1], v) for v in value.values())
+        item = _check(args[1])
+        return lambda value: isinstance(value, dict) and all(map(item, value.values()))
     if origin in (frozenset, list, tuple):  # tuple[X, ...]: args[1] is the ellipsis
-        return isinstance(value, list) and all(_is_json_form(args[0], v) for v in value)
-    return any(_is_json_form(arg, value) for arg in args)  # a union such as str | None
+        item = _check(args[0])
+        return lambda value: isinstance(value, list) and all(map(item, value))
+    # a union such as str | None: one isinstance for its plain classes
+    plain = tuple(arg for arg in args
+                  if typing.get_origin(arg) is None and not issubclass(arg, Enum))
+    others = [_check(arg) for arg in args if arg not in plain]
+    return lambda value: isinstance(value, plain) or any(check(value) for check in others)
 
 
-def _from_json(kind, value):
+def _convert(kind) -> typing.Callable[[typing.Any], typing.Any] | None:
+    """What turns a value in its JSON form into the annotated type; None when
+    the JSON value is already one."""
     if isinstance(kind, type) and issubclass(kind, Enum):
-        return kind(value)
+        return kind
     origin = typing.get_origin(kind)
     if origin is frozenset:
-        (item_kind,) = typing.get_args(kind)
-        return frozenset(_from_json(item_kind, item) for item in value)
+        item = _convert(typing.get_args(kind)[0])
+        return frozenset if item is None else lambda value: frozenset(map(item, value))
     if origin in (dict, list, tuple):
-        return origin(value)
-    return value
+        return origin
+    return None
 
 
 def from_json_form(cls: type[T], data, what: str) -> T:
@@ -65,18 +79,21 @@ def from_json_form(cls: type[T], data, what: str) -> T:
     ``"false"`` cannot stand for another value."""
     if not isinstance(data, dict):
         raise ValueError(f"a {what} is a JSON object, not {json.dumps(data)}")
-    kinds, required = _kinds(cls)
-    unknown = sorted(set(data) - set(kinds))
+    checked, required = _fields(cls)
+    unknown = sorted(set(data) - set(checked))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
     missing = [name for name in required if name not in data]
     if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+    values = {}
     for name, value in data.items():
-        if not _is_json_form(kinds[name], value):
+        check, convert = checked[name]
+        if not check(value):
             raise ValueError(f"{what} key {name}: {json.dumps(value)} does not fit "
                              f"{cls.__annotations__[name]}")
-    return cls(**{name: _from_json(kinds[name], value) for name, value in data.items()})
+        values[name] = value if convert is None else convert(value)
+    return cls(**values)
 
 
 def load(path: str, build: typing.Callable[[typing.Any], T]) -> T:

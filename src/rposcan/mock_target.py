@@ -15,7 +15,10 @@ every request with ``MalformedUrl``, and ``config_from_dict`` refuses it.
 Each config also computes its own ground-truth label (is it vulnerable, and
 for which engines would the injected style fire), so end-to-end runs have an
 answer key.  The key sends a marker, and then an exploit-shaped stand-in,
-through the same plan and routing the server answers with.  It shares three
+and searches the server's own echo list for it: ``_echoes`` decodes and
+routes a request target and lists what each sink echoes, ``handle_request``
+formats that list (the LF cut, the filter), and the key reads it before
+either, so it ignores a cut echo and a refused newline.  It shares three
 things with the scanner: the technique shapes (``mutations``), reference
 resolution (``urls``) and the rendering rules.  It shares none of fetching,
 HTML extraction, reflection search, the CSS oracle or ``scanning``'s profile
@@ -256,6 +259,35 @@ class _ResponsePlan:
         return f'\n<p class="{css_class}">{value}</p>'
 
 
+def _echoes(plan: _ResponsePlan, raw_target: str, cookies: Mapping[str, str],
+            referer: str | None) -> tuple[str, str, list[tuple[str, str]]]:
+    """A request target decoded once and routed: the decoded target, its
+    route (``"page"``, ``"css"`` or ``"404"``), and what each sink echoes for
+    it as (class, value), in the order the body lists them.  A value is
+    the raw text the sink reads, before the LF cut and the filter."""
+    raw_path, mark, raw_query = raw_target.partition("?")
+    decoded = percent_decode(raw_target)
+    if mark:
+        kind, query_pairs = _route(plan, percent_decode(raw_path), raw_query)
+    else:
+        kind, query_pairs = _route(plan, decoded, None)
+    echoes: list[tuple[str, str]] = []
+    if kind == "page":
+        if plan.echo_url:
+            echoes.append(("echo-url", decoded))
+        if plan.echo_query:
+            for _, value in query_pairs:
+                echoes.append(("echo-query", value))
+        if plan.echo_cookie:
+            for _, value in sorted(cookies.items()):
+                echoes.append(("echo-cookie", percent_decode(value)))
+        if plan.echo_referrer and referer:
+            echoes.append(("echo-referrer", percent_decode(referer)))
+    elif kind == "404" and plan.error_echo:
+        echoes.append(("echo-url", decoded))
+    return decoded, kind, echoes
+
+
 _REFUSED_BODY = b"<html><body><h1>400 Bad Request</h1></body></html>"
 _CSS_BODY = b"body { margin: 0; }\n"
 
@@ -265,34 +297,18 @@ def handle_request(config: TargetConfig, authority: str, raw_target: str,
     """Byte-deterministic response for a GET request against this config,
     given its ``Host`` and request target as sent."""
     plan = config.plan
-    raw_path, mark, raw_query = raw_target.partition("?")
-    decoded = percent_decode(raw_target)
+    decoded, kind, echoes = _echoes(plan, raw_target, cookies, referer)
     if plan.refused_bytes and any(byte in decoded for byte in plan.refused_bytes):
         return HttpResponse(400, dict(plan.html_headers), _REFUSED_BODY)
-    if mark:
-        kind, query_pairs = _route(plan, percent_decode(raw_path), raw_query)
-    else:
-        kind, query_pairs = _route(plan, decoded, None)
     if kind == "css":
         return HttpResponse(200, dict(plan.css_headers), _CSS_BODY)
-
     if kind == "page":
         status, (before, after) = 200, plan.page_markup
-        echoes = []
-        if plan.echo_url:
-            echoes.append(plan.echo_line("echo-url", decoded))
-        if plan.echo_query:
-            for _, value in query_pairs:
-                echoes.append(plan.echo_line("echo-query", value))
-        if plan.echo_cookie:
-            for _, value in sorted(cookies.items()):
-                echoes.append(plan.echo_line("echo-cookie", percent_decode(value)))
-        if plan.echo_referrer and referer:
-            echoes.append(plan.echo_line("echo-referrer", percent_decode(referer)))
-        echoed = "".join(echoes)
     else:
         status, (before, after) = 404, plan.error_markup
-        echoed = plan.echo_line("echo-url", decoded) if plan.error_echo else ""
+    echoed = ""
+    for css_class, value in echoes:
+        echoed += plan.echo_line(css_class, value)
     origin = "http://" + authority if plan.base_tag else ""
     body = before + origin + after + echoed + "\n</body></html>"
     return HttpResponse(status, dict(plan.html_headers), body.encode("latin-1", errors="replace"))
@@ -531,46 +547,32 @@ _EXPLOIT_MARKER = "%0A" + quote(
 _VICTIM_ORIGIN = "http://gt.invalid"
 
 
-def _reflects(plan: _ResponsePlan, technique: MutationTechnique, page: WebUrl,
-              sheet: WebUrl) -> bool:
-    """Would the response to this stylesheet fetch, with ``page`` as its
-    Referer, echo the marker?"""
-    sheet_path = percent_decode(sheet.path)
-    kind, query_pairs = _route(plan, sheet_path, sheet.query)
-    if kind == "css":
-        return False
-    if kind == "404":
-        return plan.error_echo and _MARKER in sheet_path
-    return (
-        (plan.echo_url and _MARKER in sheet_path)
-        or (plan.echo_referrer and _MARKER in percent_decode(serialize_url(page)))
-        or (plan.echo_query and any(_MARKER in value for _, value in query_pairs))
-        or (plan.echo_cookie and technique is MutationTechnique.COOKIE)
-    )
-
-
 def _attempt(
     config: TargetConfig, technique: MutationTechnique, payload: str
 ) -> NotVulnerableReason | None:
     """Send ``payload`` from the seed URL by one technique, then fetch the
-    stylesheets its answer links.  None when one of them reflects the marker;
-    otherwise what the answer showed: the base tag, relative refs that do not
-    reflect, or no relative refs at all."""
+    stylesheets its answer links.  None when the server's echo list for one
+    of them holds the marker; otherwise what the answer showed: the base
+    tag, stylesheets that do not reflect, or no relative ref that resolves."""
     plan = config.plan
     seed = config.seed_url(_VICTIM_ORIGIN)
     mutated = mutate(seed, technique, payload, config.seed_cookies)
-    kind, _ = _route(plan, percent_decode(mutated.url.path), mutated.url.query)
+    _, kind, _ = _echoes(plan, mutated.url.target, mutated.cookies, None)
     if kind == "css":
         return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     # the base tag sits on the page and the 404 alike, and a base with no
     # relative ref after it blocks just the same
     if plan.base_tag:
         return NotVulnerableReason.BASE_TAG
-    relative_refs = [ref for ref in config.stylesheet_refs if is_relative_href(ref)]
-    if not relative_refs or (kind == "404" and not config.error_page_has_refs):
+    refs = config.stylesheet_refs if kind == "page" or config.error_page_has_refs else []
+    relative_refs = [ref for ref in refs if is_relative_href(ref)]
+    sheets = expand_stylesheet_targets(mutated.url, relative_refs, [])
+    if not sheets:
         return NotVulnerableReason.NO_RELATIVE_STYLESHEETS
-    for sheet in expand_stylesheet_targets(mutated, relative_refs, []):
-        if _reflects(plan, technique, mutated.url, sheet):
+    referer = serialize_url(mutated.url)
+    for sheet in sheets:
+        _, _, echoes = _echoes(plan, sheet.target, mutated.cookies, referer)
+        if any(_MARKER in value for _, value in echoes):
             return None
     return NotVulnerableReason.NO_REFLECTION
 

@@ -143,16 +143,16 @@ def mutate(
 
 
 def expand_stylesheet_targets(
-    mutated: MutatedRequest, relative_refs: list[str], errors: list[str]
+    page_url: WebUrl, relative_refs: list[str], errors: list[str]
 ) -> list[WebUrl]:
-    """Resolve each reference against the mutated page URL as a browser
-    does, dropping duplicates (equal URLs) but keeping first-seen order.  A
+    """Resolve each reference against the page's URL as a browser does,
+    dropping duplicates (equal URLs) but keeping first-seen order.  A
     reference that does not resolve is left out, and why goes to ``errors``
-    once, however many mutated pages carry it."""
+    once, however many pages carry it."""
     targets: dict[WebUrl, None] = {}
     for ref in relative_refs:
         try:
-            targets[resolve_href(mutated.url, ref)] = None
+            targets[resolve_href(page_url, ref)] = None
         except MalformedUrl as exc:
             message = f"stylesheet {ref!r} left out: {exc}"
             if message not in errors:

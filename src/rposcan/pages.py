@@ -19,7 +19,8 @@ names and attributes; a quoted attribute value runs to its closing quote,
 ``-->`` or ``--!>`` closes a comment.  ``<script>`` and ``<style>`` content
 is raw text up to ``</script`` or ``</style`` followed by whitespace, ``/``
 or ``>``.  Attribute values are entity-decoded; a duplicate attribute keeps
-its last value.
+its last value.  A non-ASCII stylesheet href is read as UTF-8 when its bytes
+are valid UTF-8 (``_as_utf8``).
 
 End of input: an open comment, declaration or processing instruction runs
 to the end of the input, and an unfinished tag is dropped, so nothing after
@@ -127,6 +128,17 @@ def _attributes(text: str) -> dict[str, str]:
     return attrs
 
 
+def _as_utf8(href: str) -> str:
+    """A non-ASCII href read from the Latin-1 text: as UTF-8 when its bytes
+    are valid UTF-8, as it stands otherwise.  The one page this reads wrong
+    is a windows-1252 (or Latin-1) one whose href bytes happen to form
+    UTF-8, such as ``Ã©`` read as ``é``."""
+    try:
+        return href.encode("latin-1").decode("utf-8")
+    except UnicodeError:  # not valid UTF-8, or a decoded entity past U+00FF
+        return href
+
+
 def analyze_html(body: bytes) -> PageDocument:
     """Extract doctype, relative stylesheet links and the base decision;
     never raises on junk."""
@@ -163,7 +175,7 @@ def analyze_html(body: bytes) -> PageDocument:
                 rel = (attrs.get("rel") or "").lower().split()
                 href = attrs.get("href")
                 if "stylesheet" in rel and href and is_relative_href(href):
-                    relative_refs.append(href)
+                    relative_refs.append(href if href.isascii() else _as_utf8(href))
         elif kind == "end_close":
             if frame_depth and match.group("end").lower() in _FRAME_TAGS:
                 frame_depth -= 1

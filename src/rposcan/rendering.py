@@ -19,6 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .jsonform import from_json_form, load
+from .urls import MalformedUrl, parse_url
 
 
 class Engine(Enum):
@@ -228,9 +229,11 @@ def effective_mode(
 ATTACKER_ORIGIN = "http://attacker.invalid"
 
 
-def _origin_of(url_or_origin: str) -> str:
-    m = re.match(r"^([a-z][a-z0-9+.-]*://[^/]+)", url_or_origin.strip(), re.IGNORECASE)
-    return m.group(1).lower() if m else url_or_origin.strip().lower()
+def _origin(text: str) -> str | None:
+    try:
+        return parse_url(text.strip()).origin
+    except MalformedUrl:
+        return None
 
 
 def framing_allowed(
@@ -238,7 +241,13 @@ def framing_allowed(
     attacker_origin: str,
     victim_origin: str,
 ) -> bool:
-    """X-Frame-Options semantics; an absent or unparseable value admits."""
+    """X-Frame-Options semantics; an absent or unparseable value admits.
+
+    Every origin, the two given and each one ``ALLOW-FROM`` lists, is read
+    as ``urls`` reads a URL's (``WebUrl.origin``): the scheme and host
+    lower-cased and a written default port left out, so
+    ``http://attacker.invalid:80`` lists ``http://attacker.invalid``.  A
+    listed entry that does not parse as an http(s) URL lists nothing."""
     if xfo is None:
         return True
     value = xfo.strip()
@@ -246,14 +255,13 @@ def framing_allowed(
     if upper == "DENY":
         return False
     if upper == "SAMEORIGIN":
-        return _origin_of(attacker_origin) == _origin_of(victim_origin)
-    if upper.startswith("ALLOW-FROM"):
-        listed = value[len("ALLOW-FROM") :].strip()
-        if not listed:
-            return True
-        allowed = {_origin_of(tok) for tok in re.split(r"[,\s]+", listed) if tok}
-        return _origin_of(attacker_origin) in allowed
-    return True
+        listed = [victim_origin]
+    elif upper.startswith("ALLOW-FROM") and value[len("ALLOW-FROM") :].strip():
+        listed = re.split(r"[,\s]+", value[len("ALLOW-FROM") :].strip())
+    else:
+        return True
+    attacker = _origin(attacker_origin)
+    return attacker is not None and attacker in map(_origin, listed)
 
 
 def stylesheet_accepted(

@@ -9,7 +9,9 @@ actually be parsed and fire.
 
 Redirects are followed here, not in the client: each hop is a request of its
 own, so it passes the blocklist, the per-host spacing and any exchange log
-like the URL that led to it.
+like the URL that led to it.  A redirected page's refs resolve against the
+last hop, as a browser's document URL is the end of its redirect chain, and
+its stylesheets are fetched with that URL as ``Referer``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from enum import Enum
 from .css_recovery import css_would_fire
 from .httpclient import HttpRequest, HttpResponse, NetworkError
 from .mutations import (
-    MutatedRequest,
     MutationTechnique,
     applicable_techniques,
     expand_stylesheet_targets,
@@ -144,15 +145,20 @@ def ethics_gate(url: WebUrl, config: ScanConfig) -> bool:
 
 
 def _fetch(client, config: ScanConfig, url: WebUrl, errors: list[str], *,
-           referer: str | None = None, cookies: dict[str, str] | None = None) -> HttpResponse | None:
-    """The response to a GET of ``url``, redirects followed, or None with the
-    reason appended to ``errors``.
+           referer: str | None = None,
+           cookies: dict[str, str] | None = None) -> tuple[HttpResponse, HttpRequest] | None:
+    """The response to a GET of ``url``, redirects followed, with the last
+    request sent, whose URL is the document's as a browser sees it; or None
+    with the reason appended to ``errors``.
 
     Each hop is one ``client.fetch``, up to ``MAX_REDIRECTS`` of them. Its URL
     is the ``Location`` resolved as a browser resolves a reference; one that
-    does not parse, or whose host fails ``ethics_gate``, ends the fetch before
-    anything is sent. The cookies go along only while the origin stays the
-    same, and the ``Referer`` stays."""
+    does not parse ends the fetch before anything is sent. No URL is sent,
+    ``url`` or a hop, whose host fails ``ethics_gate``. The cookies go along
+    only while the origin stays the same, and the ``Referer`` stays."""
+    if not ethics_gate(url, config):
+        errors.append(f"{serialize_url(url)}: blocked host {url.host} not fetched")
+        return None
     request = HttpRequest(url, referer=referer, cookies=cookies or {})
     for _ in range(MAX_REDIRECTS + 1):
         try:
@@ -162,7 +168,7 @@ def _fetch(client, config: ScanConfig, url: WebUrl, errors: list[str], *,
             return None
         location = response.status in _REDIRECT_STATUSES and response.header("Location")
         if not location:
-            return response
+            return response, request
         here = request.web_url
         try:
             hop = resolve_href(here, location)
@@ -181,19 +187,19 @@ def _fetch(client, config: ScanConfig, url: WebUrl, errors: list[str], *,
 def _reflecting_sheet(
     client,
     config: ScanConfig,
-    mutated: MutatedRequest,
-    relative_refs: list[str],
+    page: HttpRequest,
+    sheets: list[WebUrl],
     nonce: str,
     errors: list[str],
 ) -> tuple[str, HttpResponse] | None:
-    """Fetch each stylesheet the refs resolve to from the mutated page, with
-    that page as Referer and its cookies, and return the first one whose body
+    """Fetch each stylesheet with the page that links it as Referer and the
+    cookies that page was fetched with, and return the first one whose body
     reflects the nonce, with its URL; None when none does."""
-    page_url = serialize_url(mutated.url)
-    for sheet in expand_stylesheet_targets(mutated, relative_refs, errors):
-        response = _fetch(client, config, sheet, errors, referer=page_url, cookies=mutated.cookies)
-        if response is not None and find_reflection(response.body, nonce):
-            return serialize_url(sheet), response
+    page_url = serialize_url(page.web_url)
+    for sheet in sheets:
+        fetched = _fetch(client, config, sheet, errors, referer=page_url, cookies=page.cookies)
+        if fetched is not None and find_reflection(fetched[0].body, nonce):
+            return serialize_url(sheet), fetched[0]
     return None
 
 
@@ -206,7 +212,9 @@ def scan_page(
     """Try every applicable technique until a stylesheet response reflects the
     probe; base-tag responses disqualify the technique outright.  A page that
     none reflects gets the strongest ``NotVulnerableReason`` that its page
-    fetches showed.
+    fetches showed: ``no_reflection`` needs a stylesheet to have been
+    fetched, so a page whose relative refs all fail to resolve shows
+    ``no_relative_stylesheets``.
 
     Within a technique the newline variants go LF, FF, CR, and the next one
     is sent only when the page fetch for the one before failed or answered
@@ -226,18 +234,20 @@ def scan_page(
         for newline in NewlineVariant:
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, cookies)
-            page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
-            if page_resp is None:
+            fetched = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
+            if fetched is None:
                 continue  # no answer counts as refused: try the next newline
+            page_resp, page = fetched
             doc = analyze_html(page_resp.body)
             if doc.blocking_base:
                 reason = NotVulnerableReason.BASE_TAG
                 break  # the base tag is payload-independent; next technique
-            if not doc.relative_refs:
+            sheets = expand_stylesheet_targets(page.web_url, doc.relative_refs, errors)
+            if not sheets:
                 reason = max(reason, NotVulnerableReason.NO_RELATIVE_STYLESHEETS)
             else:
                 reason = max(reason, NotVulnerableReason.NO_REFLECTION)
-                hit = _reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
+                hit = _reflecting_sheet(client, config, page, sheets, nonce, errors)
                 if hit is not None:
                     return ScanVerdict(
                         status=ScanStatus.VULNERABLE,
@@ -327,14 +337,16 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
     nonce_url, encoded = build_exploit(nonce, verdict.newline)
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = list(verdict.errors)  # the input verdict stays as it was
-    page_resp = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
-    if page_resp is None:
+    fetched = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
+    if fetched is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return replace(verdict, errors=errors)
+    page_resp, page = fetched
     doc = analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
 
-    hit = _reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
+    sheets = expand_stylesheet_targets(page.web_url, doc.relative_refs, errors)
+    hit = _reflecting_sheet(client, config, page, sheets, nonce, errors)
     if hit is None:
         # the bulkier exploit payload did not survive the round trip (extra
         # path depth after decoding, stricter filtering, ...): vulnerable,

@@ -401,6 +401,10 @@ class _FactParser(HTMLParser):
             rel = (attr_map.get("rel") or "").lower().split()
             href = attr_map.get("href")
             if "stylesheet" in rel and href and is_relative_href(href):
+                try:  # the page's bytes read as UTF-8 where they are UTF-8
+                    href = href.encode("latin-1").decode("utf-8")
+                except UnicodeError:
+                    pass
                 self.relative_refs.append(href)
 
     def handle_endtag(self, tag: str) -> None:
@@ -434,13 +438,15 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
     encoded = verdict.newline.value + quote(build_exploit_payload(nonce_url), safe="")
     mutated = mutate(verdict.page_url, verdict.technique, encoded, verdict.cookies)
     errors = verdict.errors
-    page_resp = scanning._fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
-    if page_resp is None:
+    fetched = scanning._fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
+    if fetched is None:
         errors.append("exploit page fetch failed; verdict left unverified")
         return verdict
+    page_resp, page = fetched
     doc = scanning.analyze_html(page_resp.body)
     page_security = ResponseSecurity.from_headers(page_resp.headers)
-    hit = scanning._reflecting_sheet(client, config, mutated, doc.relative_refs, nonce, errors)
+    sheets = scanning.expand_stylesheet_targets(page.web_url, doc.relative_refs, errors)
+    hit = scanning._reflecting_sheet(client, config, page, sheets, nonce, errors)
     if hit is None:
         errors.append("exploit payload did not reflect")
         results = {

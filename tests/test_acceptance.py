@@ -125,7 +125,7 @@ def test_criterion_2_mutation_properties():
         mutated = mutate(url, MutationTechnique.PATH_PARAM_SIMPLE, payload)
         for depth in range(20):
             ref = "../" * depth + "style.css"
-            resolved = expand_stylesheet_targets(mutated, [ref], [])[0]
+            resolved = expand_stylesheet_targets(mutated.url, [ref], [])[0]
             assert payload in resolved.path, f"payload lost at depth {depth}"
 
         rng = random.Random(20180424)

@@ -845,6 +845,15 @@ def test_truth_reason_base_tag_on_refless_404():
     assert verdict_matches_truth(verdict, truth) == []
 
 
+def test_truth_reason_when_no_relative_ref_resolves():
+    # a raw "[" leaves the ref out on both sides, so no stylesheet is fetched
+    config = TargetConfig(name="pathinfo-unresolvable-ref", routing=Routing.PATH_INFO_REWRITE,
+                          stylesheet_refs=["a[1].css"], doctype=DOCTYPE_QUIRKS)
+    verdict, truth = _scanned(config)
+    assert truth.reason == NotVulnerableReason.NO_RELATIVE_STYLESHEETS.value
+    assert verdict_matches_truth(verdict, truth) == []
+
+
 def test_grader_rejects_not_vulnerable_verdict_without_reason():
     config = TargetConfig(name="t", routing=Routing.EXACT_FILE, emit_base_tag=True)
     verdict, truth = _scanned(config)

@@ -149,13 +149,13 @@ def test_mutate_accepts_exactly_the_applicable_techniques(url, cookies):
 
 def test_expand_stylesheet_targets():
     mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
-    targets = expand_stylesheet_targets(mutated, ["../style.css"], [])
+    targets = expand_stylesheet_targets(mutated.url, ["../style.css"], [])
     assert [t.path for t in targets] == [f"/page.asp/{P}{PAD[1:]}style.css"]
 
 
 def test_expand_deduplicates_preserving_order():
     mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
-    targets = expand_stylesheet_targets(mutated, ["a.css", "b.css", "a.css"], [])
+    targets = expand_stylesheet_targets(mutated.url, ["a.css", "b.css", "a.css"], [])
     assert [t.path.rsplit("/", 1)[1] for t in targets] == ["a.css", "b.css"]
 
 
@@ -163,7 +163,7 @@ def test_expand_deduplicates_preserving_order():
 def test_padding_sufficiency(depth):
     mutated = mutate(u("/page.asp"), T.PATH_PARAM_SIMPLE, P)
     ref = "../" * depth + "style.css"
-    resolved = expand_stylesheet_targets(mutated, [ref], [])[0]
+    resolved = expand_stylesheet_targets(mutated.url, [ref], [])[0]
     assert P in resolved.path
 
 

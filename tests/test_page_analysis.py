@@ -176,6 +176,7 @@ _ATTR_VALUES = st.sampled_from(
         "stylesheet", "STYLESHEET", "alternate stylesheet", "icon", "stylesheet icon", "",
         "a.css", "../style.css", "/abs.css", "//cdn.test/x.css", "http://h.test/y.css",
         "a&amp;b.css", "x.css?a=1&amp;b=2", "&#47;s.css", "dir/", "a>b", "a<b", "\x85x", "\xe9",
+        "caf\xc3\xa9.css", "&#x2603;\xc3\xa9.css",
     ]
 )
 

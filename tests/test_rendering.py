@@ -207,6 +207,18 @@ def test_xfo_allow_from():
     assert framing_allowed("ALLOW-FROM http://other.example", ATTACKER, VICTIM) is False
 
 
+@pytest.mark.parametrize("listed, admits", [
+    ("http://attacker.invalid:80", True),
+    ("HTTP://Attacker.Invalid/page", True),
+    ("http://attacker.invalid:8080", False),
+    ("https://attacker.invalid", False),
+    ("attacker.invalid", False),
+])
+def test_xfo_origins_read_as_urls_reads_them(listed, admits):
+    assert framing_allowed(f"ALLOW-FROM {listed}", "http://attacker.invalid", VICTIM) is admits
+    assert framing_allowed("SAMEORIGIN", "http://attacker.invalid", listed) is admits
+
+
 def test_xfo_case_insensitive():
     assert framing_allowed("deny", ATTACKER, VICTIM) is False
 

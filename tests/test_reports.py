@@ -523,6 +523,30 @@ def test_fixed_seed_records_read_back_and_write_back_byte_identical():
     assert written == FIXED_SEED_RECORDS.read_text()
 
 
+def test_reading_records_calls_typing_a_fixed_number_of_times(tmp_path, monkeypatch):
+    import typing
+
+    calls = 0
+    get_origin = typing.get_origin
+
+    def counted(kind):
+        nonlocal calls
+        calls += 1
+        return get_origin(kind)
+
+    lines = FIXED_SEED_RECORDS.read_text()
+    read_records(str(FIXED_SEED_RECORDS))  # a first read may build what reading needs
+    monkeypatch.setattr(typing, "get_origin", counted)
+    counts = []
+    for copies in (1, 20):
+        path = tmp_path / f"records-{copies}.jsonl"
+        path.write_text(lines * copies)
+        calls = 0
+        assert len(read_records(str(path))) == copies * len(lines.splitlines())
+        counts.append(calls)
+    assert counts[0] == counts[1], counts
+
+
 if __name__ == "__main__":  # rewrite the committed file: PYTHONPATH=src python tests/test_reports.py
     import tempfile
 

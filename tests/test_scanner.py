@@ -661,11 +661,12 @@ class _EchoSheets:
     ("my style.css", "my%20style.css"),
     ("café.css", "caf%C3%A9.css"),
 ])
-def test_an_href_a_browser_percent_encodes_is_fetched_encoded(href, written):
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-8"])
+def test_an_href_a_browser_percent_encodes_is_fetched_encoded(href, written, encoding):
     page = f'<link rel=stylesheet href="{href}"><link rel=stylesheet href="../style.css">'
     url = parse_url("http://h.test/app/page.php")
-    # a page is read as Latin-1, so "é" is one byte of it
-    verdict = scan_page(url, {}, _EchoSheets(page.encode("latin-1")), make_config())
+    # "é" is one byte in Latin-1 and two in UTF-8; both read as "é"
+    verdict = scan_page(url, {}, _EchoSheets(page.encode(encoding)), make_config())
     assert verdict.status is ScanStatus.VULNERABLE
     assert verdict.reflected_stylesheet_url.endswith("/" + written)
     assert verdict.errors == []
@@ -679,11 +680,12 @@ def test_an_href_that_does_not_resolve_is_left_out_and_named():
     assert verdict.reflected_stylesheet_url.endswith("/style.css")
     assert len(verdict.errors) == 1 and "'a[1].css'" in verdict.errors[0]
 
-    # named once, though each technique's page carries it
+    # named once, though each technique's page carries it; with no sheet
+    # fetched, the page shows no relative stylesheet
     page = b'<link rel=stylesheet href="a[1].css">'
     url = parse_url("http://h.test/app/page.php;a=1?x=y")
     verdict = scan_page(url, {"sid": "1"}, _EchoSheets(page), make_config())
-    assert verdict.reason is NotVulnerableReason.NO_REFLECTION
+    assert verdict.reason is NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     assert len(applicable_techniques(url, {"sid": "1"})) == 5
     assert len(verdict.errors) == 1 and "'a[1].css'" in verdict.errors[0]
 
@@ -736,10 +738,11 @@ def test_redirect_chain_stops_after_max_redirects():
 ], ids=["relative", "same-origin", "default-port", "scheme", "port", "host"])
 def test_redirect_keeps_cookies_within_the_origin_and_the_referer_always(location, hop, kept):
     client = _Redirects({"http://h.test/start": (302, {"Location": location})})
-    response, errors = _follow(client, "http://h.test/start", referer="http://h.test/page",
-                               cookies={"sid": "1"})
-    assert response is not None and response.status == 200 and errors == []
+    fetched, errors = _follow(client, "http://h.test/start", referer="http://h.test/page",
+                              cookies={"sid": "1"})
+    assert fetched is not None and fetched[0].status == 200 and errors == []
     first, second = client.requests
+    assert fetched[1] == second  # the last request sent: the document's URL and cookies
     assert dict(first.cookies) == {"sid": "1"}
     assert second.url == hop
     assert dict(second.cookies) == ({"sid": "1"} if kept else {})
@@ -764,6 +767,46 @@ def test_redirect_to_a_blocked_host_sends_it_nothing():
     assert verdict.reason is NotVulnerableReason.FETCH_FAILED
     assert client.requests and not any(".gov" in r.url for r in client.requests)
     assert all("blocked host www.x.gov" in e for e in verdict.errors)
+
+
+def test_scan_page_and_verify_send_nothing_to_a_blocked_host():
+    # called directly, not through run_scan's gate, on a host the mock
+    # would answer with an exploitable page
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
+    client = RecordingClient(InProcessClient({"agency.gov": target}))
+    config = make_config()
+    verdict = scan_page(parse_url("http://agency.gov/app/page.php"), {}, client, config)
+    verdict = verify_exploitable(verdict, client, config)
+    assert client.exchanges == []
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is NotVulnerableReason.FETCH_FAILED
+    assert verdict.errors
+    assert all(e.endswith("blocked host agency.gov not fetched") for e in verdict.errors)
+
+
+def test_a_redirected_page_resolves_its_refs_against_the_last_hop():
+    # every mutated page URL 301s to the page itself, as a browser would
+    # then see it: its refs resolve beside /app/page.php, where nothing
+    # reflects, and the Referer is that URL
+    target = TargetConfig(name="pathinfo-url-quirks-plain", routing=Routing.PATH_INFO_REWRITE,
+                          doctype=DOCTYPE_QUIRKS)
+    inner = client_for(target)
+    sheet_referers = []
+
+    class ToThePage:
+        def fetch(self, request: HttpRequest) -> HttpResponse:
+            if request.referer is not None:
+                sheet_referers.append(request.referer)
+            elif request.web_url.path != target.page_path:
+                return HttpResponse(301, {"Location": target.page_path}, b"")
+            return inner.fetch(request)
+
+    config = make_config()
+    verdict = scan_page(target.seed_url("http://mock.test"), {}, ToThePage(), config)
+    verdict = verify_exploitable(verdict, ToThePage(), config)
+    assert verdict.status is ScanStatus.NOT_VULNERABLE
+    assert verdict.reason is NotVulnerableReason.NO_REFLECTION
+    assert sheet_referers and set(sheet_referers) == {"http://mock.test/app/page.php"}
 
 
 @pytest.mark.parametrize("location", [
@@ -797,8 +840,8 @@ def test_each_same_host_redirect_hop_waits_a_full_delay(monkeypatch):
         "http://h.test/a": (302, {"Location": "/b"}),
         "http://h.test/b": (302, {"Location": "/c"}),
     })
-    response, errors = _follow(RateLimitedClient(inner, 0.2), "http://h.test/a")
-    assert response is not None and response.status == 200 and errors == []
+    fetched, errors = _follow(RateLimitedClient(inner, 0.2), "http://h.test/a")
+    assert fetched is not None and fetched[0].status == 200 and errors == []
     assert [r.url for r in inner.requests] == ["http://h.test/a", "http://h.test/b", "http://h.test/c"]
     gaps = [after - before for before, after in zip(sends, sends[1:])]
     assert len(gaps) == 2 and min(gaps) >= 0.2 - 1e-9, gaps
@@ -808,7 +851,8 @@ def test_run_scan_paces_gates_and_logs_redirect_hops_over_loopback(tmp_path):
     # The page 302s to another path on the same server, and the first of two
     # sheets 302s to a blocked host: the record is the one the scanner gives
     # for the page without that sheet and without redirects, plus an error
-    # for each blocked hop.
+    # for each blocked hop, except that the refs resolve against the page's
+    # last hop, under /moved/.
     delay = 0.05
     plain = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS)
     target = replace(plain, stylesheet_refs=["../print.css", *plain.stylesheet_refs])
@@ -832,7 +876,10 @@ def test_run_scan_paces_gates_and_logs_redirect_hops_over_loopback(tmp_path):
                            base_client=InProcessClient({host_key(url_of(server)): plain}))
 
     assert record.status == "exploitable" and expected.errors == []
-    unstamped = dict(started_at=None, finished_at=None, errors=[])
+    origin = url_of(server).origin
+    moved = expected.reflected_stylesheet_url.replace(origin, origin + "/moved", 1)
+    assert record.reflected_stylesheet_url == moved
+    unstamped = dict(started_at=None, finished_at=None, errors=[], reflected_stylesheet_url=None)
     assert replace(record, **unstamped) == replace(expected, **unstamped)
     assert len(record.errors) == 2  # the probe's and the exploit's
     assert all(e.endswith("print.css: redirect to blocked host blocked.gov not followed")
