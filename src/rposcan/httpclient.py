@@ -152,6 +152,11 @@ _DEFAULT_FIELDS = (
     "Accept: */*\r\nConnection: keep-alive\r\n"
 )
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: |$)").match
+# a response line ends at CRLF or at a bare LF, which RFC 9112 2.2 lets a
+# recipient read as a line end, as http.client did; a head ends at an empty
+# line, and what comes before its end keeps the last line's CR
+_LINE_END = re.compile(rb"\r?\n")
+_HEAD_END = re.compile(rb"\n\r?\n")
 # a byte that the request line or Host must not hold: a space, a control
 # character or anything outside ASCII
 _UNSENDABLE = re.compile(r"[^\x21-\x7e]").search
@@ -228,19 +233,20 @@ class _Wire:
         self.buf += data
         return bool(data)
 
-    def until(self, mark: bytes, limit: int) -> bytes:
-        """The bytes before the next ``mark``, which is consumed too; more
-        than ``limit`` of them raise ``NetworkError``."""
-        end = self.buf.find(mark, self.pos)
-        while end < 0:
+    def until(self, mark: re.Pattern, limit: int) -> bytes:
+        """The bytes before the next match of ``mark``, at most 3 bytes
+        long, which is consumed too; more than ``limit`` of them raise
+        ``NetworkError``."""
+        found = mark.search(self.buf, self.pos)
+        while found is None:
             seen = len(self.buf) - self.pos
             if seen > limit:
                 raise NetworkError(f"a response line or head longer than {limit} bytes")
             if not self.fill():
                 raise NetworkError("connection closed before the response was whole")
-            end = self.buf.find(mark, max(seen - len(mark) + 1, 0))
-        data = bytes(self.buf[self.pos : end])
-        self.pos = end + len(mark)
+            found = mark.search(self.buf, max(seen - 2, 0))
+        data = bytes(self.buf[self.pos : found.start()])
+        self.pos = found.end()
         return data
 
     def take(self, size: int) -> bytes:
@@ -264,14 +270,15 @@ def _read_head(wire: _Wire) -> tuple[int, bool, dict[str, str], dict[str, str]]:
     one merged under its first-seen name, values joined with ``", "``) and a
     map from each lower-cased name to that name, after any interim 1xx."""
     while True:
-        lines = wire.until(b"\r\n\r\n", _MAX_LINE * _MAX_LINES).decode("latin-1").split("\r\n")
+        lines = wire.until(_HEAD_END, _MAX_LINE * _MAX_LINES).decode("latin-1").split("\n")
+        if max(map(len, lines)) > _MAX_LINE - 1:  # each still holds a CRLF's CR
+            raise NetworkError(f"a response line longer than {_MAX_LINE} bytes")
+        lines = [line.removesuffix("\r") for line in lines]
         status = _STATUS_LINE(lines[0])
         if status is None:
             raise NetworkError(f"bad status line {lines[0][:80]!r}")
         if len(lines) > _MAX_LINES:
             raise NetworkError(f"a response head with more than {_MAX_LINES - 1} headers")
-        if max(map(len, lines)) > _MAX_LINE - 2:
-            raise NetworkError(f"a response line longer than {_MAX_LINE} bytes")
         if status[2][0] != "1":
             break
     headers: dict[str, str] = {}
@@ -314,7 +321,7 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
     elif coding is not None:
         chunks, size = [], 0
         while True:
-            line = wire.until(b"\r\n", _MAX_LINE)
+            line = wire.until(_LINE_END, _MAX_LINE)
             try:
                 chunk = int(line.partition(b";")[0], 16)
                 if chunk < 0:
@@ -328,7 +335,7 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
                 raise _too_large()
             chunks.append(wire.take(chunk))
             wire.take(2)  # the CRLF after the data, unchecked as http.client left it
-        while wire.until(b"\r\n", _MAX_LINE):  # trailers, dropped
+        while wire.until(_LINE_END, _MAX_LINE):  # trailers, dropped
             pass
         body = b"".join(chunks)
         # a Content-Length beside it may mean response splitting (RFC 9112

@@ -219,19 +219,29 @@ def scan_page(
     Within a technique the newline variants go LF, FF, CR, and the next one
     is sent only when the page fetch for the one before failed or answered
     with a refused status.  A refused page is still analysed, since an error
-    page can reflect too.
+    page can reflect too.  A newline the server refused in the request target
+    is not sent there again for this page: a later technique whose payload
+    rides in the target skips it, and one with all three refused is skipped.
+    The cookie technique carries its newline in a cookie and tries all three.
 
     The rule is an assumption, not a measurement on real servers.  It misses
     a target that refuses LF with a status outside ``_REFUSED_STATUSES`` (a
     404, 406 or 500, say), and one whose sink cuts the echo at LF while FF or
     CR would reflect whole; the mock's ``NewlineHandling.CUT_AT_LF`` configs
-    count the second kind (5 of 6 missed)."""
+    count the second kind (5 of 6 missed).  It also assumes that a server
+    that refuses a newline in the path refuses it in the query too; one that
+    refused LF only in the path would get FF in the query, which CSS reads
+    as a newline just as it reads LF."""
     nonce = generate_nonce(config.seed)
     errors: list[str] = []
     reason = NotVulnerableReason.FETCH_FAILED
+    refused: set[NewlineVariant] = set()  # answered 400/403 in the request target
 
     for technique in applicable_techniques(url, cookies):
+        in_target = technique is not MutationTechnique.COOKIE
         for newline in NewlineVariant:
+            if in_target and newline in refused:
+                continue
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, cookies)
             fetched = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
@@ -260,6 +270,8 @@ def scan_page(
                     )
             if page_resp.status not in _REFUSED_STATUSES:
                 break  # not refused; assumed that another newline shows the same
+            if in_target:
+                refused.add(newline)
 
     return ScanVerdict(
         status=ScanStatus.NOT_VULNERABLE,
@@ -270,65 +282,37 @@ def scan_page(
     )
 
 
-def _evaluate_profile(
+def _blockers(
     profile: BrowserProfile,
     framed: bool,
-    style_fires: bool,
     doctype: str | None,
     page_security: ResponseSecurity,
     sheet_security: ResponseSecurity,
     base_present: bool,
-    victim_origin: str,
-) -> ProfileResult:
-    blockers: list[Blocker] = []
-    if framed and not framing_allowed(
-        page_security.x_frame_options, ATTACKER_ORIGIN, victim_origin
-    ):
-        return ProfileResult(exploitable=False, framed=True, blockers=[Blocker.X_FRAME_OPTIONS])
-    if base_present and profile.base_tag_effective:
-        blockers.append(Blocker.BASE_TAG)
+    frameable: bool,
+) -> list[Blocker]:
+    """What stops ``profile`` from applying the reflected style, with the
+    page framed by the attacker or not; none means the CSS oracle decides.
+    ``frameable`` is ``framing_allowed`` for the attacker's origin."""
+    if framed and not frameable:
+        return [Blocker.X_FRAME_OPTIONS]
+    blockers = [Blocker.BASE_TAG] if base_present and profile.base_tag_effective else []
     mode = effective_mode(doctype, profile, framed, page_security)
-    accepted = stylesheet_accepted(profile, mode, sheet_security)
-    if not accepted:
-        if mode is RenderingMode.STANDARDS:
+    if not stylesheet_accepted(profile, mode, sheet_security):
+        if mode is RenderingMode.QUIRKS:  # only nosniff refuses a sheet in quirks mode
+            blockers.append(Blocker.NOSNIFF)
+        else:
             blockers.append(Blocker.STANDARDS_MODE)
             if framed and profile.supports_frame_override and page_security.x_ua_compatible is not None:
                 blockers.append(Blocker.X_UA_COMPATIBLE)
-        elif sheet_security.nosniff and profile.respects_nosniff:
-            blockers.append(Blocker.NOSNIFF)
-    exploitable = accepted and not blockers and style_fires
-    return ProfileResult(exploitable=exploitable, framed=framed, blockers=blockers)
-
-
-def _judge(
-    profiles: tuple[BrowserProfile, ...],
-    style_fires: bool,
-    doctype: str | None,
-    page_security: ResponseSecurity,
-    sheet_security: ResponseSecurity,
-    base_present: bool,
-    victim_origin: str,
-) -> dict[Engine, ProfileResult]:
-    """Every profile's result, unframed first; a profile that can force the
-    framing page's mode is also judged framed when unframed does not win."""
-    facts = (style_fires, doctype, page_security, sheet_security, base_present, victim_origin)
-    results: dict[Engine, ProfileResult] = {}
-    for profile in profiles:
-        result = _evaluate_profile(profile, False, *facts)
-        if not result.exploitable and profile.supports_frame_override:
-            framed = _evaluate_profile(profile, True, *facts)
-            if framed.exploitable:
-                result = framed
-            else:
-                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
-                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
-        results[profile.engine] = result
-    return results
+    return blockers
 
 
 def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> ScanVerdict:
     """Re-run the winning technique with the exploit payload and judge it
-    against every profile (the frame-override profile also framed)."""
+    against every profile: an engine wins unframed first, then framed (the
+    frame-override profile only); one that wins neither way keeps both ways'
+    blockers, unframed first."""
     if verdict.status is not ScanStatus.VULNERABLE:
         return verdict
     assert verdict.technique is not None and verdict.newline is not None
@@ -360,15 +344,29 @@ def verify_exploitable(verdict: ScanVerdict, client, config: ScanConfig) -> Scan
 
     _, sheet_resp = hit
     sheet_security = ResponseSecurity.from_headers(sheet_resp.headers)
-    facts = (doc.doctype, page_security, sheet_security, doc.blocking_base, verdict.page_url.origin)
-    # The CSS oracle only ANDs into "exploitable" and adds no blocker, so it
-    # is asked only when some profile is otherwise unblocked; it depends on
-    # the sheet and the canary, not on the engine.
-    results = _judge(config.profiles, True, *facts)
-    if any(r.exploitable for r in results.values()) and not css_would_fire(
-        sheet_resp.body, nonce_url
-    ):
-        results = _judge(config.profiles, False, *facts)
+    frameable = framing_allowed(page_security.x_frame_options, ATTACKER_ORIGIN, verdict.page_url.origin)
+    facts = (doc.doctype, page_security, sheet_security, doc.blocking_base, frameable)
+    # each engine unframed, and framed when it can force the framing page's mode
+    judged = {
+        profile.engine: (
+            _blockers(profile, False, *facts),
+            _blockers(profile, True, *facts) if profile.supports_frame_override else None,
+        )
+        for profile in config.profiles
+    }
+    # The CSS oracle adds no blocker and depends on the sheet and the canary,
+    # not on the engine: it is asked once, when some engine is unblocked.
+    unblocked = any(not unframed or framed == [] for unframed, framed in judged.values())
+    fires = unblocked and css_would_fire(sheet_resp.body, nonce_url)
+    results: dict[Engine, ProfileResult] = {}
+    for engine, (unframed, framed) in judged.items():
+        if fires and not unframed:
+            results[engine] = ProfileResult(exploitable=True, framed=False)
+        elif fires and framed == []:
+            results[engine] = ProfileResult(exploitable=True, framed=True)
+        else:
+            merged = unframed + [b for b in framed or () if b not in unframed]
+            results[engine] = ProfileResult(exploitable=False, framed=False, blockers=merged)
 
     status = (
         ScanStatus.EXPLOITABLE

@@ -11,7 +11,9 @@ They serve only as oracles for the equivalence tests:
   base tag by the relative links seen when it arrives;
 - ``verify_exploitable``: verification that asks the CSS oracle
   (``scanning.css_would_fire``, looked up at call time) before judging any
-  profile, and judges every profile once;
+  profile, and judges every profile with ``judge``: its own copy of the
+  per-engine rule, built from ``rendering`` alone, that ``scanning._blockers``
+  replaced;
 - ``handle_request``: the mock target's handler that rebuilds the config's
   headers, markup and real-stylesheet paths on every request and decodes the
   request target once per use, with its own ``route_request``.
@@ -60,8 +62,15 @@ from rposcan.mock_target import (
 from rposcan.mutations import mutate
 from rposcan.pages import PageDocument
 from rposcan.payloads import build_exploit_payload, generate_nonce
-from rposcan.rendering import ResponseSecurity
-from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict, _evaluate_profile
+from rposcan.rendering import (
+    ATTACKER_ORIGIN,
+    RenderingMode,
+    ResponseSecurity,
+    effective_mode,
+    framing_allowed,
+    stylesheet_accepted,
+)
+from rposcan.scanning import Blocker, ProfileResult, ScanStatus, ScanVerdict
 from rposcan.urls import (
     _remove_dot_segments,
     is_relative_href,
@@ -427,6 +436,45 @@ def analyze_html(body: bytes) -> PageDocument:
 # --- eager verification ---
 
 
+def evaluate_profile(profile, framed, style_fires, doctype, page_security, sheet_security,
+                     base_present, victim_origin) -> ProfileResult:
+    """One engine's result, framed by the attacker or not, every fact given."""
+    blockers: list[Blocker] = []
+    if framed and not framing_allowed(page_security.x_frame_options, ATTACKER_ORIGIN, victim_origin):
+        return ProfileResult(exploitable=False, framed=True, blockers=[Blocker.X_FRAME_OPTIONS])
+    if base_present and profile.base_tag_effective:
+        blockers.append(Blocker.BASE_TAG)
+    mode = effective_mode(doctype, profile, framed, page_security)
+    accepted = stylesheet_accepted(profile, mode, sheet_security)
+    if not accepted:
+        if mode is RenderingMode.STANDARDS:
+            blockers.append(Blocker.STANDARDS_MODE)
+            if framed and profile.supports_frame_override and page_security.x_ua_compatible is not None:
+                blockers.append(Blocker.X_UA_COMPATIBLE)
+        elif sheet_security.nosniff and profile.respects_nosniff:
+            blockers.append(Blocker.NOSNIFF)
+    exploitable = accepted and not blockers and style_fires
+    return ProfileResult(exploitable=exploitable, framed=framed, blockers=blockers)
+
+
+def judge(profiles, *facts) -> dict:
+    """Every profile's result, unframed first; a profile that can force the
+    framing page's mode is also judged framed when unframed does not win, and
+    keeps both ways' blockers when neither does."""
+    results = {}
+    for profile in profiles:
+        result = evaluate_profile(profile, False, *facts)
+        if not result.exploitable and profile.supports_frame_override:
+            framed = evaluate_profile(profile, True, *facts)
+            if framed.exploitable:
+                result = framed
+            else:
+                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
+                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
+        results[profile.engine] = result
+    return results
+
+
 def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig) -> ScanVerdict:
     """Re-run the winning technique with the exploit payload, ask the oracle
     once, and judge it against every profile (the frame-override profile also
@@ -462,17 +510,7 @@ def verify_exploitable(verdict: ScanVerdict, client, config: scanning.ScanConfig
         style_fires, doc.doctype, page_security, sheet_security, doc.blocking_base,
         verdict.page_url.origin,
     )
-    results = {}
-    for profile in config.profiles:
-        result = _evaluate_profile(profile, False, *facts)
-        if not result.exploitable and profile.supports_frame_override:
-            framed = _evaluate_profile(profile, True, *facts)
-            if framed.exploitable:
-                result = framed
-            else:
-                merged = result.blockers + [b for b in framed.blockers if b not in result.blockers]
-                result = ProfileResult(exploitable=False, framed=False, blockers=merged)
-        results[profile.engine] = result
+    results = judge(config.profiles, *facts)
     exploitable = any(r.exploitable for r in results.values())
     status = ScanStatus.EXPLOITABLE if exploitable else ScanStatus.VULNERABLE
     return replace(verdict, status=status, profile_results=results)

@@ -698,9 +698,10 @@ def many_headers(count: int) -> bytes:
     return b"HTTP/1.1 200 OK\r\n" + lines + b"Content-Length: 2\r\n\r\nok"
 
 
-def long_header(line_bytes: int) -> bytes:
-    # a header line of ``line_bytes`` bytes with its CRLF
-    return b"HTTP/1.1 200 OK\r\nX-Long: " + b"v" * (line_bytes - 10) + b"\r\nContent-Length: 2\r\n\r\nok"
+def long_header(line_bytes: int, end: bytes = b"\r\n") -> bytes:
+    # a header line of ``line_bytes`` bytes with its line end
+    value = b"v" * (line_bytes - len(b"X-Long: ") - len(end))
+    return b"HTTP/1.1 200 OK\r\nX-Long: " + value + end + b"Content-Length: 2\r\n\r\nok"
 
 
 @pytest.mark.parametrize("reply, ok", [
@@ -713,7 +714,10 @@ def long_header(line_bytes: int) -> bytes:
     (many_headers(100), False),
     (long_header(65536), True),
     (long_header(65537), False),
-], ids=["garbage", "no-code", "four-digits", "http-2", "99-headers", "100-headers", "65536-byte-line", "65537-byte-line"])
+    (long_header(65536, b"\n"), True),
+    (long_header(65537, b"\n"), False),
+], ids=["garbage", "no-code", "four-digits", "http-2", "99-headers", "100-headers", "65536-byte-line", "65537-byte-line",
+        "65536-byte-lf-line", "65537-byte-lf-line"])
 def test_client_enforces_the_status_line_and_head_limits(reply, ok):
     with scripted_server(reply) as server:
         client = RequestsClient(timeout=5)
@@ -795,10 +799,26 @@ def test_client_refuses_a_host_or_target_it_cannot_send_before_connecting(monkey
     assert connects == []
 
 
-def test_client_fails_a_head_with_bare_line_feeds_where_http_client_read_it():
-    with scripted_server([b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok", HANG_UP]) as server:
-        with pytest.raises(NetworkError):
-            RequestsClient(timeout=5).fetch(HttpRequest(server.url()))
+BARE_LF = b"HTTP/1.1 200 OK\nX-Mixed: 1\r\nContent-Length: 2\n\nok"
+BARE_LF_CHUNKED = b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n\n2;x=y\nok\r\n0\nX-Trailer: 1\n\n"
+AFTER_EACH_LF = [i + 1 for i, byte in enumerate(BARE_LF_CHUNKED[:-1]) if byte == ord("\n")]
+
+
+@pytest.mark.parametrize("reply, headers, pooled", [
+    (BARE_LF, {"X-Mixed": "1", "Content-Length": "2"}, True),
+    ([BARE_LF, HANG_UP], {"X-Mixed": "1", "Content-Length": "2"}, False),
+    (pieces(BARE_LF_CHUNKED, *AFTER_EACH_LF), {"Transfer-Encoding": "chunked"}, True),
+], ids=["kept-alive", "then-close", "chunked-cut-after-each-lf"])
+def test_client_reads_lines_that_end_in_a_bare_line_feed_as_http_client_did(reply, headers, pooled):
+    # RFC 9112 2.2: a bare LF ends a line in the head, a chunk size or a
+    # trailer, so the fetch neither waits out its timeout nor fails at close
+    with scripted_server(reply, OK) as server:
+        start = time.monotonic()
+        response, second = fetch_twice(server, timeout=2)
+        assert time.monotonic() - start < 1
+        assert (response.status, response.headers, response.body) == (200, headers, b"ok")
+        assert second == b"ok"
+        assert server.connections == (1 if pooled else 2)
 
 
 class _SentBytes(list):
@@ -865,7 +885,7 @@ def test_client_writes_every_scanner_request_head_as_http_client_did():
         verdict = scan_page(target.seed_url(origin), target.seed_cookies, client, config)
         verify_exploitable(verdict, client, config)
         requests += [x.request for x in client.exchanges]
-    assert len(requests) == 362
+    assert len(requests) == 337
     assert any(r.referer for r in requests) and any(r.cookies for r in requests)
     for request in requests:
         assert _request_head(request) == _http_client_head(request.web_url, request), request

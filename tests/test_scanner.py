@@ -1,5 +1,6 @@
 import copy
 import gzip
+import itertools
 import re
 import time
 from dataclasses import replace
@@ -35,13 +36,14 @@ from rposcan.mock_target import (
 )
 from rposcan.mutations import MutationTechnique, applicable_techniques
 from rposcan.payloads import NewlineVariant, generate_nonce
-from rposcan.rendering import Engine, default_profiles
+from rposcan.rendering import ATTACKER_ORIGIN, Engine, default_profiles
 from rposcan.reports import run_scan
 from rposcan.scanning import (
     Blocker,
     NotVulnerableReason,
     ScanConfig,
     ScanStatus,
+    ScanVerdict,
     ethics_gate,
     scan_page,
     verify_exploitable,
@@ -364,8 +366,9 @@ def test_refuse_all_defeats_path_techniques():
     assert verdict.status is ScanStatus.NOT_VULNERABLE
     assert verdict.reason is NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     assert verdict.reason.value == truth.reason
-    # every variant was refused, so each got its try
-    assert [x.status for x in recording.exchanges] == [400] * 6
+    # each variant is refused once for the page: the first technique tries
+    # all three, and the second, whose payload also rides in the target, none
+    assert [x.status for x in recording.exchanges] == [400] * 3
 
 
 def test_refuse_all_leaves_the_cookie_technique():
@@ -504,6 +507,66 @@ def test_lazy_oracle_judges_like_the_eager_reference(monkeypatch, fires):
     assert checked > 40
     # some vulnerable configs are blocked for every engine and skip the oracle
     assert 0 < asked < checked
+
+
+# every X-Frame-Options the framing rule reads differently, and a typo
+_FRAME_OPTIONS = [
+    None, "DENY", "SAMEORIGIN", f"ALLOW-FROM {ATTACKER_ORIGIN}", "ALLOW-FROM http://other.test", "DENNY",
+]
+
+
+@pytest.mark.parametrize("fires", [True, False], ids=["oracle-true", "oracle-false"])
+def test_every_engine_decision_matches_the_eager_reference(monkeypatch, fires):
+    # Every combination of the facts an engine is judged on, served by a stub
+    # whose stylesheets all reflect; the reference judges with its own rule.
+    calls = 0
+
+    def oracle(body, nonce_url):
+        nonlocal calls
+        calls += 1
+        return fires
+
+    monkeypatch.setattr(scanning, "css_would_fire", oracle)
+    config = make_config()
+    verdict = ScanVerdict(
+        ScanStatus.VULNERABLE,
+        parse_url("http://h.test/app/page.php"),
+        technique=MutationTechnique.PATH_PARAM_SIMPLE,
+        newline=NewlineVariant.LF,
+    )
+    blockers, framed_wins = set(), 0
+    for facts in itertools.product(
+        [None, DOCTYPE_QUIRKS, DOCTYPE_STANDARDS],  # doctype
+        ["text/html", "text/css"],  # the stylesheet's Content-Type
+        [None, "nosniff"],  # its X-Content-Type-Options
+        _FRAME_OPTIONS,  # the page's X-Frame-Options
+        [None, "IE=edge"],  # its X-UA-Compatible
+        [False, True],  # a base tag before the stylesheet link
+    ):
+        doctype, content_type, nosniff, frame_options, ua_compatible, base = facts
+        page = b"" if doctype is None else f"<!DOCTYPE {doctype}>".encode()
+        page += b'<base href="/">' * base + b'<link rel=stylesheet href="style.css">'
+        page_headers = {"X-Frame-Options": frame_options, "X-UA-Compatible": ua_compatible}
+        sheet_headers = {"Content-Type": content_type, "X-Content-Type-Options": nosniff}
+        client = _EchoSheets(
+            page,
+            {k: v for k, v in page_headers.items() if v is not None},
+            {k: v for k, v in sheet_headers.items() if v is not None},
+        )
+        calls = 0
+        expected = reference_impls.verify_exploitable(copy.deepcopy(verdict), client, config)
+        eager_calls, calls = calls, 0
+        got = verify_exploitable(copy.deepcopy(verdict), client, config)
+        assert got == expected, facts
+        assert calls <= eager_calls, facts
+        if fires:
+            assert calls == (got.status is ScanStatus.EXPLOITABLE), facts
+        for result in got.profile_results.values():
+            blockers.update(result.blockers)
+            framed_wins += result.framed
+    # the table reaches every blocker, and a framed win needs the oracle
+    assert blockers == set(Blocker)
+    assert (framed_wins > 0) == fires
 
 
 def test_verify_leaves_its_input_verdict_unchanged():
@@ -646,15 +709,18 @@ def test_a_page_gets_the_strongest_reason_any_technique_showed(first, second, re
 
 class _EchoSheets:
     """Answers every page fetch with ``page`` and every stylesheet fetch with
-    its own URL as the body, so each stylesheet fetched reflects."""
+    its own URL as the body, so each stylesheet fetched reflects; each kind
+    of response carries its own headers."""
 
-    def __init__(self, page: bytes) -> None:
+    def __init__(self, page: bytes, page_headers=None, sheet_headers=None) -> None:
         self.page = page
+        self.page_headers = page_headers or {"Content-Type": "text/html"}
+        self.sheet_headers = sheet_headers or {"Content-Type": "text/css"}
 
     def fetch(self, request: HttpRequest) -> HttpResponse:
         if request.referer is None:
-            return HttpResponse(200, {"Content-Type": "text/html"}, self.page)
-        return HttpResponse(200, {"Content-Type": "text/css"}, request.url.encode())
+            return HttpResponse(200, self.page_headers, self.page)
+        return HttpResponse(200, self.sheet_headers, request.url.encode())
 
 
 @pytest.mark.parametrize("href, written", [
