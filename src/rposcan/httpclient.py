@@ -334,7 +334,8 @@ def _read_response(sock, deadline: float) -> tuple[HttpResponse, bool]:
             if size > MAX_BODY_BYTES:
                 raise _too_large()
             chunks.append(wire.take(chunk))
-            wire.take(2)  # the CRLF after the data, unchecked as http.client left it
+            if wire.until(_LINE_END, _MAX_LINE):  # the data ends its line
+                raise NetworkError(f"chunk data longer than its size {chunk}")
         while wire.until(_LINE_END, _MAX_LINE):  # trailers, dropped
             pass
         body = b"".join(chunks)

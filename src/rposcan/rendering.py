@@ -36,6 +36,16 @@ class RenderingMode(Enum):
     QUIRKS = "quirks"
 
 
+class Blocker(Enum):
+    """What stops an engine from applying a reflected style."""
+
+    BASE_TAG = "base_tag"
+    NOSNIFF = "nosniff"
+    X_FRAME_OPTIONS = "x_frame_options"
+    STANDARDS_MODE = "standards_mode"
+    X_UA_COMPATIBLE = "x_ua_compatible"
+
+
 # Public-identifier prefixes that put every engine we model into quirks mode
 # (derived from the interoperable legacy-doctype behavior all engines share).
 # These lists are lower-case: classify_doctype matches the lower-cased id.
@@ -264,18 +274,27 @@ def framing_allowed(
     return attacker is not None and attacker in map(_origin, listed)
 
 
+def stylesheet_refusal(
+    profile: BrowserProfile, mode: RenderingMode, security: ResponseSecurity
+) -> Blocker | None:
+    """Why the engine would not parse this response as a stylesheet, or
+    None when it would: a sheet not sent as ``text/css`` is refused in
+    standards mode, and in quirks mode only under a nosniff it respects."""
+    content_type = (security.content_type or "").split(";")[0].strip().lower()
+    if content_type == "text/css":
+        return None
+    if mode is not RenderingMode.QUIRKS:
+        return Blocker.STANDARDS_MODE
+    if security.nosniff and profile.respects_nosniff:
+        return Blocker.NOSNIFF
+    return None
+
+
 def stylesheet_accepted(
     profile: BrowserProfile, mode: RenderingMode, security: ResponseSecurity
 ) -> bool:
     """Would the engine parse this response as a stylesheet?"""
-    content_type = (security.content_type or "").split(";")[0].strip().lower()
-    if content_type == "text/css":
-        return True
-    if mode is not RenderingMode.QUIRKS:
-        return False
-    if security.nosniff and profile.respects_nosniff:
-        return False
-    return True
+    return stylesheet_refusal(profile, mode, security) is None
 
 
 _DEFAULT_PROFILES = os.path.join(os.path.dirname(__file__), "data", "default_profiles.json")

@@ -37,14 +37,14 @@ from .payloads import (
 )
 from .rendering import (
     ATTACKER_ORIGIN,
+    Blocker,
     BrowserProfile,
     Engine,
-    RenderingMode,
     ResponseSecurity,
     default_profiles,
     effective_mode,
     framing_allowed,
-    stylesheet_accepted,
+    stylesheet_refusal,
 )
 from .urls import MalformedUrl, WebUrl, resolve_href, serialize_url
 
@@ -81,14 +81,6 @@ class NotVulnerableReason(Enum):
 
 
 _STRENGTH = tuple(NotVulnerableReason)
-
-
-class Blocker(Enum):
-    BASE_TAG = "base_tag"
-    NOSNIFF = "nosniff"
-    X_FRAME_OPTIONS = "x_frame_options"
-    STANDARDS_MODE = "standards_mode"
-    X_UA_COMPATIBLE = "x_ua_compatible"
 
 
 def suffix_form(suffix: str) -> str:
@@ -219,29 +211,19 @@ def scan_page(
     Within a technique the newline variants go LF, FF, CR, and the next one
     is sent only when the page fetch for the one before failed or answered
     with a refused status.  A refused page is still analysed, since an error
-    page can reflect too.  A newline the server refused in the request target
-    is not sent there again for this page: a later technique whose payload
-    rides in the target skips it, and one with all three refused is skipped.
-    The cookie technique carries its newline in a cookie and tries all three.
+    page can reflect too.
 
     The rule is an assumption, not a measurement on real servers.  It misses
     a target that refuses LF with a status outside ``_REFUSED_STATUSES`` (a
     404, 406 or 500, say), and one whose sink cuts the echo at LF while FF or
     CR would reflect whole; the mock's ``NewlineHandling.CUT_AT_LF`` configs
-    count the second kind (5 of 6 missed).  It also assumes that a server
-    that refuses a newline in the path refuses it in the query too; one that
-    refused LF only in the path would get FF in the query, which CSS reads
-    as a newline just as it reads LF."""
+    count the second kind (5 of 6 missed)."""
     nonce = generate_nonce(config.seed)
     errors: list[str] = []
     reason = NotVulnerableReason.FETCH_FAILED
-    refused: set[NewlineVariant] = set()  # answered 400/403 in the request target
 
     for technique in applicable_techniques(url, cookies):
-        in_target = technique is not MutationTechnique.COOKIE
         for newline in NewlineVariant:
-            if in_target and newline in refused:
-                continue
             payload = build_reflection_payload(nonce, newline)
             mutated = mutate(url, technique, payload, cookies)
             fetched = _fetch(client, config, mutated.url, errors, cookies=mutated.cookies)
@@ -270,8 +252,6 @@ def scan_page(
                     )
             if page_resp.status not in _REFUSED_STATUSES:
                 break  # not refused; assumed that another newline shows the same
-            if in_target:
-                refused.add(newline)
 
     return ScanVerdict(
         status=ScanStatus.NOT_VULNERABLE,
@@ -298,13 +278,12 @@ def _blockers(
         return [Blocker.X_FRAME_OPTIONS]
     blockers = [Blocker.BASE_TAG] if base_present and profile.base_tag_effective else []
     mode = effective_mode(doctype, profile, framed, page_security)
-    if not stylesheet_accepted(profile, mode, sheet_security):
-        if mode is RenderingMode.QUIRKS:  # only nosniff refuses a sheet in quirks mode
-            blockers.append(Blocker.NOSNIFF)
-        else:
-            blockers.append(Blocker.STANDARDS_MODE)
-            if framed and profile.supports_frame_override and page_security.x_ua_compatible is not None:
-                blockers.append(Blocker.X_UA_COMPATIBLE)
+    refusal = stylesheet_refusal(profile, mode, sheet_security)
+    if refusal is not None:
+        blockers.append(refusal)
+    if refusal is Blocker.STANDARDS_MODE and framed and profile.supports_frame_override:
+        if page_security.x_ua_compatible is not None:  # it kept the framing override away
+            blockers.append(Blocker.X_UA_COMPATIBLE)
     return blockers
 
 

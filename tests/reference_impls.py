@@ -64,13 +64,14 @@ from rposcan.pages import PageDocument
 from rposcan.payloads import build_exploit_payload, generate_nonce
 from rposcan.rendering import (
     ATTACKER_ORIGIN,
+    Blocker,
     RenderingMode,
     ResponseSecurity,
     effective_mode,
     framing_allowed,
     stylesheet_accepted,
 )
-from rposcan.scanning import Blocker, ProfileResult, ScanStatus, ScanVerdict
+from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict
 from rposcan.urls import (
     _remove_dot_segments,
     is_relative_href,

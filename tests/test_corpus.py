@@ -93,4 +93,4 @@ def test_generated_corpus_matches_answer_key():
     assert missed == 129
     # what the corpus's verdicts cost, redirect hops included; a change to
     # the request plan moves this on purpose
-    assert requests == 14_264
+    assert requests == 19_802

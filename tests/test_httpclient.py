@@ -800,7 +800,7 @@ def test_client_refuses_a_host_or_target_it_cannot_send_before_connecting(monkey
 
 
 BARE_LF = b"HTTP/1.1 200 OK\nX-Mixed: 1\r\nContent-Length: 2\n\nok"
-BARE_LF_CHUNKED = b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n\n2;x=y\nok\r\n0\nX-Trailer: 1\n\n"
+BARE_LF_CHUNKED = b"HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n\n2;x=y\nok\n0\nX-Trailer: 1\n\n"
 AFTER_EACH_LF = [i + 1 for i, byte in enumerate(BARE_LF_CHUNKED[:-1]) if byte == ord("\n")]
 
 
@@ -810,8 +810,9 @@ AFTER_EACH_LF = [i + 1 for i, byte in enumerate(BARE_LF_CHUNKED[:-1]) if byte ==
     (pieces(BARE_LF_CHUNKED, *AFTER_EACH_LF), {"Transfer-Encoding": "chunked"}, True),
 ], ids=["kept-alive", "then-close", "chunked-cut-after-each-lf"])
 def test_client_reads_lines_that_end_in_a_bare_line_feed_as_http_client_did(reply, headers, pooled):
-    # RFC 9112 2.2: a bare LF ends a line in the head, a chunk size or a
-    # trailer, so the fetch neither waits out its timeout nor fails at close
+    # RFC 9112 2.2: a bare LF ends a line in the head, a chunk size, a
+    # chunk's data or a trailer, so the fetch neither waits out its timeout
+    # nor fails at close
     with scripted_server(reply, OK) as server:
         start = time.monotonic()
         response, second = fetch_twice(server, timeout=2)
@@ -819,6 +820,16 @@ def test_client_reads_lines_that_end_in_a_bare_line_feed_as_http_client_did(repl
         assert (response.status, response.headers, response.body) == (200, headers, b"ok")
         assert second == b"ok"
         assert server.connections == (1 if pooled else 2)
+
+
+def test_client_fails_chunk_data_longer_than_its_size_and_drops_the_connection():
+    reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n0\r\n\r\n"
+    with scripted_server(reply, OK) as server:
+        client = RequestsClient(timeout=5)
+        with pytest.raises(NetworkError, match="chunk data longer than its size 2"):
+            client.fetch(HttpRequest(server.url("/first")))
+        assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
+        assert server.connections == 2
 
 
 class _SentBytes(list):
@@ -885,7 +896,7 @@ def test_client_writes_every_scanner_request_head_as_http_client_did():
         verdict = scan_page(target.seed_url(origin), target.seed_cookies, client, config)
         verify_exploitable(verdict, client, config)
         requests += [x.request for x in client.exchanges]
-    assert len(requests) == 337
+    assert len(requests) == 362
     assert any(r.referer for r in requests) and any(r.cookies for r in requests)
     for request in requests:
         assert _request_head(request) == _http_client_head(request.web_url, request), request

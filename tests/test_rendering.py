@@ -9,6 +9,7 @@ from rposcan import rendering
 from rposcan.cli import main
 from rposcan.jsonform import BadInput
 from rposcan.rendering import (
+    Blocker,
     BrowserProfile,
     Engine,
     RenderingMode,
@@ -20,6 +21,7 @@ from rposcan.rendering import (
     load_profiles,
     parse_doctype,
     stylesheet_accepted,
+    stylesheet_refusal,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -264,6 +266,23 @@ def test_nosniff_monotonicity():
                     profile, mode, ResponseSecurity(content_type=content_type, nosniff=False)
                 )
                 assert not with_flag or without
+
+
+def test_a_refused_sheet_is_refused_by_its_mode_in_standards_and_by_nosniff_in_quirks():
+    for profile in PROFILES:
+        for mode in RenderingMode:
+            for content_type in (None, "text/css", "text/html; charset=utf-8"):
+                for nosniff in (False, True):
+                    sec = ResponseSecurity(content_type=content_type, nosniff=nosniff)
+                    refusal = stylesheet_refusal(profile, mode, sec)
+                    assert (refusal is None) == stylesheet_accepted(profile, mode, sec)
+                    if content_type == "text/css":
+                        expected = None
+                    elif mode is RenderingMode.STANDARDS:
+                        expected = Blocker.STANDARDS_MODE
+                    else:
+                        expected = Blocker.NOSNIFF if nosniff and profile.respects_nosniff else None
+                    assert refusal is expected, (profile.engine, mode, content_type, nosniff)
 
 
 def test_response_security_from_headers():

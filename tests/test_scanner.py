@@ -366,9 +366,8 @@ def test_refuse_all_defeats_path_techniques():
     assert verdict.status is ScanStatus.NOT_VULNERABLE
     assert verdict.reason is NotVulnerableReason.NO_RELATIVE_STYLESHEETS
     assert verdict.reason.value == truth.reason
-    # each variant is refused once for the page: the first technique tries
-    # all three, and the second, whose payload also rides in the target, none
-    assert [x.status for x in recording.exchanges] == [400] * 3
+    # every variant was refused, so each got its try
+    assert [x.status for x in recording.exchanges] == [400] * 6
 
 
 def test_refuse_all_leaves_the_cookie_technique():
