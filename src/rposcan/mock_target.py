@@ -51,7 +51,7 @@ from .rendering import (
     ResponseSecurity,
     effective_mode,
     framing_allowed,
-    stylesheet_accepted,
+    stylesheet_refusal,
 )
 from .scanning import NotVulnerableReason, ScanStatus
 from .urls import (
@@ -608,7 +608,7 @@ def compute_ground_truth(config: TargetConfig, profiles: tuple[BrowserProfile, .
 
     def fires(profile: BrowserProfile, framed: bool) -> bool:
         mode = effective_mode(config.doctype, profile, framed, security)
-        return style_fires and stylesheet_accepted(profile, mode, security)
+        return style_fires and stylesheet_refusal(profile, mode, security) is None
 
     outcomes: dict[str, ProfileTruth] = {}
     for profile in profiles:

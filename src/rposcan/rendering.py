@@ -1,18 +1,18 @@
 """Per-engine rendering behavior: doctype switching, header gating, framing.
 
 Profiles are data, not code: each engine carries three behavior booleans and
-two optional exception lists, and can be loaded from a JSON profile file so
-the matrix can be updated without touching the logic.  The quirks-mode
-public-identifier lists every engine shares live here as module constants;
-an engine departs from them only through its exception lists.  The defaults
-model the engine families' shared behavior (the WebKit-descended engines
-agree with each other, as do the two Microsoft engines).
+two optional exception lists.  The shipped profiles are one constant here; a
+JSON profile file (``load_profiles``) can replace them for a run without
+touching the logic.  The quirks-mode public-identifier lists every engine
+shares live here as module constants; an engine departs from them only
+through its exception lists.  The defaults model the engine families' shared
+behavior (the WebKit-descended engines agree with each other, as do the two
+Microsoft engines).
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -290,16 +290,6 @@ def stylesheet_refusal(
     return None
 
 
-def stylesheet_accepted(
-    profile: BrowserProfile, mode: RenderingMode, security: ResponseSecurity
-) -> bool:
-    """Would the engine parse this response as a stylesheet?"""
-    return stylesheet_refusal(profile, mode, security) is None
-
-
-_DEFAULT_PROFILES = os.path.join(os.path.dirname(__file__), "data", "default_profiles.json")
-
-
 def _profiles_from_json(doc) -> tuple[BrowserProfile, ...]:
     entries = doc.get("profiles") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -314,14 +304,25 @@ def _profiles_from_json(doc) -> tuple[BrowserProfile, ...]:
     return profiles
 
 
-def load_profiles(path: str | None = None) -> tuple[BrowserProfile, ...]:
-    """Load engine profiles from a JSON file; without a path, the shipped
-    defaults. A file that is not UTF-8 JSON of the profile file's shape, or
-    that defines one engine twice, raises ``BadInput``."""
-    return load(_DEFAULT_PROFILES if path is None else path, _profiles_from_json)
+def load_profiles(path: str) -> tuple[BrowserProfile, ...]:
+    """Load engine profiles from a JSON file. A file that is not UTF-8 JSON
+    of the profile file's shape, or that defines one engine twice, raises
+    ``BadInput``."""
+    return load(path, _profiles_from_json)
 
 
-@functools.cache
+# The shipped profiles, one per engine in ``Engine`` order; the flags are
+# respects_nosniff, supports_frame_override and base_tag_effective.
+_SHIPPED_PROFILES = (
+    BrowserProfile(Engine.CHROME, False, False, True),
+    BrowserProfile(Engine.OPERA, False, False, True),
+    BrowserProfile(Engine.SAFARI, False, False, True),
+    BrowserProfile(Engine.FIREFOX, True, False, True),
+    BrowserProfile(Engine.EDGE, True, False, True),
+    BrowserProfile(Engine.INTERNET_EXPLORER, True, True, False),
+)
+
+
 def default_profiles() -> tuple[BrowserProfile, ...]:
-    """The shipped profiles, parsed once per process; the same tuple each call."""
-    return load_profiles()
+    """The shipped profiles; the same tuple each call."""
+    return _SHIPPED_PROFILES

@@ -69,7 +69,7 @@ from rposcan.rendering import (
     ResponseSecurity,
     effective_mode,
     framing_allowed,
-    stylesheet_accepted,
+    stylesheet_refusal,
 )
 from rposcan.scanning import ProfileResult, ScanStatus, ScanVerdict
 from rposcan.urls import (
@@ -446,7 +446,7 @@ def evaluate_profile(profile, framed, style_fires, doctype, page_security, sheet
     if base_present and profile.base_tag_effective:
         blockers.append(Blocker.BASE_TAG)
     mode = effective_mode(doctype, profile, framed, page_security)
-    accepted = stylesheet_accepted(profile, mode, sheet_security)
+    accepted = stylesheet_refusal(profile, mode, sheet_security) is None
     if not accepted:
         if mode is RenderingMode.STANDARDS:
             blockers.append(Blocker.STANDARDS_MODE)

@@ -26,7 +26,7 @@ from rposcan.rendering import (
     classify_doctype,
     default_profiles,
     framing_allowed,
-    stylesheet_accepted,
+    stylesheet_refusal,
 )
 from rposcan.scanning import (
     Blocker,
@@ -187,7 +187,7 @@ def test_criterion_4_header_semantics():
         sheet = ResponseSecurity(content_type="text/html", nosniff=True)
         expected_blocked = {Engine.FIREFOX, Engine.EDGE, Engine.INTERNET_EXPLORER}
         for profile in PROFILES:
-            accepted = stylesheet_accepted(profile, RenderingMode.QUIRKS, sheet)
+            accepted = stylesheet_refusal(profile, RenderingMode.QUIRKS, sheet) is None
             if accepted == (profile.engine in expected_blocked):
                 mismatches += 1
 

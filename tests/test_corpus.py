@@ -5,9 +5,14 @@ against its own answer key.
 ``random.Random``, so a seed and a count name the same configs on every run.
 The draws include shapes the hand-written matrix leaves out: valueless
 queries, empty ``;`` parameters, real stylesheets, every newline handling.
+Every verdict of seeds 3 and 7 is compared with ``fixtures/corpus_verdicts.jsonl``.
 """
 
+import json
+import pathlib
 import random
+
+import pytest
 
 from rposcan.httpclient import RecordingClient
 from rposcan.mock_target import (
@@ -72,15 +77,30 @@ def generated_configs(seed: int, count: int) -> list[TargetConfig]:
     return configs
 
 
-def test_generated_corpus_matches_answer_key():
-    profiles = default_profiles()
-    scan_config = ScanConfig(per_host_delay=0.0, profiles=tuple(profiles))
-    missed = requests = 0
-    for config in generated_configs(seed=3, count=3000):
+CORPUS_VERDICTS = pathlib.Path(__file__).parent / "fixtures" / "corpus_verdicts.jsonl"
+
+
+def _scan_corpus(seed: int) -> list:
+    """Each generated config of ``seed`` with its verdict and request count."""
+    scan_config = ScanConfig(per_host_delay=0.0)
+    scanned = []
+    for config in generated_configs(seed=seed, count=3000):
         client = RecordingClient(InProcessClient({"mock.test": config}))
-        seed = config.seed_url("http://mock.test")
-        verdict = scan_page(seed, config.seed_cookies, client, scan_config)
+        verdict = scan_page(config.seed_url("http://mock.test"), config.seed_cookies, client, scan_config)
         verdict = verify_exploitable(verdict, client, scan_config)
+        scanned.append((config, verdict, len(client.exchanges)))
+    return scanned
+
+
+@pytest.fixture(scope="module")
+def corpus_seed_3():
+    return _scan_corpus(3)
+
+
+def test_generated_corpus_matches_answer_key(corpus_seed_3):
+    profiles = default_profiles()
+    missed = requests = 0
+    for config, verdict, sent in corpus_seed_3:
         problems = verdict_matches_truth(verdict, compute_ground_truth(config, profiles))
         if problems:
             # the one known miss: an echo cut at LF is not a refusal, so the
@@ -88,9 +108,37 @@ def test_generated_corpus_matches_answer_key():
             assert config.newline_handling is NewlineHandling.CUT_AT_LF, (config, problems)
             assert problems == ["vulnerable: scanner=False truth=True"], (config, problems)
             missed += 1
-        requests += len(client.exchanges)
+        requests += sent
     # what sending FF and CR only after a refused LF loses on this corpus
     assert missed == 129
     # what the corpus's verdicts cost, redirect hops included; a change to
     # the request plan moves this on purpose
     assert requests == 19_802
+
+
+def _verdict_line(config: TargetConfig, verdict, requests: int) -> str:
+    """One config's verdict as a compact JSON line; each engine's result as
+    ``[exploitable, framed, blockers]``."""
+    value = lambda member: member and member.value  # noqa: E731
+    return json.dumps({
+        "name": config.name, "status": verdict.status.value, "reason": value(verdict.reason),
+        "technique": value(verdict.technique), "newline": value(verdict.newline), "requests": requests,
+        "engines": {engine.value: [result.exploitable, result.framed, [b.value for b in result.blockers]]
+                    for engine, result in verdict.profile_results.items()},
+    }, separators=(",", ":"))
+
+
+def _corpus_verdicts(corpus_seed_3) -> list[str]:
+    return [_verdict_line(*scanned) for scanned in corpus_seed_3 + _scan_corpus(7)]
+
+
+def test_corpus_verdicts_match_committed_file(corpus_seed_3):
+    lines = _corpus_verdicts(corpus_seed_3)
+    committed = CORPUS_VERDICTS.read_text().splitlines()
+    differ = [json.loads(line)["name"] for line, old in zip(lines, committed) if line != old]
+    assert len(lines) == len(committed), (len(lines), len(committed))
+    assert not differ, f"{len(differ)} configs differ, first: {differ[:5]}"
+
+
+if __name__ == "__main__":  # rewrite the committed file: PYTHONPATH=src python tests/test_corpus.py
+    CORPUS_VERDICTS.write_text("".join(line + "\n" for line in _corpus_verdicts(_scan_corpus(3))))

@@ -2,6 +2,7 @@ import gc
 import gzip
 import json
 import os
+import re
 import socket
 import ssl
 import subprocess
@@ -26,7 +27,7 @@ from rposcan.httpclient import (
     RecordingClient,
     RequestsClient,
 )
-from rposcan.httpclient import MAX_IDLE_ORIGINS, _read_response
+from rposcan.httpclient import MAX_IDLE_ORIGINS, _read_response, _Wire
 from rposcan.urls import WebUrl, parse_url
 
 DELAY = 0.020
@@ -806,7 +807,7 @@ AFTER_EACH_LF = [i + 1 for i, byte in enumerate(BARE_LF_CHUNKED[:-1]) if byte ==
 
 @pytest.mark.parametrize("reply, headers, pooled", [
     (BARE_LF, {"X-Mixed": "1", "Content-Length": "2"}, True),
-    ([BARE_LF, HANG_UP], {"X-Mixed": "1", "Content-Length": "2"}, False),
+    ([b"HTTP/1.1 200 OK\nX-Mixed: 1\r\n\nok", HANG_UP], {"X-Mixed": "1"}, False),
     (pieces(BARE_LF_CHUNKED, *AFTER_EACH_LF), {"Transfer-Encoding": "chunked"}, True),
 ], ids=["kept-alive", "then-close", "chunked-cut-after-each-lf"])
 def test_client_reads_lines_that_end_in_a_bare_line_feed_as_http_client_did(reply, headers, pooled):
@@ -822,12 +823,46 @@ def test_client_reads_lines_that_end_in_a_bare_line_feed_as_http_client_did(repl
         assert server.connections == (1 if pooled else 2)
 
 
-def test_client_fails_chunk_data_longer_than_its_size_and_drops_the_connection():
-    reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokay\r\n0\r\n\r\n"
+CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+@pytest.mark.parametrize("reply, message", [
+    (CHUNKED_HEAD + b"2\r\nokay\r\n0\r\n\r\n", "chunk data longer than its size 2"),
+    (CHUNKED_HEAD + b"z2\r\nok\r\n0\r\n\r\n", "bad chunk size b'z2'"),
+    (CHUNKED_HEAD + b"-2\r\nok\r\n0\r\n\r\n", "bad chunk size b'-2'"),
+    # neither ends: the client stops at its limit, not at the server's close
+    ([CHUNKED_HEAD + b"1" * (65536 + 1), 5.0], "a response line or head longer than 65536 bytes"),
+    ([b"HTTP/1.1 200 OK\r\n" + b"X: v\r\n" * (65536 * 100 // 6 + 1), 5.0],
+     f"a response line or head longer than {65536 * 100} bytes"),
+], ids=["chunk-data-longer-than-its-size", "chunk-size-not-hex", "chunk-size-negative",
+        "chunk-size-line-without-end", "head-without-end"])
+def test_client_fails_a_bad_chunk_or_an_endless_line_and_drops_the_connection(reply, message):
     with scripted_server(reply, OK) as server:
         client = RequestsClient(timeout=5)
-        with pytest.raises(NetworkError, match="chunk data longer than its size 2"):
+        with pytest.raises(NetworkError, match=re.escape(message)):
             client.fetch(HttpRequest(server.url("/first")))
+        assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
+        assert server.connections == 2
+
+
+def test_client_fails_a_fetch_whose_deadline_passes_between_two_reads(monkeypatch):
+    # the clock jumps a minute once the status line is read, so the next read
+    # finds no time left before it would wait on the silent server
+    fill, clock, read = _Wire.fill, time.monotonic, []
+
+    def fill_then_jump(wire):
+        more = fill(wire)
+        read.append(more)
+        return more
+
+    monkeypatch.setattr(_Wire, "fill", fill_then_jump)
+    monkeypatch.setattr(time, "monotonic", lambda: clock() + (60 if read else 0))
+    with scripted_server([b"HTTP/1.1 200 OK\r\n", 5.0], OK) as server:
+        client = RequestsClient(timeout=5)
+        start = clock()
+        with pytest.raises(NetworkError, match="fetch not done within its 5 s timeout"):
+            client.fetch(HttpRequest(server.url("/first")))
+        assert clock() - start < 1
         assert client.fetch(HttpRequest(server.url("/second"))).body == b"ok"
         assert server.connections == 2
 

@@ -3,11 +3,11 @@ import pathlib
 import re
 
 import pytest
-from jsonschema import validate as jsonschema_validate
 
-from rposcan import rendering
+from rposcan import reports
 from rposcan.cli import main
 from rposcan.jsonform import BadInput
+from rposcan.mock_target import DOCTYPE_QUIRKS, InProcessClient, Routing, TargetConfig
 from rposcan.rendering import (
     Blocker,
     BrowserProfile,
@@ -20,9 +20,9 @@ from rposcan.rendering import (
     framing_allowed,
     load_profiles,
     parse_doctype,
-    stylesheet_accepted,
     stylesheet_refusal,
 )
+from rposcan.reports import read_records
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -231,20 +231,20 @@ def test_xfo_case_insensitive():
 def test_css_content_type_accepted_in_any_mode():
     sec = ResponseSecurity(content_type="text/css", nosniff=True)
     for profile in PROFILES:
-        assert stylesheet_accepted(profile, RenderingMode.STANDARDS, sec)
-        assert stylesheet_accepted(profile, RenderingMode.QUIRKS, sec)
+        assert stylesheet_refusal(profile, RenderingMode.STANDARDS, sec) is None
+        assert stylesheet_refusal(profile, RenderingMode.QUIRKS, sec) is None
 
 
 def test_standards_mode_rejects_non_css():
     sec = ResponseSecurity(content_type="text/html")
     for profile in PROFILES:
-        assert not stylesheet_accepted(profile, RenderingMode.STANDARDS, sec)
+        assert stylesheet_refusal(profile, RenderingMode.STANDARDS, sec) is not None
 
 
 def test_nosniff_matrix_matches_engine_behavior():
     sec = ResponseSecurity(content_type="text/html", nosniff=True)
     blocked = {
-        p.engine for p in PROFILES if not stylesheet_accepted(p, RenderingMode.QUIRKS, sec)
+        p.engine for p in PROFILES if stylesheet_refusal(p, RenderingMode.QUIRKS, sec) is not None
     }
     assert blocked == {Engine.FIREFOX, Engine.EDGE, Engine.INTERNET_EXPLORER}
 
@@ -252,20 +252,20 @@ def test_nosniff_matrix_matches_engine_behavior():
 def test_quirks_accepts_html_without_nosniff():
     sec = ResponseSecurity(content_type="text/html", nosniff=False)
     for profile in PROFILES:
-        assert stylesheet_accepted(profile, RenderingMode.QUIRKS, sec)
+        assert stylesheet_refusal(profile, RenderingMode.QUIRKS, sec) is None
 
 
 def test_nosniff_monotonicity():
     for profile in PROFILES:
         for mode in RenderingMode:
             for content_type in (None, "text/css", "text/html", "application/json"):
-                with_flag = stylesheet_accepted(
+                with_flag = stylesheet_refusal(
                     profile, mode, ResponseSecurity(content_type=content_type, nosniff=True)
                 )
-                without = stylesheet_accepted(
+                without = stylesheet_refusal(
                     profile, mode, ResponseSecurity(content_type=content_type, nosniff=False)
                 )
-                assert not with_flag or without
+                assert with_flag is not None or without is None  # nosniff only adds refusals
 
 
 def test_a_refused_sheet_is_refused_by_its_mode_in_standards_and_by_nosniff_in_quirks():
@@ -275,7 +275,6 @@ def test_a_refused_sheet_is_refused_by_its_mode_in_standards_and_by_nosniff_in_q
                 for nosniff in (False, True):
                     sec = ResponseSecurity(content_type=content_type, nosniff=nosniff)
                     refusal = stylesheet_refusal(profile, mode, sec)
-                    assert (refusal is None) == stylesheet_accepted(profile, mode, sec)
                     if content_type == "text/css":
                         expected = None
                     elif mode is RenderingMode.STANDARDS:
@@ -302,91 +301,48 @@ def test_response_security_from_headers():
 
 # --- profile file ---
 
-PROFILE_SCHEMA = {
-    "type": "object",
-    "required": ["profiles"],
-    "properties": {
-        "profiles": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": [
-                    "engine",
-                    "respects_nosniff",
-                    "supports_frame_override",
-                    "base_tag_effective",
-                ],
-                "properties": {
-                    "engine": {
-                        "enum": [
-                            "chrome",
-                            "opera",
-                            "safari",
-                            "firefox",
-                            "edge",
-                            "internet_explorer",
-                        ]
-                    },
-                    "respects_nosniff": {"type": "boolean"},
-                    "supports_frame_override": {"type": "boolean"},
-                    "base_tag_effective": {"type": "boolean"},
-                    "extra_quirks_public_ids": {"type": "array", "items": {"type": "string"}},
-                    "quirks_public_id_exceptions": {"type": "array", "items": {"type": "string"}},
-                },
-                "additionalProperties": False,
-            },
-        }
-    },
+
+def test_default_profiles_are_one_tuple_with_every_engine_once_in_engine_order():
+    first = default_profiles()
+    assert isinstance(first, tuple)
+    assert default_profiles() is first
+    assert [profile.engine for profile in first] == list(Engine)
+
+
+_CHROME_ENTRY = {
+    "engine": "chrome",
+    "respects_nosniff": False,
+    "supports_frame_override": False,
+    "base_tag_effective": True,
 }
 
 
-def test_shipped_profile_file_matches_schema():
-    import rposcan
-
-    path = pathlib.Path(rposcan.__file__).parent / "data" / "default_profiles.json"
-    doc = json.loads(path.read_text())
-    jsonschema_validate(doc, PROFILE_SCHEMA)
-    assert [p["engine"] for p in doc["profiles"]] == [e.value for e in Engine]
-
-
-def test_default_profiles_parsed_once_returned_as_one_tuple(monkeypatch):
-    first = default_profiles()
-
-    def reread(path=None):
-        raise AssertionError("the shipped profiles were parsed again")
-
-    monkeypatch.setattr(rendering, "load_profiles", reread)
-    assert isinstance(first, tuple)
-    assert default_profiles() is first
-
-
 def test_load_profiles_from_custom_file(tmp_path):
-    custom = {
-        "profiles": [
-            {
-                "engine": "firefox",
-                "respects_nosniff": True,
-                "supports_frame_override": False,
-                "base_tag_effective": True,
-                "quirks_public_id_exceptions": ["-//w3c//dtd html 3.2//"],
-            }
-        ]
-    }
     path = tmp_path / "profiles.json"
-    path.write_text(json.dumps(custom))
+    path.write_text(json.dumps({"profiles": [{**_CHROME_ENTRY, "engine": "firefox", "respects_nosniff": True,
+                                              "quirks_public_id_exceptions": ["-//w3c//dtd html 3.2//"]}]}))
     (profile,) = load_profiles(str(path))
     assert profile.engine is Engine.FIREFOX
     # the exception list flips this doctype back to standards for this engine
-    assert (
-        classify_doctype('html PUBLIC "-//W3C//DTD HTML 3.2//EN"', profile)
-        is RenderingMode.STANDARDS
-    )
-    default_firefox = FIREFOX
-    assert (
-        classify_doctype('html PUBLIC "-//W3C//DTD HTML 3.2//EN"', default_firefox)
-        is RenderingMode.QUIRKS
-    )
+    doctype = 'html PUBLIC "-//W3C//DTD HTML 3.2//EN"'
+    assert classify_doctype(doctype, profile) is RenderingMode.STANDARDS
+    assert classify_doctype(doctype, FIREFOX) is RenderingMode.QUIRKS
+
+
+def test_scan_cli_judges_only_the_engines_a_profile_file_defines(tmp_path, monkeypatch):
+    # a Firefox that ignores nosniff, where the shipped one would refuse the sheet
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"profiles": [{**_CHROME_ENTRY, "engine": "firefox"}]}))
+    target = TargetConfig(name="t", routing=Routing.PATH_INFO_REWRITE, doctype=DOCTYPE_QUIRKS, nosniff=True)
+    # the scan's network client answers from the mock, so nothing leaves the process
+    monkeypatch.setattr(reports, "RequestsClient", lambda timeout: InProcessClient({"lab.test": target}))
+    seed = tmp_path / "seed.txt"
+    seed.write_text("http://lab.test/app/page.php\n")
+    out = tmp_path / "records.jsonl"
+    assert main(["scan", "--seed", str(seed), "--out", str(out), "--delay", "0", "--profiles", str(path)]) == 0
+    [record] = read_records(str(out))
+    assert record.status == "exploitable"
+    assert record.profile_results == {"firefox": {"exploitable": True, "framed": False, "blockers": []}}
 
 
 def _assert_profile_file_rejected(tmp_path, capsys, doc, message):
@@ -403,14 +359,6 @@ def _assert_profile_file_rejected(tmp_path, capsys, doc, message):
     assert main(["scan", "--seed", str(seed), "--profiles", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
-
-
-_CHROME_ENTRY = {
-    "engine": "chrome",
-    "respects_nosniff": False,
-    "supports_frame_override": False,
-    "base_tag_effective": True,
-}
 
 
 @pytest.mark.parametrize("key", ["honors_frame_ancestors", "respects_nosnif"])
