@@ -34,7 +34,7 @@ Base and link tags inside an open frame are ignored.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .urls import WebUrl, host_key, is_relative_href
 
@@ -214,12 +214,12 @@ def abstract_url(url: WebUrl) -> str:
     return abstract
 
 
-def group_candidates(urls: list[WebUrl]) -> dict[str, WebUrl]:
-    """One deterministic representative per URL template."""
-    groups: dict[str, WebUrl] = {}
-    for url in urls:
-        key = abstract_url(url)
-        current = groups.get(key)
-        if current is None or str(url) < str(current):
-            groups[key] = url
+def group_candidates(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Each template's representative, from (URL text, template) pairs: the
+    smallest text with that template."""
+    groups: dict[str, str] = {}
+    for text, template in pairs:
+        current = groups.get(template)
+        if current is None or text < current:
+            groups[template] = text
     return groups

@@ -15,6 +15,7 @@ import json
 import queue
 import threading
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
@@ -141,29 +142,33 @@ def run_scan(
     seed_lines = read_seed_file(seed_file)
     site_cookies = read_cookie_file(cookie_file) if cookie_file else {}
 
-    parsed: list[WebUrl | MalformedUrl] = []
+    # each line parsed, serialized and templated once; a malformed line keeps its text
+    planned: list[tuple[WebUrl | MalformedUrl, str, str]] = []
     for line in seed_lines:
         try:
-            parsed.append(parse_url(line))
+            url = parse_url(line)
         except MalformedUrl as exc:
-            parsed.append(exc)
-    groups = group_candidates([url for url in parsed if isinstance(url, WebUrl)])
+            planned.append((exc, line, ""))
+        else:
+            planned.append((url, serialize_url(url), abstract_url(url)))
+    groups = group_candidates((text, template) for url, text, template in planned
+                              if isinstance(url, WebUrl))
 
     prelim: list[ScanRecord] = []
     to_scan: dict[str, list[tuple[WebUrl, str]]] = {}
-    for line, url in zip(seed_lines, parsed):
+    planned_texts: set[str] = set()  # representatives already planned: a copy is grouped
+    for url, text, template in planned:
         if isinstance(url, MalformedUrl):
-            prelim.append(ScanRecord(url=line, site="", template="", status="error",
+            prelim.append(ScanRecord(url=text, site="", template="", status="error",
                                      errors=[str(url)]))
             continue
-        text, site, template = serialize_url(url), registrable_domain(url.host), abstract_url(url)
-        # the representative is one of the parsed URLs: a line equal to it
-        # but not the same object is a duplicate, grouped into it
-        representative = groups[template]
-        if url is not representative:
+        site, representative = registrable_domain(url.host), groups[template]
+        if text != representative or text in planned_texts:
             prelim.append(ScanRecord(url=text, site=site, template=template, status="grouped_into",
-                                     grouped_into=serialize_url(representative)))
-        elif not ethics_gate(url, config):
+                                     grouped_into=representative))
+            continue
+        planned_texts.add(text)
+        if not ethics_gate(url, config):
             prelim.append(ScanRecord(url=text, site=site, template=template,
                                      status="ethics_blocked", reason="blocked_suffix"))
         else:
@@ -251,14 +256,15 @@ def write_records(records: Iterable[ScanRecord], out: TextIO) -> int:
     return count
 
 
-def read_records(path: str) -> list[ScanRecord]:
-    records = []
+def read_records(path: str) -> Iterator[ScanRecord]:
+    """The file's records, each made as its line is read; a line that is not
+    a record raises BadInput naming ``FILE:LINE``."""
     for number, line in _lines(path):
         try:
-            records.append(ScanRecord.from_json(line))
+            record = ScanRecord.from_json(line)
         except ValueError as exc:  # not JSON, or not a record's keys
             raise BadInput(f"{path}:{number}: {exc}") from exc
-    return records
+        yield record
 
 
 # --- summaries ---
@@ -282,94 +288,76 @@ class SummaryTable:
     candidate_sites: int
 
 
-def _count_row(technique: str, hits: list[ScanRecord], engines: list[str]) -> SummaryRow:
-    row = SummaryRow(
-        technique=technique,
-        vulnerable_pages=len(hits),
-        vulnerable_sites=len({r.site for r in hits}),
-    )
-    for engine in engines:
-        engine_hits = [r for r in hits if r.profile_results.get(engine, {}).get("exploitable")]
-        row.exploitable_pages[engine] = len(engine_hits)
-        row.exploitable_sites[engine] = len({r.site for r in engine_hits})
-    return row
-
-
 def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
-    """Counts per technique and engine; the total row counts each page and
-    site once regardless of how many techniques hit."""
-    records = list(records)
+    """Counts per technique and engine in one pass over ``records``, keeping
+    counters and site sets, not records.  The total row counts each page and
+    site once regardless of how many techniques hit; the engine columns are
+    the engines some record judged, in ``Engine`` order."""
     scanned_statuses = {status.value for status in ScanStatus}
-    scanned = [r for r in records if r.status in scanned_statuses]
-    engines = [e.value for e in Engine]
+    techniques = [technique.value for technique in MutationTechnique]
+    # pages and sites per (row, engine): row None counts every scanned page,
+    # engine None a row's vulnerable pages, an engine those it exploits
+    pages: Counter[tuple[str | None, str | None]] = Counter()
+    sites: defaultdict[tuple[str | None, str | None], set[str]] = defaultdict(set)
+    judged: set[str] = set()
+    for record in records:
+        judged.update(record.profile_results)
+        if record.status not in scanned_statuses:
+            continue
+        keys = [(None, None)]
+        if record.status in ("vulnerable", "exploitable"):
+            won = [engine for engine, result in record.profile_results.items() if result.get("exploitable")]
+            rows = ("total", record.technique) if record.technique in techniques else ("total",)
+            keys += [(row, engine) for row in rows for engine in (None, *won)]
+        for key in keys:
+            pages[key] += 1
+            sites[key].add(record.site)
 
-    vulnerable = [r for r in scanned if r.status in ("vulnerable", "exploitable")]
-    rows = [
-        _count_row(
-            technique.value,
-            [r for r in vulnerable if r.technique == technique.value],
-            engines,
-        )
-        for technique in MutationTechnique
-    ]
-    return SummaryTable(
-        rows=rows,
-        total=_count_row("total", vulnerable, engines),
-        engines=engines,
-        candidate_pages=len(scanned),
-        candidate_sites=len({r.site for r in scanned}),
-    )
+    engines = [engine.value for engine in Engine if engine.value in judged]
+
+    def row(name: str) -> SummaryRow:
+        return SummaryRow(name, pages[name, None], len(sites[name, None]),
+                          {engine: pages[name, engine] for engine in engines},
+                          {engine: len(sites[name, engine]) for engine in engines})
+
+    return SummaryTable(rows=[row(technique) for technique in techniques], total=row("total"),
+                        engines=engines, candidate_pages=pages[None, None],
+                        candidate_sites=len(sites[None, None]))
 
 
-def _percent(part: int, whole: int) -> str:
-    if whole == 0:
-        return "0.0%"
-    return f"{100.0 * part / whole:.1f}%"
+def _share(part: int, whole: int) -> str:
+    return f"{part} ({100.0 * part / whole if whole else 0.0:.1f}%)"
 
 
 def render_table(table: SummaryTable) -> str:
-    lines = []
-    lines.append(
-        f"candidate set: {table.candidate_pages} pages on {table.candidate_sites} sites"
-    )
     header = ["technique", "vuln pages", "vuln sites"]
     for engine in table.engines:
-        header.append(f"expl pages ({engine})")
-        header.append(f"expl sites ({engine})")
+        header += [f"expl pages ({engine})", f"expl sites ({engine})"]
     widths = [max(len(h), 24) for h in header[:1]] + [max(len(h), 10) for h in header[1:]]
 
     def fmt_row(cells: list[str]) -> str:
         return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths))
 
-    lines.append(fmt_row(header))
-    lines.append(fmt_row(["-" * w for w in widths]))
+    lines = [f"candidate set: {table.candidate_pages} pages on {table.candidate_sites} sites",
+             fmt_row(header), fmt_row(["-" * w for w in widths])]
     for row in table.rows + [table.total]:
-        cells = [
-            row.technique,
-            f"{row.vulnerable_pages} ({_percent(row.vulnerable_pages, table.candidate_pages)})",
-            f"{row.vulnerable_sites} ({_percent(row.vulnerable_sites, table.candidate_sites)})",
-        ]
+        cells = [row.technique, _share(row.vulnerable_pages, table.candidate_pages),
+                 _share(row.vulnerable_sites, table.candidate_sites)]
         for engine in table.engines:
-            pages = row.exploitable_pages.get(engine, 0)
-            sites = row.exploitable_sites.get(engine, 0)
-            cells.append(f"{pages} ({_percent(pages, table.candidate_pages)})")
-            cells.append(f"{sites} ({_percent(sites, table.candidate_sites)})")
+            cells += [_share(row.exploitable_pages[engine], table.candidate_pages),
+                      _share(row.exploitable_sites[engine], table.candidate_sites)]
         lines.append(fmt_row(cells))
     return "\n".join(lines)
 
 
 def render_csv(table: SummaryTable) -> str:
     header = ["technique", "vulnerable_pages", "vulnerable_sites"]
-    for engine in table.engines:
-        header.append(f"exploitable_pages_{engine}")
-    for engine in table.engines:
-        header.append(f"exploitable_sites_{engine}")
+    header += [f"exploitable_pages_{engine}" for engine in table.engines]
+    header += [f"exploitable_sites_{engine}" for engine in table.engines]
     lines = [",".join(header)]
     for row in table.rows + [table.total]:
-        cells = [row.technique, str(row.vulnerable_pages), str(row.vulnerable_sites)]
-        for engine in table.engines:
-            cells.append(str(row.exploitable_pages.get(engine, 0)))
-        for engine in table.engines:
-            cells.append(str(row.exploitable_sites.get(engine, 0)))
-        lines.append(",".join(cells))
+        cells = [row.technique, row.vulnerable_pages, row.vulnerable_sites,
+                 *(row.exploitable_pages[engine] for engine in table.engines),
+                 *(row.exploitable_sites[engine] for engine in table.engines)]
+        lines.append(",".join(map(str, cells)))
     return "\n".join(lines)

@@ -42,7 +42,7 @@ def test_scan_cli_end_to_end(tmp_path):
             ]
         )
         assert code == 0
-        records = read_records(str(out))
+        records = list(read_records(str(out)))
         assert len(records) == 1
         assert records[0].status == "exploitable"
         assert records[0].technique == "path_param_simple"

@@ -95,17 +95,45 @@ def test_run_scan_blocks_gov(tmp_path):
 
 
 def test_run_scan_groups_template_siblings(tmp_path):
-    records = run(
-        [
-            "http://site-a.test/app/page.php?lang=en",
-            "http://site-a.test/app/page.php?lang=fr",
-        ],
-        tmp_path,
-    )
-    statuses = sorted(r.status for r in records)
-    assert statuses == ["exploitable", "grouped_into"]
-    grouped = next(r for r in records if r.status == "grouped_into")
-    assert grouped.grouped_into == "http://site-a.test/app/page.php?lang=en"
+    # a smaller sibling after the first line's text, a malformed line, and an
+    # exact copy of the representative: the smallest text is scanned, once
+    en, fr, de = (f"http://site-a.test/app/page.php?lang={lang}" for lang in ("en", "fr", "de"))
+    records = run([en, fr, de, "http://[", de], tmp_path)
+    assert [(r.url, r.status, r.grouped_into) for r in records] == [
+        (en, "grouped_into", de),
+        (fr, "grouped_into", de),
+        ("http://[", "error", None),
+        (de, "grouped_into", de),
+        (de, "exploitable", None),
+    ]
+
+
+def test_run_scan_templates_and_serializes_each_seed_line_once(tmp_path, monkeypatch):
+    from rposcan import pages, urls
+
+    calls = {"abstract_url": 0, "serialize_url": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(url):
+            calls[name] += 1
+            return original(url)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (reports, pages):
+        count(module, "abstract_url")
+    for module in (reports, urls):  # urls' own name is what str(url) calls
+        count(module, "serialize_url")
+    seed = tmp_path / "seed.txt"
+    lines = [f"http://site-{site}.test/app/page.php?lang={lang}" for site in "abc" for lang in ("en", "fr")]
+    seed.write_text("\n".join([*lines, "http://agency.gov/x", "http://["]) + "\n")
+    records = run_scan(str(seed), make_config(), base_client=mock_client())
+    assert next(records).status == "grouped_into"
+    records.close()
+    parsed = len(lines) + 1
+    assert calls == {"abstract_url": parsed, "serialize_url": parsed}
 
 
 def test_run_scan_scans_a_page_once_however_its_url_writes_the_default_port(tmp_path):
@@ -293,6 +321,46 @@ def test_table_renders():
     assert "path_param_simple" in text
     assert "total" in text
     assert "100.0%" in text
+
+
+def test_summary_columns_name_only_the_engines_the_records_judged():
+    firefox_only = ScanRecord(
+        url="http://a.test/1", site="a.test", template="a.test/1", status="exploitable",
+        technique="path_param_simple",
+        profile_results={"firefox": {"exploitable": True, "framed": False, "blockers": []}},
+    )
+    table = summarize([firefox_only])
+    assert table.engines == ["firefox"]
+    lines = render_csv(table).splitlines()
+    assert lines[0] == "technique,vulnerable_pages,vulnerable_sites,exploitable_pages_firefox,exploitable_sites_firefox"
+    assert lines[1] == "path_param_simple,1,1,1,1"
+    assert lines[-1] == "total,1,1,1,1"
+    assert "chrome" not in render_table(table)
+    # columns follow Engine's order, whatever order the records judged in
+    safari_then_chrome = _record("http://b.test/1", "b.test", "not_vulnerable")
+    safari_then_chrome.profile_results = {"safari": {}, "chrome": {}}
+    assert summarize([firefox_only, safari_then_chrome]).engines == ["chrome", "safari", "firefox"]
+
+
+def test_summarize_memory_does_not_grow_with_the_records(tmp_path):
+    import itertools
+    import tracemalloc
+
+    lines = FIXED_SEED_RECORDS.read_text().splitlines(keepends=True)
+    summarize(read_records(str(FIXED_SEED_RECORDS)))  # a first pass may build what reading needs
+    peaks = []
+    for count in (1_000, 20_000):
+        path = tmp_path / f"records-{count}.jsonl"
+        path.write_text("".join(itertools.islice(itertools.cycle(lines), count)))
+        tracemalloc.start()
+        try:
+            table = summarize(read_records(str(path)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert table.candidate_pages > 0
+    # a list of the records would hold about 2.6 KB more per record
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_record_json_round_trip():
@@ -535,14 +603,14 @@ def test_reading_records_calls_typing_a_fixed_number_of_times(tmp_path, monkeypa
         return get_origin(kind)
 
     lines = FIXED_SEED_RECORDS.read_text()
-    read_records(str(FIXED_SEED_RECORDS))  # a first read may build what reading needs
+    list(read_records(str(FIXED_SEED_RECORDS)))  # a first read may build what reading needs
     monkeypatch.setattr(typing, "get_origin", counted)
     counts = []
     for copies in (1, 20):
         path = tmp_path / f"records-{copies}.jsonl"
         path.write_text(lines * copies)
         calls = 0
-        assert len(read_records(str(path))) == copies * len(lines.splitlines())
+        assert len(list(read_records(str(path)))) == copies * len(lines.splitlines())
         counts.append(calls)
     assert counts[0] == counts[1], counts
 
