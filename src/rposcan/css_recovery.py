@@ -32,20 +32,18 @@ rule's first token, and everything in an implausible prelude, a skipped
 at-rule or block, or a dropped declaration but the tokens that open, close
 or end something.  For these states the walk draws with ``send(run)`` in
 place of ``next``, where ``run`` is one of two skip runs: compiled patterns
-that match a run of whole tokens the state ignores, each with a test of the
-characters it can begin at.  ``tokenize`` matches the run in C after the last
-token it yielded, unless the next character cannot begin it, and scans on
-from its end, so Python sees only the tokens that can change a verdict.  The
-send is a hint: a wrapper that ignores it and hands over every token gets
-the same answer, since the walk ignores those tokens itself.  A plausible
-prelude and a live declaration are read token by token.
+that match a run of whole tokens the state ignores.  ``tokenize`` matches
+the run in C after the last token it yielded and scans on from its end, so
+Python sees only the tokens that can change a verdict.  The send is a hint:
+a wrapper that ignores it and hands over every token gets the same answer,
+since the walk ignores those tokens itself.  A plausible prelude and a live
+declaration are read token by token.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Generator, Iterator
-from typing import NamedTuple
+from collections.abc import Generator, Iterator
 
 WS = "ws"
 IDENT = "ident"
@@ -108,16 +106,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-class _SkipRun(NamedTuple):
-    """A skip run's compiled ``match``, and whether the run can match anything
-    at a character: at any other character it is empty, so ``tokenize`` does
-    not call ``match`` there."""
-
-    match: Callable[..., re.Match[str] | None]
-    can_begin: Callable[[str], bool]
-
-
 # Skip runs.  Each matches, from a token boundary, a run of whole tokens that
 # a state of the recovery walk ignores, and ends on a token boundary, so that
 # ``tokenize`` can step over the run in C and scan on from its end.
@@ -131,7 +119,7 @@ class _SkipRun(NamedTuple):
 # when no "(" follows, and a run of digits, each of them a delim.  A stretch
 # that cannot end is all ident characters, which the digit and ident
 # alternatives then take, so the run reads no text more than a few times.
-_CONTENT_RUN = _SkipRun(re.compile(
+_CONTENT_RUN = re.compile(
     rf"""(?:
         [^{_STRUCTURAL_PUNCT}"'\#@/<]+ (?<![A-Za-z0-9_-])
       | <(?:!--)?
@@ -145,13 +133,13 @@ _CONTENT_RUN = _SkipRun(re.compile(
       | {_AT}
     )*""",
     re.VERBOSE,
-).match, lambda char: char not in "{}[]();")
+)
 # Top level, between rules: whitespace, stray closers and semicolons, CDO,
 # CDC and comments.
-_TOP_LEVEL_RUN = _SkipRun(re.compile(
+_TOP_LEVEL_RUN = re.compile(
     rf"""(?: [ \t\r\n\f}}\]);]+ | --> | {_COMMENT} | <!-- )*""",
     re.VERBOSE,
-).match, frozenset(" \t\r\n\f}]);-/<").__contains__)
+)
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
@@ -173,14 +161,14 @@ def _string_token(text: str, m: re.Match) -> Token:
     return kind, value, start
 
 
-def tokenize(text: str) -> Generator[Token, _SkipRun | None, None]:
+def tokenize(text: str) -> Generator[Token, re.Pattern | None, None]:
     """CSS tokens of ``text`` as (kind, value, offset), made as they are
     drawn; comments yield none.
 
     Iterated plainly, it yields every token.  A skip run sent in place of a
     plain draw steps over the whole tokens that the run matches right after
     the last token drawn, and the send returns the token after them."""
-    pos, size = 0, len(text)
+    pos = 0
     while True:
         for m in _TOKEN_RE.finditer(text, pos):
             kind = m.lastgroup
@@ -216,10 +204,9 @@ def tokenize(text: str) -> Generator[Token, _SkipRun | None, None]:
             run = yield token
             if run is not None:
                 end = m.end()
-                if end < size and run.can_begin(text[end]):
-                    pos = run.match(text, end).end()
-                    if pos != end:
-                        break  # scan on from the end of the run
+                pos = run.match(text, end).end()
+                if pos != end:
+                    break  # scan on from the end of the run
         else:
             return
 
@@ -285,7 +272,7 @@ def _skip_balanced(send, ends: frozenset[str]) -> str:
         return ""
 
 
-def _background_urls(tokens: Generator[Token, _SkipRun | None, None]) -> Iterator[str]:
+def _background_urls(tokens: Generator[Token, re.Pattern | None, None]) -> Iterator[str]:
     """Draw ``tokens`` once, yielding the URL of each ``background``
     declaration that survives, as soon as its declaration closes.
 

@@ -292,7 +292,8 @@ def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
     """Counts per technique and engine in one pass over ``records``, keeping
     counters and site sets, not records.  The total row counts each page and
     site once regardless of how many techniques hit; the engine columns are
-    the engines some record judged, in ``Engine`` order."""
+    the engines some record judged, in ``Engine`` order, or every engine when
+    no record judged one (a scan that found nothing vulnerable)."""
     scanned_statuses = {status.value for status in ScanStatus}
     techniques = [technique.value for technique in MutationTechnique]
     # pages and sites per (row, engine): row None counts every scanned page,
@@ -313,7 +314,7 @@ def summarize(records: Iterable[ScanRecord]) -> SummaryTable:
             pages[key] += 1
             sites[key].add(record.site)
 
-    engines = [engine.value for engine in Engine if engine.value in judged]
+    engines = [engine.value for engine in Engine if not judged or engine.value in judged]
 
     def row(name: str) -> SummaryRow:
         return SummaryRow(name, pages[name, None], len(sites[name, None]),

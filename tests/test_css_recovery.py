@@ -431,35 +431,3 @@ def test_runs_stay_linear_on_stretches_that_cannot_end(unit):
     started = time.process_time()
     assert css_would_fire(body, CANARY) is False
     assert time.process_time() - started < 1.0
-
-
-@settings(max_examples=300)
-@given(
-    st.one_of(
-        st.lists(st.one_of(_SKIP_PIECES, _CSS_PIECES), max_size=24).map("".join),
-        st.binary(max_size=60).map(lambda b: b.decode("latin-1")),
-    )
-)
-def test_a_run_is_empty_where_it_cannot_begin(text):
-    for run in (css_recovery._CONTENT_RUN, css_recovery._TOP_LEVEL_RUN):
-        for pos, char in enumerate(text):
-            if not run.can_begin(char):
-                assert run.match(text, pos).end() == pos
-
-
-@pytest.mark.parametrize(
-    "body, run_name",
-    [(b"{" * 1000, "_CONTENT_RUN"), (b"a{b:c}" * 200, "_TOP_LEVEL_RUN")],
-)
-def test_a_run_is_not_called_where_it_cannot_begin(monkeypatch, body, run_name):
-    run = getattr(css_recovery, run_name)
-    calls = []
-
-    def match(text, pos):
-        found = run.match(text, pos)
-        calls.append(found.end() == pos)
-        return found
-
-    monkeypatch.setattr(css_recovery, run_name, run._replace(match=match))
-    assert css_would_fire(body + CANARY.encode(), CANARY) is False
-    assert True not in calls  # every call the walk makes skips something

@@ -28,7 +28,7 @@ from rposcan.reports import (
     run_scan,
     summarize,
 )
-from rposcan.rendering import default_profiles
+from rposcan.rendering import Engine, default_profiles
 from rposcan.scanning import ScanConfig
 from rposcan.urls import host_key
 
@@ -340,6 +340,17 @@ def test_summary_columns_name_only_the_engines_the_records_judged():
     safari_then_chrome = _record("http://b.test/1", "b.test", "not_vulnerable")
     safari_then_chrome.profile_results = {"safari": {}, "chrome": {}}
     assert summarize([firefox_only, safari_then_chrome]).engines == ["chrome", "safari", "firefox"]
+
+
+def test_a_summary_that_judged_no_engine_keeps_every_engine_column():
+    # only a verified record carries profile_results, so a clean scan judged none
+    clean = [ScanRecord(url="http://a.test/1", site="a.test", template="a.test/1", status="not_vulnerable"),
+             ScanRecord(url="http://b.test/1", site="b.test", template="b.test/1", status="no_relative_stylesheets")]
+    table = summarize(clean)
+    assert table.engines == [engine.value for engine in Engine]
+    header, *rows = render_csv(table).splitlines()
+    assert header.count(",exploitable_pages_") == header.count(",exploitable_sites_") == 6
+    assert rows[-1] == "total,0,0" + ",0" * 12
 
 
 def test_summarize_memory_does_not_grow_with_the_records(tmp_path):
